@@ -22,17 +22,15 @@ def _evaluate():
     )
     scores = {}
     models = {}
-    for use_attention in (False, True):
-        model = train_env2vec_telecom(
-            dataset, n_lags=5, fast=True, use_attention=use_attention, seed=0
-        )
+    for encoder in ("gru", "attention"):
+        model = train_env2vec_telecom(dataset, n_lags=5, fast=True, encoder=encoder, seed=0)
         chain_maes = []
         for chain in dataset.chains:
             X, history, y = build_windows(chain.current.features, chain.current.cpu, 5)
             predictions = model.predict([chain.current.environment] * len(y), X, history)
             chain_maes.append(mae(y, predictions))
-        scores[use_attention] = float(np.mean(chain_maes))
-        models[use_attention] = model
+        scores[encoder] = float(np.mean(chain_maes))
+        models[encoder] = model
     return dataset, scores, models
 
 
@@ -40,7 +38,7 @@ def test_ablation_attention(benchmark):
     dataset, scores, models = benchmark.pedantic(_evaluate, rounds=1, iterations=1)
 
     # Inspect the learned attention profile over the 5-lag window.
-    attention_model = models[True]
+    attention_model = models["attention"]
     chain = dataset.chains[0]
     X, history, y = build_windows(chain.current.features, chain.current.cpu, 5)
     attention_model.predict([chain.current.environment] * len(y), X, history, compiled=False)
@@ -51,8 +49,8 @@ def test_ablation_attention(benchmark):
         "\n".join(
             [
                 "Ablation — additive attention over RU history (§6 extension)",
-                f"  last-state GRU (paper) : MAE={scores[False]:.3f}",
-                f"  + attention            : MAE={scores[True]:.3f}",
+                f"  last-state GRU (paper) : MAE={scores['gru']:.3f}",
+                f"  + attention            : MAE={scores['attention']:.3f}",
                 "  mean attention weight per lag (oldest -> newest): "
                 + " ".join(f"{w:.2f}" for w in weights),
             ]
@@ -60,7 +58,7 @@ def test_ablation_attention(benchmark):
     )
 
     # The extension stays within the baseline's accuracy band.
-    assert scores[True] <= scores[False] * 1.15
+    assert scores["attention"] <= scores["gru"] * 1.15
     # Attention weights are a valid distribution over the window.
     assert weights.shape == (5,)
     assert np.isclose(weights.sum(), 1.0, atol=1e-9)

@@ -20,7 +20,7 @@ def _evaluate():
     )
     scores, params = {}, {}
     for unit in ("gru", "lstm"):
-        model = train_env2vec_telecom(dataset, fast=True, recurrent_unit=unit, seed=0)
+        model = train_env2vec_telecom(dataset, fast=True, encoder=unit, seed=0)
         chain_maes = []
         for chain in dataset.chains:
             X, history, y = build_windows(chain.current.features, chain.current.cpu, 3)

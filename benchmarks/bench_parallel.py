@@ -1,24 +1,25 @@
-"""Benchmark — parallel sharded campaign scoring vs the serial loop.
+"""Benchmark — coalesced campaign scoring vs the per-execution loop.
 
 A campaign day scores a fleet of pending executions that all share one
-published model version. The serial orchestrator pays three redundant
-costs per execution: it recalibrates the chain's error model (re-predicting
-every prior build), rebuilds identical windows, and issues one small
-forward per execution. :class:`~repro.parallel.CampaignScorer` computes
-each chain's calibration once, memoizes windows, coalesces forwards, and
-fans the chains out over a worker pool.
+published model version. The per-execution loop pays three redundant
+costs per execution: it recalibrates the chain's error model
+(re-predicting every prior build, one forward each), rebuilds identical
+windows, and issues one small forward per execution. The pipeline path
+calibrates each chain once with one coalesced forward over its history
+(:meth:`~repro.workflow.PredictionPipeline.history_error_model`) and
+scores the whole fleet with one :meth:`~repro.workflow.PredictionPipeline.execute`.
 
-Contenders, per round over the same fleet:
+Contenders, per round over the same fleet, both pushing their alarms to a
+fresh store:
 
-- **serial**: the orchestrator's per-execution monitor loop, transcribed
-  verbatim — calibrate, predict, detect for every pending execution;
-- **scorer(n)**: a fresh ``CampaignScorer`` with an ``n``-worker thread
-  pool (fresh per round, so cache warmup is on the clock).
+- **per-execution**: the loop transcribed — predict, recalibrate,
+  detect, push, for every pending execution;
+- **coalesced**: one calibration per chain, then one ``execute``.
 
-Acceptance: scorer(4) reaches ≥2x the serial throughput *and* its
-reports are byte-identical to the serial loop's. On a single-core
-container the speedup is algorithmic (work eliminated, not merely
-overlapped); with real cores the pool adds wall-clock overlap on top.
+Acceptance: the coalesced path reaches ≥2x the per-execution throughput
+*and* its reports and alarms are byte-identical. The gain is algorithmic
+(work eliminated), so it holds on any core count; earlier thread fan-out
+on top of coalescing measured no further gain and was removed.
 Results go to ``benchmarks/results/BENCH_parallel.json``.
 """
 
@@ -32,22 +33,21 @@ from conftest import emit
 from repro.core.anomaly import ContextualAnomalyDetector, GaussianErrorModel
 from repro.data import TelecomConfig, generate_telecom
 from repro.data.windows import build_windows
-from repro.parallel import CampaignScorer, WorkerPool
-from repro.workflow import ModelStore, TrainingPipeline
+from repro.workflow import AlarmStore, ModelStore, PredictBatch, PredictionPipeline, TrainingPipeline
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: Acceptance floor: scorer(4) throughput over the serial monitor loop.
+#: Acceptance floor: coalesced throughput over the per-execution loop.
 MIN_SPEEDUP = 2.0
 
 N_LAGS = 3
+GAMMA, ABS_THRESHOLD = 2.5, 5.0
 #: Pending (to-score) executions per chain — the tail of each chain.
 K_PENDING = 3
-WORKER_COUNTS = (1, 2, 4, 8)
 
 
 def _fleet():
-    """(model, executions, history) — one campaign day at fleet scale."""
+    """(store, model, executions, history) — one campaign day at fleet scale."""
     dataset = generate_telecom(
         TelecomConfig(
             n_chains=16,
@@ -58,8 +58,9 @@ def _fleet():
             seed=3,
         )
     )
+    store = ModelStore()
     pipeline = TrainingPipeline(
-        ModelStore(),
+        store,
         n_lags=N_LAGS,
         model_params={"max_epochs": 3, "batch_size": 256, "dropout": 0.0},
         seed=0,
@@ -68,15 +69,15 @@ def _fleet():
     model.compile()
     executions, history = [], {}
     for chain in dataset.chains:
-        history[chain.executions[0].environment.chain_key] = list(
-            chain.executions[:-K_PENDING]
-        )
+        history[chain.key] = list(chain.executions[:-K_PENDING])
         executions.extend(chain.executions[-K_PENDING:])
-    return model, executions, history
+    return store, model, executions, history
 
 
-def _serial_round(model, detector, executions, history):
-    """The serial orchestrator's monitor loop: recalibrate per execution."""
+def _per_execution_round(model, executions, history):
+    """Predict, recalibrate, detect and push, one execution at a time."""
+    detector = ContextualAnomalyDetector(gamma=GAMMA, abs_threshold=ABS_THRESHOLD)
+    alarms = AlarmStore()
 
     def predict(execution):
         X, h, y = build_windows(execution.features, execution.cpu, N_LAGS)
@@ -95,26 +96,36 @@ def _serial_round(model, detector, executions, history):
 
     reports = []
     for execution in executions:
-        if execution.n_timesteps <= N_LAGS + 1:
-            reports.append(None)
-            continue
         predictions, observed = predict(execution)
         em = error_model(execution.environment.chain_key)
         if em is None:
-            reports.append(detector.detect_self_calibrated(predictions, observed))
+            report = detector.detect_self_calibrated(predictions, observed)
         else:
-            reports.append(detector.detect(predictions, observed, em))
-    return reports
+            report = detector.detect(predictions, observed, em)
+        for alarm in report.alarms:
+            alarms.push(
+                environment=execution.environment,
+                start_step=alarm.start + N_LAGS,
+                end_step=alarm.end + N_LAGS,
+                peak_deviation=alarm.peak_deviation,
+                gamma=GAMMA,
+            )
+        reports.append(report)
+    return reports, alarms
 
 
-def _scorer_round(model, detector, executions, history, n_workers):
-    scorer = CampaignScorer(
-        detector, N_LAGS, pool=WorkerPool(n_workers, kind="threads")
+def _coalesced_round(store, model, executions, history):
+    """One calibration per chain, then one coalesced execute."""
+    alarms = AlarmStore()
+    pipeline = PredictionPipeline(store, alarms, gamma=GAMMA, abs_threshold=ABS_THRESHOLD)
+    calibrated = {
+        key: pipeline.history_error_model(model, previous) for key, previous in history.items()
+    }
+    batch = PredictBatch(
+        executions, [calibrated[e.environment.chain_key] for e in executions]
     )
-    try:
-        return scorer.score(model, executions, history, masked=set())
-    finally:
-        scorer.pool.close()
+    runs = pipeline.execute(batch, model=model, model_version=store.latest_version)
+    return [run.report for run in runs], alarms
 
 
 def _best_of(rounds, *contenders):
@@ -127,43 +138,37 @@ def _best_of(rounds, *contenders):
     return best
 
 
-def _assert_byte_identical(serial_reports, scores):
-    assert len(serial_reports) == len(scores)
-    for serial, score in zip(serial_reports, scores):
-        assert (serial is None) == (score.report is None)
-        if serial is None:
-            continue
-        assert score.report.flags.tobytes() == serial.flags.tobytes()
-        assert score.report.errors.tobytes() == serial.errors.tobytes()
-        assert score.report.alarms == serial.alarms
+def _alarm_rows(alarms):
+    return [
+        (r.environment, r.start_step, r.end_step, r.peak_deviation, r.gamma)
+        for r in alarms.fetch()
+    ]
+
+
+def _assert_byte_identical(reference, coalesced):
+    (ref_reports, ref_alarms), (reports, alarms) = reference, coalesced
+    assert len(ref_reports) == len(reports)
+    for expected, actual in zip(ref_reports, reports):
+        assert actual.flags.tobytes() == expected.flags.tobytes()
+        assert actual.errors.tobytes() == expected.errors.tobytes()
+        assert actual.alarms == expected.alarms
+    assert _alarm_rows(alarms) == _alarm_rows(ref_alarms)
 
 
 def run_parallel_bench(rounds: int = 7) -> dict:
-    model, executions, history = _fleet()
-    detector = ContextualAnomalyDetector(gamma=2.5, abs_threshold=5.0)
+    store, model, executions, history = _fleet()
 
-    # Correctness gate first: the merge contract, bitwise.
-    serial_reports = _serial_round(model, detector, executions, history)
-    scores = _scorer_round(model, detector, executions, history, n_workers=4)
-    _assert_byte_identical(serial_reports, scores)
-
-    # Warm numpy dispatch and the compiled engine off the clock.
-    _serial_round(model, detector, executions, history)
-
-    (serial_s,) = _best_of(
-        rounds, lambda: _serial_round(model, detector, executions, history)
+    # Correctness gate first: the coalesced path is bitwise the loop.
+    _assert_byte_identical(
+        _per_execution_round(model, executions, history),
+        _coalesced_round(store, model, executions, history),
     )
-    scaling = {}
-    for n_workers in WORKER_COUNTS:
-        (scorer_s,) = _best_of(
-            rounds,
-            lambda n=n_workers: _scorer_round(model, detector, executions, history, n),
-        )
-        scaling[n_workers] = {
-            "ms_per_round": 1e3 * scorer_s,
-            "speedup_vs_serial": serial_s / scorer_s,
-            "executions_per_second": len(executions) / scorer_s,
-        }
+
+    per_execution_s, coalesced_s = _best_of(
+        rounds,
+        lambda: _per_execution_round(model, executions, history),
+        lambda: _coalesced_round(store, model, executions, history),
+    )
     return {
         "fleet": {
             "executions": len(executions),
@@ -171,36 +176,36 @@ def run_parallel_bench(rounds: int = 7) -> dict:
             "pending_per_chain": K_PENDING,
             "rounds": rounds,
         },
-        "serial": {
-            "ms_per_round": 1e3 * serial_s,
-            "executions_per_second": len(executions) / serial_s,
+        "per_execution": {
+            "ms_per_round": 1e3 * per_execution_s,
+            "executions_per_second": len(executions) / per_execution_s,
         },
-        "scorer": {str(n): stats for n, stats in scaling.items()},
+        "coalesced": {
+            "ms_per_round": 1e3 * coalesced_s,
+            "executions_per_second": len(executions) / coalesced_s,
+            "speedup_vs_per_execution": per_execution_s / coalesced_s,
+        },
         "byte_identical": True,
-        "acceptance": {"min_speedup_at_4_workers": MIN_SPEEDUP},
+        "acceptance": {"min_speedup": MIN_SPEEDUP},
     }
 
 
 def _render(results: dict) -> str:
     fleet = results["fleet"]
-    lines = [
-        "Parallel campaign scoring — "
-        f"{fleet['executions']} executions over {fleet['chains']} chains "
-        f"({fleet['pending_per_chain']} pending each)",
-        f"  serial monitor loop   {results['serial']['ms_per_round']:8.1f} ms/round "
-        f"({results['serial']['executions_per_second']:7.1f} exec/s)",
-    ]
-    for n, stats in results["scorer"].items():
-        lines.append(
-            f"  CampaignScorer  n={n:<3} {stats['ms_per_round']:8.1f} ms/round "
-            f"({stats['executions_per_second']:7.1f} exec/s, "
-            f"{stats['speedup_vs_serial']:.2f}x)"
-        )
-    lines.append(
-        "  reports byte-identical to serial: "
-        f"{results['byte_identical']}"
+    per_execution, coalesced = results["per_execution"], results["coalesced"]
+    return "\n".join(
+        [
+            "Campaign scoring — "
+            f"{fleet['executions']} executions over {fleet['chains']} chains "
+            f"({fleet['pending_per_chain']} pending each)",
+            f"  per-execution loop   {per_execution['ms_per_round']:8.1f} ms/round "
+            f"({per_execution['executions_per_second']:7.1f} exec/s)",
+            f"  coalesced pipeline   {coalesced['ms_per_round']:8.1f} ms/round "
+            f"({coalesced['executions_per_second']:7.1f} exec/s, "
+            f"{coalesced['speedup_vs_per_execution']:.2f}x)",
+            f"  reports and alarms byte-identical: {results['byte_identical']}",
+        ]
     )
-    return "\n".join(lines)
 
 
 def test_bench_parallel(benchmark):
@@ -209,11 +214,11 @@ def test_bench_parallel(benchmark):
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_parallel.json").write_text(json.dumps(results, indent=2) + "\n")
 
-    speedup = results["scorer"]["4"]["speedup_vs_serial"]
+    speedup = results["coalesced"]["speedup_vs_per_execution"]
     assert results["byte_identical"]
     assert speedup >= MIN_SPEEDUP, (
-        f"4-worker campaign scoring reached only {speedup:.2f}x over the "
-        f"serial loop; floor is {MIN_SPEEDUP:.1f}x"
+        f"coalesced campaign scoring reached only {speedup:.2f}x over the "
+        f"per-execution loop; floor is {MIN_SPEEDUP:.1f}x"
     )
 
 

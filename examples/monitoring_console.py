@@ -15,6 +15,7 @@ from repro.workflow import (
     EMRegistry,
     MetricCollector,
     ModelStore,
+    PredictBatch,
     PredictionPipeline,
     TimeSeriesDB,
     TrainingPipeline,
@@ -69,9 +70,10 @@ def main() -> None:
     pipeline = PredictionPipeline(store, alarms, gamma=2.5)
 
     print()
-    for focus_chain in dataset.focus_chains:
-        error_model = pipeline.calibrate(focus_chain)
-        run = pipeline.run(focus_chain.current, error_model)
+    chains = dataset.focus_chains
+    error_models = [pipeline.calibrate(focus_chain) for focus_chain in chains]
+    runs = pipeline.execute(PredictBatch([c.current for c in chains], error_models))
+    for focus_chain, run in zip(chains, runs):
         print(pipeline.report(focus_chain.current, run))
         print()
 

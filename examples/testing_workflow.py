@@ -26,6 +26,7 @@ from repro.workflow import (
     EMRegistry,
     MetricCollector,
     ModelStore,
+    PredictBatch,
     PredictionPipeline,
     ServiceDiscovery,
     TimeSeriesDB,
@@ -80,12 +81,11 @@ def main() -> None:
     print(f"step 3: Table 2 dataframe for one execution: {frame.shape[0]} rows x "
           f"{frame.shape[1]} columns ({', '.join(frame.columns[:4])}, ...)")
 
-    flagged = []
-    for chain in dataset.chains:
-        error_model = pipeline.calibrate(chain)
-        run = pipeline.run(chain.current, error_model)
-        if run.report.n_alarms:
-            flagged.append((chain, run))
+    error_models = [pipeline.calibrate(chain) for chain in dataset.chains]
+    runs = pipeline.execute(
+        PredictBatch([chain.current for chain in dataset.chains], error_models)
+    )
+    flagged = [(chain, run) for chain, run in zip(dataset.chains, runs) if run.report.n_alarms]
 
     print(f"step 4: {alarms.count()} alarms persisted across "
           f"{len(flagged)} flagged executions")

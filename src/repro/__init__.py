@@ -14,10 +14,12 @@ A full from-scratch reproduction of the paper's system:
   embeddings, Hadamard head), the FNN/RFNN baselines, the contextual
   anomaly detector, and the unseen-environment protocol.
 - :mod:`repro.workflow` — the Figure 2 testing workflow: TSDB, service
-  discovery, collector, training/prediction pipelines, alarm and model
-  stores.
-- :mod:`repro.parallel` — the sharded campaign executor: read-only TSDB
-  snapshot shards, worker pools, and the byte-identical parallel scorer.
+  discovery, collector, training/prediction pipelines (the one scoring
+  path), alarm and model stores, and the multi-day campaign.
+- :mod:`repro.serve` — the always-on serving layer, including the
+  supervised worker processes (the only owner of parallelism).
+- :mod:`repro.parallel` — ``SequencedMerger``, the serve supervisor's
+  in-order fan-in.
 - :mod:`repro.eval` — metrics and per-table/figure experiment drivers.
 
 Quickstart::

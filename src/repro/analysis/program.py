@@ -19,7 +19,7 @@ Four rules run over the linked model:
   and flag strongly-connected components — the classic deadlock shape —
   with a file/line anchor on every edge.
 - **REP015** process-escape: a callable shipped to another process
-  (``Process(target=...)``, ``ProcessPoolExecutor``, ``WorkerPool``)
+  (``Process(target=...)``, ``ProcessPoolExecutor``, ``multiprocessing.Pool``)
   must not reach parent-only resources (stores, TSDB handles, locks);
   the child would get a pickled divergent copy or an unpicklable crash.
 - **REP016** determinism taint: a seed parameter that stops flowing —
@@ -594,10 +594,7 @@ class ProcessEscape(CrossFileRule):
                     continue
                 targets = self._dispatch_targets(program, module, dispatch)
                 for target in targets:
-                    escape = self._find_escape(
-                        program, target,
-                        hard=(dispatch.boundary == "process"),
-                    )
+                    escape = self._find_escape(program, target)
                     if escape is None:
                         continue
                     what, anchors = escape
@@ -618,7 +615,7 @@ class ProcessEscape(CrossFileRule):
     def _dispatch_targets(self, program: ProgramModel, module: str, dispatch):
         return program.resolve_call(module, dispatch.function, dispatch.callee)
 
-    def _find_escape(self, program: ProgramModel, start, hard: bool):
+    def _find_escape(self, program: ProgramModel, start):
         """BFS over the call graph from the dispatched callable; returns
         (description, anchors) at the first resource touch, else None."""
         queue: list[tuple[tuple, tuple, int]] = [(start, (), 0)]
@@ -631,7 +628,7 @@ class ProcessEscape(CrossFileRule):
             path = program.path_of(module)
             hop = (path, fn.line, f"reached via {qualname}")
             trail_here = (*trail, hop)
-            hit = self._resource_touch(program, module, fn, hard)
+            hit = self._resource_touch(program, module, fn)
             if hit is not None:
                 what, line, note = hit
                 return what, [*trail_here, (path, line, note)]
@@ -644,7 +641,7 @@ class ProcessEscape(CrossFileRule):
                         queue.append((target, trail_here, depth + 1))
         return None
 
-    def _resource_touch(self, program: ProgramModel, module: str, fn: FunctionSummary, hard: bool):
+    def _resource_touch(self, program: ProgramModel, module: str, fn: FunctionSummary):
         """(description, line, note) when ``fn`` touches a parent resource."""
         summary = program.modules[module]
         # 1. module-level resource singletons
@@ -669,7 +666,7 @@ class ProcessEscape(CrossFileRule):
                         f"instance resource self.{attr} ({label})", line,
                         f"reads self.{attr} bound to {label}",
                     )
-                if hard and attr in locks:
+                if attr in locks:
                     return (
                         f"parent lock self.{attr}", line,
                         f"reads parent-process lock self.{attr}",
@@ -693,7 +690,7 @@ class ProcessEscape(CrossFileRule):
                             f"closure-captured resource parameter '{name}'", line,
                             f"closure reads resource parameter '{name}' of {outer_qual}",
                         )
-                    if hard and ctor is not None and "lock" in name.lower():
+                    if ctor is not None and "lock" in name.lower():
                         return (
                             f"closure-captured lock '{name}'", line,
                             f"closure reads lock '{name}' from {outer_qual}",

@@ -1,4 +1,4 @@
-"""The project rule catalog: twelve checks distilled from real bugs.
+"""The project rule catalog: eleven checks distilled from real bugs.
 
 Every rule here encodes an invariant this repo has already paid for once:
 
@@ -8,7 +8,7 @@ Every rule here encodes an invariant this repo has already paid for once:
   model metadata reproducible (wall-clock reads leaked into model-store
   and alarm timestamps);
 - REP003 — the PR 4 metrics race (``self._value += x`` on shared leaves,
-  lost increments under the parallel executor);
+  lost increments under concurrent scoring threads);
 - REP004 — the ``EmbeddingRowCache`` aliasing bug (a cached row handed
   out writable corrupted every later prediction);
 - REP005 — ``lock.acquire()`` without ``with`` leaks the lock on any
@@ -17,8 +17,6 @@ Every rule here encodes an invariant this repo has already paid for once:
   values only where the code path is exactly reproducible);
 - REP007 — swallowed exceptions in the resilience ladder (a silent
   ``except Exception: pass`` hides the faults chaos testing injects);
-- REP008 — mutation of read-only TSDB snapshot shards (snapshot isolation
-  is the parallel executor's whole correctness story);
 - REP009 — the SequenceEncoder boundary (modules outside ``repro.nn``
   reaching for GRU/LSTM/AdditiveAttention directly bypass the encoder
   registry, its compile dispatch, and its serialization schema);
@@ -26,8 +24,9 @@ Every rule here encodes an invariant this repo has already paid for once:
   admission/batcher/warm-pool machinery; outside imports would freeze a
   surface that is deliberately free to change);
 - REP011 — the process-management boundary (``os.kill``/``signal``
-  handlers/raw ``multiprocessing.Process`` wiring belong only to
-  ``serve._internal.supervisor``, whose epoch bookkeeping and restart
+  handlers/raw ``multiprocessing.Process`` wiring and
+  ``ProcessPoolExecutor`` belong only to ``serve._internal.supervisor``,
+  the one owner of worker processes, whose epoch bookkeeping and restart
   guarantees they would otherwise bypass);
 - REP012 — the PR 9 batch-inference regression (per-timestep
   ``np.hstack`` and bare ``@`` matmuls inside the fused GRU/LSTM
@@ -55,7 +54,7 @@ __all__ = ["DEFAULT_REGISTRY", "default_registry", "ALL_RULES", "RULESET_VERSION
 #: plus the cross-file rules in :mod:`repro.analysis.program`). The
 #: incremental cache embeds it in every entry, so bumping it on any rule
 #: semantics change invalidates stale cached scans wholesale.
-RULESET_VERSION = 2
+RULESET_VERSION = 3
 
 #: Packages under src/repro/ that run on the simulated campaign clock.
 _SIM_CLOCK_PACKAGES = frozenset({"core", "workflow", "parallel", "resilience"})
@@ -386,55 +385,6 @@ class SwallowedExceptionRule(Rule):
         )
 
 
-class SnapshotMutationRule(Rule):
-    """REP008: objects from ``snapshot_shards``/``shard_for`` are read-only."""
-
-    id = "REP008"
-    title = "mutation of a TSDB snapshot shard"
-    node_types = (ast.Assign, ast.AugAssign, ast.For)
-
-    def start_file(self, ctx: FileContext) -> None:
-        self._tracked: set[str] = set()
-
-    @staticmethod
-    def _binds_snapshot(value: ast.expr) -> bool:
-        if not isinstance(value, ast.Call):
-            return False
-        chain = _attr_chain(value.func)
-        return bool(chain) and chain[-1] in ("snapshot_shards", "shard_for")
-
-    def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[tuple[int, str]]:
-        if isinstance(node, ast.For):
-            # for shard in shards.shards: ... propagates snapshot-ness
-            iter_root = _root_name(node.iter)
-            if (
-                iter_root in self._tracked
-                and isinstance(node.target, ast.Name)
-            ):
-                self._tracked.add(node.target.id)
-            return
-        if isinstance(node, ast.Assign):
-            if self._binds_snapshot(node.value):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        self._tracked.add(target.id)
-                return
-            targets = node.targets
-        else:  # AugAssign
-            targets = [node.target]
-        for target in targets:
-            if not isinstance(target, (ast.Attribute, ast.Subscript)):
-                continue
-            root = _root_name(target)
-            if root in self._tracked:
-                yield (
-                    target.lineno,
-                    f"write through {root!r}, a read-only TSDB snapshot — "
-                    "snapshot isolation is what makes parallel campaigns "
-                    "byte-identical; write to the live TSDB instead",
-                )
-
-
 #: Layer names only repro.nn may touch: everything else goes through the
 #: SequenceEncoder registry (create_encoder / compile_plan).
 _ENCODER_INTERNAL_NAMES = frozenset(
@@ -545,20 +495,21 @@ _PROCESS_SIGNAL_CALLS = frozenset(
     {"signal", "alarm", "setitimer", "pthread_kill", "raise_signal"}
 )
 #: multiprocessing primitives that spawn or wire up raw processes.
-#: (ProcessPoolExecutor is deliberately NOT here — the parallel pool's
-#: managed executor is the sanctioned non-supervisor process user.)
 _PROCESS_MP_NAMES = frozenset({"Process", "Pipe", "get_context"})
+#: Process pools: worker processes with no heartbeat and no restart.
+_PROCESS_POOL_NAMES = frozenset({"ProcessPoolExecutor"})
 
 
 class ProcessManagementBoundaryRule(Rule):
     """REP011: raw process management lives only in the serve supervisor.
 
-    Killing processes, installing signal handlers, and hand-rolled
-    ``multiprocessing.Process``/``Pipe`` wiring are exactly the APIs that
-    break determinism and liveness when scattered: an ``os.kill`` outside
-    the supervisor bypasses epoch bookkeeping (stale-message storms), a
-    stray signal handler races the heartbeat loop, and an unsupervised
-    ``Process`` is a worker nobody restarts. One file owns them:
+    Killing processes, installing signal handlers, hand-rolled
+    ``multiprocessing.Process``/``Pipe`` wiring, and process pools are
+    exactly the APIs that break determinism and liveness when scattered:
+    an ``os.kill`` outside the supervisor bypasses epoch bookkeeping
+    (stale-message storms), a stray signal handler races the heartbeat
+    loop, and an unsupervised ``Process`` or ``ProcessPoolExecutor`` is a
+    worker nobody restarts. One file owns them:
     ``serve/_internal/supervisor.py``.
     """
 
@@ -575,16 +526,18 @@ class ProcessManagementBoundaryRule(Rule):
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[tuple[int, str]]:
         if isinstance(node, ast.ImportFrom):
-            if node.module and node.module.split(".")[0] == "multiprocessing":
-                for alias in node.names:
-                    if alias.name in _PROCESS_MP_NAMES:
-                        yield (
-                            node.lineno,
-                            f"import of multiprocessing.{alias.name} outside "
-                            "serve._internal.supervisor — raw worker processes "
-                            "must be supervised (heartbeats, restart, re-enqueue); "
-                            "use WorkerPool or go through the supervisor",
-                        )
+            root = node.module.split(".")[0] if node.module else None
+            for alias in node.names:
+                if (root == "multiprocessing" and alias.name in _PROCESS_MP_NAMES) or (
+                    root == "concurrent" and alias.name in _PROCESS_POOL_NAMES
+                ):
+                    yield (
+                        node.lineno,
+                        f"import of {node.module}.{alias.name} outside "
+                        "serve._internal.supervisor — worker processes must be "
+                        "supervised (heartbeats, restart, re-enqueue); the serve "
+                        "supervisor is the only owner of processes",
+                    )
             return
         chain = _attr_chain(node.func)
         if len(chain) < 2:
@@ -594,13 +547,15 @@ class ProcessManagementBoundaryRule(Rule):
             (root == "os" and attr in _PROCESS_OS_CALLS)
             or (root == "signal" and attr in _PROCESS_SIGNAL_CALLS)
             or (root == "multiprocessing" and attr in _PROCESS_MP_NAMES)
+            or attr in _PROCESS_POOL_NAMES
         )
         if flagged:
             yield (
                 node.lineno,
-                f"{root}.{attr}() outside serve._internal.supervisor — process "
-                "lifecycle (kill/fork/signal/Pipe) is the supervisor's job; "
-                "scattering it breaks epoch bookkeeping and restart guarantees",
+                f"{'.'.join(chain)}() outside serve._internal.supervisor — "
+                "process lifecycle (kill/fork/signal/Pipe/process pools) is "
+                "the supervisor's job; scattering it breaks epoch bookkeeping "
+                "and restart guarantees",
             )
 
 
@@ -693,7 +648,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     RawLockAcquireRule,
     FloatEqualityRule,
     SwallowedExceptionRule,
-    SnapshotMutationRule,
     EncoderImportBoundaryRule,
     ServeInternalBoundaryRule,
     ProcessManagementBoundaryRule,

@@ -81,9 +81,8 @@ _MUTATOR_METHODS = frozenset({
 
 _RNG_CTORS = frozenset({"default_rng", "RandomState", "ensure_rng", "Generator", "SeedSequence"})
 
-#: APIs that ship a callable to another process (or may, for WorkerPool,
-#: whose backend is chosen at runtime). ``target=`` keyword is the
-#: Process spelling; positional-first is the executor/pool spelling.
+#: APIs that ship a callable to another process. ``target=`` keyword is
+#: the Process spelling; positional-first is the executor/pool spelling.
 _DISPATCH_METHODS = frozenset({"submit", "map", "apply_async", "apply", "starmap"})
 
 _SEED_EXACT = frozenset({"seed", "rng", "random_state", "generator"})
@@ -274,10 +273,8 @@ class DispatchSite:
 
     ``boundary`` records how hard the process boundary is:
 
-    - ``"process"`` — definitely another process (``Process(target=...)``,
-      ``ProcessPoolExecutor``, ``os.fork`` descendants);
-    - ``"maybe"`` — a runtime-configured pool (``WorkerPool``) whose
-      backend can be processes;
+    - ``"process"`` — another process (``Process(target=...)``,
+      ``ProcessPoolExecutor``, ``multiprocessing.Pool``);
     - ``"thread"`` — thread-only, out of REP015 scope (kept for the
       summary's completeness).
     """
@@ -313,7 +310,7 @@ class FunctionSummary:
     reads: tuple  # tuple[tuple[name, line], ...] — non-local name reads
     self_attr_reads: tuple  # tuple[tuple[attr, line], ...]
     calls: tuple  # tuple[CallSite, ...]
-    local_ctors: dict  # local name -> constructor last-name ("WorkerPool")
+    local_ctors: dict  # local name -> constructor last-name ("ThreadPoolExecutor")
     is_stub: bool  # body is pass/.../docstring/raise only
 
     def to_dict(self) -> dict:
@@ -871,12 +868,10 @@ class _Extractor(ast.NodeVisitor):
             ctor = self._fn.local_ctors.get(parts[0])
         if ctor is None:
             return None
-        if ctor == "ProcessPoolExecutor":
+        if ctor in ("ProcessPoolExecutor", "Pool"):
             return "process"
         if ctor == "ThreadPoolExecutor":
             return "thread"
-        if ctor in ("WorkerPool", "Pool"):
-            return "maybe"
         return None
 
 

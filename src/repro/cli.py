@@ -20,8 +20,8 @@ Usage::
 
 Options: ``--full`` uses the paper-scale training protocol (slower);
 ``--seed N`` reseeds the synthetic corpora; ``--chains N`` resizes the
-telecom corpus; ``--workers N`` scores campaign executions through the
-parallel sharded executor (``repro.parallel``).
+telecom corpus. ``repro serve --workers N`` runs the serving demo on N
+supervised worker processes.
 """
 
 from __future__ import annotations
@@ -189,10 +189,7 @@ def _run_campaign(args) -> str:
     from .workflow import TestingCampaign, observability_summary
 
     dataset, _, _ = _telecom_context(args)
-    campaign = TestingCampaign(
-        model_params={"max_epochs": 15, "batch_size": 256},
-        n_workers=getattr(args, "workers", 1),
-    )
+    campaign = TestingCampaign(model_params={"max_epochs": 15, "batch_size": 256})
     reports = campaign.run(dataset)
     lines = ["Multi-day testing campaign (collect -> monitor -> mask -> retrain):"]
     for report in reports:
@@ -419,12 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=7, help="corpus seed (default 7)")
     parser.add_argument(
         "--chains", type=int, default=125, help="telecom corpus size (default 125)"
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="campaign scoring workers (default 1 = serial; >1 uses repro.parallel)",
     )
     return parser
 

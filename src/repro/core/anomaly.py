@@ -207,7 +207,7 @@ class ContextualAnomalyDetector:
         :meth:`detect_self_calibrated` for rows without an error model)
         row by row. A single-row call pays the same dispatch cost as
         :meth:`detect`; the win is for coalescing callers (the
-        ``repro.serve`` micro-batcher, the parallel campaign executor),
+        ``repro.serve`` micro-batcher, ``PredictionPipeline.execute``),
         which amortize it across the whole group.
         """
         if len(predicted_rows) != len(observed_rows):

@@ -36,7 +36,7 @@ from ..ml.preprocessing import StandardScaler
 from ..obs import active_profiler, get_observability
 from ..nn import init as initializers
 from ..nn import ops
-from ..nn.encoders import create_encoder, resolve_encoder_name
+from ..nn.encoders import create_encoder, validate_encoder_name
 from ..nn.inference import (
     CompiledDense,
     EmbeddingRowCache,
@@ -79,15 +79,13 @@ class Env2VecModel(Module):
         dropout: float = 0.1,
         head: str = "hadamard",
         unknown_dropout: float = 0.0,
-        encoder: str | None = None,
-        use_attention: bool | None = None,
-        recurrent_unit: str | None = None,
+        encoder: str = "gru",
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
         if head not in PREDICTION_HEADS:
             raise ValueError(f"unknown head {head!r}; choose from {PREDICTION_HEADS}")
-        encoder_name = resolve_encoder_name(encoder, recurrent_unit, use_attention)
+        encoder_name = validate_encoder_name(encoder)
         if n_lags < 1:
             raise ValueError("n_lags must be >= 1")
         rng = initializers.ensure_rng(rng)
@@ -119,16 +117,6 @@ class Env2VecModel(Module):
         elif head == "mlp":
             self.head_hidden = Dense(2 * c_dim, c_dim, activation="relu", rng=rng)
             self.head_out = Dense(c_dim, 1, rng=rng)
-
-    @property
-    def use_attention(self) -> bool:
-        """Deprecated alias: whether the encoder pools with attention."""
-        return "attention" in self.encoder_name
-
-    @property
-    def recurrent_unit(self) -> str:
-        """Deprecated alias: the recurrent-cell family behind the encoder."""
-        return "lstm" if self.encoder_name.startswith("lstm") else "gru"
 
     def forward(self, cf: np.ndarray, history: np.ndarray, env: np.ndarray) -> Tensor:
         """Predict ``y'_p`` for a batch.
@@ -219,6 +207,15 @@ def _compile_env2vec(model: Env2VecModel, dtype: np.dtype):
     return forward
 
 
+def _legacy_encoder_name(hyper: dict) -> str:
+    """Encoder name for a pre-registry blob, which stored the pair
+    ``recurrent_unit`` ("gru"/"lstm") and ``use_attention`` instead."""
+    unit = hyper.get("recurrent_unit") or "gru"
+    if hyper.get("use_attention"):
+        return {"gru": "attention", "lstm": "lstm_attention"}[unit]
+    return validate_encoder_name(unit)
+
+
 class Env2VecRegressor(Estimator):
     """High-level estimator: vocabulary + scaling + training + prediction.
 
@@ -226,9 +223,7 @@ class Env2VecRegressor(Estimator):
     features, RU-history windows, and targets (as produced by
     :func:`repro.data.windows.build_windows_multi`). The time-series
     branch is selected by ``encoder`` (any name from
-    :func:`repro.nn.available_encoders`); ``use_attention`` and
-    ``recurrent_unit`` survive as deprecated aliases and normalize into
-    ``encoder`` at construction.
+    :func:`repro.nn.available_encoders`).
     """
 
     def __init__(
@@ -240,9 +235,7 @@ class Env2VecRegressor(Estimator):
         dropout: float = 0.1,
         head: str = "hadamard",
         unknown_dropout: float = 0.05,
-        encoder: str | None = None,
-        use_attention: bool | None = None,
-        recurrent_unit: str | None = None,
+        encoder: str = "gru",
         em_fields: tuple[str, ...] = EM_FIELDS,
         lr: float = 0.005,
         batch_size: int = 256,
@@ -258,11 +251,7 @@ class Env2VecRegressor(Estimator):
         self.dropout = dropout
         self.head = head
         self.unknown_dropout = unknown_dropout
-        # Normalize the deprecated aliases away immediately so get_params/
-        # clone round-trip through the canonical encoder name alone.
-        self.encoder = resolve_encoder_name(encoder, recurrent_unit, use_attention)
-        self.use_attention = None
-        self.recurrent_unit = None
+        self.encoder = validate_encoder_name(encoder)
         self.lr = lr
         self.batch_size = batch_size
         self.max_epochs = max_epochs
@@ -371,9 +360,9 @@ class Env2VecRegressor(Estimator):
     def ensure_compiled(self, dtype=None) -> InferenceModel:
         """Compile on first use, else return the cached engine.
 
-        The parallel campaign executor calls this once before fanning
-        out so worker threads never race the lazy first-predict compile.
-        With ``dtype`` set, the cached engine is recompiled if it was
+        The prediction pipeline calls this once per batch so scoring
+        never pays the lazy first-predict compile mid-batch. With
+        ``dtype`` set, the cached engine is recompiled if it was
         built at a different precision (serving callers pick float32 for
         batch throughput; float64 remains the default everywhere).
         """
@@ -527,11 +516,7 @@ class Env2VecRegressor(Estimator):
 
         state, config = load_model_bytes(blob)
         hyper = config["hyper"]
-        # Legacy blobs (pre-registry) stored the alias pair instead of the
-        # canonical encoder name; resolve through the same alias table.
-        encoder_name = hyper.get("encoder") or resolve_encoder_name(
-            None, hyper.get("recurrent_unit"), hyper.get("use_attention")
-        )
+        encoder_name = hyper.get("encoder") or _legacy_encoder_name(hyper)
         regressor = cls(
             n_lags=hyper["n_lags"],
             embedding_dim=hyper["embedding_dim"],

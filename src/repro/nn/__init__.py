@@ -21,7 +21,6 @@ from .encoders import (
     create_encoder,
     encoder_from_config,
     register_encoder,
-    resolve_encoder_name,
     validate_encoder_name,
 )
 from .gru import GRU, GRUCell
@@ -67,7 +66,6 @@ __all__ = [
     "validate_encoder_name",
     "create_encoder",
     "encoder_from_config",
-    "resolve_encoder_name",
     "save_encoder_bytes",
     "load_encoder_bytes",
     "deferred_init",

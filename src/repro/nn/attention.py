@@ -12,8 +12,8 @@ the RU history with the GRU's *last* hidden state, the model attends over
 
 so timesteps that matter for the prediction — e.g. the onset of a load
 ramp several steps back — can dominate the summary regardless of recency.
-Enabled in :class:`repro.core.model.Env2VecModel` via
-``use_attention=True`` and evaluated by
+Selected with ``encoder="attention"`` (or ``"lstm_attention"``) on
+:class:`repro.core.model.Env2VecRegressor` and evaluated by
 ``benchmarks/bench_ablation_attention.py``.
 """
 
@@ -55,9 +55,9 @@ class AdditiveAttention(Module):
         self.context = Parameter(
             initializers.glorot_uniform((attention_size, 1), rng), name="context"
         )
-        # Last-forward weights are kept *per thread*: the parallel campaign
-        # executor's workers share one model, and a single mutable buffer
-        # would let worker A read the weights of worker B's coalesced batch.
+        # Last-forward weights are kept *per thread*: threads may share one
+        # model, and a single mutable buffer would let thread A read the
+        # weights of thread B's batch.
         # A plain dict keyed by thread id (assignment is atomic under the
         # GIL) rather than threading.local so the module stays deepcopy-able.
         self._weights_by_thread: dict[int, np.ndarray] = {}

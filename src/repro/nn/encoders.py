@@ -62,7 +62,6 @@ __all__ = [
     "validate_encoder_name",
     "create_encoder",
     "encoder_from_config",
-    "resolve_encoder_name",
     "GRUEncoder",
     "LSTMEncoder",
     "StackedGRUEncoder",
@@ -175,48 +174,6 @@ def encoder_from_config(
     except KeyError as error:
         raise ValueError(f"encoder config is missing {error.args[0]!r}") from None
     return create_encoder(name, input_size, hidden_size, rng=rng, **config)
-
-
-#: deprecated-alias mapping: (recurrent_unit, use_attention) -> encoder name.
-_ALIAS_ENCODERS = {
-    ("gru", False): "gru",
-    ("gru", True): "attention",
-    ("lstm", False): "lstm",
-    ("lstm", True): "lstm_attention",
-}
-
-
-def resolve_encoder_name(
-    encoder: str | None = None,
-    recurrent_unit: str | None = None,
-    use_attention: bool | None = None,
-) -> str:
-    """Resolve ``encoder=`` and its deprecated aliases to one registry name.
-
-    ``recurrent_unit``/``use_attention`` predate the registry and remain
-    supported: ``recurrent_unit="lstm"`` means ``encoder="lstm"`` and
-    ``use_attention=True`` selects the attention-pooled variant. Passing
-    both the new and the old spelling is ambiguous and rejected.
-    """
-    if encoder is not None:
-        if recurrent_unit is not None or use_attention:
-            raise ValueError(
-                "pass encoder=... or the deprecated recurrent_unit/use_attention "
-                "aliases, not both"
-            )
-        return validate_encoder_name(encoder)
-    unit = "gru" if recurrent_unit is None else recurrent_unit
-    name = _ALIAS_ENCODERS.get((unit, bool(use_attention)))
-    if name is None:
-        # An unmapped recurrent_unit that names a registered encoder is
-        # accepted as a direct alias — but only without use_attention.
-        if not use_attention:
-            return validate_encoder_name(unit)
-        raise ValueError(
-            f"use_attention=True is only supported with recurrent_unit 'gru' or "
-            f"'lstm'; got {unit!r}"
-        )
-    return name
 
 
 # ---------------------------------------------------------------------------

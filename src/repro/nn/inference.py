@@ -190,8 +190,8 @@ class EmbeddingRowCache:
     for that environment. Mutation attempts raise ``ValueError`` instead.
     The single-row fast path returns a read-only view; the multi-row path
     fancy-indexes into a fresh (writable) batch. Lookups are guarded by a
-    per-cache lock so the parallel campaign executor's worker threads can
-    share one compiled engine.
+    per-cache lock so threads (e.g. the serve loop and a caller's own
+    thread) can share one compiled engine.
     """
 
     def __init__(self, tables: list[np.ndarray], dtype: np.dtype, maxsize: int = 4096):
@@ -364,14 +364,14 @@ class InferenceModel:
     ) -> list[np.ndarray]:
         """Coalesce several aligned input dicts into batched forwards.
 
-        The parallel campaign executor scores many executions that share
+        Campaign days and serve batches score many executions that share
         one model version; issuing one forward per execution wastes the
         fixed per-call overhead (dispatch, instrumentation, small-matmul
         setup). This concatenates the inputs row-wise, runs them through
         :meth:`predict`, and splits the output back per execution. Every
         kernel on the compiled path is row-wise, so the split results are
         bitwise identical to per-execution ``predict`` calls — the
-        byte-identical merge contract of ``repro.parallel`` relies on it.
+        byte-identical coalescing in ``PredictionPipeline`` relies on it.
         """
         if not inputs_list:
             return []

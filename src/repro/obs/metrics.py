@@ -17,8 +17,8 @@ reused, not looked up per call.
 
 Every hot-path mutation is atomic: each leaf (a label-less family, or one
 child of a labelled family) owns a lock taken around its value update, so
-concurrent ``inc``/``set``/``observe`` from the parallel campaign
-executor's worker threads never lose increments. The disabled path stays
+concurrent ``inc``/``set``/``observe`` from several threads (the serve
+event loop, a campaign, a caller's own threads) never lose increments. The disabled path stays
 lock-free (the enabled check returns before the lock), and the registry
 lock still only guards family/child registration.
 """

@@ -5,7 +5,7 @@ duration into the shared ``repro_span_duration_seconds`` histogram
 (labelled by span name), and — because the active span lives in a
 :mod:`contextvars` variable — automatically nests: a span opened while
 another is active becomes its child, producing a per-run tree
-(``campaign.day`` → ``campaign.monitor`` → ``predict.run`` → ...).
+(``campaign.day`` → ``campaign.monitor`` → ``predict.execute`` → ...).
 
 Completed *root* spans are kept in a bounded ring so reports can render
 the most recent trees; children are owned by their parents. When the
@@ -13,12 +13,11 @@ owning registry is disabled, :meth:`SpanTracker.span` returns a shared
 no-op context manager — no Span object, no contextvar write, no clock
 read.
 
-Worker threads get *per-worker span roots* for free: a fresh thread sees
-the contextvar's ``None`` default, so the first span a
-:class:`~repro.parallel.WorkerPool` task opens has no parent and lands in
-``roots`` as its own tree (it does not nest under the spawning thread's
-open ``campaign.day`` span). The ``roots`` ring is a ``deque`` whose
-appends are atomic under CPython, so concurrent workers never corrupt it.
+Threads get *per-thread span roots* for free: a fresh thread sees the
+contextvar's ``None`` default, so the first span it opens has no parent
+and lands in ``roots`` as its own tree (it does not nest under the
+spawning thread's open span). The ``roots`` ring is a ``deque`` whose
+appends are atomic under CPython, so concurrent threads never corrupt it.
 """
 
 from __future__ import annotations

@@ -1,45 +1,13 @@
-"""Parallel sharded campaign execution.
+"""In-order fan-in for the serve supervisor.
 
-The ROADMAP's north star is a production-scale system that serves heavy
-traffic "as fast as the hardware allows" via sharding, batching, and
-async. This package is the campaign-side half of that promise:
-
-- :mod:`~repro.parallel.pool` — a deterministic fan-out/fan-in worker
-  pool (threads for the numpy-released-GIL inference path, processes for
-  training-scale jobs, inline for ``n_workers=1``) whose ``map`` always
-  returns results in input order;
-- :mod:`~repro.parallel.sharding` — a stable crc32 shard map over TSDB
-  series keys plus read-only point-in-time snapshot shards, so
-  per-execution read-backs never contend on the live store;
-- :mod:`~repro.parallel.executor` — :class:`CampaignScorer`, which scores
-  many executions that share one model version: per-chain error-model
-  calibration computed once (the serial path recomputes it per
-  execution), window construction cached, predict calls coalesced into
-  batched forwards, all fanned out over the pool and merged back
-  deterministically.
-
-The contract that makes this safe to adopt is **byte-identity**: a
-4-worker campaign produces bitwise the same ``AnomalyReport``s,
-``DayReport``s, masks, and final model as the serial run. Workers compute
-pure scoring results; every side effect (alarm pushes, drift
-observations, masking, pool appends) is applied serially in input order
-during fan-in.
+:class:`SequencedMerger` releases results that complete out of order in
+strict submission order, so side effects (alarm pushes) applied at
+fan-in stay byte-identical to a serial run. Scoring itself has one path,
+:meth:`repro.workflow.PredictionPipeline.execute`, which coalesces a
+whole batch into one forward; the serve supervisor is the only owner of
+process parallelism.
 """
 
-from .executor import CampaignScorer, ExecutionScore, WindowCache
-from .pool import SequencedMerger, WorkerPool, split_round_robin
-from .sharding import ReadOnlyTSDBError, TSDBShards, TSDBSnapshot, shard_index, snapshot_shards
+from .pool import SequencedMerger
 
-__all__ = [
-    "CampaignScorer",
-    "ExecutionScore",
-    "ReadOnlyTSDBError",
-    "SequencedMerger",
-    "TSDBShards",
-    "TSDBSnapshot",
-    "WindowCache",
-    "WorkerPool",
-    "shard_index",
-    "snapshot_shards",
-    "split_round_robin",
-]
+__all__ = ["SequencedMerger"]

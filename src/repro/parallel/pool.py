@@ -1,69 +1,20 @@
-"""Deterministic fan-out/fan-in worker pool.
+"""In-order fan-in for out-of-order completions.
 
-``WorkerPool.map`` is the only primitive the campaign executor needs: run
-one function over a list of items and hand back the results *in input
-order*, regardless of which worker finished first. Three kinds:
-
-- ``"serial"`` — plain in-caller loop; the degenerate pool used when
-  ``n_workers == 1`` so single-worker runs pay zero threading overhead
-  and exercise exactly the legacy code path;
-- ``"threads"`` — a ``ThreadPoolExecutor``; the right choice for the
-  inference path, where numpy releases the GIL inside the matmul/
-  transcendental kernels that dominate a forward;
-- ``"processes"`` — a ``ProcessPoolExecutor`` for training-scale jobs
-  that are pure-Python bound (callables and items must be picklable).
-
-Exceptions propagate: if any item's task raises, ``map`` re-raises the
-*first* (by input order) failure after letting the remaining tasks
-finish — deterministic error behavior, no orphaned work.
+The serve supervisor is the only owner of process parallelism; this is
+the piece of its fan-in that is independent of processes and pipes.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
-from ..obs import get_observability
-
-__all__ = ["SequencedMerger", "WorkerPool", "split_round_robin"]
-
-_OBS = get_observability()
-_M_TASKS = _OBS.counter(
-    "repro_parallel_tasks_total",
-    "Tasks dispatched through WorkerPool.map.",
-    labels=("kind",),
-)
-_G_WORKERS = _OBS.gauge(
-    "repro_parallel_pool_workers",
-    "Configured worker count of the most recently started pool.",
-)
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-_KINDS = ("serial", "threads", "processes")
-
-
-def split_round_robin(items: Sequence[T], n_shards: int) -> list[list[T]]:
-    """Deal ``items`` into ``n_shards`` lists, round-robin, order-stable.
-
-    Shard ``s`` receives ``items[s::n_shards]``; concatenating the shards
-    interleaved restores the original order, which is what lets callers
-    reassemble per-shard results deterministically.
-    """
-    if n_shards < 1:
-        raise ValueError("n_shards must be >= 1")
-    return [list(items[shard::n_shards]) for shard in range(n_shards)]
+__all__ = ["SequencedMerger"]
 
 
 class SequencedMerger:
     """Release out-of-order completions in strict submission order.
 
-    The fan-in half of the pool contract, factored out for callers that
-    cannot use a blocking ``map`` — e.g. the serve supervisor, where
-    batches complete on whichever worker process finishes first but side
-    effects (alarm pushes) must be applied in dispatch order to stay
-    byte-identical to a serial run. ``put(seq, item)`` buffers the item
+    In the serve supervisor, batches complete on whichever worker
+    process finishes first, but side effects (alarm pushes) must be
+    applied in dispatch order to stay byte-identical to a serial run. ``put(seq, item)`` buffers the item
     and returns every ``(seq, item)`` pair that is now releasable — a
     contiguous run starting at the next unreleased sequence number.
 
@@ -95,63 +46,3 @@ class SequencedMerger:
             released.append((self._next, self._buffer.pop(self._next)))
             self._next += 1
         return released
-
-
-class WorkerPool:
-    """A reusable, order-preserving map over a small worker fleet."""
-
-    def __init__(self, n_workers: int = 1, kind: str = "threads"):
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        if kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}; got {kind!r}")
-        self.n_workers = n_workers
-        self.kind = "serial" if n_workers == 1 else kind
-        self._executor: Executor | None = None
-
-    # -- lifecycle ---------------------------------------------------------
-    def _ensure_executor(self) -> Executor:
-        if self._executor is None:
-            if self.kind == "threads":
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.n_workers, thread_name_prefix="repro-worker"
-                )
-            else:  # processes
-                self._executor = ProcessPoolExecutor(max_workers=self.n_workers)
-            _G_WORKERS.set(self.n_workers)
-        return self._executor
-
-    def close(self) -> None:
-        """Shut the underlying executor down (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- the primitive -----------------------------------------------------
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        """Apply ``fn`` to every item; results come back in input order."""
-        items = list(items)
-        if not items:
-            return []
-        _M_TASKS.labels(kind=self.kind).inc(len(items))
-        if self.kind == "serial" or len(items) == 1:
-            return [fn(item) for item in items]
-        executor = self._ensure_executor()
-        futures = [executor.submit(fn, item) for item in items]
-        results: list[R] = []
-        first_error: BaseException | None = None
-        for future in futures:  # submission order == input order
-            try:
-                results.append(future.result())
-            except BaseException as error:  # noqa: BLE001 - re-raised below
-                if first_error is None:
-                    first_error = error
-        if first_error is not None:
-            raise first_error
-        return results

@@ -198,7 +198,7 @@ class MetricCollector:
             _M_SAMPLES.inc(len(timestamps) * (len(names) + 1))
         return record_id
 
-    def read_back(self, record_id: str, source=None) -> tuple[np.ndarray, np.ndarray]:
+    def read_back(self, record_id: str) -> tuple[np.ndarray, np.ndarray]:
         """Reconstruct (features, cpu) for an execution from the TSDB.
 
         This is what the prediction pipeline does in step 3: read the
@@ -208,14 +208,8 @@ class MetricCollector:
         linear interpolation, and executions whose gaps exceed ``max_gap``
         consecutive samples (or ``max_missing_fraction`` overall) raise
         :class:`~repro.resilience.ExecutionQuarantined`.
-
-        ``source`` overrides where the series are read from: any object
-        with ``query_one``/``metrics`` (e.g. a read-only
-        :class:`~repro.parallel.TSDBSnapshot` shard, so parallel
-        read-backs never touch the live store). Defaults to this
-        collector's own TSDB.
         """
-        tsdb = source if source is not None else self.tsdb
+        tsdb = self.tsdb
         labels = {"env": record_id}
         names = self.feature_names or sorted(
             metric for metric in tsdb.metrics() if metric != RU_METRIC

@@ -41,12 +41,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.anomaly import ContextualAnomalyDetector, GaussianErrorModel
+from ..core.anomaly import GaussianErrorModel
 from ..core.model import Env2VecRegressor
 from ..data.chains import TestExecution
 from ..data.environment import Environment
 from ..data.telecom import TelecomDataset
-from ..data.windows import build_windows
+from ..data.windows import build_windows  # noqa: F401 - tracers patch windowing by this name
 from ..nn.training import TrainingDiverged
 from ..obs import TSDBExporter, get_observability
 from ..resilience import (
@@ -63,6 +63,7 @@ from .collector import MetricCollector
 from .discovery import EMRegistry
 from .drift import DriftMonitor
 from .model_store import ModelStore
+from .prediction_pipeline import PipelineRun, PredictBatch, PredictionPipeline
 from .training_pipeline import TrainingPipeline
 from .tsdb import AmbiguousSeries, SeriesNotFound, TimeSeriesDB
 
@@ -188,16 +189,6 @@ class TestingCampaign:
     # When set, every completed day is snapshotted here and run() resumes
     # from the latest snapshot.
     checkpoint_dir: str | Path | None = None
-    # Monitoring-phase parallelism: 1 keeps the legacy serial loop; >1
-    # scores the day's executions through repro.parallel.CampaignScorer
-    # (per-chain calibration computed once, coalesced predicts, sharded
-    # TSDB read-backs) with results byte-identical to the serial run.
-    # Not part of the checkpoint state: a campaign checkpointed serially
-    # resumes correctly under any worker count and vice versa.
-    n_workers: int = 1
-    # "threads" (numpy releases the GIL on the inference path) or
-    # "processes" (for pure-Python-bound jobs; requires picklable work).
-    worker_kind: str = "threads"
 
     def __post_init__(self) -> None:
         self._pool: list[tuple[Environment, np.ndarray, np.ndarray]] = []
@@ -227,24 +218,12 @@ class TestingCampaign:
             model_params=dict(self.model_params),
             seed=self.seed,
         )
-        self._detector = ContextualAnomalyDetector(
-            gamma=self.gamma, abs_threshold=self.abs_threshold
+        # The one scoring path (paper steps 3-5): windows, calibration,
+        # coalesced predicts, detection, and alarm pushes.
+        self._predictor = PredictionPipeline(
+            self.model_store, self.alarm_store, self.gamma, self.abs_threshold
         )
         self._model: Env2VecRegressor | None = None
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        # Imported lazily: repro.parallel.sharding imports this package's
-        # tsdb module, so a module-level import here would cycle.
-        self._scorer = None
-        if self.n_workers > 1:
-            from ..parallel import CampaignScorer, WindowCache, WorkerPool
-
-            self._scorer = CampaignScorer(
-                self._detector,
-                self.n_lags,
-                pool=WorkerPool(self.n_workers, kind=self.worker_kind),
-                window_cache=WindowCache(self.n_lags),
-            )
 
     def service(self, **kwargs):
         """Campaign-as-a-service: an always-on front end over this campaign.
@@ -270,48 +249,39 @@ class TestingCampaign:
         )
 
     # -- internals --------------------------------------------------------
-    def _predict(self, execution: TestExecution) -> tuple[np.ndarray, np.ndarray]:
-        X, history, y = build_windows(execution.features, execution.cpu, self.n_lags)
-        predictions = self._model.predict([execution.environment] * len(y), X, history)
-        return predictions, y
+    def _monitor_day(self, executions: list[TestExecution]) -> list[PipelineRun | None]:
+        """Score the day's executions in one batch; ``None`` for too-short ones.
 
-    def _error_model(self, chain_key: tuple) -> GaussianErrorModel | None:
-        previous = [
-            execution
-            for execution in self._ingested.get(chain_key, [])
-            if execution.environment not in self._masked
-        ]
-        if not previous:
-            return None
-        errors = []
-        for execution in previous:
-            if execution.n_timesteps <= self.n_lags + 1:
-                continue
-            predictions, observed = self._predict(execution)
-            errors.append(predictions - observed)
-        if not errors:
-            return None
-        return GaussianErrorModel.fit(np.concatenate(errors))
-
-    def _monitor(self, execution: TestExecution) -> int:
-        """Detect anomalies for one execution; returns alarms raised."""
-        if execution.n_timesteps <= self.n_lags + 1:
-            return 0
-        predictions, observed = self._predict(execution)
-        error_model = self._error_model(execution.environment.chain_key)
-        if error_model is None:
-            report = self._detector.detect_self_calibrated(predictions, observed)
-        else:
-            report = self._detector.detect(predictions, observed, error_model)
-        for alarm in report.alarms:
-            self.alarm_store.push(
-                environment=execution.environment,
-                start_step=alarm.start + self.n_lags,
-                end_step=alarm.end + self.n_lags,
-                peak_deviation=alarm.peak_deviation,
-                gamma=self.gamma,
+        Each chain is calibrated once on its ingested, unmasked history.
+        That is exact: ingestion happens after monitoring, and masking
+        only ever adds today's environments, which no history holds yet.
+        """
+        long_executions = [e for e in executions if e.n_timesteps > self.n_lags + 1]
+        error_models: dict[tuple, GaussianErrorModel | None] = {}
+        for execution in long_executions:
+            chain_key = execution.environment.chain_key
+            if chain_key not in error_models:
+                history = [
+                    previous
+                    for previous in self._ingested.get(chain_key, [])
+                    if previous.environment not in self._masked
+                    and previous.n_timesteps > self.n_lags + 1
+                ]
+                error_models[chain_key] = self._predictor.history_error_model(
+                    self._model, history
+                )
+        batch = PredictBatch(
+            long_executions,
+            [error_models[e.environment.chain_key] for e in long_executions],
+        )
+        runs = iter(
+            self._predictor.execute(
+                batch, model=self._model, model_version=self.model_store.latest_version
             )
-        return report.n_alarms
+        )
+        return [
+            next(runs) if e.n_timesteps > self.n_lags + 1 else None for e in executions
+        ]
 
     def _collect_day(
         self, day: int, executions: list[TestExecution]
@@ -352,76 +322,6 @@ class TestingCampaign:
                 continue
             # The campaign works with what the telemetry path delivered;
             # ground-truth fault labels ride along for mask decisions.
-            delivered.append(
-                TestExecution(
-                    environment=execution.environment,
-                    features=features,
-                    cpu=cpu,
-                    faults=list(execution.faults),
-                )
-            )
-        return delivered, quarantined
-
-    def _collect_day_parallel(
-        self, day: int, executions: list[TestExecution]
-    ) -> tuple[list[TestExecution], list[Environment]]:
-        """Collector path with sharded, contention-free parallel read-backs.
-
-        Writes stay serial (the live TSDB is not a concurrent structure);
-        the read-back — the query-heavy half — runs against read-only
-        snapshot shards, one shard per execution's label set, so worker
-        reads never touch the live store or each other's series. Only
-        taken without chaos: fault injection hooks the live read path,
-        and bypassing it through a snapshot would change which faults
-        land (the chaos campaign stays on the serial collector).
-        """
-        records: list[tuple[TestExecution, str]] = []
-        quarantined: list[Environment] = []
-        for execution in executions:
-            try:
-                record_id = self._collector.collect(execution)
-            except (RetryExhausted, TransientTSDBError) as exc:
-                self.dead_letters.add(
-                    _env_key(execution.environment),
-                    "tsdb_unavailable",
-                    detail=str(exc),
-                    day=day,
-                )
-                quarantined.append(execution.environment)
-                _M_QUARANTINED.inc()
-                continue
-            records.append((execution, record_id))
-
-        from ..parallel import snapshot_shards
-
-        shards = snapshot_shards(self.workload_tsdb, self._scorer.pool.n_workers)
-
-        def read_one(item: tuple[TestExecution, str]):
-            execution, record_id = item
-            shard = shards.shard_for({"env": record_id})
-            try:
-                features, cpu = self._collector.read_back(record_id, source=shard)
-            except ExecutionQuarantined as exc:
-                return ("quarantine", exc.reason, exc.detail)
-            except (SeriesNotFound, AmbiguousSeries) as exc:
-                return ("quarantine", "series_missing", str(exc))
-            return ("ok", features, cpu)
-
-        delivered: list[TestExecution] = []
-        # Fan-in in input order: quarantine records and the delivered list
-        # come out exactly as the serial collector would produce them.
-        for (execution, record_id), result in zip(
-            records, self._scorer.pool.map(read_one, records)
-        ):
-            if result[0] == "quarantine":
-                _, reason, detail = result
-                self.dead_letters.add(
-                    _env_key(execution.environment), reason, detail=detail, day=day
-                )
-                quarantined.append(execution.environment)
-                _M_QUARANTINED.inc()
-                continue
-            _, features, cpu = result
             delivered.append(
                 TestExecution(
                     environment=execution.environment,
@@ -475,49 +375,15 @@ class TestingCampaign:
         with _OBS.span("campaign.day"):
             if self._collector is not None:
                 with _OBS.span("campaign.collect"):
-                    if self._scorer is not None and self.chaos is None:
-                        executions, quarantined = self._collect_day_parallel(day, executions)
-                    else:
-                        executions, quarantined = self._collect_day(day, executions)
+                    executions, quarantined = self._collect_day(day, executions)
             if self._model is not None:
-                if self._scorer is not None:
-                    # Fan-out: workers compute pure scores (per-chain error
-                    # model calibrated once, predicts coalesced). Fan-in:
-                    # every side effect — alarm pushes, drift observations,
-                    # masking — applies serially in input order, so the
-                    # day's outcome is byte-identical to the serial loop.
-                    with _OBS.span("campaign.monitor"):
-                        scores = self._scorer.score(
-                            self._model, executions, self._ingested, self._masked
-                        )
-                else:
-                    scores = None
-                for position, execution in enumerate(executions):
-                    if scores is not None:
-                        score = scores[position]
-                        n_alarms = score.n_alarms
-                        if score.report is not None:
-                            for alarm in score.report.alarms:
-                                self.alarm_store.push(
-                                    environment=execution.environment,
-                                    start_step=alarm.start + self.n_lags,
-                                    end_step=alarm.end + self.n_lags,
-                                    peak_deviation=alarm.peak_deviation,
-                                    gamma=self.gamma,
-                                )
-                    else:
-                        with _OBS.span("campaign.monitor"):
-                            n_alarms = self._monitor(execution)
+                with _OBS.span("campaign.monitor"):
+                    runs = self._monitor_day(executions)
+                for execution, run in zip(executions, runs):
+                    n_alarms = 0 if run is None else run.report.n_alarms
                     total_alarms += n_alarms
-                    if not execution.has_performance_problem and execution.n_timesteps > self.n_lags + 1:
-                        if scores is not None:
-                            # The monitoring predictions are bitwise the
-                            # serial ones; reuse their MAE instead of
-                            # re-predicting the execution.
-                            mae = scores[position].mae
-                        else:
-                            predictions, observed = self._predict(execution)
-                            mae = float(np.abs(predictions - observed).mean())
+                    if run is not None and not execution.has_performance_problem:
+                        mae = float(np.abs(run.predictions - run.observations).mean())
                         decision = self.drift_monitor.observe(mae)
                         drift_detected = drift_detected or decision.drifted
                     if n_alarms and execution.has_performance_problem:

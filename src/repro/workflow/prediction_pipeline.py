@@ -10,7 +10,6 @@ push alarms — testbed, interval, peak deviation — into the alarm store.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,10 +99,9 @@ def build_prediction_frame(
 class PredictBatch:
     """The one prediction request shape every entry point consumes.
 
-    ``PredictionPipeline.run`` (one execution), ``run_many`` (a fleet) and
-    the ``repro.serve`` request path all used to carry their own argument
-    conventions; they now converge on this type and
-    :meth:`PredictionPipeline.execute`. ``error_models`` aligns one
+    Campaign days, batch re-verdicts and the ``repro.serve`` request path
+    all go through this type and :meth:`PredictionPipeline.execute`.
+    ``error_models`` aligns one
     :class:`~repro.core.anomaly.GaussianErrorModel` (or ``None`` for the
     §4.3 self-calibrated mode) with each execution; ``None`` means
     self-calibrated throughout.
@@ -189,7 +187,7 @@ class PredictionPipeline:
     def _fetch_model(self) -> tuple[Env2VecRegressor, int]:
         """Latest model, deserialized and compiled once per published version.
 
-        ``calibrate``/``run``/``report`` each fetch the model; without the
+        ``calibrate``/``execute``/``report`` each fetch the model; without the
         version-keyed cache every call re-parsed the npz blob and rebuilt the
         network. The cached regressor carries its compiled inference engine,
         so repeated monitoring calls skip both deserialization and compile.
@@ -218,91 +216,54 @@ class PredictionPipeline:
     def calibrate(self, chain: BuildChain) -> GaussianErrorModel:
         """Fit the normal-error Gaussian over a chain's historical builds."""
         model, _ = self._fetch_model()
-        errors = []
-        for execution in chain.history:
-            predicted, observed = self._predict_execution(model, execution)
-            errors.append(predicted - observed)
-        if not errors:
+        error_model = self.history_error_model(model, chain.history)
+        if error_model is None:
             raise ValueError("chain has no historical executions to calibrate on")
-        return GaussianErrorModel.fit(np.concatenate(errors))
+        return error_model
 
-    def run(
-        self,
-        execution: TestExecution,
-        error_model: GaussianErrorModel | None = None,
-    ) -> PipelineRun:
-        """Deprecated alias: monitor one test execution.
+    @staticmethod
+    def history_error_model(
+        model: Env2VecRegressor, executions: list[TestExecution]
+    ) -> GaussianErrorModel | None:
+        """Fit the normal-error Gaussian over ``executions``; pure.
 
-        Build a single-execution :class:`PredictBatch` and call
-        :meth:`execute` instead. Results are byte-identical to the
-        canonical call; only the request shape changed.
+        One coalesced forward over every execution's windows, bitwise
+        equal to predicting them one at a time (every kernel is
+        row-wise); errors concatenate in input order. ``None`` when there
+        is nothing to calibrate on. Callers filter what counts as history
+        (masked environments, executions too short to window).
         """
-        warnings.warn(
-            "PredictionPipeline.run is deprecated; wrap the execution in a "
-            "PredictBatch and call execute() (or go through repro.serve)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.execute(PredictBatch((execution,), (error_model,)))[0]
-
-    def run_many(
-        self,
-        executions: list[TestExecution],
-        error_models: list[GaussianErrorModel | None] | None = None,
-        n_workers: int = 1,
-        worker_kind: str = "threads",
-    ) -> list[PipelineRun]:
-        """Deprecated alias: monitor a fleet of executions.
-
-        Build a :class:`PredictBatch` and call :meth:`execute` instead.
-        Results are byte-identical to the canonical call; only the
-        request shape changed.
-        """
-        warnings.warn(
-            "PredictionPipeline.run_many is deprecated; wrap the executions "
-            "in a PredictBatch and call execute() (or go through repro.serve)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        batch = PredictBatch(
-            tuple(executions),
-            tuple(error_models) if error_models is not None else None,
-        )
-        return self.execute(batch, n_workers=n_workers, worker_kind=worker_kind)
+        if not executions:
+            return None
+        predicted, observed = PredictionPipeline._predict_rows(model, executions)
+        return GaussianErrorModel.fit(np.concatenate(predicted) - np.concatenate(observed))
 
     def execute(
         self,
         batch: PredictBatch,
         *,
-        n_workers: int = 1,
-        worker_kind: str = "threads",
         model: Env2VecRegressor | None = None,
         model_version: int | None = None,
     ) -> list[PipelineRun]:
         """Monitor a :class:`PredictBatch` sharing one model version.
 
-        The single canonical prediction entry point (the legacy ``run`` /
-        ``run_many`` signatures are thin aliases over it): the model is
-        fetched once, window construction and forwards are coalesced into
-        batched predict calls per worker (bitwise identical to
-        per-execution predicts — every kernel is row-wise), and detection
-        fans out over a :class:`~repro.parallel.WorkerPool`. Side effects
-        merge back deterministically: alarms are pushed serially in input
-        order, so alarm ids, store contents, and every returned
-        :class:`PipelineRun` are byte-identical to the serial loop — and
-        independent of how callers slice a workload into batches, which is
-        what lets the ``repro.serve`` micro-batcher coalesce concurrent
-        requests freely.
+        The single prediction entry point: the model is fetched once,
+        windows and forwards are coalesced into one batched predict
+        (bitwise identical to per-execution predicts — every kernel is
+        row-wise), and detection runs grouped. Side effects are applied
+        by :meth:`fan_in`, serially in input order, so alarm ids, store
+        contents, and every returned :class:`PipelineRun` are
+        byte-identical to a per-execution loop — and independent of how
+        callers slice a workload into batches, which is what lets the
+        ``repro.serve`` micro-batcher coalesce concurrent requests freely.
 
         ``model``/``model_version`` inject an already-fetched model (the
-        serve layer's warm pool); by default the latest published version
-        is fetched through the version-keyed cache. Executions must be
-        long enough to window (``n_timesteps > n_lags + 1``).
+        serve layer's warm pool, a campaign's freshly trained model); by
+        default the latest published version is fetched through the
+        version-keyed cache. Executions must be long enough to window
+        (``n_timesteps > n_lags + 1``).
         """
-        from ..parallel import WorkerPool, split_round_robin
-
         executions = list(batch.executions)
-        error_models = list(batch.aligned_error_models())
         if not executions:
             return []
         if model is not None and model_version is None:
@@ -312,34 +273,13 @@ class PredictionPipeline:
         with _H_RUN.time(), _OBS.span("predict.execute"):
             if model is None:
                 model, model_version = self._fetch_model()
-            version = model_version
             model.ensure_compiled()
-            indexed = list(enumerate(executions))
-
-            def score_chunk(chunk: list[tuple[int, TestExecution]]):
-                results = self.score_executions(
-                    model,
-                    [execution for _, execution in chunk],
-                    [error_models[index] for index, _ in chunk],
-                )
-                return [
-                    (index, report, pred, observed)
-                    for (index, _), (report, pred, observed) in zip(chunk, results)
-                ]
-
-            with WorkerPool(n_workers, kind=worker_kind) as pool:
-                chunk_results = pool.map(
-                    score_chunk,
-                    [c for c in split_round_robin(indexed, pool.n_workers) if c],
-                )
-            scored: list = [None] * len(executions)
-            for chunk in chunk_results:
-                for index, report, pred, observed in chunk:
-                    scored[index] = (report, pred, observed)
-            runs = self.fan_in(
-                executions, scored, model_version=version, n_lags=model.n_lags
+            scored = self.score_executions(
+                model, executions, list(batch.aligned_error_models())
             )
-        return runs
+            return self.fan_in(
+                executions, scored, model_version=model_version, n_lags=model.n_lags
+            )
 
     def score_executions(
         self,
@@ -357,8 +297,19 @@ class PredictionPipeline:
         identical to per-execution predicts because every compiled kernel
         is row-wise.
         """
-        if error_models is None:
-            error_models = [None] * len(executions)
+        predicted_rows, observed_rows = self._predict_rows(model, executions)
+        reports = self.detector.detect_many(predicted_rows, observed_rows, error_models)
+        return list(zip(reports, predicted_rows, observed_rows))
+
+    @staticmethod
+    def _predict_rows(
+        model: Env2VecRegressor, executions: list[TestExecution]
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Window every execution, run one coalesced forward, split back.
+
+        Returns per-execution ``(predictions, observations)`` lists, in
+        input order; bitwise equal to predicting each execution alone.
+        """
         windows = [
             build_windows(execution.features, execution.cpu, model.n_lags)
             for execution in executions
@@ -376,8 +327,7 @@ class PredictionPipeline:
             predicted_rows.append(predicted[start : start + len(observed)])
             observed_rows.append(observed)
             start += len(observed)
-        reports = self.detector.detect_many(predicted_rows, observed_rows, error_models)
-        return list(zip(reports, predicted_rows, observed_rows))
+        return predicted_rows, observed_rows
 
     def score_with_isolation(
         self,
@@ -428,8 +378,8 @@ class PredictionPipeline:
         Alarm pushes, termination checks, and run metrics happen here and
         only here, so alarm ids, store contents, and every returned
         :class:`PipelineRun` come out exactly as a sequential loop would
-        produce them — regardless of which worker (thread or process)
-        scored which row, or in what order scoring finished.
+        produce them — regardless of which serve worker process scored
+        which row, or in what order scoring finished.
         """
         runs: list[PipelineRun] = []
         offset = n_lags
@@ -500,11 +450,3 @@ class PredictionPipeline:
 
         model, _ = self._fetch_model()
         return execution_report(execution, run.report, n_lags=model.n_lags, width=width)
-
-    @staticmethod
-    def _predict_execution(
-        model: Env2VecRegressor, execution: TestExecution
-    ) -> tuple[np.ndarray, np.ndarray]:
-        X, history, y = build_windows(execution.features, execution.cpu, model.n_lags)
-        environments = [execution.environment] * len(y)
-        return model.predict(environments, X, history), y

@@ -217,18 +217,6 @@ class TimeSeriesDB:
         return [series.range(start, end) for series in self.query(metric, matchers)]
 
     # -- introspection ----------------------------------------------------------
-    def series_items(self) -> list[tuple[tuple, Series]]:
-        """Every stored series with its canonical key, in insertion order.
-
-        The key is ``(metric, tuple(sorted(labels.items())))`` — the same
-        identity used internally for writes. This is the hook
-        :mod:`repro.parallel.sharding` uses to build read-only snapshot
-        shards without reaching into private state; the returned list is a
-        copy, but the :class:`Series` objects are live (snapshot builders
-        must copy the sample arrays themselves).
-        """
-        return list(self._series.items())
-
     def metrics(self) -> list[str]:
         return sorted({series.metric for series in self._series.values()})
 

@@ -365,49 +365,6 @@ def test_rep015_negative_worker_receives_values_only(tmp_path):
     assert by_rule(result, "REP015") == []
 
 
-def test_rep015_maybe_process_pool_flags_stores_not_locks(tmp_path):
-    # WorkerPool's backend is runtime-chosen: strong resources flag,
-    # but parent locks alone don't (thread backends share them fine)
-    result = scan_tree(tmp_path, {
-        "proj/stores.py": STORES,
-        "proj/score.py": """
-        import threading
-        from proj.pool import WorkerPool
-        from proj.stores import ModelStore
-
-        def score_all(chunks):
-            store = ModelStore()
-            pool = WorkerPool(4)
-
-            def score_chunk(chunk):
-                return store.get("m"), chunk
-
-            return pool.map(score_chunk, chunks)
-
-        def count_all(chunks):
-            counter_lock = threading.Lock()
-            pool = WorkerPool(4)
-
-            def count_chunk(chunk):
-                with counter_lock:
-                    return len(chunk)
-
-            return pool.map(count_chunk, chunks)
-        """,
-        "proj/pool.py": """
-        class WorkerPool:
-            def __init__(self, n):
-                self.n = n
-
-            def map(self, fn, items):
-                return [fn(item) for item in items]
-        """,
-    })
-    findings = by_rule(result, "REP015")
-    assert len(findings) == 1
-    assert "ModelStore" in findings[0].message
-
-
 # -- REP016: interprocedural determinism taint --------------------------------
 
 

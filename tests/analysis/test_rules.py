@@ -401,54 +401,6 @@ def test_rep007_out_of_scope_outside_resilience_ladder():
     assert findings == []
 
 
-# -- REP008: snapshot mutation ------------------------------------------------
-
-def test_rep008_flags_write_through_snapshot_binding():
-    findings = scan(
-        """
-        from repro.parallel import snapshot_shards
-
-        def corrupt(db):
-            shards = snapshot_shards(db, 4)
-            shards.names[0] = "oops"
-        """,
-        path="src/repro/parallel/mod.py",
-    )
-    assert rules_of(findings) == {"REP008"}
-
-
-def test_rep008_propagates_through_for_loop_and_shard_for():
-    findings = scan(
-        """
-        from repro.parallel import snapshot_shards
-
-        def corrupt(db, key):
-            snap = snapshot_shards(db, 4)
-            for shard in snap.shards:
-                shard.hits += 1
-            mine = snap.shard_for(key)
-            mine.series["x"] = []
-        """,
-        path="src/repro/parallel/mod.py",
-    )
-    assert [f.rule for f in findings] == ["REP008", "REP008"]
-
-
-def test_rep008_allows_reads_and_unrelated_writes():
-    findings = scan(
-        """
-        from repro.parallel import snapshot_shards
-
-        def inspect(db, out):
-            shards = snapshot_shards(db, 4)
-            out.total = len(shards.shards)
-            return shards.shard_for("x")
-        """,
-        path="src/repro/parallel/mod.py",
-    )
-    assert findings == []
-
-
 # -- REP009: sequence-layer import boundary ---------------------------------
 
 def test_rep009_flags_layer_class_imports_outside_nn():
@@ -570,6 +522,24 @@ def test_rep011_flags_multiprocessing_primitive_imports():
         path="src/repro/serve/service.py",
     )
     assert [f.rule for f in findings] == ["REP011", "REP011", "REP011"]
+
+
+def test_rep011_flags_process_pools_but_not_thread_pools():
+    findings = scan(
+        """
+        import concurrent.futures
+        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
+        def fan_out(items):
+            with ThreadPoolExecutor(2) as threads:
+                list(threads.map(len, items))
+            with concurrent.futures.ProcessPoolExecutor(2) as pool:
+                return list(pool.map(len, items))
+        """,
+        path=WORKFLOW,
+    )
+    assert [(f.rule, f.line) for f in findings] == [("REP011", 3), ("REP011", 8)]
+    assert "only owner of processes" in findings[0].message
 
 
 def test_rep011_allows_benign_os_and_signal_use():

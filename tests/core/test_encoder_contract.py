@@ -2,7 +2,7 @@
 
 Parametrized over every registered encoder: the choice must survive
 ``get_params``/``clone``, training, compiled prediction (≤1e-10 parity),
-and ``to_bytes``/``from_bytes`` — plus the deprecated alias spellings.
+and ``to_bytes``/``from_bytes`` — plus loading pre-registry blobs.
 """
 
 import numpy as np
@@ -57,9 +57,6 @@ class TestEstimatorContract:
         model = Env2VecRegressor(encoder=name, **FAST)
         params = model.get_params()
         assert params["encoder"] == name
-        # the deprecated aliases normalize away at construction
-        assert params["use_attention"] is None
-        assert params["recurrent_unit"] is None
 
     @pytest.mark.parametrize("name", available_encoders())
     def test_clone_preserves_encoder(self, name):
@@ -67,20 +64,16 @@ class TestEstimatorContract:
         assert clone.encoder == name
         assert not clone._fitted
 
-    def test_alias_params_clone_cleanly(self):
-        model = Env2VecRegressor(recurrent_unit="lstm", use_attention=True, **FAST)
-        assert model.encoder == "lstm_attention"
-        assert model.clone().encoder == "lstm_attention"
-
     def test_unknown_encoder_lists_registered(self):
         with pytest.raises(ValueError, match="registered encoders"):
             Env2VecRegressor(encoder="transformer", **FAST)
         with pytest.raises(ValueError, match="registered encoders"):
             RFNNRegressor(encoder="transformer")
 
-    def test_both_spellings_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            Env2VecRegressor(encoder="gru", use_attention=True, **FAST)
+    def test_removed_alias_keywords_rejected(self):
+        for alias in ({"use_attention": True}, {"recurrent_unit": "lstm"}):
+            with pytest.raises(TypeError):
+                Env2VecRegressor(**alias, **FAST)
 
     def test_require_fitted(self):
         model = Env2VecRegressor(**FAST)
@@ -108,34 +101,6 @@ class TestEveryEncoderTrains:
         )
 
 
-class TestAliasEquivalence:
-    """Alias spellings must hit the exact same RNG draw order as encoder=."""
-
-    @pytest.mark.parametrize(
-        ("alias_kwargs", "name"),
-        [
-            ({"recurrent_unit": "gru"}, "gru"),
-            ({"recurrent_unit": "lstm"}, "lstm"),
-            ({"use_attention": True}, "attention"),
-            ({"recurrent_unit": "lstm", "use_attention": True}, "lstm_attention"),
-        ],
-    )
-    def test_alias_and_encoder_fit_identically(self, alias_kwargs, name):
-        envs, X, history, y = _training_data(n=60)
-        via_alias = Env2VecRegressor(**alias_kwargs, **FAST).fit(envs, X, history, y)
-        via_name = Env2VecRegressor(encoder=name, **FAST).fit(envs, X, history, y)
-        assert via_alias.to_bytes() == via_name.to_bytes()
-
-    def test_model_level_back_compat_properties(self):
-        envs, X, history, y = _training_data(n=60)
-        model = Env2VecRegressor(encoder="lstm_attention", **FAST).fit(envs, X, history, y)
-        assert model.model.use_attention is True
-        assert model.model.recurrent_unit == "lstm"
-        plain = Env2VecRegressor(**FAST).fit(envs, X, history, y)
-        assert plain.model.use_attention is False
-        assert plain.model.recurrent_unit == "gru"
-
-
 def test_legacy_blob_alias_keys_still_load():
     """from_bytes resolves pre-registry hyper dicts (use_attention/recurrent_unit)."""
     import io
@@ -144,7 +109,7 @@ def test_legacy_blob_alias_keys_still_load():
     import numpy as np_
 
     envs, X, history, y = _training_data(n=60)
-    model = Env2VecRegressor(use_attention=True, **FAST).fit(envs, X, history, y)
+    model = Env2VecRegressor(encoder="attention", **FAST).fit(envs, X, history, y)
     blob = model.to_bytes()
 
     # rewrite the config to the legacy schema
@@ -167,6 +132,22 @@ def test_legacy_blob_alias_keys_still_load():
         restored.predict(envs[:8], X[:8], history[:8]),
         model.predict(envs[:8], X[:8], history[:8]),
     )
+
+
+@pytest.mark.parametrize(
+    ("hyper", "name"),
+    [
+        ({}, "gru"),
+        ({"recurrent_unit": "lstm"}, "lstm"),
+        ({"use_attention": True}, "attention"),
+        ({"recurrent_unit": "lstm", "use_attention": True}, "lstm_attention"),
+        ({"recurrent_unit": "stacked"}, "stacked"),
+    ],
+)
+def test_legacy_hyper_keys_map_to_encoder_names(hyper, name):
+    from repro.core.model import _legacy_encoder_name
+
+    assert _legacy_encoder_name(hyper) == name
 
 
 @pytest.mark.parametrize("name", ["gru", "lstm", "bidirectional"])

@@ -153,7 +153,7 @@ class TestAttentionVariant:
         # Target depends on the OLDEST lag: attention should help find it.
         y = 50.0 + 2.0 * history[:, 0] + X[:, 1]
         model = Env2VecRegressor(
-            n_lags=4, use_attention=True, max_epochs=25, batch_size=64, dropout=0.0, seed=0
+            n_lags=4, encoder="attention", max_epochs=25, batch_size=64, dropout=0.0, seed=0
         )
         model.fit(envs, X, history, y)
         predictions = model.predict(envs[:20], X[:20], history[:20])
@@ -163,4 +163,4 @@ class TestAttentionVariant:
         np.testing.assert_allclose(
             restored.predict(envs[:20], X[:20], history[:20]), predictions, atol=1e-10
         )
-        assert restored.model.use_attention
+        assert restored.model.encoder_name == "attention"

@@ -54,8 +54,7 @@ class TestSerializationRoundTrip:
 
     @pytest.mark.parametrize(
         "variant",
-        [{"use_attention": True}, {"recurrent_unit": "lstm"},
-         {"recurrent_unit": "lstm", "use_attention": True}],
+        [{"encoder": "attention"}, {"encoder": "lstm"}, {"encoder": "lstm_attention"}],
     )
     def test_architecture_variants_round_trip(self, variant):
         regressor = _fit(**variant)

@@ -115,9 +115,9 @@ class TestAdditiveAttention:
 class TestThreadSafety:
     """Regression: last_weights must not be a shared mutable buffer.
 
-    The parallel campaign executor's workers share one model; before the
-    per-thread fix, worker A could read the attention weights of worker
-    B's coalesced batch through ``last_weights``.
+    Threads may share one model; before the per-thread fix, thread A
+    could read the attention weights of thread B's batch through
+    ``last_weights``.
     """
 
     def test_attend_returns_per_call_weights(self):
@@ -135,7 +135,7 @@ class TestThreadSafety:
         )
 
     def test_last_weights_is_per_thread_under_worker_pool(self):
-        from repro.parallel import WorkerPool
+        from concurrent.futures import ThreadPoolExecutor
 
         attention = AdditiveAttention(3, rng=np.random.default_rng(7))
         rng = np.random.default_rng(9)
@@ -152,8 +152,8 @@ class TestThreadSafety:
                     return False
             return True
 
-        with WorkerPool(n_workers=4) as pool:
-            results = pool.map(run, batches)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(run, batches))
         assert all(results)
 
     def test_fresh_thread_sees_no_weights(self):

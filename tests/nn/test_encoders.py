@@ -18,7 +18,6 @@ from repro.nn import (
     encoder_from_config,
     load_encoder_bytes,
     register_encoder,
-    resolve_encoder_name,
     save_encoder_bytes,
     validate_encoder_name,
 )
@@ -63,42 +62,6 @@ class TestRegistry:
     def test_registered_class_carries_name(self):
         for name, cls in _ENCODERS.items():
             assert cls.name == name
-
-
-class TestAliasResolution:
-    @pytest.mark.parametrize(
-        ("unit", "attention", "expected"),
-        [
-            (None, None, "gru"),
-            ("gru", None, "gru"),
-            ("gru", True, "attention"),
-            ("lstm", None, "lstm"),
-            ("lstm", True, "lstm_attention"),
-        ],
-    )
-    def test_alias_map(self, unit, attention, expected):
-        assert resolve_encoder_name(None, unit, attention) == expected
-
-    def test_direct_name_passthrough(self):
-        assert resolve_encoder_name("bidirectional") == "bidirectional"
-
-    def test_registered_name_as_recurrent_unit(self):
-        # an unmapped unit naming a registered encoder is a direct alias
-        assert resolve_encoder_name(None, "stacked", None) == "stacked"
-
-    def test_both_spellings_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            resolve_encoder_name("gru", "lstm", None)
-        with pytest.raises(ValueError, match="not both"):
-            resolve_encoder_name("gru", None, True)
-
-    def test_attention_with_unmapped_unit_rejected(self):
-        with pytest.raises(ValueError, match="use_attention"):
-            resolve_encoder_name(None, "stacked", True)
-
-    def test_unknown_unit_lists_encoders(self):
-        with pytest.raises(ValueError, match="registered encoders"):
-            resolve_encoder_name(None, "rnn", None)
 
 
 @pytest.mark.parametrize("name", available_encoders())

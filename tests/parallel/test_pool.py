@@ -1,104 +1,12 @@
-"""WorkerPool: order preservation, kinds, and error propagation."""
-
-import threading
+"""SequencedMerger: in-order release of out-of-order completions."""
 
 import pytest
 
-from repro.parallel import WorkerPool, split_round_robin
-
-
-def _square(x):  # module-level: must be picklable for the process pool
-    return x * x
-
-
-class TestSplitRoundRobin:
-    def test_deals_in_stride_order(self):
-        assert split_round_robin(list(range(7)), 3) == [[0, 3, 6], [1, 4], [2, 5]]
-
-    def test_single_shard_is_identity(self):
-        items = ["a", "b", "c"]
-        assert split_round_robin(items, 1) == [items]
-
-    def test_more_shards_than_items_leaves_empties(self):
-        assert split_round_robin([1], 3) == [[1], [], []]
-
-    def test_rejects_zero_shards(self):
-        with pytest.raises(ValueError):
-            split_round_robin([1], 0)
-
-    def test_interleaving_restores_order(self):
-        items = list(range(23))
-        shards = split_round_robin(items, 4)
-        restored = [None] * len(items)
-        for s, shard in enumerate(shards):
-            for i, value in enumerate(shard):
-                restored[s + 4 * i] = value
-        assert restored == items
-
-
-class TestWorkerPool:
-    def test_single_worker_degrades_to_serial(self):
-        pool = WorkerPool(n_workers=1, kind="threads")
-        assert pool.kind == "serial"
-        assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
-        assert pool._executor is None  # no executor ever spun up
-
-    def test_threads_preserve_input_order(self):
-        import time
-
-        def slow_when_small(x):
-            time.sleep(0.02 if x < 2 else 0.0)  # later items finish first
-            return x * 10
-
-        with WorkerPool(n_workers=4, kind="threads") as pool:
-            assert pool.map(slow_when_small, [0, 1, 2, 3, 4]) == [0, 10, 20, 30, 40]
-
-    def test_threads_actually_run_concurrently(self):
-        barrier = threading.Barrier(3, timeout=5)
-
-        def rendezvous(_):
-            barrier.wait()  # deadlocks unless 3 tasks run at once
-            return True
-
-        with WorkerPool(n_workers=3, kind="threads") as pool:
-            assert pool.map(rendezvous, [0, 1, 2]) == [True, True, True]
-
-    def test_process_pool_maps(self):
-        with WorkerPool(n_workers=2, kind="processes") as pool:
-            assert pool.map(_square, [1, 2, 3, 4]) == [1, 4, 9, 16]
-
-    def test_first_error_by_input_order_wins(self):
-        def fail_on(x):
-            if x in (2, 4):
-                raise RuntimeError(f"boom-{x}")
-            return x
-
-        with WorkerPool(n_workers=4, kind="threads") as pool:
-            with pytest.raises(RuntimeError, match="boom-2"):
-                pool.map(fail_on, [0, 1, 2, 3, 4])
-
-    def test_empty_input(self):
-        assert WorkerPool(n_workers=4).map(_square, []) == []
-
-    def test_close_is_idempotent_and_reusable(self):
-        pool = WorkerPool(n_workers=2, kind="threads")
-        assert pool.map(_square, [2, 3]) == [4, 9]
-        pool.close()
-        pool.close()
-        # A closed pool lazily re-creates its executor on next use.
-        assert pool.map(_square, [4, 5]) == [16, 25]
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError, match="n_workers"):
-            WorkerPool(n_workers=0)
-        with pytest.raises(ValueError, match="kind"):
-            WorkerPool(n_workers=2, kind="fibers")
+from repro.parallel import SequencedMerger
 
 
 class TestSequencedMerger:
     def test_releases_in_sequence_order(self):
-        from repro.parallel import SequencedMerger
-
         merger = SequencedMerger()
         assert merger.put(1, "b") == []  # ahead of its turn: buffered
         assert merger.pending == 1
@@ -108,8 +16,6 @@ class TestSequencedMerger:
         assert merger.next_seq == 2
 
     def test_contiguous_run_released_at_once(self):
-        from repro.parallel import SequencedMerger
-
         merger = SequencedMerger()
         assert merger.put(2, "c") == []
         assert merger.put(1, "b") == []
@@ -117,15 +23,11 @@ class TestSequencedMerger:
         assert merger.put(0, "a") == [(0, "a"), (1, "b"), (2, "c"), (3, "d")]
 
     def test_custom_start_and_in_order_passthrough(self):
-        from repro.parallel import SequencedMerger
-
         merger = SequencedMerger(start=5)
         assert merger.put(5, "x") == [(5, "x")]
         assert merger.put(6, "y") == [(6, "y")]
 
     def test_duplicate_or_stale_sequence_rejected(self):
-        from repro.parallel import SequencedMerger
-
         merger = SequencedMerger()
         merger.put(0, "a")
         with pytest.raises(ValueError):

@@ -253,7 +253,7 @@ class TestLastGoodModelFallback:
 
     def test_cached_model_keeps_serving_after_corrupt_publish(self):
         from repro.data import TestExecution
-        from repro.workflow import PredictionPipeline
+        from repro.workflow import PredictBatch, PredictionPipeline
 
         store = ModelStore()
         v1 = store.publish(self._fitted_blob(0))
@@ -265,17 +265,17 @@ class TestLastGoodModelFallback:
                 features=rng.standard_normal((40, 3)),
                 cpu=50.0 + rng.standard_normal(40),
             )
-            first = pipeline.run(execution)
+            (first,) = pipeline.execute(PredictBatch((execution,)))
             assert first.model_version == v1.version
 
             v2 = store.publish(self._fitted_blob(1))
             store._blobs[v2.version] = store._blobs[v2.version][:-64]  # torn write
-            fallback = pipeline.run(execution)
+            (fallback,) = pipeline.execute(PredictBatch((execution,)))
             assert fallback.model_version == v1.version  # last-good served
 
     def test_corrupt_blob_with_no_cache_propagates(self):
         from repro.data import TestExecution
-        from repro.workflow import CorruptModelError, PredictionPipeline
+        from repro.workflow import CorruptModelError, PredictBatch, PredictionPipeline
 
         store = ModelStore()
         version = store.publish(self._fitted_blob(0))
@@ -289,7 +289,7 @@ class TestLastGoodModelFallback:
                 cpu=np.full(40, 50.0),
             )
             with pytest.raises(CorruptModelError):
-                pipeline.run(execution)
+                pipeline.execute(PredictBatch((execution,)))
 
 
 class TestTrainingDivergence:

@@ -9,8 +9,8 @@ default once served as a hidden cross-invocation cache in ``cli.py``),
 and no ``except`` handler may raise a *new* exception without chaining it
 (``B904`` — losing the original fault blinds the resilience ladder).
 
-The project's own AST engine (:mod:`repro.analysis`, rules
-REP001-REP008) runs alongside either path — it has no external binary to
+The project's own AST engine (:mod:`repro.analysis`, the REP rules)
+runs alongside either path — it has no external binary to
 be missing.
 """
 
@@ -120,10 +120,12 @@ def _unchained_raises(path: Path, tree: ast.Module) -> list[str]:
 def _unused_imports(path: Path, tree: ast.Module) -> list[str]:
     visitor = _ImportUsage()
     visitor.visit(tree)
+    lines = path.read_text().splitlines()
     return [
         f"{path.relative_to(REPO)}:{lineno}: unused import {name!r}"
         for name, lineno in visitor.imported.items()
-        if name not in visitor.used
+        # ruff honours `# noqa: F401` on the import line; so does the fallback
+        if name not in visitor.used and "noqa: F401" not in lines[lineno - 1]
     ]
 
 

@@ -63,15 +63,7 @@ RESILIENCE_API = {
     "DeadLetterRecord", "DeadLetterStore",
 }
 
-PARALLEL_API = {
-    # executor
-    "CampaignScorer", "ExecutionScore", "WindowCache",
-    # pool
-    "SequencedMerger", "WorkerPool", "split_round_robin",
-    # sharding
-    "ReadOnlyTSDBError", "TSDBShards", "TSDBSnapshot", "shard_index",
-    "snapshot_shards",
-}
+PARALLEL_API = {"SequencedMerger"}
 
 OBS_API = {
     "Observability", "get_observability", "OBS",
@@ -131,10 +123,9 @@ def test_serve_internal_stays_private():
 def test_parallel_importable_first():
     """repro.parallel must load cleanly as the *first* repro import.
 
-    parallel.sharding imports workflow.tsdb, and workflow.orchestrator
-    uses repro.parallel (lazily). If the orchestrator's import were eager
-    the cycle would only surface when parallel is imported first — so
-    probe exactly that order in a fresh interpreter.
+    The serve layer imports repro.parallel and the workflow; an import
+    cycle between them would only surface for one load order, so probe
+    parallel-first in a fresh interpreter.
     """
     import subprocess
     import sys

@@ -13,12 +13,17 @@ from repro.workflow import (
     EMRegistry,
     MetricCollector,
     ModelStore,
+    PredictBatch,
     PredictionPipeline,
     ServiceDiscovery,
     TimeSeriesDB,
     TrainingPipeline,
     build_prediction_frame,
 )
+
+
+def _run_one(pipeline, execution, error_model=None):
+    return pipeline.execute(PredictBatch((execution,), (error_model,)))[0]
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +153,7 @@ class TestPredictionPipeline:
         pipeline = PredictionPipeline(store, alarms, gamma=2.0)
         chain = dataset.focus_chains[0]
         error_model = pipeline.calibrate(chain)
-        run = pipeline.run(chain.current, error_model)
+        run = _run_one(pipeline, chain.current, error_model)
         assert run.model_version == 1
         assert run.report.n_alarms >= 1
         assert alarms.count() == run.report.n_alarms
@@ -167,13 +172,13 @@ class TestPredictionPipeline:
         alarms = AlarmStore()
         pipeline = PredictionPipeline(store, alarms, gamma=3.0)
         error_model = pipeline.calibrate(clean_chain)
-        run = pipeline.run(clean_chain.current, error_model)
+        run = _run_one(pipeline, clean_chain.current, error_model)
         assert run.report.n_alarms <= 2
 
     def test_self_calibrated_mode_runs(self, dataset, trained):
         store, _ = trained
         pipeline = PredictionPipeline(store, AlarmStore(), gamma=2.0)
-        run = pipeline.run(dataset.focus_chains[0].current)  # no error model
+        run = _run_one(pipeline, dataset.focus_chains[0].current)  # no error model
         assert run.predictions.shape == run.observations.shape
 
     def test_early_termination_hook(self, dataset, trained):
@@ -184,40 +189,31 @@ class TestPredictionPipeline:
         )
         chain = dataset.focus_chains[0]
         error_model = pipeline.calibrate(chain)
-        run = pipeline.run(chain.current, error_model)
+        run = _run_one(pipeline, chain.current, error_model)
         if run.report.n_alarms >= 1:
             assert run.terminated_early
 
-    @pytest.mark.parallel
-    def test_run_many_bitwise_matches_sequential_runs(self, dataset, trained):
-        """Coalesced, pooled run_many == one pipeline.run per execution."""
+    def test_batch_bitwise_matches_single_runs(self, dataset, trained):
+        """One coalesced execute == one single-execution execute per row."""
         store, _ = trained
         executions = [chain.current for chain in dataset.chains[:6]]
 
         solo_alarms = AlarmStore()
         solo = PredictionPipeline(store, solo_alarms, gamma=2.0)
-        solo_runs = [solo.run(execution) for execution in executions]
+        solo_runs = [_run_one(solo, execution) for execution in executions]
 
-        pooled_alarms = AlarmStore()
-        pooled = PredictionPipeline(store, pooled_alarms, gamma=2.0)
-        pooled_runs = pooled.run_many(executions, n_workers=4)
+        batch_alarms = AlarmStore()
+        batched = PredictionPipeline(store, batch_alarms, gamma=2.0)
+        batch_runs = batched.execute(PredictBatch(executions))
 
-        assert len(pooled_runs) == len(solo_runs)
-        for left, right in zip(pooled_runs, solo_runs):
+        assert len(batch_runs) == len(solo_runs)
+        for left, right in zip(batch_runs, solo_runs):
             assert left.predictions.tobytes() == right.predictions.tobytes()
             assert left.observations.tobytes() == right.observations.tobytes()
             assert left.report.alarms == right.report.alarms
             assert left.model_version == right.model_version
-        assert pooled_alarms.count() == solo_alarms.count()
-
-    @pytest.mark.parallel
-    def test_run_many_validates_error_model_alignment(self, dataset, trained):
-        store, _ = trained
-        pipeline = PredictionPipeline(store, AlarmStore())
-        with pytest.raises(ValueError, match="error_models"):
-            pipeline.run_many(
-                [dataset.chains[0].current], error_models=[None, None]
-            )
+            assert left.alarm_ids == right.alarm_ids
+        assert batch_alarms.count() == solo_alarms.count()
 
     def test_calibrate_requires_history(self, dataset, trained):
         from repro.data import BuildChain

@@ -1,21 +1,9 @@
-"""PredictBatch: the shared request type, and the deprecated aliases.
+"""PredictBatch: the one request type :meth:`PredictionPipeline.execute` takes."""
 
-Satellite contract of the serve PR: ``run``/``run_many`` survive as thin
-aliases over :meth:`PredictionPipeline.execute` — they must warn, and
-their results must be byte-identical to the canonical call.
-"""
-
-import numpy as np
 import pytest
 
 from repro.data import TelecomConfig, generate_telecom
-from repro.workflow import (
-    AlarmStore,
-    ModelStore,
-    PredictBatch,
-    PredictionPipeline,
-    TrainingPipeline,
-)
+from repro.workflow import ModelStore, PredictBatch, TrainingPipeline
 
 
 @pytest.fixture(scope="module")
@@ -41,15 +29,6 @@ def trained():
     return store, [chain.current for chain in dataset.chains]
 
 
-def _runs_equal(a, b):
-    assert a.predictions.tobytes() == b.predictions.tobytes()
-    assert a.observations.tobytes() == b.observations.tobytes()
-    assert a.model_version == b.model_version
-    assert a.terminated_early == b.terminated_early
-    assert len(a.report.alarms) == len(b.report.alarms)
-    np.testing.assert_array_equal(a.report.flags, b.report.flags)
-
-
 class TestPredictBatch:
     def test_alignment_validated(self, trained):
         _, executions = trained
@@ -66,29 +45,3 @@ class TestPredictBatch:
         _, executions = trained
         batch = PredictBatch(executions)
         assert isinstance(batch.executions, tuple)
-
-
-class TestDeprecatedAliases:
-    def test_run_warns_and_matches_execute(self, trained):
-        store, executions = trained
-        canonical = PredictionPipeline(store, AlarmStore()).execute(
-            PredictBatch((executions[0],))
-        )[0]
-        legacy_pipeline = PredictionPipeline(store, AlarmStore())
-        with pytest.warns(DeprecationWarning, match="PredictionPipeline.run is deprecated"):
-            legacy = legacy_pipeline.run(executions[0])
-        _runs_equal(legacy, canonical)
-        assert legacy.alarm_ids == canonical.alarm_ids
-
-    def test_run_many_warns_and_matches_execute(self, trained):
-        store, executions = trained
-        canonical = PredictionPipeline(store, AlarmStore()).execute(
-            PredictBatch(tuple(executions))
-        )
-        legacy_pipeline = PredictionPipeline(store, AlarmStore())
-        with pytest.warns(DeprecationWarning, match="run_many is deprecated"):
-            legacy = legacy_pipeline.run_many(list(executions))
-        assert len(legacy) == len(canonical)
-        for a, b in zip(legacy, canonical):
-            _runs_equal(a, b)
-            assert a.alarm_ids == b.alarm_ids
