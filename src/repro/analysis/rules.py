@@ -31,8 +31,8 @@ Every rule here encodes an invariant this repo has already paid for once:
 - REP012 — the PR 9 batch-inference regression (per-timestep
   ``np.hstack`` and bare ``@`` matmuls inside the fused GRU/LSTM
   timestep loops allocated fresh arrays every step, capping batch-256
-  speedup at 1.1×; sequence-runner hot loops must write into
-  preallocated workspace buffers via ``out=``).
+  speedup at 1.1×; sequence-kernel hot loops, forward and backward, must
+  write into preallocated buffers via ``out=`` or in-place operators).
 
 Rules are deliberately syntactic: no type inference, no cross-file
 analysis. Where syntax alone over-approximates, the escape hatches are an
@@ -54,7 +54,7 @@ __all__ = ["DEFAULT_REGISTRY", "default_registry", "ALL_RULES", "RULESET_VERSION
 #: plus the cross-file rules in :mod:`repro.analysis.program`). The
 #: incremental cache embeds it in every entry, so bumping it on any rule
 #: semantics change invalidates stale cached scans wholesale.
-RULESET_VERSION = 3
+RULESET_VERSION = 4
 
 #: Packages under src/repro/ that run on the simulated campaign clock.
 _SIM_CLOCK_PACKAGES = frozenset({"core", "workflow", "parallel", "resilience"})
@@ -571,16 +571,20 @@ _HOT_LOOP_ALLOCATORS = frozenset({
 class SequenceRunnerAllocationRule(Rule):
     """REP012: sequence-runner hot loops must be allocation-free.
 
-    The fused GRU/LSTM runners in ``nn/ops.py`` execute their timestep
-    loop once per sequence step per forward; at batch 256 every fresh
-    array allocated there (``np.hstack`` of gate blocks, a bare ``@``
-    matmul materializing its result, ``np.zeros`` scratch) costs more
-    than the arithmetic it feeds and throttled the compiled engine to
-    1.1× autograd. The discipline the fix established: hoist buffers to
-    the per-thread workspace before the loop and write into them with
-    ``np.matmul(..., out=)`` / in-place activations. This rule pins that
-    discipline syntactically for every function whose name marks it as a
-    sequence runner (``*_sequence*``).
+    The GRU/LSTM kernels in ``nn/ops.py`` execute their timestep loops
+    once per sequence step, forward (compiled runners and training) and
+    backward (``*_sequence_backward``); at batch 256 every fresh array
+    allocated there (``np.hstack`` of gate blocks, a bare ``@`` matmul
+    materializing its result, ``np.zeros`` scratch, ``dh * z[t]``
+    temporaries) costs more than the arithmetic it feeds and throttled
+    the compiled engine to 1.1× autograd. The discipline the fix
+    established: hoist buffers out of the loop and write into them with
+    ``np.matmul(..., out=)``, ``np.multiply(..., out=)`` and in-place
+    operators. This rule pins that discipline syntactically for every
+    function whose name marks it as a sequence kernel (``*_sequence*``).
+    Arithmetic is flagged when an operand is subscripted — a per-step
+    slice such as ``z[t]`` is an array, while index math such as
+    ``t - 1`` stays legal.
     """
 
     id = "REP012"
@@ -593,30 +597,53 @@ class SequenceRunnerAllocationRule(Rule):
         return Path(ctx.path).parts[-2:] == self._TARGET_SUFFIX
 
     @staticmethod
-    def _in_runner_loop(ctx: FileContext) -> bool:
-        """True inside a for/while loop of a ``*_sequence*`` function."""
+    def _in_runner_loop(ctx: FileContext, node: ast.AST) -> bool:
+        """True inside a for/while loop of a ``*_sequence*`` function.
+
+        A ``for`` loop's header (``iter`` and ``target``) runs once, not
+        per step, so it does not count.
+        """
         function = ctx.enclosing_function()
         if function is None or "_sequence" not in function.name:
             return False
+        path = [*ctx.stack, node]
         inside_function = False
-        for ancestor in ctx.stack:
+        for ancestor, child in zip(path, path[1:]):
             if ancestor is function:
                 inside_function = True
-            elif inside_function and isinstance(ancestor, (ast.For, ast.While)):
+            elif inside_function and isinstance(ancestor, ast.While):
                 return True
+            elif inside_function and isinstance(ancestor, ast.For):
+                if child is not ancestor.iter and child is not ancestor.target:
+                    return True
         return False
+
+    _ARITHMETIC = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[tuple[int, str]]:
         if isinstance(node, ast.BinOp):
-            if isinstance(node.op, ast.MatMult) and self._in_runner_loop(ctx):
+            if not self._in_runner_loop(ctx, node):
+                return
+            if isinstance(node.op, ast.MatMult):
                 yield (
                     node.lineno,
                     "bare `@` matmul in a sequence-runner timestep loop — it "
                     "allocates its result every step; write into a hoisted "
                     "workspace buffer with np.matmul(..., out=)",
                 )
+            elif type(node.op) in self._ARITHMETIC and any(
+                isinstance(side, ast.Subscript) for side in (node.left, node.right)
+            ):
+                symbol = self._ARITHMETIC[type(node.op)]
+                yield (
+                    node.lineno,
+                    f"elementwise `{symbol}` on a per-step slice in a sequence "
+                    "timestep loop — it allocates a temporary every step; "
+                    "write into a hoisted buffer with the ufunc's out= or an "
+                    "in-place operator",
+                )
             return
-        if not self._in_runner_loop(ctx):
+        if not self._in_runner_loop(ctx, node):
             return
         chain = _attr_chain(node.func)
         if len(chain) != 2 or chain[0] not in ("np", "numpy"):

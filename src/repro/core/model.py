@@ -153,12 +153,22 @@ def _compile_env2vec(model: Env2VecModel, dtype: np.dtype):
     encoder's own registered plan (fused sequence kernels), and the
     embedding branch is served from an LRU :class:`EmbeddingRowCache`
     keyed by the env-id tuple.
+
+    Below float64 the Hadamard head folds the combine layer into that
+    cache: ``y = (v_s W + b) · C = v_s · (W C) + b · C``, so each
+    environment's row is cached as ``[W C | b · C]`` and a prediction is
+    one row-wise dot product instead of a GEMM plus the head (float32
+    parity bound; float64 keeps the autograd op order and its bits).
     """
     fnn = CompiledDense(model.fnn, dtype)
     encoder = compile_plan(model.encoder, dtype)
     combine = CompiledDense(model.combine, dtype)
-    env_cache = EmbeddingRowCache(model.embeddings.table_arrays(), dtype)
     head = model.head
+    fold = head == "hadamard" and dtype != np.float64
+    project = None
+    if fold:
+        project = np.hstack([model.combine.weight.data.T, model.combine.bias.data[:, None]])
+    env_cache = EmbeddingRowCache(model.embeddings.table_arrays(), dtype, project=project)
     if head == "bilinear":
         bilinear = snapshot(model.bilinear.data, dtype)
     elif head == "mlp":
@@ -178,6 +188,8 @@ def _compile_env2vec(model: Env2VecModel, dtype: np.dtype):
             return _profiled_forward(prof, cf, history, env)
         v_fs = fnn(cf)
         v_ts = encoder(history[:, :, None])
+        if fold:
+            return _folded_head(np.concatenate([v_ts, v_fs], axis=1), env_cache.rows(env))
         v_d = combine(np.concatenate([v_ts, v_fs], axis=1))
         c = env_cache.rows(env)
         if head == "hadamard":
@@ -193,10 +205,14 @@ def _compile_env2vec(model: Env2VecModel, dtype: np.dtype):
         with prof.op("encoder"):
             v_ts = encoder(history[:, :, None])
         with prof.op("combine"):
-            v_d = combine(np.concatenate([v_ts, v_fs], axis=1))
+            v_s = np.concatenate([v_ts, v_fs], axis=1)
+            if not fold:
+                v_d = combine(v_s)
         with prof.op("env_rows"):
             c = env_cache.rows(env)
         with prof.op("head"):
+            if fold:
+                return _folded_head(v_s, c)
             if head == "hadamard":
                 return ops.hadamard_head(v_d, c)
             if head == "bilinear":
@@ -205,6 +221,13 @@ def _compile_env2vec(model: Env2VecModel, dtype: np.dtype):
 
     forward.env_cache = env_cache
     return forward
+
+
+def _folded_head(v_s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``v_s · (W C) + b · C`` from cached ``[W C | b · C]`` rows."""
+    y = np.einsum("ij,ij->i", v_s, rows[:, :-1])
+    y += rows[:, -1]
+    return y
 
 
 def _legacy_encoder_name(hyper: dict) -> str:

@@ -5,12 +5,15 @@ which are unavailable offline. It is layered as three tiers:
 
 - :mod:`repro.nn.ops` — pure numpy forward/backward kernels, no tape;
 - the autograd tier — :class:`Tensor` + layer classes that run the ops
-  kernels and attach gradients as fused tape nodes (training math);
+  kernels and attach gradients as fused tape nodes (training math). A
+  :class:`GRU` or :class:`LSTM` layer is a single node over the whole
+  sequence, whose recurrence is the compiled runner's;
 - :mod:`repro.nn.inference` — a tape-free engine that compiles a fitted
   module into contiguous-weight numpy closures (serving math).
 
-Plus everything around them: MSE/MAE losses, the Adam optimizer, a
-mini-batch training loop with early stopping, and model serialization.
+Plus everything around them: MSE/MAE losses, the Adam optimizer (one
+vectorized pass over a flat parameter buffer), a mini-batch training
+loop with early stopping, and model serialization.
 """
 
 from . import ops

@@ -27,7 +27,12 @@ __all__ = ["GRUCell", "GRU"]
 
 
 class GRUCell(Module):
-    """A single GRU step operating on ``(batch, input_size)`` tensors."""
+    """GRU parameters, plus the kernels that run them.
+
+    :meth:`run` processes a whole sequence as a single tape node
+    (:func:`repro.nn.ops.gru_sequence_forward`); calling the cell is one
+    step on ``(batch, input_size)`` tensors from a given state.
+    """
 
     def __init__(
         self,
@@ -56,27 +61,51 @@ class GRUCell(Module):
         self.b_r = Parameter(initializers.zeros((hidden_size,)), name="b_r")
         self.b_h = Parameter(initializers.zeros((hidden_size,)), name="b_h")
 
-    def forward(self, y_t: Tensor, h_prev: Tensor) -> Tensor:
-        y_t = y_t if isinstance(y_t, Tensor) else Tensor(y_t)
-        h_prev = h_prev if isinstance(h_prev, Tensor) else Tensor(h_prev)
-        h, cache = ops.gru_step_forward(
-            y_t.data, h_prev.data,
+    def run(self, sequence: Tensor, h0: Tensor | None = None, return_sequences: bool = False) -> Tensor:
+        """The whole ``(batch, timesteps, input_size)`` sequence as one tape node."""
+        sequence = sequence if isinstance(sequence, Tensor) else Tensor(sequence)
+        fused = ops.fuse_gru_weights(
             self.w_z.data, self.u_z.data, self.b_z.data,
             self.w_r.data, self.u_r.data, self.b_r.data,
             self.w_h.data, self.u_h.data, self.b_h.data,
-            act=self.activation_name,
         )
+        out, cache = ops.gru_sequence_forward(
+            sequence.data, fused["wb"], fused["u"], self.activation_name,
+            return_sequences, None if h0 is None else h0.data,
+        )
+        width = self.input_size
+        starts = (h0,) if h0 is not None else ()
+
+        def backward(grad: np.ndarray) -> list:
+            d_sequence, d_h0, d_wb, d_u3 = ops.gru_sequence_backward(
+                grad, cache, sequence.requires_grad
+            )
+            grads = [d_sequence] + ([d_h0] if h0 is not None else [])
+            for k in range(3):  # z, r, h
+                grads += [d_wb[k, :width], d_u3[k], d_wb[k, width]]
+            return grads
+
         parents = (
-            y_t, h_prev,
+            sequence, *starts,
             self.w_z, self.u_z, self.b_z,
             self.w_r, self.u_r, self.b_r,
             self.w_h, self.u_h, self.b_h,
         )
-        return apply_op(parents, h, lambda grad: ops.gru_step_backward(grad, cache))
+        return apply_op(parents, out, backward)
+
+    def forward(self, y_t: Tensor, h_prev: Tensor) -> Tensor:
+        """One step from state ``h_prev``: ``run`` over a length-1 sequence."""
+        y_t = y_t if isinstance(y_t, Tensor) else Tensor(y_t)
+        h_prev = h_prev if isinstance(h_prev, Tensor) else Tensor(h_prev)
+        return self.run(y_t.reshape(y_t.shape[0], 1, y_t.shape[1]), h_prev)
 
 
 class GRU(Module):
     """Runs a :class:`GRUCell` over a ``(batch, timesteps, input_size)`` input.
+
+    The sequence is one tape node from the zero state, and its recurrence
+    is the compiled runner's, so the compiled float64 forward is bitwise
+    equal to this one.
 
     Returns the final hidden state ``v_ts`` of shape ``(batch, hidden_size)``
     (or the full hidden sequence if ``return_sequences`` is set).
@@ -98,14 +127,4 @@ class GRU(Module):
     def forward(self, sequence: Tensor) -> Tensor:
         if sequence.ndim != 3:
             raise ValueError(f"GRU expects (batch, timesteps, input_size); got shape {sequence.shape}")
-        batch, timesteps, _ = sequence.shape
-        h_t = Tensor(np.zeros((batch, self.hidden_size)))
-        states: list[Tensor] = []
-        for t in range(timesteps):
-            y_t = sequence[:, t, :]
-            h_t = self.cell(y_t, h_t)
-            if self.return_sequences:
-                states.append(h_t)
-        if self.return_sequences:
-            return Tensor.stack(states, axis=1)
-        return h_t
+        return self.cell.run(sequence, return_sequences=self.return_sequences)

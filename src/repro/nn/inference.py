@@ -7,7 +7,7 @@ is paid once per timestep per testbed. This module "compiles" a fitted
 :class:`~repro.nn.layers.Module` into an :class:`InferenceModel`:
 
 - weights are snapshotted as contiguous arrays (optionally ``float32``),
-  with recurrent gate kernels fused into single matmuls
+  with recurrent gate kernels stacked into one batched matmul per step
   (:func:`repro.nn.ops.fuse_gru_weights` / ``fuse_lstm_weights``);
 - dropout is elided entirely (it is already a no-op in eval mode — here it
   doesn't even appear in the compiled plan);
@@ -83,9 +83,8 @@ __all__ = [
 #: Documented parity bound for ``float32`` engines: max |compiled_f32 −
 #: autograd_f64| observed across the encoder zoo and trained Env2Vec
 #: models is ≈1e-6 (single-precision rounding through ~20 elementwise/
-#: GEMM ops, plus the composed-``exp`` sigmoid on the float32 path); the
-#: bound keeps two orders of magnitude of headroom. ``float64`` engines
-#: stay at the ≤1e-10 contract.
+#: GEMM ops); the bound keeps two orders of magnitude of headroom.
+#: ``float64`` engines stay at the ≤1e-10 contract.
 FLOAT32_ATOL = 1e-4
 
 
@@ -121,7 +120,7 @@ class CompiledDense:
         pre = x @ self.weight
         pre += self.bias
         if self._act_fn is not None:
-            return self._act_fn(pre)
+            return self._act_fn(pre, pre)
         return pre
 
 
@@ -184,6 +183,10 @@ class EmbeddingRowCache:
     one dict hit; with the Hadamard head the whole environment side of
     eq. 2 then costs a single cached gather + dot per step.
 
+    With ``project`` (a ``(dim, out)`` matrix) the cache holds each
+    concatenated row times ``project`` instead: a linear map applied to
+    ``C`` once per environment rather than once per prediction.
+
     Cached rows are handed out by reference, so they are marked
     non-writeable before they enter the cache: a caller mutating a
     returned row would otherwise silently corrupt every future prediction
@@ -194,11 +197,17 @@ class EmbeddingRowCache:
     thread) can share one compiled engine.
     """
 
-    def __init__(self, tables: list[np.ndarray], dtype: np.dtype, maxsize: int = 4096):
+    def __init__(
+        self, tables: list[np.ndarray], dtype: np.dtype, maxsize: int = 4096,
+        project: np.ndarray | None = None,
+    ):
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self.tables = [snapshot(table, dtype) for table in tables]
+        self.project = None if project is None else snapshot(project, dtype)
         self.dim = int(sum(table.shape[1] for table in self.tables))
+        if self.project is not None:
+            self.dim = self.project.shape[1]
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
@@ -232,6 +241,8 @@ class EmbeddingRowCache:
                 return row
             self.misses += 1
             row = np.concatenate([table[i] for table, i in zip(self.tables, key)])
+            if self.project is not None:
+                row = row @ self.project
             row.setflags(write=False)
             self._cache[key] = row
             if len(self._cache) > self.maxsize:

@@ -31,7 +31,12 @@ __all__ = ["LSTMCell", "LSTM"]
 
 
 class LSTMCell(Module):
-    """A single LSTM step on ``(batch, input_size)`` tensors."""
+    """LSTM parameters, plus the kernels that run them.
+
+    :meth:`run` processes a whole sequence as a single tape node
+    (:func:`repro.nn.ops.lstm_sequence_forward`); calling the cell is one
+    step on ``(batch, input_size)`` tensors from given states.
+    """
 
     def __init__(
         self,
@@ -57,37 +62,74 @@ class LSTMCell(Module):
             bias = np.ones(hidden_size) if gate == "f" else np.zeros(hidden_size)
             setattr(self, f"b_{gate}", Parameter(bias, name=f"b_{gate}"))
 
-    def forward(self, x_t: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-        x_t = x_t if isinstance(x_t, Tensor) else Tensor(x_t)
-        h_prev = h_prev if isinstance(h_prev, Tensor) else Tensor(h_prev)
-        c_prev = c_prev if isinstance(c_prev, Tensor) else Tensor(c_prev)
-        h_data, c_data, cache = ops.lstm_step_forward(
-            x_t.data, h_prev.data, c_prev.data,
+    def _fused(self) -> dict:
+        return ops.fuse_lstm_weights(
             self.w_i.data, self.u_i.data, self.b_i.data,
             self.w_f.data, self.u_f.data, self.b_f.data,
             self.w_o.data, self.u_o.data, self.b_o.data,
             self.w_g.data, self.u_g.data, self.b_g.data,
         )
-        # Two tape nodes share one kernel cache: the cell state depends on
-        # the i/f/g gates, the hidden state on the output gate and c_t.
-        # Gradients flowing into c_t from *both* the next timestep and h_t
-        # accumulate on the c_t node before its backward runs.
-        c_t = apply_op(
-            (
-                x_t, h_prev, c_prev,
-                self.w_i, self.u_i, self.b_i,
-                self.w_f, self.u_f, self.b_f,
-                self.w_g, self.u_g, self.b_g,
-            ),
-            c_data,
-            lambda grad: ops.lstm_step_backward_c(grad, cache),
+
+    def _param_grads(self, d_wb, d_u3) -> list:
+        width = self.input_size
+        grads = []
+        for k in range(4):  # i, f, o, g
+            grads += [d_wb[k, :width], d_u3[k], d_wb[k, width]]
+        return grads
+
+    def _params(self) -> tuple:
+        return (
+            self.w_i, self.u_i, self.b_i,
+            self.w_f, self.u_f, self.b_f,
+            self.w_o, self.u_o, self.b_o,
+            self.w_g, self.u_g, self.b_g,
         )
-        h_t = apply_op(
-            (x_t, h_prev, c_t, self.w_o, self.u_o, self.b_o),
-            h_data,
-            lambda grad: ops.lstm_step_backward_h(grad, cache),
+
+    def run(self, sequence: Tensor, return_sequences: bool = False) -> Tensor:
+        """The whole ``(batch, timesteps, input_size)`` sequence as one tape
+        node, from the zero state."""
+        sequence = sequence if isinstance(sequence, Tensor) else Tensor(sequence)
+        fused = self._fused()
+        out, cache = ops.lstm_sequence_forward(
+            sequence.data, fused["wb"], fused["u"], return_sequences
         )
-        return h_t, c_t
+
+        def backward(grad: np.ndarray) -> list:
+            d_sequence, _, _, d_wb, d_u3 = ops.lstm_sequence_backward(
+                grad, cache, sequence.requires_grad
+            )
+            return [d_sequence, *self._param_grads(d_wb, d_u3)]
+
+        return apply_op((sequence, *self._params()), out, backward)
+
+    def forward(self, x_t: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
+        """One step from ``(h_prev, c_prev)``; returns ``(h_t, c_t)``.
+
+        Both states come from one tape node whose output is ``[h_t | c_t]``;
+        gradients reaching either half flow back through the same kernel.
+        """
+        x_t = x_t if isinstance(x_t, Tensor) else Tensor(x_t)
+        h_prev = h_prev if isinstance(h_prev, Tensor) else Tensor(h_prev)
+        c_prev = c_prev if isinstance(c_prev, Tensor) else Tensor(c_prev)
+        fused = self._fused()
+        h_data, cache = ops.lstm_sequence_forward(
+            x_t.data[:, None, :], fused["wb"], fused["u"], h0=h_prev.data, c0=c_prev.data
+        )
+        hidden = self.hidden_size
+
+        def backward(grad: np.ndarray) -> list:
+            d_x, d_h0, d_c0, d_wb, d_u3 = ops.lstm_sequence_backward(
+                grad[:, :hidden], cache, x_t.requires_grad, grad_c=grad[:, hidden:]
+            )
+            return [None if d_x is None else d_x[:, 0, :], d_h0, d_c0,
+                    *self._param_grads(d_wb, d_u3)]
+
+        both = apply_op(
+            (x_t, h_prev, c_prev, *self._params()),
+            np.concatenate([h_data, cache["c_last"]], axis=1),
+            backward,
+        )
+        return both[:, :hidden], both[:, hidden:]
 
 
 class LSTM(Module):
@@ -112,14 +154,4 @@ class LSTM(Module):
     def forward(self, sequence: Tensor) -> Tensor:
         if sequence.ndim != 3:
             raise ValueError(f"LSTM expects (batch, timesteps, input_size); got shape {sequence.shape}")
-        batch, timesteps, _ = sequence.shape
-        h_t = Tensor(np.zeros((batch, self.hidden_size)))
-        c_t = Tensor(np.zeros((batch, self.hidden_size)))
-        states: list[Tensor] = []
-        for t in range(timesteps):
-            h_t, c_t = self.cell(sequence[:, t, :], h_t, c_t)
-            if self.return_sequences:
-                states.append(h_t)
-        if self.return_sequences:
-            return Tensor.stack(states, axis=1)
-        return h_t
+        return self.cell.run(sequence, return_sequences=self.return_sequences)

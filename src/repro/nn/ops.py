@@ -10,13 +10,15 @@ its matching ``*_backward`` kernel needs. Two consumers sit on top:
   once and register the matching backward kernel as a single tape node via
   :func:`repro.nn.tensor.apply_op` — differentiable training math;
 - the tape-free engine (:mod:`repro.nn.inference`) calls the forward
-  kernels (and the fused sequence runners at the bottom of this module)
+  kernels (and the sequence runners at the bottom of this module)
   directly and throws the caches away — lean serving math.
 
 Keeping both paths on one set of kernels is what makes the engine's
 ``assert_close`` parity guarantee cheap to maintain: there is one
 implementation of the math, exercised by the finite-difference gradient
-checks in ``tests/nn/``.
+checks in ``tests/nn/``. A GRU or LSTM layer is one whole-sequence node
+(``*_sequence_forward``/``*_sequence_backward``) whose recurrence loop is
+the very one the compiled runners execute.
 """
 
 from __future__ import annotations
@@ -35,11 +37,10 @@ __all__ = [
     "embedding_backward",
     "dropout_forward",
     "dropout_backward",
-    "gru_step_forward",
-    "gru_step_backward",
-    "lstm_step_forward",
-    "lstm_step_backward_h",
-    "lstm_step_backward_c",
+    "gru_sequence_forward",
+    "gru_sequence_backward",
+    "lstm_sequence_forward",
+    "lstm_sequence_backward",
     "attention_forward",
     "attention_pool",
     "attention_backward",
@@ -57,55 +58,29 @@ __all__ = [
 ACTIVATION_NAMES = ("linear", "relu", "sigmoid", "tanh")
 
 
-try:  # scipy's expit is a single C ufunc (no temporaries for exp/add/divide)
-    from scipy.special import expit as _expit
-except ImportError:  # pragma: no cover - scipy is a declared dependency
-    _expit = None
+def _sigmoid_into(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """``dst = 1 / (1 + exp(-src))``: the one sigmoid, for every dtype.
 
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    if _expit is not None:
-        return _expit(x)
-    return 1.0 / (1.0 + np.exp(-x))  # pragma: no cover - scipy is declared
-
-
-if _expit is not None:
-
-    def _sigmoid64_inplace(x: np.ndarray) -> np.ndarray:
-        """In-place float64 sigmoid with the dtype dispatch pre-resolved.
-
-        The exact sequence runners know their buffers are float64, so
-        they skip :func:`_sigmoid_inplace`'s per-call dtype check and go
-        straight to the ``expit`` ufunc (same bits, one call).
-        """
-        return _expit(x, x)
-
-else:  # pragma: no cover - scipy is a declared dependency
-    def _sigmoid64_inplace(x: np.ndarray) -> np.ndarray:
-        return _sigmoid_inplace(x)
-
-
-def _sigmoid_inplace(x: np.ndarray) -> np.ndarray:
-    """In-place sigmoid for the inference hot loops.
-
-    ``float64`` stays on scipy's ``expit`` — the exact ufunc the training
-    kernels use, which is what keeps compiled float64 outputs bitwise
-    identical to the autograd math. ``float32`` composes numpy's
-    SIMD-vectorized ``exp`` instead (``1 / (1 + exp(-x))``): on this
-    path expit has no fast single-precision loop, and the composed form
-    is several times faster; the difference is absorbed by the float32
-    parity bound (:data:`repro.nn.inference.FLOAT32_ATOL`).
+    Training, compiled inference and both precisions run this same
+    composition of numpy's SIMD ``exp`` (about 1 ns per element; scipy's
+    ``expit`` costs about 8), which is what keeps compiled float64 bitwise
+    equal to autograd. ``src`` may alias ``dst``. ``exp`` overflows to
+    ``inf`` for saturated negative inputs and ``1 / (1 + inf)`` is the
+    correct ``0.0`` tail, so callers run it under
+    ``np.errstate(over="ignore")``, entered once per call rather than
+    per timestep (it costs about 2 µs).
     """
-    if _expit is not None and x.dtype == np.float64:
-        return _expit(x, out=x)
-    np.negative(x, out=x)
-    # exp may overflow to inf for saturated gates; 1/(1+inf) is the
-    # correct 0.0 tail, so the spurious warning is suppressed (expit
-    # handles the same saturation silently).
+    np.negative(src, out=dst)
+    np.exp(dst, out=dst)
+    dst += 1.0
+    return np.reciprocal(dst, out=dst)
+
+
+def _guarded_sigmoid_into(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """:func:`_sigmoid_into` with its overflow guard, for callers outside
+    a runner loop."""
     with np.errstate(over="ignore"):
-        np.exp(x, out=x)
-    x += 1.0
-    return np.reciprocal(x, out=x)
+        return _sigmoid_into(src, dst)
 
 
 def activation(name: str, pre: np.ndarray) -> np.ndarray:
@@ -115,7 +90,7 @@ def activation(name: str, pre: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(pre, 0.0)
     if name == "sigmoid":
-        return _sigmoid(pre)
+        return _guarded_sigmoid_into(pre, np.empty_like(pre))
     if name == "tanh":
         return np.tanh(pre)
     raise ValueError(f"unknown activation {name!r}; choose from {ACTIVATION_NAMES}")
@@ -128,68 +103,39 @@ def activation_inplace(name: str, x: np.ndarray) -> np.ndarray:
     the backward pass, so they use :func:`activation`; the compiled
     engine's buffers are throwaway, so it overwrites them instead of
     allocating. Elementwise results are bitwise identical to
-    :func:`activation` for float64 (sigmoid routes through the same
-    ``expit`` ufunc); float32 sigmoid takes the fast composed-``exp``
-    path covered by the float32 parity bound.
+    :func:`activation` (sigmoid is the same composition either way).
     """
     if name == "linear":
         return x
     if name == "relu":
         return np.maximum(x, 0.0, out=x)
     if name == "sigmoid":
-        return _sigmoid_inplace(x)
+        return _guarded_sigmoid_into(x, x)
     if name == "tanh":
         return np.tanh(x, out=x)
     raise ValueError(f"unknown activation {name!r}; choose from {ACTIVATION_NAMES}")
 
 
-#: Hoisted in-place activation callables for the sequence runners: one
-#: dict lookup per *call* instead of a string-compare chain per
-#: *timestep*. ``linear`` maps to ``None`` (the loop skips the call).
-#: float64 bits match :func:`activation_inplace` exactly — same ufuncs.
-_INPLACE_ACT = {
+#: Hoisted activation callables ``fn(src, dst)`` (``dst`` may be ``src``)
+#: for the sequence runners and compiled dense layers: one dict lookup
+#: per *call* instead of a string-compare chain per *timestep*.
+#: ``linear`` maps to ``None`` (callers skip it, or copy). float64 bits
+#: match :func:`activation` exactly — same ufuncs.
+_ACT_INTO = {
     "linear": None,
-    "relu": lambda x: np.maximum(x, 0.0, out=x),
-    "sigmoid": _sigmoid_inplace,
-    "tanh": lambda x: np.tanh(x, x),
+    "relu": lambda src, dst: np.maximum(src, 0.0, out=dst),
+    "sigmoid": _guarded_sigmoid_into,
+    "tanh": lambda src, dst: np.tanh(src, out=dst),
 }
 
 
 def _resolve_act(act: str):
     try:
-        return _INPLACE_ACT[act]
+        return _ACT_INTO[act]
     except KeyError:
         raise ValueError(
             f"unknown activation {act!r}; choose from {ACTIVATION_NAMES}"
         ) from None
-
-
-def _sigmoid_into(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """``dst = sigmoid(src)`` without touching ``src`` (low-precision path).
-
-    Same composed-``exp`` form as :func:`_sigmoid_inplace`, but the first
-    pass reads straight from ``src`` — one fewer pass than copy-then-
-    activate when the source must stay intact. ``src`` and ``dst`` must
-    not alias.
-    """
-    np.negative(src, out=dst)
-    with np.errstate(over="ignore"):  # saturated gates: inf -> 0.0 tail
-        np.exp(dst, out=dst)
-    dst += 1.0
-    return np.reciprocal(dst, out=dst)
-
-
-def _activation_into(name: str, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """``dst = activation(src)`` without touching ``src`` (low-precision path)."""
-    if name == "linear":
-        return np.copyto(dst, src) or dst
-    if name == "relu":
-        return np.maximum(src, 0.0, out=dst)
-    if name == "sigmoid":
-        return _sigmoid_into(src, dst)
-    if name == "tanh":
-        return np.tanh(src, out=dst)
-    raise ValueError(f"unknown activation {name!r}; choose from {ACTIVATION_NAMES}")
 
 
 def activation_delta(name: str, grad: np.ndarray, pre: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -236,10 +182,17 @@ def embedding_forward(table: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, d
 
 
 def embedding_backward(grad: np.ndarray, cache: dict) -> tuple[np.ndarray]:
-    """Scatter-add the output gradient back into a dense table gradient."""
-    full = np.zeros(cache["shape"], dtype=np.float64)
-    np.add.at(full, cache["ids"], grad)
-    return (full,)
+    """Sum the output gradient back into a dense table gradient.
+
+    One ``np.bincount`` over flattened ``(row, column)`` bins instead of
+    the ``np.add.at`` scatter: both add each bin's contributions from 0.0
+    in batch order, so the result is bitwise the same, several times
+    faster.
+    """
+    rows, dim = cache["shape"]
+    bins = (cache["ids"][:, None] * dim + np.arange(dim)).reshape(-1)
+    full = np.bincount(bins, weights=grad.reshape(-1), minlength=rows * dim)
+    return (full.reshape(rows, dim),)
 
 
 # ---------------------------------------------------------------------------
@@ -257,142 +210,6 @@ def dropout_forward(
 
 def dropout_backward(grad: np.ndarray, cache: dict) -> tuple[np.ndarray]:
     return (grad * cache["mask"],)
-
-
-# ---------------------------------------------------------------------------
-# GRU step (Appendix A equations)
-# ---------------------------------------------------------------------------
-def gru_step_forward(
-    y: np.ndarray,
-    h_prev: np.ndarray,
-    w_z: np.ndarray,
-    u_z: np.ndarray,
-    b_z: np.ndarray,
-    w_r: np.ndarray,
-    u_r: np.ndarray,
-    b_r: np.ndarray,
-    w_h: np.ndarray,
-    u_h: np.ndarray,
-    b_h: np.ndarray,
-    act: str = "relu",
-) -> tuple[np.ndarray, dict]:
-    """One GRU timestep on ``(batch, input)`` / ``(batch, hidden)`` arrays."""
-    z = _sigmoid(y @ w_z + h_prev @ u_z + b_z)
-    r = _sigmoid(y @ w_r + h_prev @ u_r + b_r)
-    hu = h_prev @ u_h
-    pre = y @ w_h + r * hu + b_h
-    cand = activation(act, pre)
-    h = (1.0 - z) * cand + z * h_prev
-    cache = {
-        "y": y, "h_prev": h_prev, "z": z, "r": r, "hu": hu,
-        "pre": pre, "cand": cand, "act": act,
-        "w_z": w_z, "u_z": u_z, "w_r": w_r, "u_r": u_r, "w_h": w_h, "u_h": u_h,
-    }
-    return h, cache
-
-
-def gru_step_backward(grad: np.ndarray, cache: dict) -> tuple[np.ndarray, ...]:
-    """Gradients aligned with ``(y, h_prev, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h)``."""
-    y, h_prev = cache["y"], cache["h_prev"]
-    z, r, hu, cand = cache["z"], cache["r"], cache["hu"], cache["cand"]
-
-    d_z = grad * (h_prev - cand)
-    d_cand = grad * (1.0 - z)
-    d_h_prev = grad * z
-
-    d_pre = activation_delta(cache["act"], d_cand, cache["pre"], cand)
-    d_w_h = y.T @ d_pre
-    d_b_h = d_pre.sum(axis=0)
-    d_y = d_pre @ cache["w_h"].T
-    d_r = d_pre * hu
-    d_hu = d_pre * r
-    d_u_h = h_prev.T @ d_hu
-    d_h_prev = d_h_prev + d_hu @ cache["u_h"].T
-
-    d_z_pre = d_z * z * (1.0 - z)
-    d_r_pre = d_r * r * (1.0 - r)
-    d_w_z = y.T @ d_z_pre
-    d_u_z = h_prev.T @ d_z_pre
-    d_b_z = d_z_pre.sum(axis=0)
-    d_w_r = y.T @ d_r_pre
-    d_u_r = h_prev.T @ d_r_pre
-    d_b_r = d_r_pre.sum(axis=0)
-    d_y = d_y + d_z_pre @ cache["w_z"].T + d_r_pre @ cache["w_r"].T
-    d_h_prev = d_h_prev + d_z_pre @ cache["u_z"].T + d_r_pre @ cache["u_r"].T
-
-    return (d_y, d_h_prev, d_w_z, d_u_z, d_b_z, d_w_r, d_u_r, d_b_r, d_w_h, d_u_h, d_b_h)
-
-
-# ---------------------------------------------------------------------------
-# LSTM step
-# ---------------------------------------------------------------------------
-def lstm_step_forward(
-    x: np.ndarray,
-    h_prev: np.ndarray,
-    c_prev: np.ndarray,
-    w_i: np.ndarray, u_i: np.ndarray, b_i: np.ndarray,
-    w_f: np.ndarray, u_f: np.ndarray, b_f: np.ndarray,
-    w_o: np.ndarray, u_o: np.ndarray, b_o: np.ndarray,
-    w_g: np.ndarray, u_g: np.ndarray, b_g: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    """One LSTM timestep; returns ``(h, c, cache)``.
-
-    The cell state and hidden state become *two* tape nodes sharing this
-    cache (see :class:`repro.nn.lstm.LSTMCell`), so the backward pass is
-    split into :func:`lstm_step_backward_c` (through ``c``'s gates) and
-    :func:`lstm_step_backward_h` (through the output gate).
-    """
-    i = _sigmoid(x @ w_i + h_prev @ u_i + b_i)
-    f = _sigmoid(x @ w_f + h_prev @ u_f + b_f)
-    o = _sigmoid(x @ w_o + h_prev @ u_o + b_o)
-    g = np.tanh(x @ w_g + h_prev @ u_g + b_g)
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    cache = {
-        "x": x, "h_prev": h_prev, "c_prev": c_prev,
-        "i": i, "f": f, "o": o, "g": g, "tc": tc,
-        "w_i": w_i, "u_i": u_i, "w_f": w_f, "u_f": u_f,
-        "w_o": w_o, "u_o": u_o, "w_g": w_g, "u_g": u_g,
-    }
-    return h, c, cache
-
-
-def lstm_step_backward_h(grad: np.ndarray, cache: dict) -> tuple[np.ndarray, ...]:
-    """Gradients aligned with ``(x, h_prev, c, w_o, u_o, b_o)`` for ``h = o * tanh(c)``."""
-    x, h_prev, o, tc = cache["x"], cache["h_prev"], cache["o"], cache["tc"]
-    d_o = grad * tc
-    d_c = grad * o * (1.0 - tc * tc)
-    d_o_pre = d_o * o * (1.0 - o)
-    return (
-        d_o_pre @ cache["w_o"].T,
-        d_o_pre @ cache["u_o"].T,
-        d_c,
-        x.T @ d_o_pre,
-        h_prev.T @ d_o_pre,
-        d_o_pre.sum(axis=0),
-    )
-
-
-def lstm_step_backward_c(grad: np.ndarray, cache: dict) -> tuple[np.ndarray, ...]:
-    """Gradients for ``c = f * c_prev + i * g`` aligned with
-    ``(x, h_prev, c_prev, w_i, u_i, b_i, w_f, u_f, b_f, w_g, u_g, b_g)``."""
-    x, h_prev, c_prev = cache["x"], cache["h_prev"], cache["c_prev"]
-    i, f, g = cache["i"], cache["f"], cache["g"]
-
-    d_i_pre = (grad * g) * i * (1.0 - i)
-    d_f_pre = (grad * c_prev) * f * (1.0 - f)
-    d_g_pre = (grad * i) * (1.0 - g * g)
-    d_x = d_i_pre @ cache["w_i"].T + d_f_pre @ cache["w_f"].T + d_g_pre @ cache["w_g"].T
-    d_h_prev = d_i_pre @ cache["u_i"].T + d_f_pre @ cache["u_f"].T + d_g_pre @ cache["u_g"].T
-    return (
-        d_x,
-        d_h_prev,
-        grad * f,
-        x.T @ d_i_pre, h_prev.T @ d_i_pre, d_i_pre.sum(axis=0),
-        x.T @ d_f_pre, h_prev.T @ d_f_pre, d_f_pre.sum(axis=0),
-        x.T @ d_g_pre, h_prev.T @ d_g_pre, d_g_pre.sum(axis=0),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -485,22 +302,27 @@ def bilinear_head_backward(
 
 
 # ---------------------------------------------------------------------------
-# Fused sequence runners (inference engine fast path)
+# Recurrent sequences: one kernel pair per cell type, shared by training
+# (a single tape node per layer) and the compiled inference runners
 # ---------------------------------------------------------------------------
-# ---------------------------------------------------------------------------
-# Per-thread scratch workspaces for the fused sequence runners
-# ---------------------------------------------------------------------------
-# At batch size 1 the runners are dispatch-bound: allocating and slicing
-# the gate/state buffers costs as much as several timesteps of math. The
-# buffers carry no state between calls (every element is written before
-# it is read), so they are cached per *thread*, keyed by shape and dtype.
-# Thread-locality is what keeps a compiled engine shareable: two worker
-# threads driving one engine never see each other's scratch. The one
-# aliasing rule this imposes: anything a runner *returns* must be a fresh
-# array (``states`` is allocated per call; final states are ``.copy()``d)
-# — otherwise a caller running two sequences back to back (e.g. the
-# bidirectional encoder) would watch its first result mutate.
+# Per-thread scratch for the compiled runners. At small batch sizes they
+# are dispatch-bound: allocating the input rows, projection, gate and
+# state buffers, and slicing every timestep's views out of them, costs as
+# much as the math. So a run over at most ``_CACHED_ROWS`` rows
+# (timesteps × batch) keeps all of that, views included, per thread and
+# per shape; a larger run allocates afresh, which its math dwarfs.
+# Scratch carries no state between calls (every element is written
+# before it is read). Thread-locality is what keeps a compiled engine
+# shareable: two worker threads driving one engine never see each
+# other's scratch. The one aliasing rule this imposes: anything a runner
+# *returns* must be a fresh array — otherwise a caller running two
+# sequences back to back (e.g. the bidirectional encoder) would watch its
+# first result mutate. The newest ``_WORKSPACE_KEYS`` shapes are kept:
+# a campaign scores executions of many lengths, and keeping 64 shapes
+# cost it ~9 MiB of peak RSS for no measurable speed.
 _SCRATCH = threading.local()
+_WORKSPACE_KEYS = 16
+_CACHED_ROWS = 1024
 
 
 def _workspace(key: tuple, builder):
@@ -509,210 +331,309 @@ def _workspace(key: tuple, builder):
         spaces = _SCRATCH.spaces = {}
     ws = spaces.get(key)
     if ws is None:
+        if len(spaces) >= _WORKSPACE_KEYS:
+            del spaces[next(iter(spaces))]  # oldest first
         ws = spaces[key] = builder()
     return ws
 
 
-def _gru_buffers(batch: int, hidden: int, dtype) -> tuple:
-    """Gate/state scratch for one GRU shape, loop-invariant views included."""
-    hu = np.empty((batch, 3 * hidden), dtype=dtype)
-    zr = np.empty((batch, 2 * hidden), dtype=dtype)
-    return (
-        hu,
-        np.empty((batch, hidden), dtype=dtype),  # tmp
-        np.empty((batch, hidden), dtype=dtype),  # h
-        np.empty((batch, hidden), dtype=dtype),  # h_next
-        zr,
-        np.empty((batch, hidden), dtype=dtype),  # cand
-        zr[:, :hidden],  # z view
-        zr[:, hidden:],  # r view
-        hu[:, : 2 * hidden],  # hu_zr view
-        hu[:, 2 * hidden :],  # hu_h view
+def _scratch(name: str, *shape: int) -> np.ndarray:
+    """A per-thread float64 training temporary, valid until the next
+    request for ``name`` on this thread. The training kernels draw their
+    projection and backward temporaries from here: fresh arrays of these
+    sizes cost ~20 % more encoder time (EXPERIMENTS.md, "Training step"),
+    while the saved activations, which outlive the call, are plain
+    arrays."""
+    return _workspace((name, shape), lambda: np.empty(shape))
+
+
+def _runner_scratch(builder, timesteps: int, batch: int, *shape) -> tuple:
+    """``builder(timesteps, batch, *shape)``, cached for small runs."""
+    if timesteps * batch > _CACHED_ROWS:
+        return builder(timesteps, batch, *shape)
+    return _workspace((builder, timesteps, batch, *shape), lambda: builder(timesteps, batch, *shape))
+
+
+def _every_step(buffer: np.ndarray, timesteps: int) -> np.ndarray:
+    """``buffer`` seen as ``timesteps`` aliases of itself (stride 0 on time).
+
+    Training hands the step views full ``(timesteps, ...)`` arrays, which
+    become the backward's tape; inference hands them these, so the same
+    loop overwrites one step's worth of scratch in place.
+    """
+    return np.lib.stride_tricks.as_strided(
+        buffer, (timesteps,) + buffer.shape, (0,) + buffer.strides
     )
 
 
-def _lstm_buffers(batch: int, hidden: int, dtype) -> tuple:
-    """Gate/state scratch for one LSTM shape (fused ``gates`` layout)."""
-    hu = np.empty((batch, 4 * hidden), dtype=dtype)
-    gates = np.empty((batch, 4 * hidden), dtype=dtype)
-    return (
-        hu,
-        np.empty((batch, hidden), dtype=dtype),  # tmp
-        np.empty((batch, hidden), dtype=dtype),  # c
-        np.empty((batch, hidden), dtype=dtype),  # c_next
-        np.empty((batch, hidden), dtype=dtype),  # h
-        np.empty((batch, hidden), dtype=dtype),  # h_next
-        gates,
-        gates[:, : 3 * hidden],  # ifo view
-        gates[:, 3 * hidden :],  # g view
-        gates[:, :hidden],  # i view
-        gates[:, hidden : 2 * hidden],  # f view
-        gates[:, 2 * hidden : 3 * hidden],  # o view
-    )
+def _augmented_rows(sequence: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """``[x | 1]``: time-major ``(T * B, K + 1)`` input rows plus a ones column.
+
+    One batched GEMM of these rows against the stacked ``[[W_k], [b_k]]``
+    blocks is the whole input projection, bias included, and their
+    transpose against the gate gradients is the weight and bias gradient
+    at once. A K=1 input (the RU-history hot path) thus never meets
+    numpy's broadcast machinery, whose 16-element inner loops over
+    thousands of rows cost several times the GEMM.
+    """
+    batch, timesteps, width = sequence.shape
+    rows = np.empty((timesteps, batch, width + 1), dtype=dtype)
+    rows[:, :, :width] = sequence.transpose(1, 0, 2)
+    rows[:, :, width] = 1.0
+    return rows.reshape(timesteps * batch, width + 1)
 
 
-def _lstm_lowp_buffers(batch: int, hidden: int, dtype) -> tuple:
-    """LSTM scratch with *contiguous* ``ifo``/``g`` (low-precision path)."""
-    hu = np.empty((batch, 4 * hidden), dtype=dtype)
-    ifo = np.empty((batch, 3 * hidden), dtype=dtype)
-    return (
-        hu,
-        np.empty((batch, hidden), dtype=dtype),  # tmp
-        np.empty((batch, hidden), dtype=dtype),  # c
-        np.empty((batch, hidden), dtype=dtype),  # c_next
-        np.empty((batch, hidden), dtype=dtype),  # h
-        np.empty((batch, hidden), dtype=dtype),  # h_next
-        ifo,
-        np.empty((batch, hidden), dtype=dtype),  # g
-        ifo[:, :hidden],  # i view
-        ifo[:, hidden : 2 * hidden],  # f view
-        ifo[:, 2 * hidden :],  # o view
-        hu[:, : 3 * hidden],  # hu_ifo view
-        hu[:, 3 * hidden :],  # hu_g view
-    )
+def _input_rows(timesteps: int, batch: int, width: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Scratch :func:`_augmented_rows` (2-D, plus its ``(T, B, K + 1)``
+    view), ones column filled once: a call only writes ``[..., :K]``."""
+    rows = np.empty((timesteps, batch, width + 1), dtype=dtype)
+    rows[:, :, width] = 1.0
+    return rows.reshape(timesteps * batch, width + 1), rows
 
 
-def _projection_buffers(timesteps: int, batch: int, wide: int, narrow: int, dtype) -> tuple:
-    """GEMM output scratch for the split affine projections: 2-D matmul
-    targets plus their pre-sliced ``(timesteps, batch, ...)`` views."""
-    a = np.empty((timesteps * batch, wide), dtype=dtype)
-    b = np.empty((timesteps * batch, narrow), dtype=dtype)
-    return (
-        a, a.reshape(timesteps, batch, wide),
-        b, b.reshape(timesteps, batch, narrow),
-    )
+def _stack_gates(ws, us, bs, dtype) -> dict[str, np.ndarray]:
+    """Per-gate kernels as ``wb`` ``(gates, K + 1, H)`` (bias as the last
+    row) and ``u`` ``(gates, H, H)``, the layout the sequence kernels take."""
+    width, hidden = ws[0].shape
+    wb = np.empty((len(ws), width + 1, hidden), dtype=dtype)
+    for k, (w, b) in enumerate(zip(ws, bs)):
+        wb[k, :width] = w
+        wb[k, width] = b
+    return {"wb": wb, "u": np.stack(us).astype(dtype, copy=False), "hidden": hidden}
+
+
+def _run_dtype(sequence: np.ndarray, fused: dict) -> np.dtype:
+    # Short-circuit the common float64 case before paying np.result_type
+    # (~1us); a float64 sequence always promotes the pair to float64.
+    if sequence.dtype == np.float64:
+        return sequence.dtype
+    return np.result_type(sequence.dtype, fused["u"].dtype)
 
 
 def fuse_gru_weights(
     w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h, dtype=np.float64
 ) -> dict[str, np.ndarray]:
-    """Pack per-gate GRU kernels into three fused, contiguous matrices.
+    """Stack per-gate GRU kernels (z, r, h) for :func:`gru_sequence_forward`
+    and the compiled runner: ``wb`` ``(3, K + 1, H)``, ``u`` ``(3, H, H)``."""
+    return _stack_gates((w_z, w_r, w_h), (u_z, u_r, u_h), (b_z, b_r, b_h), dtype)
 
-    The update and reset gates share one input matmul and one recurrent
-    matmul (``[W_z | W_r]``, ``[U_z | U_r]``); the candidate keeps its own
-    recurrent kernel because of the reset-gate Hadamard. Per timestep this
-    is 3 matmuls instead of 6 — the dominant cost at batch size 1.
+
+def _gru_step_views(xw: np.ndarray, hs: np.ndarray, zr: np.ndarray, cand: np.ndarray) -> list:
+    """Every operand of GRU step ``t``, sliced once: ``(x_zr, x_h, zr, z,
+    r, cand, h_prev, h)``, each a contiguous ``(B, H)`` block (``(2, B,
+    H)`` for the gate pair) of the gate-major projection ``xw`` ``(3, T,
+    B, H)``, the gates ``zr`` ``(T, 2, B, H)``, ``cand`` and the states
+    ``hs`` ``(T + 1, B, H)``."""
+    return [
+        (xw[:2, t], xw[2, t], zr[t], zr[t, 0], zr[t, 1], cand[t], hs[t], hs[t + 1])
+        for t in range(xw.shape[1])
+    ]
+
+
+def _gru_sequence_steps(steps: list, u3, act_fn, zero_start, hu_h, products) -> None:
+    """The GRU recurrence of Appendix A over :func:`_gru_step_views`.
+
+    ``u3`` is the stacked ``(3, H, H)`` recurrent kernels (z, r, h; the
+    input projection already holds the biases). Step ``t`` writes the
+    update and reset gates, the activated candidate and the new state
+    ``h``, reading ``h_prev``; ``products`` (``(3, B, H)``) is scratch for
+    ``h_prev @ U_k``. Training also keeps ``h_prev @ U_h`` in ``hu_h[t]``
+    for the backward; inference passes None. Every matmul and ufunc
+    writes through ``out=``: the loop allocates nothing (lint rule
+    REP012). Runs under the caller's ``np.errstate(over="ignore")``.
     """
-    hidden = u_h.shape[0]
-    w = np.ascontiguousarray(np.hstack([w_z, w_r, w_h]), dtype=dtype)
-    b = np.ascontiguousarray(np.concatenate([b_z, b_r, b_h]), dtype=dtype)
-    # Affine-projection matrices for the low-precision batch path: with a
-    # ones column appended to the input, ``[x | 1] @ [[W], [b]]`` computes
-    # ``x @ W + b`` in a single GEMM (see _augmented_input).
-    wb = np.vstack([w, b[None, :]])
-    return {
-        "w": w,
-        # One recurrent matmul per step: [U_z | U_r | U_h]. Each output
-        # column is the same length-``hidden`` dot product as in separate
-        # per-gate matmuls, so fusing changes no bits.
-        "u": np.ascontiguousarray(np.hstack([u_z, u_r, u_h]), dtype=dtype),
-        "b_zr": np.ascontiguousarray(np.concatenate([b_z, b_r]), dtype=dtype),
-        "b_h": np.ascontiguousarray(b_h, dtype=dtype),
-        "b": b,
-        "wb_zr": np.ascontiguousarray(wb[:, : 2 * hidden]),
-        "wb_h": np.ascontiguousarray(wb[:, 2 * hidden :]),
-        "hidden": hidden,
-    }
-
-
-def _input_projection(
-    sequence: np.ndarray, w: np.ndarray, timesteps: int, batch: int, width: int
-) -> np.ndarray:
-    """All-timesteps input GEMM, ``(timesteps, batch, gates)`` layout.
-
-    With one input feature (the RU-history hot path) the GEMM degenerates
-    to K=1 — a scalar-row outer product that BLAS handles far slower than
-    a broadcast multiply, and the multiply broadcasts straight off the
-    transposed *view* (no contiguous copy, no reshapes). Each output
-    element is the same single product either way, so both layouts are
-    bitwise identical to the GEMM.
-    """
-    if sequence.shape[2] == 1:
-        return sequence.transpose(1, 0, 2) * w[0]
-    flat = np.ascontiguousarray(sequence.transpose(1, 0, 2)).reshape(timesteps * batch, -1)
-    return (flat @ w).reshape(timesteps, batch, width)
-
-
-def _augmented_input(
-    sequence: np.ndarray, timesteps: int, batch: int, dtype: np.dtype
-) -> np.ndarray:
-    """``[x | 1]`` input matrix for single-GEMM affine projections.
-
-    With a ones column appended, ``A @ [[W], [b]]`` computes
-    ``x @ W + b`` in one BLAS call. This sidesteps numpy's broadcast
-    machinery for the bias (and for the K=1 degenerate GEMM), whose
-    short 48-element inner loops over thousands of rows cost several
-    times the GEMM itself. Low-precision paths only: BLAS may fuse the
-    multiply-adds (FMA), which is not bitwise identical to
-    multiply-then-add — well within the float32 parity bound.
-    """
-    k = sequence.shape[2]
-    n = timesteps * batch
-
-    def build():
-        fresh = np.empty((n, k + 1), dtype=dtype)
-        fresh[:, k] = 1.0  # the ones column survives reuse untouched
-        return fresh
-
-    a = _workspace(("aug", n, k, dtype), build)
-    a[:, :k] = np.ascontiguousarray(sequence.transpose(1, 0, 2)).reshape(n, k)
-    return a
-
-
-def _gru_sequence_lowp(
-    sequence: np.ndarray, fused: dict[str, np.ndarray], act: str, return_sequences: bool
-) -> np.ndarray:
-    """Low-precision :func:`gru_sequence` batch path.
-
-    Same recurrence, restructured for throughput rather than bitwise
-    stability (float64 must never come through here): the input
-    projection and bias land in one GEMM per gate block via
-    :func:`_augmented_input` — split into contiguous ``zr``/``h`` arrays
-    so no per-step operand is strided — t=0 activations read straight
-    from the projection, and the state update uses the 3-op form
-    ``cand + z * (h - cand)``. Everything lands within the float32
-    parity bound (:data:`repro.nn.inference.FLOAT32_ATOL`).
-    """
-    batch, timesteps, _ = sequence.shape
-    hidden = fused["hidden"]
-    u = fused["u"]
-    dtype = u.dtype
-    act_fn = _resolve_act(act)
-    a = _augmented_input(sequence, timesteps, batch, dtype)
-    xw_zr_2d, xw_zr, xw_h_2d, xw_h = _workspace(
-        ("gru_xw", timesteps, batch, hidden, dtype),
-        lambda: _projection_buffers(timesteps, batch, 2 * hidden, hidden, dtype),
-    )
-    np.matmul(a, fused["wb_zr"], out=xw_zr_2d)
-    np.matmul(a, fused["wb_h"], out=xw_h_2d)
-    states = np.empty((batch, timesteps, hidden), dtype=dtype) if return_sequences else None
-    hu, tmp, h, h_next, zr, cand, z_view, r_view, hu_zr, hu_h = _workspace(
-        ("gru", batch, hidden, dtype), lambda: _gru_buffers(batch, hidden, dtype)
-    )
-
-    # t = 0: zero initial state — the recurrent matmul vanishes.
-    _sigmoid_into(xw_zr[0], zr)
-    _activation_into(act, xw_h[0], cand)
-    np.multiply(z_view, cand, out=h)
-    np.subtract(cand, h, out=h)  # h = (1 - z) * cand
-    if return_sequences:
-        states[:, 0, :] = h
-    for t in range(1, timesteps):
-        np.matmul(h, u, out=hu)
-        np.add(xw_zr[t], hu_zr, out=zr)
-        _sigmoid_inplace(zr)
-        np.multiply(r_view, hu_h, out=tmp)
-        np.add(xw_h[t], tmp, out=cand)
+    start = 0
+    if zero_start:
+        # t = 0 from the zero state: the recurrent matmul vanishes, and the
+        # zero hu_h keeps the reset gate's gradient exactly zero there.
+        x_zr, x_h, zr, z, _, cand, _, h = steps[0]
+        if hu_h is not None:
+            hu_h[0].fill(0.0)
+        _sigmoid_into(x_zr, zr)
+        if act_fn is None:
+            np.copyto(cand, x_h)
+        else:
+            act_fn(x_h, cand)
+        np.subtract(1.0, z, out=h)
+        h *= cand
+        start = 1
+    products_zr, products_h = products[:2], products[2]
+    for t in range(start, len(steps)):
+        x_zr, x_h, zr, z, r, cand, h_prev, h = steps[t]
+        np.matmul(h_prev, u3, out=products)
+        if hu_h is not None:
+            np.copyto(hu_h[t], products_h)
+        np.add(x_zr, products_zr, out=zr)
+        _sigmoid_into(zr, zr)
+        # cand = act(x W_h + b_h + r * (h U_h))
+        np.multiply(r, products_h, out=cand)
+        cand += x_h
         if act_fn is not None:
-            act_fn(cand)
-        # h = cand + z * (h - cand)
-        np.subtract(h, cand, out=tmp)
-        np.multiply(z_view, tmp, out=tmp)
-        np.add(cand, tmp, out=h_next)
-        h, h_next = h_next, h
-        if return_sequences:
-            states[:, t, :] = h
-    return states if return_sequences else h.copy()
+            act_fn(cand, cand)
+        # h = (1 - z) * cand + z * h_prev, as cand + z * (h_prev - cand);
+        # in place is safe when h aliases h_prev (inference).
+        np.subtract(h_prev, cand, out=h)
+        h *= z
+        h += cand
+
+
+def gru_sequence_forward(
+    sequence: np.ndarray,
+    wb: np.ndarray,
+    u3: np.ndarray,
+    act: str = "relu",
+    return_sequences: bool = False,
+    h0: np.ndarray | None = None,
+) -> tuple[np.ndarray, dict]:
+    """Whole-sequence GRU over ``(batch, timesteps, input)``: one tape node.
+
+    ``wb`` ``(3, input + 1, hidden)`` and ``u3`` ``(3, hidden, hidden)``
+    stack the z, r and h kernels (bias as ``wb``'s last row; see
+    :func:`_stack_gates`); ``h0`` is the initial state (zeros when
+    omitted). Returns the last state, or all states ``(batch, timesteps,
+    hidden)`` under ``return_sequences``, plus the cache
+    :func:`gru_sequence_backward` needs: every gate activation, saved
+    gate-major so each per-step operand is a contiguous ``(batch,
+    hidden)`` block. The recurrence is the compiled runner's
+    (:func:`gru_sequence`), so compiled float64 equals this bitwise.
+    """
+    batch, timesteps, width = sequence.shape
+    hidden = u3.shape[1]
+    act_fn = _resolve_act(act)
+    rows = _augmented_rows(sequence)
+    hs = np.empty((timesteps + 1, batch, hidden))
+    zr = np.empty((timesteps, 2, batch, hidden))
+    hu_h = np.empty((timesteps, batch, hidden))
+    cand = np.empty((timesteps, batch, hidden))
+    hs[0] = 0.0 if h0 is None else h0
+    if timesteps:
+        xw = np.matmul(rows, wb, out=_scratch("gru_xw", 3, timesteps * batch, hidden))
+        with np.errstate(over="ignore"):
+            _gru_sequence_steps(
+                _gru_step_views(xw.reshape(3, timesteps, batch, hidden), hs, zr, cand),
+                u3, act_fn, h0 is None, hu_h, _scratch("gru_products", 3, batch, hidden),
+            )
+    out = (hs[1:].transpose(1, 0, 2) if return_sequences else hs[timesteps]).copy()
+    cache = {
+        "rows": rows, "width": width, "wb": wb, "u3": u3, "act": act,
+        "zero_start": h0 is None, "return_sequences": return_sequences,
+        "hs": hs, "zr": zr, "hu_h": hu_h, "cand": cand,
+    }
+    return out, cache
+
+
+def _sequence_grads(d: np.ndarray, cache: dict, recurrent: slice, inputs: slice, input_grad: bool):
+    """All-timestep GEMMs turning gate gradients ``d`` ``(G, T, B, H)`` into
+    ``(d_sequence, d_wb, d_u3)``.
+
+    ``d[recurrent]`` pairs with the stacked recurrent kernels and
+    ``d[inputs]`` with the input kernels (GRU reads them in different
+    gate orders). ``d_wb`` carries the bias gradient as its last row.
+    """
+    rows, width, hs = cache["rows"], cache["width"], cache["hs"]
+    gates, timesteps, batch, hidden = d.shape
+    flat = d.reshape(gates, timesteps * batch, hidden)
+    d_wb = np.matmul(rows.T, flat[inputs])
+    d_u3 = np.matmul(hs[:timesteps].reshape(timesteps * batch, hidden).T, flat[recurrent])
+    d_sequence = None
+    if input_grad:
+        per_gate = np.matmul(flat[inputs], cache["wb"][:, :width].transpose(0, 2, 1))
+        d_sequence = per_gate.sum(axis=0).reshape(timesteps, batch, width).transpose(1, 0, 2)
+    return d_sequence, d_wb, d_u3
+
+
+def gru_sequence_backward(
+    grad: np.ndarray, cache: dict, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients ``(d_sequence, d_h0, d_wb, d_u3)`` of :func:`gru_sequence_forward`.
+
+    ``d_wb``/``d_u3`` are stacked z, r, h like the forward's kernels. The
+    per-element factors are formed for all timesteps at once; the reverse
+    loop then runs only the recurrent GEMM and a few multiplies per step,
+    each into a contiguous ``(batch, hidden)`` block, and the weight and
+    bias gradients are single all-timestep GEMMs (:func:`_sequence_grads`).
+    ``d_sequence`` is skipped (None) unless ``input_grad``; ``d_h0`` is
+    None when the forward started from zeros. Products associate
+    differently from a per-step backward, so gradients agree with one to
+    ~1e-15 relative, not bitwise.
+    """
+    hs, zr, hu_h, cand, u3 = cache["hs"], cache["zr"], cache["hu_h"], cache["cand"], cache["u3"]
+    timesteps, _, batch, hidden = zr.shape
+    zero_start = cache["zero_start"]
+    z, r = zr[:, 0], zr[:, 1]
+    # dh -> dcand_pre (f_c), dh -> dz_pre (f_z) and dcand_pre -> dr_pre
+    # (f_r), for all timesteps, in per-thread scratch.
+    shape = (timesteps, batch, hidden)
+    one_minus_z = np.subtract(1.0, z, out=_scratch("gru_1mz", *shape))
+    f_c = one_minus_z
+    act = cache["act"]
+    if act != "linear":
+        f_c = _scratch("gru_fc", *shape)
+        if act == "relu":
+            np.multiply(one_minus_z, cand > 0.0, out=f_c)
+        elif act == "tanh":
+            np.multiply(cand, cand, out=f_c)
+            np.subtract(1.0, f_c, out=f_c)
+            f_c *= one_minus_z
+        else:  # sigmoid
+            np.subtract(1.0, cand, out=f_c)
+            f_c *= cand
+            f_c *= one_minus_z
+    f_z = np.subtract(hs[:timesteps], cand, out=_scratch("gru_fz", *shape))
+    f_z *= z
+    f_z *= one_minus_z
+    f_r = np.subtract(1.0, r, out=_scratch("gru_fr", *shape))
+    f_r *= r
+    f_r *= hu_h
+    # d = [d hu_h, dz_pre, dr_pre, dcand_pre]: d[:3] pairs with the
+    # recurrent kernels in (h, z, r) order, d[1:] with the input kernels.
+    d = _scratch("gru_d", 4, *shape)
+    d_hu, d_z, d_r, d_c = d
+    u_hzr_t = np.ascontiguousarray(u3[[2, 0, 1]].transpose(0, 2, 1))
+    dh = np.empty((batch, hidden))
+    products = _scratch("gru_products", 3, batch, hidden)
+    if cache["return_sequences"]:
+        g = grad.transpose(1, 0, 2)
+        dh[...] = g[timesteps - 1] if timesteps else 0.0
+    else:
+        g = None
+        dh[...] = grad
+    for t in range(timesteps - 1, -1, -1):
+        np.multiply(dh, f_c[t], out=d_c[t])
+        np.multiply(dh, f_z[t], out=d_z[t])
+        np.multiply(d_c[t], f_r[t], out=d_r[t])
+        np.multiply(d_c[t], r[t], out=d_hu[t])
+        if t == 0 and zero_start:
+            break
+        # dh_prev = dh * z + d hu_h U_h^T + dz_pre U_z^T + dr_pre U_r^T
+        np.matmul(d[:3, t], u_hzr_t, out=products)
+        dh *= z[t]
+        dh += products[0]
+        dh += products[1]
+        dh += products[2]
+        if g is not None and t:
+            dh += g[t - 1]
+    d_sequence, d_wb, d_u_hzr = _sequence_grads(d, cache, slice(0, 3), slice(1, 4), input_grad)
+    return d_sequence, None if zero_start else dh, d_wb, d_u_hzr[[1, 2, 0]]
+
+
+def _gru_scratch(timesteps: int, batch: int, width: int, hidden: int, dtype, keep_states: bool) -> tuple:
+    """Inference buffers for :func:`gru_sequence`: the input rows, the
+    projection, one step of gates (every step's states under
+    ``keep_states``, else one) and the step views over them."""
+    rows, rows3 = _input_rows(timesteps, batch, width, dtype)
+    xw = np.empty((3, timesteps * batch, hidden), dtype=dtype)
+    step = (batch, hidden)
+    if keep_states:
+        hs = np.empty((timesteps + 1, *step), dtype=dtype)
+    else:
+        hs = _every_step(np.empty(step, dtype=dtype), timesteps + 1)
+    steps = _gru_step_views(
+        xw.reshape(3, timesteps, *step), hs,
+        _every_step(np.empty((2, *step), dtype=dtype), timesteps),
+        _every_step(np.empty(step, dtype=dtype), timesteps),
+    )
+    return rows, rows3, xw, hs, steps, np.empty((3, *step), dtype=dtype)
 
 
 def gru_sequence(
@@ -720,145 +641,218 @@ def gru_sequence(
 ) -> np.ndarray:
     """Run a fused GRU over ``(batch, timesteps, input)`` without a tape.
 
-    Batch-path structure (see DESIGN.md §6): one precombined input GEMM
-    for *all* timesteps, laid out ``(timesteps, batch, 3*hidden)`` so each
-    per-step slice is contiguous, then an allocation-free recurrent loop —
-    gate/state buffers come from the per-thread :func:`_workspace` (every
-    element is written before read, so reuse carries no state; returned
-    arrays are always fresh) and every matmul/ufunc in the loop writes
-    into them via ``out=``. The scalar operation order matches the naive
-    form exactly, so float64 outputs are bitwise identical to the
-    pre-restructure runner.
+    This is :func:`_gru_sequence_steps`, the recurrence training uses,
+    over per-thread scratch (see DESIGN.md §6) in the promoted dtype of
+    the input and the weights: float64 outputs are bitwise equal to the
+    autograd forward, float32 ones within
+    :data:`repro.nn.inference.FLOAT32_ATOL`. Returned arrays are always
+    fresh.
 
     Zero timesteps returns the zero initial state (what the autograd GRU
     yields when its loop never runs): ``(batch, hidden)`` zeros, or the
     empty ``(batch, 0, hidden)`` state sequence under
     ``return_sequences``.
     """
-    batch, timesteps, _ = sequence.shape
+    batch, timesteps, width = sequence.shape
     hidden = fused["hidden"]
     if timesteps == 0:
         shape = (batch, 0, hidden) if return_sequences else (batch, hidden)
-        return np.zeros(shape, dtype=fused["w"].dtype)
-    # Short-circuit the common float64 case before paying np.result_type
-    # (~1us); a float64 sequence always promotes the pair to float64.
-    if sequence.dtype != np.float64 and (
-        np.result_type(sequence.dtype, fused["w"].dtype) != np.float64
-    ):
-        return _gru_sequence_lowp(sequence, fused, act, return_sequences)
+        return np.zeros(shape, dtype=fused["u"].dtype)
+    dtype = _run_dtype(sequence, fused)
     act_fn = _resolve_act(act)
-    u, b_zr, b_h = fused["u"], fused["b_zr"], fused["b_h"]
-    xw = _input_projection(sequence, fused["w"], timesteps, batch, 3 * hidden)
-    states = np.empty((batch, timesteps, hidden), dtype=xw.dtype) if return_sequences else None
-    hu, tmp, h, h_next, zr, cand, z_view, r_view, hu_zr, hu_h = _workspace(
-        ("gru", batch, hidden, xw.dtype), lambda: _gru_buffers(batch, hidden, xw.dtype)
+    rows, rows3, xw, hs, steps, products = _runner_scratch(
+        _gru_scratch, timesteps, batch, width, hidden, dtype, return_sequences
     )
-    xw_zr, xw_h = xw[:, :, : 2 * hidden], xw[:, :, 2 * hidden :]
-
-    # t = 0: zero initial state — the recurrent matmul vanishes.
-    np.add(xw_zr[0], b_zr, out=zr)
-    _sigmoid64_inplace(zr)
-    np.add(xw_h[0], b_h, out=cand)
-    if act_fn is not None:
-        act_fn(cand)
-    np.subtract(1.0, z_view, out=h)
-    h *= cand
-    if return_sequences:
-        states[:, 0, :] = h
-    for t in range(1, timesteps):
-        # zr = sigmoid(xw_zr + h @ u_zr + b_zr)
-        np.matmul(h, u, out=hu)
-        np.add(xw_zr[t], hu_zr, out=zr)
-        zr += b_zr
-        _sigmoid64_inplace(zr)
-        # cand = act(xw_h + r * (h @ u_h) + b_h)
-        np.multiply(r_view, hu_h, out=tmp)
-        np.add(xw_h[t], tmp, out=cand)
-        cand += b_h
-        if act_fn is not None:
-            act_fn(cand)
-        # h = (1 - z) * cand + z * h  (ping-pong into the spare state buffer)
-        np.subtract(1.0, z_view, out=tmp)
-        np.multiply(tmp, cand, out=tmp)
-        np.multiply(z_view, h, out=h_next)
-        np.add(tmp, h_next, out=h_next)
-        h, h_next = h_next, h
-        if return_sequences:
-            states[:, t, :] = h
-    return states if return_sequences else h.copy()
+    rows3[:, :, :width] = sequence.transpose(1, 0, 2)
+    np.matmul(rows, fused["wb"], out=xw)
+    with np.errstate(over="ignore"):
+        _gru_sequence_steps(steps, fused["u"], act_fn, True, None, products)
+    return (hs[1:].transpose(1, 0, 2) if return_sequences else hs[timesteps]).copy()
 
 
 def fuse_lstm_weights(
     w_i, u_i, b_i, w_f, u_f, b_f, w_o, u_o, b_o, w_g, u_g, b_g, dtype=np.float64
 ) -> dict[str, np.ndarray]:
-    """Pack per-gate LSTM kernels into one input and one recurrent matrix."""
-    hidden = u_i.shape[0]
-    w = np.ascontiguousarray(np.hstack([w_i, w_f, w_o, w_g]), dtype=dtype)
-    b = np.ascontiguousarray(np.concatenate([b_i, b_f, b_o, b_g]), dtype=dtype)
-    wb = np.vstack([w, b[None, :]])  # affine projection, see fuse_gru_weights
-    return {
-        "w": w,
-        "u": np.ascontiguousarray(np.hstack([u_i, u_f, u_o, u_g]), dtype=dtype),
-        "b": b,
-        "wb_ifo": np.ascontiguousarray(wb[:, : 3 * hidden]),
-        "wb_g": np.ascontiguousarray(wb[:, 3 * hidden :]),
-        "hidden": hidden,
-    }
+    """Stack per-gate LSTM kernels (i, f, o, g) like :func:`fuse_gru_weights`."""
+    return _stack_gates((w_i, w_f, w_o, w_g), (u_i, u_f, u_o, u_g), (b_i, b_f, b_o, b_g), dtype)
 
 
-def _lstm_sequence_lowp(
-    sequence: np.ndarray, fused: dict[str, np.ndarray], return_sequences: bool
-) -> np.ndarray:
-    """Low-precision :func:`lstm_sequence` batch path.
+def _lstm_step_views(xw: np.ndarray, hs: np.ndarray, cs: np.ndarray, gates: np.ndarray, tc: np.ndarray) -> list:
+    """Every operand of LSTM step ``t``, sliced once: ``(x, gates, ifo,
+    i, f, o, g, tanh_c, c_prev, c, h_prev, h)`` over the gate-major
+    projection ``xw`` ``(4, T, B, H)``, the activated gates ``(T, 4, B,
+    H)``, ``tanh(c)`` ``tc`` and the states ``hs``/``cs`` ``(T + 1, B,
+    H)``."""
+    return [
+        (xw[:, t], gates[t], gates[t, :3], gates[t, 0], gates[t, 1], gates[t, 2], gates[t, 3],
+         tc[t], cs[t], cs[t + 1], hs[t], hs[t + 1])
+        for t in range(xw.shape[1])
+    ]
 
-    Mirrors :func:`_gru_sequence_lowp`: single-GEMM affine projection
-    split into contiguous ``ifo``/``g`` arrays, t=0 activations straight
-    from the projection, no strided per-step operands. float64 must
-    never come through here — its outputs are contractually bitwise
-    stable and take the exact-order loop in :func:`lstm_sequence`.
+
+def _lstm_sequence_steps(steps: list, u3, zero_start, products, tmp) -> None:
+    """The LSTM recurrence over :func:`_lstm_step_views`.
+
+    Step ``t`` writes the activated ``i, f, o, g``, ``tanh(c_t)`` and the
+    new cell and hidden states; ``products`` (``(4, B, H)``) and ``tmp``
+    (``(B, H)``) are plain scratch. Allocation-free like the GRU loop,
+    and run under the caller's ``np.errstate(over="ignore")``.
     """
-    batch, timesteps, _ = sequence.shape
-    hidden = fused["hidden"]
-    u = fused["u"]
-    dtype = u.dtype
-    a = _augmented_input(sequence, timesteps, batch, dtype)
-    xw_ifo_2d, xw_ifo, xw_g_2d, xw_g = _workspace(
-        ("lstm_xw", timesteps, batch, hidden, dtype),
-        lambda: _projection_buffers(timesteps, batch, 3 * hidden, hidden, dtype),
-    )
-    np.matmul(a, fused["wb_ifo"], out=xw_ifo_2d)
-    np.matmul(a, fused["wb_g"], out=xw_g_2d)
-    states = np.empty((batch, timesteps, hidden), dtype=dtype) if return_sequences else None
-    hu, tmp, c, c_next, h, h_next, ifo, g, i_view, f_view, o_view, hu_ifo, hu_g = _workspace(
-        ("lstm_lowp", batch, hidden, dtype), lambda: _lstm_lowp_buffers(batch, hidden, dtype)
-    )
-
-    # t = 0: zero initial state — the recurrent matmul and f*c vanish.
-    _sigmoid_into(xw_ifo[0], ifo)
-    np.tanh(xw_g[0], out=g)
-    np.multiply(i_view, g, out=c)  # c = i * g
-    np.tanh(c, out=tmp)
-    np.multiply(o_view, tmp, out=h)  # h = o * tanh(c)
-    if return_sequences:
-        states[:, 0, :] = h
-    for t in range(1, timesteps):
-        np.matmul(h, u, out=hu)
-        np.add(xw_ifo[t], hu_ifo, out=ifo)
-        np.add(xw_g[t], hu_g, out=g)
-        _sigmoid_inplace(ifo)
+    start = 0
+    if zero_start:
+        # t = 0 from the zero state: the recurrent matmul and f * c vanish.
+        x, _, ifo, i, _, o, g, tanh_c, _, c, _, h = steps[0]
+        _sigmoid_into(x[:3], ifo)
+        np.tanh(x[3], out=g)
+        np.multiply(i, g, out=c)
+        np.tanh(c, out=tanh_c)
+        np.multiply(o, tanh_c, out=h)
+        start = 1
+    for t in range(start, len(steps)):
+        x, gates, ifo, i, f, o, g, tanh_c, c_prev, c, h_prev, h = steps[t]
+        np.matmul(h_prev, u3, out=products)
+        np.add(x, products, out=gates)
+        _sigmoid_into(ifo, ifo)
         np.tanh(g, out=g)
-        # c = f * c + i * g  (ping-pong into the spare cell buffer)
-        np.multiply(f_view, c, out=c_next)
-        np.multiply(i_view, g, out=tmp)
-        c_next += tmp
-        c, c_next = c_next, c
+        # c = f * c_prev + i * g (in place when c aliases c_prev)
+        np.multiply(f, c_prev, out=c)
+        np.multiply(i, g, out=tmp)
+        c += tmp
         # h = o * tanh(c)
-        np.tanh(c, out=tmp)
-        np.multiply(o_view, tmp, out=h_next)
-        h, h_next = h_next, h
-        if return_sequences:
-            states[:, t, :] = h
-    return states if return_sequences else h.copy()
+        np.tanh(c, out=tanh_c)
+        np.multiply(o, tanh_c, out=h)
+
+
+def lstm_sequence_forward(
+    sequence: np.ndarray,
+    wb: np.ndarray,
+    u3: np.ndarray,
+    return_sequences: bool = False,
+    h0: np.ndarray | None = None,
+    c0: np.ndarray | None = None,
+) -> tuple[np.ndarray, dict]:
+    """Whole-sequence LSTM, the counterpart of :func:`gru_sequence_forward`.
+
+    ``wb``/``u3`` stack the i, f, o, g kernels. ``h0`` and ``c0`` are
+    given together or not at all. The final cell state is
+    ``cache["c_last"]``.
+    """
+    batch, timesteps, width = sequence.shape
+    hidden = u3.shape[1]
+    zero_start = h0 is None
+    rows = _augmented_rows(sequence)
+    hs = np.empty((timesteps + 1, batch, hidden))
+    cs = np.empty((timesteps + 1, batch, hidden))
+    gates = np.empty((timesteps, 4, batch, hidden))
+    tc = np.empty((timesteps, batch, hidden))
+    hs[0] = 0.0 if zero_start else h0
+    cs[0] = 0.0 if zero_start else c0
+    if timesteps:
+        xw = np.matmul(rows, wb, out=_scratch("lstm_xw", 4, timesteps * batch, hidden))
+        with np.errstate(over="ignore"):
+            _lstm_sequence_steps(
+                _lstm_step_views(xw.reshape(4, timesteps, batch, hidden), hs, cs, gates, tc),
+                u3, zero_start, _scratch("lstm_products", 4, batch, hidden),
+                _scratch("lstm_tmp", batch, hidden),
+            )
+    out = (hs[1:].transpose(1, 0, 2) if return_sequences else hs[timesteps]).copy()
+    cache = {
+        "rows": rows, "width": width, "wb": wb, "u3": u3,
+        "zero_start": zero_start, "return_sequences": return_sequences,
+        "hs": hs, "cs": cs, "gates": gates, "tc": tc, "c_last": cs[timesteps].copy(),
+    }
+    return out, cache
+
+
+def lstm_sequence_backward(
+    grad: np.ndarray, cache: dict, input_grad: bool = True, grad_c: np.ndarray | None = None
+) -> tuple:
+    """Gradients ``(d_sequence, d_h0, d_c0, d_wb, d_u3)`` of :func:`lstm_sequence_forward`.
+
+    ``grad_c`` is an extra gradient on the final cell state (the one-step
+    :class:`repro.nn.lstm.LSTMCell` exposes it). Same structure and
+    gradient bound as :func:`gru_sequence_backward`; ``d_h0``/``d_c0``
+    are None when the forward started from zeros.
+    """
+    hs, cs, gates, tc, u3 = cache["hs"], cache["cs"], cache["gates"], cache["tc"], cache["u3"]
+    timesteps, _, batch, hidden = gates.shape
+    zero_start = cache["zero_start"]
+    i, f, o, g = gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3]
+    shape = (timesteps, batch, hidden)
+    # Per-element factors for all timesteps, in per-thread scratch:
+    # dh -> do_pre, dh -> dc, and dc -> di_pre / df_pre / dg_pre.
+    q_o = np.subtract(1.0, o, out=_scratch("lstm_qo", *shape))
+    q_o *= o
+    q_o *= tc
+    q_c = np.multiply(tc, tc, out=_scratch("lstm_qc", *shape))
+    np.subtract(1.0, q_c, out=q_c)
+    q_c *= o
+    q_i = np.subtract(1.0, i, out=_scratch("lstm_qi", *shape))
+    q_i *= i
+    q_i *= g
+    q_f = np.subtract(1.0, f, out=_scratch("lstm_qf", *shape))
+    q_f *= f
+    q_f *= cs[:timesteps]
+    q_g = np.multiply(g, g, out=_scratch("lstm_qg", *shape))
+    np.subtract(1.0, q_g, out=q_g)
+    q_g *= i
+    d = _scratch("lstm_d", 4, *shape)  # i, f, o, g pre-activations
+    d_i, d_f, d_o, d_g = d
+    u3_t = np.ascontiguousarray(u3.transpose(0, 2, 1))
+    dh = np.empty((batch, hidden))
+    dc = np.zeros((batch, hidden))
+    tmp = _scratch("lstm_tmp", batch, hidden)
+    products = _scratch("lstm_products", 4, batch, hidden)
+    if grad_c is not None:
+        dc += grad_c
+    if cache["return_sequences"]:
+        g_out = grad.transpose(1, 0, 2)
+        dh[...] = g_out[timesteps - 1] if timesteps else 0.0
+    else:
+        g_out = None
+        dh[...] = grad
+    for t in range(timesteps - 1, -1, -1):
+        np.multiply(dh, q_o[t], out=d_o[t])
+        np.multiply(dh, q_c[t], out=tmp)
+        dc += tmp
+        np.multiply(dc, q_i[t], out=d_i[t])
+        np.multiply(dc, q_f[t], out=d_f[t])
+        np.multiply(dc, q_g[t], out=d_g[t])
+        if t == 0 and zero_start:
+            break
+        dc *= f[t]
+        # dh_prev = sum over gates of d_k U_k^T
+        np.matmul(d[:, t], u3_t, out=products)
+        np.add(products[0], products[1], out=dh)
+        dh += products[2]
+        dh += products[3]
+        if g_out is not None and t:
+            dh += g_out[t - 1]
+    d_sequence, d_wb, d_u3 = _sequence_grads(d, cache, slice(0, 4), slice(0, 4), input_grad)
+    if zero_start:
+        return d_sequence, None, None, d_wb, d_u3
+    return d_sequence, dh, dc, d_wb, d_u3
+
+
+def _lstm_scratch(timesteps: int, batch: int, width: int, hidden: int, dtype, keep_states: bool) -> tuple:
+    """Inference buffers for :func:`lstm_sequence` (see :func:`_gru_scratch`)."""
+    rows, rows3 = _input_rows(timesteps, batch, width, dtype)
+    xw = np.empty((4, timesteps * batch, hidden), dtype=dtype)
+    step = (batch, hidden)
+    if keep_states:
+        hs = np.empty((timesteps + 1, *step), dtype=dtype)
+    else:
+        hs = _every_step(np.empty(step, dtype=dtype), timesteps + 1)
+    steps = _lstm_step_views(
+        xw.reshape(4, timesteps, *step), hs,
+        _every_step(np.empty(step, dtype=dtype), timesteps + 1),
+        _every_step(np.empty((4, *step), dtype=dtype), timesteps),
+        _every_step(np.empty(step, dtype=dtype), timesteps),
+    )
+    return (
+        rows, rows3, xw, hs, steps,
+        np.empty((4, *step), dtype=dtype), np.empty(step, dtype=dtype),
+    )
 
 
 def lstm_sequence(
@@ -866,54 +860,21 @@ def lstm_sequence(
 ) -> np.ndarray:
     """Run a fused LSTM over ``(batch, timesteps, input)`` without a tape.
 
-    Same batch-path structure as :func:`gru_sequence`: one input GEMM in
-    ``(timesteps, batch, 4*hidden)`` layout, then an allocation-free loop
-    over per-thread ping-pong gate/state buffers with the naive runner's
-    exact scalar operation order (float64 outputs stay bitwise
-    identical). Zero timesteps returns the zero initial state.
+    Same structure and contract as :func:`gru_sequence`, over the
+    training recurrence :func:`_lstm_sequence_steps`. Zero timesteps
+    returns the zero initial state.
     """
-    batch, timesteps, _ = sequence.shape
+    batch, timesteps, width = sequence.shape
     hidden = fused["hidden"]
     if timesteps == 0:
         shape = (batch, 0, hidden) if return_sequences else (batch, hidden)
-        return np.zeros(shape, dtype=fused["w"].dtype)
-    # Same float64 short-circuit as gru_sequence (np.result_type ~1us).
-    if sequence.dtype != np.float64 and (
-        np.result_type(sequence.dtype, fused["w"].dtype) != np.float64
-    ):
-        return _lstm_sequence_lowp(sequence, fused, return_sequences)
-    u, b = fused["u"], fused["b"]
-    xw = _input_projection(sequence, fused["w"], timesteps, batch, 4 * hidden)
-    states = np.empty((batch, timesteps, hidden), dtype=xw.dtype) if return_sequences else None
-    hu, tmp, c, c_next, h, h_next, gates, ifo, g, i_view, f_view, o_view = _workspace(
-        ("lstm", batch, hidden, xw.dtype), lambda: _lstm_buffers(batch, hidden, xw.dtype)
+        return np.zeros(shape, dtype=fused["u"].dtype)
+    dtype = _run_dtype(sequence, fused)
+    rows, rows3, xw, hs, steps, products, tmp = _runner_scratch(
+        _lstm_scratch, timesteps, batch, width, hidden, dtype, return_sequences
     )
-
-    # t = 0: zero initial state — the recurrent matmul and f*c vanish.
-    np.add(xw[0], b, out=gates)
-    _sigmoid64_inplace(ifo)
-    np.tanh(g, out=g)
-    np.multiply(i_view, g, out=c)  # c = i * g
-    np.tanh(c, out=tmp)
-    np.multiply(o_view, tmp, out=h)  # h = o * tanh(c)
-    if return_sequences:
-        states[:, 0, :] = h
-    for t in range(1, timesteps):
-        # gates = xw + h @ u + b
-        np.matmul(h, u, out=hu)
-        np.add(xw[t], hu, out=gates)
-        gates += b
-        _sigmoid64_inplace(ifo)
-        np.tanh(g, out=g)
-        # c = f * c + i * g  (ping-pong into the spare cell buffer)
-        np.multiply(f_view, c, out=c_next)
-        np.multiply(i_view, g, out=tmp)
-        c_next += tmp
-        c, c_next = c_next, c
-        # h = o * tanh(c)
-        np.tanh(c, out=tmp)
-        np.multiply(o_view, tmp, out=h_next)
-        h, h_next = h_next, h
-        if return_sequences:
-            states[:, t, :] = h
-    return states if return_sequences else h.copy()
+    rows3[:, :, :width] = sequence.transpose(1, 0, 2)
+    np.matmul(rows, fused["wb"], out=xw)
+    with np.errstate(over="ignore"):
+        _lstm_sequence_steps(steps, fused["u"], True, products, tmp)
+    return (hs[1:].transpose(1, 0, 2) if return_sequences else hs[timesteps]).copy()

@@ -179,6 +179,8 @@ class _Worker:
     epoch: int
     process: multiprocessing.process.BaseProcess | None = None
     conn: object = None
+    #: set once the loop stops using ``conn``; the reader then closes it
+    released: threading.Event | None = None
     phase: str = "starting"  # starting | ready | busy | publishing | dead
     inflight: _Dispatch | None = None
     dispatched_at: float = 0.0
@@ -308,19 +310,26 @@ class WorkerSupervisor:
         child_conn.close()
         worker.process = process
         worker.conn = parent_conn
+        worker.released = threading.Event()
         worker.phase = "starting"
         worker.versions = set(self._blobs)
         worker.last_pong = self._loop.time()
         reader = threading.Thread(
             target=self._read_forever,
-            args=(parent_conn, worker.worker_id, worker.epoch),
+            args=(parent_conn, worker.released, worker.worker_id, worker.epoch),
             name=f"repro-serve-reader-{worker.worker_id}",
             daemon=True,
         )
         reader.start()
 
     def _teardown(self, worker: _Worker) -> None:
-        """Kill a worker's process and close its pipe (idempotent)."""
+        """Stop using a worker's pipe and kill its process (idempotent).
+
+        The pipe is not closed here: the reader thread may be blocked in
+        ``conn.recv()`` on it, and closing under it raises in that thread.
+        The loop only lets go of the pipe; the reader closes it once the
+        dead process's end reaches EOF.
+        """
         worker.epoch += 1  # stale reader callbacks are dropped by epoch
         worker.phase = "dead"
         self._idle_events[worker.worker_id].clear()
@@ -329,11 +338,8 @@ class WorkerSupervisor:
                 worker.conn.send(("shutdown",))
             except (BrokenPipeError, OSError):
                 pass
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
             worker.conn = None
+            worker.released.set()
         if worker.process is not None:
             process = worker.process
             worker.process = None
@@ -344,7 +350,13 @@ class WorkerSupervisor:
 
     # -- reader thread -> loop -----------------------------------------
 
-    def _read_forever(self, conn, worker_id: int, epoch: int) -> None:
+    def _read_forever(self, conn, released: threading.Event, worker_id: int, epoch: int) -> None:
+        """Forward one incarnation's messages; the pipe's only closer.
+
+        After EOF it waits until the loop has torn the worker down (and so
+        will never send on the pipe again) before closing, so neither a
+        ``recv`` nor a ``send`` can race the close.
+        """
         loop = self._loop
         try:
             while True:
@@ -354,7 +366,11 @@ class WorkerSupervisor:
             try:
                 loop.call_soon_threadsafe(self._on_eof, worker_id, epoch)
             except RuntimeError:
-                pass  # loop already closed during shutdown
+                released.set()  # loop already closed: nothing sends any more
+        except RuntimeError:
+            released.set()  # the loop closed while the worker was still talking
+        released.wait()
+        conn.close()
 
     def _on_message(self, worker_id: int, epoch: int, message: tuple) -> None:
         worker = self._workers.get(worker_id)

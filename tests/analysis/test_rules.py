@@ -610,6 +610,28 @@ def test_rep012_flags_lowp_runner_and_while_loops():
     assert [f.rule for f in findings] == ["REP012"]
 
 
+def test_rep012_flags_allocating_backward_loop():
+    findings = scan(
+        """
+        import numpy as np
+
+        def gru_sequence_backward(grad, z, d, ut, g):
+            dh = grad
+            for t in range(z.shape[0] - 1, -1, -1):
+                d_z = dh * z[t]
+                dh = d[t] @ ut + dh * z[t - 1]
+                dh = dh + g[t - 1]
+                dh += np.matmul(d[t], ut)
+            return dh
+        """,
+        path=OPS,
+    )
+    assert [(f.rule, f.line) for f in findings] == [
+        ("REP012", 7), ("REP012", 8), ("REP012", 8), ("REP012", 9), ("REP012", 10),
+    ]
+    assert "per-step slice" in findings[0].message
+
+
 def test_rep012_allows_out_matmul_and_hoisted_buffers():
     findings = scan(
         """
@@ -622,6 +644,8 @@ def test_rep012_allows_out_matmul_and_hoisted_buffers():
                 np.matmul(h, u, hu)
                 np.matmul(h, u, out=hu)
                 np.add(hu, xw[t], out=h)
+                np.multiply(h, xw[t - 1], out=hu)
+                h *= xw[t]
             return h
         """,
         path=OPS,

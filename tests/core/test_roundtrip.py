@@ -89,6 +89,18 @@ class TestCompiledPredictPath:
         batch = regressor._batch(environments, X, history)
         assert engine.assert_close(batch, atol=1e-10) <= 1e-10
 
+    @pytest.mark.parametrize("head", ["hadamard", "bilinear", "mlp"])
+    def test_float32_engine_within_bound(self, head):
+        # Below float64 the Hadamard head folds the combine layer into the
+        # cached environment rows ([W C | b . C]); every head stays within
+        # the float32 parity bound of the autograd forward.
+        regressor = _fit(head=head)
+        environments, X, history, _ = _task()
+        engine = regressor.compile(dtype=np.float32)
+        assert engine.assert_close(regressor._batch(environments, X, history)) <= 1e-4
+        folded = regressor.model.combine.weight.data.shape[0] + 1
+        assert (engine.env_cache.dim == folded) == (head == "hadamard")
+
     def test_engine_reused_until_invalidated(self):
         regressor = _fit()
         environments, X, history, y = _task(n=30)

@@ -293,3 +293,35 @@ class TestRowIsolation:
             assert "dead-lettered" in str(results[1])
             assert n_dead == 1 and reasons == {"serve_row_failure": 1}
             _assert_bytes_match([results[0], results[2]], reference)
+
+
+def _flood(worker_id, epoch, conn, init):
+    """A worker that never stops talking: the reader is always mid-recv."""
+    while True:
+        conn.send(("pong", epoch, 0.0))
+
+
+class TestPipeOwnership:
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_kill_respawn_never_races_the_reader(self, monkeypatch):
+        # Tearing a worker down used to close its pipe while the reader
+        # thread was inside conn.recv(), which raised TypeError in that
+        # thread. Now only the reader closes the pipe, after EOF.
+        from repro.serve._internal import supervisor as module
+
+        monkeypatch.setattr(module, "_worker_main", _flood)
+
+        async def scenario():
+            sup = module.WorkerSupervisor(ModelStore(), ServeConfig(n_workers=1))
+            sup._loop = asyncio.get_running_loop()
+            worker = module._Worker(worker_id=0, epoch=0)
+            sup._workers[0] = worker
+            sup._idle_events[0] = asyncio.Event()
+            for _ in range(25):
+                sup._spawn(worker)
+                await asyncio.sleep(0.005)
+                sup._teardown(worker)
+            sup._stopping = True
+            await asyncio.sleep(0.1)
+
+        asyncio.run(scenario())
