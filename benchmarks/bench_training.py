@@ -43,11 +43,12 @@ import json
 import os
 import statistics
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
+
+from conftest import alternate, import_tree
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -73,30 +74,6 @@ CORPUS = dict(
 #: Floors this change is held to (parent / change).
 FLOORS = {"step": 1.3, "gru_encoder_forward_backward": 1.5}
 
-#: Keeps the directory that aliases a baseline tree alive for the process.
-_ALIASES: list[tempfile.TemporaryDirectory] = []
-
-
-def _import_tree(src: str) -> str:
-    """Import another checkout's ``src/repro`` as the package ``repro_baseline``.
-
-    Every import inside the package is relative, so a symlink under a new
-    name gives a second, independent copy of it next to this tree's.
-    """
-    alias = tempfile.TemporaryDirectory()
-    _ALIASES.append(alias)
-    (Path(alias.name) / "repro_baseline").symlink_to(Path(src).resolve() / "repro")
-    sys.path.insert(0, alias.name)
-    importlib.import_module("repro_baseline")
-    return "repro_baseline"
-
-
-def _order(labels, round_: int) -> list:
-    """Alternate which tree goes first from one round to the next."""
-    labels = list(labels)
-    return labels if round_ % 2 == 0 else labels[::-1]
-
-
 def _training_set(pkg: str):
     data = importlib.import_module(pkg + ".data")
     windows = importlib.import_module(pkg + ".data.windows")
@@ -121,7 +98,7 @@ def epoch_seconds(pkgs: dict[str, str]) -> dict[str, dict]:
     times = {label: {name: [] for name in encoders} for label in pkgs}
     for name in encoders:
         for round_ in range(ROUNDS):
-            for label in _order(pkgs, round_):
+            for label in alternate(pkgs, round_):
                 core = importlib.import_module(pkgs[label] + ".core")
                 train, val = data[label]
                 model = core.Env2VecRegressor(
@@ -260,7 +237,7 @@ def step_breakdown(pkgs: dict[str, str], repeats: int = STEP_REPEATS) -> dict[st
     sessions = {label: _StepSession(pkg) for label, pkg in pkgs.items()}
     samples: dict[str, list] = {label: [] for label in sessions}
     for round_ in range(repeats + 3):
-        for label in _order(sessions, round_):
+        for label in alternate(sessions, round_):
             session = sessions[label]
             samples[label].append({**session.sample(), **session.block()})
     # The first rounds warm caches and allocator pools.
@@ -285,7 +262,7 @@ def measure(pkgs: dict[str, str]) -> dict:
 
 def compare(baseline_src: str) -> dict:
     """This tree (``change``) against another checkout (``baseline``)."""
-    result = measure({"baseline": _import_tree(baseline_src), "change": "repro"})
+    result = measure({"baseline": import_tree(baseline_src), "change": "repro"})
     baseline, change = result["baseline"], result["change"]
     result["speedup"] = {
         "step": baseline["step"]["step_ms"] / change["step"]["step_ms"],

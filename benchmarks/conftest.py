@@ -12,6 +12,9 @@ to ``benchmarks/results/`` so the tables survive output capture.
 
 from __future__ import annotations
 
+import importlib
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,32 @@ from repro.data import TelecomConfig, generate_telecom
 from repro.eval import run_chain_mae, train_env2vec_telecom, train_rfnn_all_telecom
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+
+#: Keeps the directories that alias baseline trees alive for the process.
+_ALIASES: list[tempfile.TemporaryDirectory] = []
+
+
+def import_tree(src: str) -> str:
+    """Import another checkout's ``src/repro`` as the package ``repro_baseline``.
+
+    Every import inside the package is relative, so a symlink under a new
+    name gives a second, independent copy of it next to this tree's. The
+    ``--baseline-src`` benchmarks measure both trees in one process this
+    way, alternating them, so a shared host's slow episodes land on both.
+    """
+    alias = tempfile.TemporaryDirectory()
+    _ALIASES.append(alias)
+    (Path(alias.name) / "repro_baseline").symlink_to(Path(src).resolve() / "repro")
+    sys.path.insert(0, alias.name)
+    importlib.import_module("repro_baseline")
+    return "repro_baseline"
+
+
+def alternate(labels, round_: int) -> list:
+    """Alternate which tree goes first from one round to the next."""
+    labels = list(labels)
+    return labels if round_ % 2 == 0 else labels[::-1]
 
 
 def emit(name: str, text: str) -> None:

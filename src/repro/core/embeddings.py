@@ -69,27 +69,28 @@ class EnvironmentVocabulary:
         return {field: encoder.vocabulary_size for field, encoder in self._encoders.items()}
 
     def encode(self, environments: list[Environment]) -> np.ndarray:
-        """Environments -> (n, n_fields) integer id matrix.
+        """Environments -> (n, n_fields) int64 id matrix.
 
-        Callers pass one environment per *window*, so the list is runs of
-        identical values (every window of an execution shares its EM
-        tuple). Each distinct environment is encoded once and the rows
-        gathered back — identical ids, without re-hashing four strings
-        per window.
+        Per-window callers pass runs of the same object (every window of
+        an execution shares its EM tuple). A row whose environment *is*
+        the previous row's reuses its slot without hashing; every other
+        row is hashed once to find its distinct value, each distinct
+        value is encoded once, and the rows are gathered back.
         """
         self._require_fitted()
         unique: dict[Environment, int] = {}
-        index = np.empty(len(environments), dtype=np.intp)
-        for i, env in enumerate(environments):
-            slot = unique.get(env)
-            if slot is None:
-                slot = unique[env] = len(unique)
-            index[i] = slot
+        slots: list[int] = []
+        previous, slot = object(), 0
+        for env in environments:
+            if env is not previous:
+                previous = env
+                slot = unique.setdefault(env, len(unique))
+            slots.append(slot)
         columns = [
             self._encoders[field].transform([getattr(env, field) for env in unique])
             for field in self.fields
         ]
-        return np.stack(columns, axis=1)[index]
+        return np.stack(columns, axis=1)[np.array(slots, dtype=np.intp)]
 
     def encode_one(self, environment: Environment) -> np.ndarray:
         return self.encode([environment])[0]

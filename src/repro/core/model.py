@@ -296,8 +296,10 @@ class Env2VecRegressor(Estimator):
             raise RuntimeError("model is not fitted; call fit() first")
         if not (len(environments) == len(X) == len(history)):
             raise ValueError("environments, X and history must be aligned")
+        return self._encoded_batch(self.vocabulary.encode(list(environments)), X, history)
+
+    def _encoded_batch(self, env_ids, X, history):
         X, history = self._scale_inputs(X, history)
-        env_ids = self.vocabulary.encode(list(environments))
         return {"cf": X, "history": history, "env": env_ids}
 
     # -- estimator API ------------------------------------------------------
@@ -406,9 +408,28 @@ class Env2VecRegressor(Estimator):
         first use). ``compiled=False`` keeps the autograd forward under
         ``no_grad`` — slower, retained as the parity/benchmark baseline.
         """
-        batch = self._batch(environments, X, history)
+        if self.model is None:
+            raise RuntimeError("model is not fitted; call fit() first")
+        env_ids = self.vocabulary.encode(list(environments))
+        return self._predict_encoded(env_ids, X, history, compiled=compiled)
+
+    def _predict_encoded(
+        self, env_ids: np.ndarray, X: np.ndarray, history: np.ndarray, compiled: bool = True
+    ) -> np.ndarray:
+        """:meth:`predict` on an already-encoded ``(n, n_fields)`` id matrix.
+
+        The prediction pipeline encodes one environment per *execution*
+        and repeats the id rows over its windows, so scoring never hashes
+        an environment per window. The compiled forward runs in chunks of
+        ``ops._CACHED_ROWS`` (1024) rows, not the training ``batch_size``,
+        so a chain's calibration is one forward; every kernel is row-wise,
+        so the chunk size does not change a byte.
+        """
+        if not (len(env_ids) == len(X) == len(history)):
+            raise ValueError("environments, X and history must be aligned")
+        batch = self._encoded_batch(env_ids, X, history)
         if compiled:
-            scaled = self._ensure_engine().predict(batch, batch_size=self.batch_size)
+            scaled = self._ensure_engine().predict(batch, batch_size=ops._CACHED_ROWS)
         else:
             self.model.eval()
             outputs = []

@@ -100,10 +100,26 @@ def snapshot(array: np.ndarray, dtype: np.dtype) -> np.ndarray:
     return np.array(array, dtype=dtype, order="C", copy=True)
 
 
-class CompiledDense:
-    """``activation(x @ W + b)`` over snapshotted weights."""
+#: OpenBLAS runs a GEMM of at most this many multiply-adds (m·n·k) on
+#: the calling thread (its small-matrix kernel) and splits a larger one
+#: across threads. On a 2-vCPU host whose other core is busy, as with
+#: two serve worker processes, each threaded GEMM waited ≈8 ms for that
+#: core: a 320-row batch through the Env2Vec combine layer (80 × 40)
+#: took 8 ms instead of 45 µs.
+_SMALL_GEMM = 1_000_000
 
-    __slots__ = ("weight", "bias", "act", "_act_fn")
+
+class CompiledDense:
+    """``activation(x @ W + b)`` over snapshotted weights.
+
+    Batches whose GEMM would exceed :data:`_SMALL_GEMM` multiply-adds
+    are multiplied in row blocks below it, so the layer never waits on
+    BLAS threads. Every block has at least two rows (numpy sends a
+    one-row matmul to gemv), and rows are independent, so blocking does
+    not change a bit.
+    """
+
+    __slots__ = ("weight", "bias", "act", "_act_fn", "_block_rows")
 
     def __init__(self, dense: Dense, dtype: np.dtype):
         self.weight = snapshot(dense.weight.data, dtype)
@@ -112,12 +128,22 @@ class CompiledDense:
         # Resolve the activation once — the per-call string-compare chain
         # in activation_inplace is measurable at batch size 1.
         self._act_fn = ops._resolve_act(self.act)
+        # At least 3, so a balanced split never leaves a one-row block.
+        self._block_rows = max(3, _SMALL_GEMM // self.weight.size)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         # The GEMM result is a throwaway: fold the bias add and the
         # activation into it in place (bitwise identical to the naive
         # ``activation(x @ W + b)``, one allocation instead of three).
-        pre = x @ self.weight
+        n = len(x)
+        if n <= self._block_rows:
+            pre = x @ self.weight
+        else:
+            pre = np.empty((n, self.weight.shape[1]), dtype=np.result_type(x, self.weight))
+            blocks = -(-n // self._block_rows)
+            bounds = [n * i // blocks for i in range(blocks + 1)]
+            for start, stop in zip(bounds[:-1], bounds[1:]):
+                np.matmul(x[start:stop], self.weight, out=pre[start:stop])
         pre += self.bias
         if self._act_fn is not None:
             return self._act_fn(pre, pre)
@@ -229,9 +255,8 @@ class EmbeddingRowCache:
     def _row(self, key: tuple[int, ...]) -> np.ndarray:
         """One read-only cached row; takes the cache lock per lookup."""
         if key and min(key) < 0:
-            # numpy would silently wrap a negative index; and under the
-            # batch path's composite keys a negative id could alias a
-            # valid tuple, so it must never reach the gather.
+            # numpy would silently wrap a negative index, so it must
+            # never reach the gather.
             raise IndexError(f"negative environment id in {key}")
         with self._lock:
             row = self._cache.get(key)
@@ -260,8 +285,10 @@ class EmbeddingRowCache:
         repeating environments costs one ``np.unique`` plus a handful of
         dict operations instead of 256; the common serve/campaign case of
         a single-environment batch skips even the sort. Out-of-range ids
-        raise ``IndexError`` from the gather itself (negative in
-        :meth:`_row`, too-large from the table indexing).
+        raise ``IndexError``: a multi-row batch is range-checked as a
+        whole before any key is built, since under the composite keys an
+        out-of-range row could alias a valid one (``(0, 5)`` and
+        ``(1, 1)`` share a key when the second table has four rows).
         """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim != 2 or ids.shape[1] != len(self.tables):
@@ -270,10 +297,14 @@ class EmbeddingRowCache:
             return np.empty((0, self.dim), dtype=self.tables[0].dtype)
         if len(ids) == 1:  # streaming fast path: one tuple hash
             return self._row(tuple(ids[0].tolist()))[None, :]
+        if bool((ids < 0).any()) or bool((ids >= self._sizes).any()):
+            raise IndexError(
+                f"environment id out of range for table sizes {self._sizes.tolist()}"
+            )
         if ids[0, 0] == ids[-1, 0] and bool((ids == ids[0]).all()):
-            # Single-environment batch (chain-affinity sharding and serve
-            # micro-batches produce these constantly): one LRU touch, one
-            # broadcast copy — no composite keys, no sort.
+            # Single-environment batch (one execution's windows, serve
+            # micro-batches of one chain): one LRU touch, one broadcast
+            # copy — no composite keys, no sort.
             out = np.empty((len(ids), self.dim), dtype=self.tables[0].dtype)
             np.copyto(out, self._row(tuple(ids[0].tolist())))
             return out
@@ -305,10 +336,11 @@ class InferenceModel:
     """A compiled, tape-free forward for a fitted module.
 
     Every kernel in the compiled plan is row-wise: predictions for a row
-    do not depend on which other rows share the batch. Callers that
-    coalesce traffic (``predict_many``, the ``repro.serve``
-    micro-batcher) rely on this to keep batched results bitwise equal to
-    per-request ones.
+    do not depend on which other rows share the batch or on the chunk
+    size :meth:`predict` cuts it into. The prediction pipeline, which
+    coalesces every execution of a batch (and so every ``repro.serve``
+    micro-batch) into one forward, relies on this to keep batched results
+    bitwise equal to per-request ones.
     """
 
     def __init__(self, forward_fn: Callable[..., np.ndarray], source, dtype: np.dtype):
@@ -350,63 +382,31 @@ class InferenceModel:
     def predict(self, inputs: Mapping[str, np.ndarray], batch_size: int | None = None) -> np.ndarray:
         """Vectorized prediction, optionally chunked to bound peak memory.
 
-        Zero-row inputs are answered by one zero-row forward (every
-        compiled kernel is shape-polymorphic down to ``n == 0``), so a
-        chunked call never reaches ``np.concatenate([])``. An empty
-        *mapping* is a caller bug and raises ``ValueError``.
+        A lone row, whether a one-row call or a one-row last chunk, runs
+        as two copies of itself: numpy computes a one-row matmul with
+        gemv, whose summation order differs from the gemm every larger
+        batch uses, so only a two-row forward gives the row the bytes it
+        gets inside any batch. Zero-row inputs are answered by one
+        zero-row forward (every compiled kernel is shape-polymorphic down
+        to ``n == 0``), so a chunked call never reaches
+        ``np.concatenate([])``. An empty *mapping* is a caller bug and
+        raises ``ValueError``.
         """
         if not inputs:
             raise ValueError("inputs must contain at least one named array")
-        if batch_size is None:
-            return self(**inputs)
         n = len(next(iter(inputs.values())))
-        if n == 0:
-            return self(**inputs)
+        if batch_size is None or n <= batch_size:
+            return self._forward_rows(inputs)
         outputs = [
-            self(**{key: value[start : start + batch_size] for key, value in inputs.items()})
+            self._forward_rows({key: value[start : start + batch_size] for key, value in inputs.items()})
             for start in range(0, n, batch_size)
         ]
         return np.concatenate(outputs, axis=0)
 
-    def predict_many(
-        self,
-        inputs_list: list[Mapping[str, np.ndarray]],
-        batch_size: int | None = None,
-    ) -> list[np.ndarray]:
-        """Coalesce several aligned input dicts into batched forwards.
-
-        Campaign days and serve batches score many executions that share
-        one model version; issuing one forward per execution wastes the
-        fixed per-call overhead (dispatch, instrumentation, small-matmul
-        setup). This concatenates the inputs row-wise, runs them through
-        :meth:`predict`, and splits the output back per execution. Every
-        kernel on the compiled path is row-wise, so the split results are
-        bitwise identical to per-execution ``predict`` calls — the
-        byte-identical coalescing in ``PredictionPipeline`` relies on it.
-        """
-        if not inputs_list:
-            return []
-        keys = tuple(inputs_list[0])
-        if not keys:
-            raise ValueError("inputs must contain at least one named array")
-        for inputs in inputs_list:
-            if tuple(inputs) != keys:
-                raise ValueError(
-                    f"cannot coalesce inputs with differing keys: {tuple(inputs)} vs {keys}"
-                )
-        if len(inputs_list) == 1:
-            return [self.predict(inputs_list[0], batch_size=batch_size)]
-        lengths = [len(next(iter(inputs.values()))) for inputs in inputs_list]
-        merged = {
-            key: np.concatenate([np.asarray(inputs[key]) for inputs in inputs_list], axis=0)
-            for key in keys
-        }
-        out = self.predict(merged, batch_size=batch_size)
-        pieces, start = [], 0
-        for n in lengths:
-            pieces.append(out[start : start + n])
-            start += n
-        return pieces
+    def _forward_rows(self, inputs: Mapping[str, np.ndarray]) -> np.ndarray:
+        if len(next(iter(inputs.values()))) != 1:
+            return self(**inputs)
+        return self(**{key: np.concatenate([value, value]) for key, value in inputs.items()})[:1]
 
     def assert_close(self, inputs: Mapping[str, np.ndarray], atol: float | None = None) -> float:
         """Check parity against the source module's autograd forward.

@@ -66,11 +66,12 @@ class ServeConfig:
 
     ``max_batch``/``max_wait`` trade latency for throughput: the
     micro-batcher coalesces up to ``max_batch`` queued predictions into
-    one :meth:`~repro.nn.inference.InferenceModel.predict_many`-shaped
-    forward, lingering at most ``max_wait`` seconds for the batch to fill
-    (``0`` coalesces only what is already queued). ``max_queue_depth``
-    bounds admission; past it, requests are rejected with
-    :class:`ServiceOverloaded` instead of growing the queue without bound.
+    one :meth:`~repro.workflow.PredictionPipeline.execute` call (one
+    coalesced forward), lingering at most ``max_wait`` seconds for the
+    batch to fill (``0`` coalesces only what is already queued).
+    ``max_queue_depth`` bounds admission; past it, requests are rejected
+    with :class:`ServiceOverloaded` instead of growing the queue without
+    bound.
     """
 
     max_batch: int = 32

@@ -307,18 +307,23 @@ class PredictionPipeline:
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Window every execution, run one coalesced forward, split back.
 
-        Returns per-execution ``(predictions, observations)`` lists, in
-        input order; bitwise equal to predicting each execution alone.
+        Each execution's environment is encoded once and its id row
+        repeated over the execution's windows, so no environment is
+        hashed per window. Returns per-execution ``(predictions,
+        observations)`` lists, in input order; bitwise equal to predicting
+        each execution alone.
         """
         windows = [
             build_windows(execution.features, execution.cpu, model.n_lags)
             for execution in executions
         ]
-        environments: list = []
-        for execution, (_, _, y) in zip(executions, windows):
-            environments.extend([execution.environment] * len(y))
-        predicted = model.predict(
-            environments,
+        env_ids = np.repeat(
+            model.vocabulary.encode([execution.environment for execution in executions]),
+            [len(y) for _, _, y in windows],
+            axis=0,
+        )
+        predicted = model._predict_encoded(
+            env_ids,
             np.concatenate([X for X, _, _ in windows], axis=0),
             np.concatenate([h for _, h, _ in windows], axis=0),
         )

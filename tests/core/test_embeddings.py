@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from repro.core import EnvironmentEmbeddings, EnvironmentVocabulary
 from repro.data import Environment
+from repro.ml.preprocessing import LabelEncoder
+from tests.strategies import DERANDOMIZED, environment_pool, environment_runs
 
 RNG = np.random.default_rng(13)
 
@@ -61,6 +64,53 @@ class TestVocabulary:
         assert vocab.encode(_envs()).shape == (3, 2)
         with pytest.raises(ValueError):
             EnvironmentVocabulary(fields=())
+
+
+def _naive_encode(vocab, environments):
+    """One ``LabelEncoder.transform`` per row and field, no dedup at all."""
+    encoders = {
+        field: LabelEncoder.from_classes(vocab.known_values(field)) for field in vocab.fields
+    }
+    rows = [
+        [int(encoders[field].transform([getattr(env, field)])[0]) for field in vocab.fields]
+        for env in environments
+    ]
+    return np.array(rows, dtype=np.int64).reshape(len(environments), len(vocab.fields))
+
+
+class TestEncodeIdentityShortcut:
+    """``encode`` skips the hash when a row's environment *is* the previous
+    row's; the ids must still equal a naive per-row transform."""
+
+    @DERANDOMIZED
+    @given(environments=environment_runs(environment_pool(_envs())))
+    def test_matches_naive_per_row_transform(self, environments):
+        vocab = EnvironmentVocabulary().fit(_envs())
+        ids = vocab.encode(environments)
+        assert ids.dtype == np.int64
+        assert ids.tobytes() == _naive_encode(vocab, environments).tobytes()
+
+    def test_equal_but_distinct_objects_alternating(self):
+        vocab = EnvironmentVocabulary().fit(_envs())
+        a, b = _envs()[0], _envs()[1]
+        a_copy = Environment(*a.as_tuple())
+        unseen = Environment("Testbed_99", "SUT_Z", "Testcase_New", "Build_X")
+        environments = [a, a, b, a_copy, a, unseen, unseen, b, a_copy]
+        ids = vocab.encode(environments)
+        np.testing.assert_array_equal(ids, _naive_encode(vocab, environments))
+        assert (ids[3] == ids[0]).all() and (ids[8] == ids[0]).all()
+
+    def test_single_environment(self):
+        vocab = EnvironmentVocabulary().fit(_envs())
+        env = _envs()[2]
+        np.testing.assert_array_equal(vocab.encode([env] * 5), _naive_encode(vocab, [env] * 5))
+        np.testing.assert_array_equal(vocab.encode([env]), _naive_encode(vocab, [env]))
+
+    def test_empty(self):
+        vocab = EnvironmentVocabulary().fit(_envs())
+        ids = vocab.encode([])
+        assert ids.shape == (0, 4)
+        assert ids.dtype == np.int64
 
 
 class TestEnvironmentEmbeddings:

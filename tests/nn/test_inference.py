@@ -19,7 +19,7 @@ from repro.nn import (
     is_grad_enabled,
     no_grad,
 )
-from repro.nn.inference import compile_attention, compile_recurrent
+from repro.nn.inference import CompiledDense, compile_attention, compile_recurrent
 from repro.nn.attention import AdditiveAttention
 
 RNG = np.random.default_rng(7)
@@ -52,6 +52,19 @@ class TestCompileDense:
         engine = compile_module(layer, dtype=np.float32)
         with pytest.raises(AssertionError, match="diverges"):
             engine.assert_close({"x": RNG.standard_normal((30, 16)) * 100}, atol=1e-10)
+
+
+    @pytest.mark.parametrize("n", [312, 313, 626, 1024, 1025])
+    def test_row_blocked_gemm_is_bitwise(self, n):
+        # 80 × 40 is the Env2Vec combine layer: above 312 rows its GEMM
+        # passes the small-matrix bound and is multiplied in row blocks.
+        layer = Dense(80, 40, activation="sigmoid", rng=RNG)
+        dense = CompiledDense(layer, np.dtype(np.float64))
+        assert dense._block_rows == 312
+        x = RNG.standard_normal((n, 80))
+        with no_grad():
+            reference = layer(Tensor(x)).numpy()
+        assert dense(x).tobytes() == reference.tobytes()
 
 
 class TestCompileSequential:
@@ -150,6 +163,20 @@ class TestEmbeddingRowCache:
         with pytest.raises(ValueError, match="shape"):
             cache.rows(np.array([[0, 0, 0]]))
 
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_out_of_range_rows_raise_in_any_order(self, bad_first):
+        """Regression: the multi-row path keyed rows by a mixed-radix
+        composite before checking ranges, so with table sizes (4, 5) the
+        out-of-range row [0, 6] shared key 6 with [1, 1] and was served
+        its embedding whenever [1, 1] came first."""
+        cache = EmbeddingRowCache(self._tables(), np.dtype(np.float64))
+        rows = [[0, 6], [1, 1]] if bad_first else [[1, 1], [0, 6]]
+        assert (np.array(rows) @ cache._radix).tolist() == [6, 6]  # aliased keys
+        with pytest.raises(IndexError):
+            cache.rows(np.array(rows))
+        with pytest.raises(IndexError):
+            cache.rows(np.array([[1, 1], [-1, 2]]))
+
     def test_rejects_zero_maxsize(self):
         with pytest.raises(ValueError):
             EmbeddingRowCache(self._tables(), np.dtype(np.float64), maxsize=0)
@@ -184,15 +211,6 @@ class TestEnginePredict:
             engine.predict({"x": x}, batch_size=5), engine.predict({"x": x})
         )
 
-    def test_predict_many_bitwise_matches_per_call_predict(self):
-        layer = Dense(4, 2, rng=RNG)
-        engine = compile_module(layer)
-        parts = [{"x": RNG.standard_normal((n, 4))} for n in (3, 7, 1, 12)]
-        coalesced = engine.predict_many(parts, batch_size=5)
-        for piece, inputs in zip(coalesced, parts):
-            solo = engine.predict(inputs, batch_size=5)
-            assert piece.tobytes() == solo.tobytes()  # bitwise, not just close
-
     def test_chunked_predict_bitwise_at_large_batch(self):
         # Chunking at batch_size >= 16 must not move a bit: every kernel
         # on the compiled path is row-wise, so each chunk's rows see the
@@ -202,6 +220,18 @@ class TestEnginePredict:
         x = RNG.standard_normal((53, 4))
         chunked = engine.predict({"x": x}, batch_size=16)
         assert chunked.tobytes() == engine.predict({"x": x}).tobytes()
+
+    def test_one_row_bitwise_matches_its_row_in_a_batch(self):
+        # numpy runs a one-row matmul as gemv, whose summation order is
+        # not gemm's; predict must not let a lone row (a one-window
+        # execution, a one-row last chunk) take that path.
+        layer = Dense(16, 8, rng=RNG)
+        engine = compile_module(layer)
+        x = RNG.standard_normal((33, 16))
+        full = engine.predict({"x": x})
+        for i in range(len(x)):
+            assert engine.predict({"x": x[i : i + 1]}).tobytes() == full[i : i + 1].tobytes()
+        assert engine.predict({"x": x}, batch_size=16).tobytes() == full.tobytes()
 
     def test_predict_zero_rows(self):
         layer = Dense(4, 2, rng=RNG)
@@ -215,30 +245,6 @@ class TestEnginePredict:
         engine = compile_module(layer)
         with pytest.raises(ValueError, match="at least one named array"):
             engine.predict({})
-
-    def test_predict_many_with_zero_row_part(self):
-        layer = Dense(4, 2, rng=RNG)
-        engine = compile_module(layer)
-        parts = [{"x": RNG.standard_normal((n, 4))} for n in (3, 0, 7)]
-        pieces = engine.predict_many(parts, batch_size=4)
-        assert [len(p) for p in pieces] == [3, 0, 7]
-        for piece, inputs in zip(pieces, parts):
-            solo = engine.predict(inputs, batch_size=4)
-            assert piece.tobytes() == solo.tobytes()
-
-    def test_predict_many_rejects_mismatched_keys(self):
-        layer = Dense(4, 2, rng=RNG)
-        engine = compile_module(layer)
-        with pytest.raises(ValueError, match="differing keys"):
-            engine.predict_many([{"x": np.ones((2, 4))}, {"y": np.ones((2, 4))}])
-
-    def test_predict_many_empty_and_single(self):
-        layer = Dense(4, 2, rng=RNG)
-        engine = compile_module(layer)
-        assert engine.predict_many([]) == []
-        x = RNG.standard_normal((5, 4))
-        [only] = engine.predict_many([{"x": x}])
-        np.testing.assert_array_equal(only, engine.predict({"x": x}))
 
     def test_unregistered_module_raises(self):
         class Custom(Dense):
