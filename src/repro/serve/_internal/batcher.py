@@ -15,7 +15,10 @@ function is scheduled as a task and the batcher immediately collects the
 next batch, keeping up to ``max_inflight`` batches in flight — that is
 how the supervised service keeps N worker processes busy from one drain
 loop while batch *composition* stays a deterministic function of arrival
-order.
+order. The supervised service passes two batches per worker: while a
+worker scores one, the next waits in the supervisor's backlog, so the
+worker starts on it as soon as it answers instead of waiting for the
+parent to commit that answer and collect a new batch.
 
 Because every compiled kernel in the model is row-wise, the *numbers* a
 request gets back are independent of which batch it landed in — batch

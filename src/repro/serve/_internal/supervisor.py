@@ -3,13 +3,14 @@
 The single-loop service executes every coalesced forward on the event
 loop; one hung forward (or one crash) takes the whole service down. This
 module shards that work across N worker *processes*, each owning a warm
-model replica rehydrated from :class:`~repro.workflow.ModelStore` blobs
-on spawn, under a supervisor that holds three guarantees:
+model replica (deserialized once from :class:`~repro.workflow.ModelStore`
+blobs in the parent, inherited or unpickled by the worker, compiled
+there), under a supervisor that holds three guarantees:
 
 1. **No acknowledged request is ever lost.** The parent keeps every
    dispatched batch until its result message arrives; when a worker
    crashes or stalls, its in-flight batch is re-enqueued at the *front*
-   of the backlog under a fresh batch id and redispatched (bounded by
+   of the backlog and redispatched under a fresh batch id (bounded by
    ``max_dispatch_attempts``, after which the batch's futures fail
    loudly — failed, never silently dropped).
 2. **Determinism survives the process boundary.** Workers run only the
@@ -22,18 +23,42 @@ on spawn, under a supervisor that holds three guarantees:
    ``worker_kill_rate < 1`` cannot pin one batch forever.
 3. **Serving never goes cold on a publish.** Rolling publishes walk the
    fleet one worker at a time: wait for the worker to go idle, ship the
-   new blob, await its compile ack, move on — the other N-1 workers keep
+   new model, await its compile ack, move on — the other N-1 workers keep
    serving the previous version throughout.
 
-Liveness is heartbeat-based: a reader thread per worker forwards pipe
-messages onto the loop; the supervise task ticks every
-``heartbeat_interval`` and declares a worker dead when its process is
-gone (crash), when a dispatched batch outlives ``worker_stall_timeout``
-(hung mid-batch), or when an idle worker stops answering pings. Every
-restart path converges on the same respawn: bump the worker's epoch
-(messages from the old incarnation are dropped by epoch tag), kill the
-process, spawn a replacement from the parent-held blob set, and measure
+Liveness is heartbeat-based: the event loop reads every worker pipe
+itself (``loop.add_reader``), so the loop is the only code that touches
+a pipe and it closes a pipe directly when it tears a worker down. The
+supervise task ticks every ``heartbeat_interval`` and declares a worker
+dead when its process is gone (crash, also seen as pipe EOF), when a
+dispatched batch outlives ``worker_stall_timeout`` (hung mid-batch), or
+when an idle worker stops answering pings. Every restart path converges
+on the same respawn: stop reading and close the old pipe, kill the
+process, spawn a replacement from the parent-held model set, and measure
 the outage in ``repro_serve_worker_recovery_seconds``.
+
+The service keeps two batches in flight per worker: one scoring, one
+waiting in the backlog. When a result arrives the waiting batch goes to
+the worker before the finished one commits, so a worker does not idle
+while the parent fans in one batch and collects the next. Each worker
+still holds one batch at a time, which keeps stall detection and
+re-enqueue per batch.
+
+**Wire format.** Pickling a ``TestExecution`` or an ``AnomalyReport``
+costs more per object than scoring it, so a batch crosses the pipe as a
+few flat blocks (:func:`_pack_rows`): environment field tuples, each
+row's ``(timesteps, features)`` shape, one float64 feature block, one
+cpu block, and each row's ``(mu, sigma)`` or ``None``. The worker
+rebuilds ``TestExecution`` views and runs
+``PredictionPipeline.score_with_isolation``; rows keep their own
+shapes, so a wrong-width row still fails alone. The reply
+(:func:`_pack_outcomes`) is each scored row's window count, one block
+each for predictions, observations, flags and errors, the alarms as
+``(start, end, peak)`` tuples and ``{row: message}`` for failed rows,
+plus the worker's deltas of the scoring counters (detections, alarms,
+flagged and filtered timesteps, row failures, ...), which the parent
+adds to its own registry. The parent rebuilds the outcomes as views of
+the blocks.
 
 This file is the one sanctioned home for process-management APIs
 (``os.kill``/``os._exit``/``multiprocessing.Process``/...); lint rule
@@ -52,7 +77,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ...core.anomaly import Alarm, AnomalyReport, GaussianErrorModel
 from ...core.model import Env2VecRegressor
+from ...data.chains import TestExecution
+from ...data.environment import Environment
 from ...obs import get_observability
 from ...workflow.model_store import CorruptModelError, ModelStore
 from ...workflow.prediction_pipeline import PredictionPipeline
@@ -81,15 +109,112 @@ _H_RECOVERY = _OBS.histogram(
 )
 
 
+#: Scoring counters a worker increments; it ships their deltas back.
+_FORWARDED_COUNTERS = tuple(
+    _OBS.registry.get(name)
+    for name in (
+        "repro_detector_detections_total",
+        "repro_detector_alarms_total",
+        "repro_detector_flagged_timesteps_total",
+        "repro_detector_filtered_timesteps_total",
+        "repro_prediction_row_failures_total",
+        "repro_predictions_total",
+        "repro_env_cache_hits_total",
+        "repro_env_cache_misses_total",
+    )
+)
+
+
+# ---------------------------------------------------------------------------
+# Wire codec
+# ---------------------------------------------------------------------------
+
+def _flat(arrays: list, dtype=None) -> np.ndarray:
+    return np.concatenate(arrays, dtype=dtype) if arrays else np.empty(0, dtype)
+
+
+def _pack_rows(rows: list) -> tuple:
+    """``[(execution, error_model), ...]`` as flat blocks (module docstring)."""
+    executions = [execution for execution, _ in rows]
+    return (
+        [execution.environment.as_tuple() for execution in executions],
+        [execution.features.shape for execution in executions],
+        _flat([execution.features.ravel() for execution in executions], np.float64),
+        _flat([execution.cpu for execution in executions], np.float64),
+        [None if model is None else (model.mu, model.sigma) for _, model in rows],
+    )
+
+
+def _unpack_rows(body: tuple) -> tuple[list[TestExecution], list]:
+    """The executions (views of the blocks) and error models of a batch."""
+    environments, shapes, features, cpu, models = body
+    executions, at, step = [], 0, 0
+    for fields, (steps, width) in zip(environments, shapes):
+        size = steps * width
+        executions.append(
+            TestExecution(
+                environment=Environment(*fields),
+                features=features[at : at + size].reshape(steps, width),
+                cpu=cpu[step : step + steps],
+            )
+        )
+        at += size
+        step += steps
+    return executions, [None if m is None else GaussianErrorModel(*m) for m in models]
+
+
+def _pack_outcomes(outcomes: list) -> tuple:
+    """``score_with_isolation`` outcomes as flat blocks (module docstring).
+
+    Every report of one batch comes from one detector, so ``gamma`` is
+    shipped once.
+    """
+    ok = [outcome for outcome in outcomes if outcome[0] == "ok"]
+    failed = {row: outcome[1] for row, outcome in enumerate(outcomes) if outcome[0] == "err"}
+    reports = [report for _, report, _, _ in ok]
+    return (
+        [len(observed) for _, _, _, observed in ok],
+        _flat([predictions for _, _, predictions, _ in ok]),
+        _flat([observed for _, _, _, observed in ok]),
+        _flat([report.flags for report in reports]),
+        _flat([report.errors for report in reports]),
+        [[(a.start, a.end, a.peak_deviation) for a in report.alarms] for report in reports],
+        reports[0].gamma if reports else None,
+        failed,
+    )
+
+
+def _unpack_outcomes(body: tuple, n_rows: int) -> list[tuple]:
+    """The outcomes of a batch, their arrays views of the blocks."""
+    lengths, predictions, observations, flags, errors, alarms, gamma, failed = body
+    outcomes, at, scored = [], 0, 0
+    for row in range(n_rows):
+        if row in failed:
+            outcomes.append(("err", failed[row]))
+            continue
+        end = at + lengths[scored]
+        report = AnomalyReport(
+            flags=flags[at:end],
+            alarms=[Alarm(*alarm) for alarm in alarms[scored]],
+            errors=errors[at:end],
+            gamma=gamma,
+        )
+        outcomes.append(("ok", report, predictions[at:end], observations[at:end]))
+        at = end
+        scored += 1
+    return outcomes
+
+
 # ---------------------------------------------------------------------------
 # Worker process side
 # ---------------------------------------------------------------------------
 
-def _worker_main(worker_id: int, epoch: int, conn, init: dict) -> None:
+def _worker_main(conn, init: dict) -> None:
     """Entry point of one scoring worker process.
 
     Single-threaded recv loop over the duplex pipe. The worker holds a
-    capacity-bounded dict of rehydrated+compiled model replicas and a
+    capacity-bounded dict of compiled model replicas (the parent
+    deserialized them; a forked worker inherits them) and a
     store-less :class:`PredictionPipeline` used purely for
     ``score_with_isolation`` — it never touches a ModelStore, AlarmStore,
     or TSDB, which is what keeps it byte-neutral and spawn-safe.
@@ -106,22 +231,21 @@ def _worker_main(worker_id: int, epoch: int, conn, init: dict) -> None:
     dtype = np.dtype(init.get("dtype", "float64")).type
     models: OrderedDict[int, Env2VecRegressor] = OrderedDict()
 
-    def admit(version: int, blob: bytes) -> None:
-        model = Env2VecRegressor.from_bytes(blob)
+    def admit(version: int, model: Env2VecRegressor) -> None:
         model.compile(dtype=dtype)
         models[version] = model
         while len(models) > capacity:
             del models[min(models)]
 
-    for version, blob in init["blobs"]:
-        admit(version, blob)
-    conn.send(("ready", epoch, worker_id, os.getpid()))
+    for version, model in init["models"]:
+        admit(version, model)
+    conn.send(("ready", os.getpid()))
     try:
         while True:
             message = conn.recv()
             kind = message[0]
             if kind == "batch":
-                _, batch_id, version, rows = message
+                _, batch_id, version, body = message
                 if chaos is not None and chaos.worker_kill(batch_id):
                     os._exit(17)
                 if chaos is not None and chaos.worker_stall(batch_id):
@@ -132,20 +256,23 @@ def _worker_main(worker_id: int, epoch: int, conn, init: dict) -> None:
                     # Mirror the warm pool's fallback: newest resident.
                     used = max(models)
                     model = models[used]
+                executions, error_models = _unpack_rows(body)
                 if model is None:
-                    outcomes = [("err", "worker has no resident model")] * len(rows)
-                    conn.send(("result", epoch, batch_id, -1, 0, outcomes))
+                    outcomes = [("err", "worker has no resident model")] * len(executions)
+                    conn.send(("result", batch_id, -1, 0, _pack_outcomes(outcomes), ()))
                     continue
-                executions = [execution for execution, _ in rows]
-                error_models = [error_model for _, error_model in rows]
+                before = [counter.value for counter in _FORWARDED_COUNTERS]
                 outcomes = pipeline.score_with_isolation(model, executions, error_models)
-                conn.send(("result", epoch, batch_id, used, model.n_lags, outcomes))
+                deltas = tuple(c.value - b for c, b in zip(_FORWARDED_COUNTERS, before))
+                conn.send(
+                    ("result", batch_id, used, model.n_lags, _pack_outcomes(outcomes), deltas)
+                )
             elif kind == "model":
-                _, version, blob = message
-                admit(version, blob)
-                conn.send(("model_ready", epoch, version))
+                _, version, model = message
+                admit(version, model)
+                conn.send(("model_ready", version))
             elif kind == "ping":
-                conn.send(("pong", epoch, message[1]))
+                conn.send(("pong", message[1]))
             elif kind == "shutdown":
                 break
     except (EOFError, OSError, KeyboardInterrupt):
@@ -165,9 +292,10 @@ def _worker_main(worker_id: int, epoch: int, conn, init: dict) -> None:
 class _Dispatch:
     """One batch the supervisor has acknowledged and must answer."""
 
-    batch_id: int
-    rows: list  # [(TestExecution, GaussianErrorModel | None), ...]
+    body: tuple  # _pack_rows of [(TestExecution, GaussianErrorModel | None), ...]
     future: asyncio.Future
+    #: id of the latest dispatch; every dispatch, first or repeated, gets a new one
+    batch_id: int = -1
     attempts: int = 0
 
 
@@ -179,13 +307,13 @@ class _Worker:
     epoch: int
     process: multiprocessing.process.BaseProcess | None = None
     conn: object = None
-    #: set once the loop stops using ``conn``; the reader then closes it
-    released: threading.Event | None = None
     phase: str = "starting"  # starting | ready | busy | publishing | dead
     inflight: _Dispatch | None = None
     dispatched_at: float = 0.0
     last_pong: float = 0.0
     versions: set = field(default_factory=set)
+    #: set from the moment a rolling publish waits for this worker to go
+    #: idle until its ack; no batch is dispatched to it meanwhile
     publish_ack: asyncio.Future | None = None
     restart_began: float | None = None
 
@@ -219,7 +347,8 @@ class WorkerSupervisor:
         self._workers: dict[int, _Worker] = {}
         self._backlog: deque[_Dispatch] = deque()
         self._next_batch_id = 0
-        self._blobs: OrderedDict[int, bytes] = OrderedDict()
+        #: deserialized, uncompiled replicas; a forked worker inherits them
+        self._models: OrderedDict[int, Env2VecRegressor] = OrderedDict()
         self.latest_version = 0
         self.n_lags: int | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -236,9 +365,9 @@ class WorkerSupervisor:
     # -- lifecycle -----------------------------------------------------
 
     async def start(self) -> None:
-        """Load blobs, spawn the fleet, wait for every worker's ready."""
+        """Load the model, spawn the fleet, wait for every worker's ready."""
         self._loop = asyncio.get_running_loop()
-        self._load_blob(self._store.latest_version)
+        self._load_model(self._store.latest_version)
         for worker_id in range(self.config.n_workers):
             self._workers[worker_id] = _Worker(worker_id=worker_id, epoch=0)
             self._idle_events[worker_id] = asyncio.Event()
@@ -276,17 +405,21 @@ class WorkerSupervisor:
             self._teardown(worker)
         _G_READY.set(0)
 
-    def _load_blob(self, version: int) -> None:
-        if not version or version in self._blobs:
+    def _load_model(self, version: int) -> None:
+        """Deserialize a published version once; workers only compile it.
+
+        The parent also reads the model geometry it needs for
+        admission-time pre-checks off it, without a warm pool.
+        """
+        if not version or version in self._models:
             return
         blob, _record = self._store.fetch(version)
-        self._blobs[version] = blob
-        while len(self._blobs) > self.config.pool_capacity:
-            del self._blobs[min(self._blobs)]
+        model = Env2VecRegressor.from_bytes(blob)
+        self._models[version] = model
+        while len(self._models) > self.config.pool_capacity:
+            del self._models[min(self._models)]
         self.latest_version = max(self.latest_version, version)
-        # One uncompiled deserialize gives the parent the model geometry
-        # it needs for admission-time pre-checks without a warm pool.
-        self.n_lags = Env2VecRegressor.from_bytes(blob).n_lags
+        self.n_lags = model.n_lags
 
     def _spawn(self, worker: _Worker) -> None:
         """Start a fresh incarnation of ``worker`` (epoch already bumped)."""
@@ -298,11 +431,11 @@ class WorkerSupervisor:
             "capacity": self.config.pool_capacity,
             "stall_seconds": self.config.worker_stall_timeout * 10,
             "dtype": self.config.inference_dtype,
-            "blobs": list(self._blobs.items()),
+            "models": list(self._models.items()),
         }
         process = self._ctx.Process(
             target=_worker_main,
-            args=(worker.worker_id, worker.epoch, child_conn, init),
+            args=(child_conn, init),
             name=f"repro-serve-worker-{worker.worker_id}",
             daemon=True,
         )
@@ -310,36 +443,25 @@ class WorkerSupervisor:
         child_conn.close()
         worker.process = process
         worker.conn = parent_conn
-        worker.released = threading.Event()
         worker.phase = "starting"
-        worker.versions = set(self._blobs)
+        worker.versions = set(self._models)
         worker.last_pong = self._loop.time()
-        reader = threading.Thread(
-            target=self._read_forever,
-            args=(parent_conn, worker.released, worker.worker_id, worker.epoch),
-            name=f"repro-serve-reader-{worker.worker_id}",
-            daemon=True,
-        )
-        reader.start()
+        self._loop.add_reader(parent_conn.fileno(), self._on_readable, worker, parent_conn)
 
     def _teardown(self, worker: _Worker) -> None:
-        """Stop using a worker's pipe and kill its process (idempotent).
-
-        The pipe is not closed here: the reader thread may be blocked in
-        ``conn.recv()`` on it, and closing under it raises in that thread.
-        The loop only lets go of the pipe; the reader closes it once the
-        dead process's end reaches EOF.
-        """
-        worker.epoch += 1  # stale reader callbacks are dropped by epoch
+        """Stop reading and close a worker's pipe, kill its process (idempotent)."""
+        worker.epoch += 1
         worker.phase = "dead"
         self._idle_events[worker.worker_id].clear()
-        if worker.conn is not None:
+        conn = worker.conn
+        if conn is not None:
+            worker.conn = None
             try:
-                worker.conn.send(("shutdown",))
+                conn.send(("shutdown",))
             except (BrokenPipeError, OSError):
                 pass
-            worker.conn = None
-            worker.released.set()
+            self._loop.remove_reader(conn.fileno())
+            conn.close()
         if worker.process is not None:
             process = worker.process
             worker.process = None
@@ -348,34 +470,22 @@ class WorkerSupervisor:
             # Reap without blocking the loop.
             threading.Thread(target=process.join, daemon=True).start()
 
-    # -- reader thread -> loop -----------------------------------------
+    # -- pipe -> loop ---------------------------------------------------
 
-    def _read_forever(self, conn, released: threading.Event, worker_id: int, epoch: int) -> None:
-        """Forward one incarnation's messages; the pipe's only closer.
-
-        After EOF it waits until the loop has torn the worker down (and so
-        will never send on the pipe again) before closing, so neither a
-        ``recv`` nor a ``send`` can race the close.
-        """
-        loop = self._loop
+    def _on_readable(self, worker: _Worker, conn) -> None:
+        """Read one message from a worker's pipe; EOF means it crashed."""
         try:
-            while True:
-                message = conn.recv()
-                loop.call_soon_threadsafe(self._on_message, worker_id, epoch, message)
+            message = conn.recv()
         except (EOFError, OSError):
-            try:
-                loop.call_soon_threadsafe(self._on_eof, worker_id, epoch)
-            except RuntimeError:
-                released.set()  # loop already closed: nothing sends any more
-        except RuntimeError:
-            released.set()  # the loop closed while the worker was still talking
-        released.wait()
-        conn.close()
+            # Stop watching a dead pipe; the restart (or stop) closes it.
+            self._loop.remove_reader(conn.fileno())
+            if worker.conn is conn and not self._stopping:
+                self._restart(worker, reason="crash")
+            return
+        if worker.conn is conn:
+            self._on_message(worker, message)
 
-    def _on_message(self, worker_id: int, epoch: int, message: tuple) -> None:
-        worker = self._workers.get(worker_id)
-        if worker is None or worker.epoch != epoch:
-            return  # stale incarnation
+    def _on_message(self, worker: _Worker, message: tuple) -> None:
         kind = message[0]
         if kind == "ready":
             worker.phase = "ready"
@@ -385,33 +495,26 @@ class WorkerSupervisor:
                 self.recovery_seconds.append(recovered)
                 _H_RECOVERY.observe(recovered)
             worker.last_pong = self._loop.time()
-            self._idle_events[worker_id].set()
+            self._idle_events[worker.worker_id].set()
             self._update_ready_gauge()
             self._pump()
         elif kind == "pong":
             worker.last_pong = self._loop.time()
         elif kind == "model_ready":
-            _, _, version = message
-            worker.versions.add(version)
+            worker.versions.add(message[1])
             if worker.publish_ack is not None and not worker.publish_ack.done():
-                worker.publish_ack.set_result(version)
+                worker.publish_ack.set_result(message[1])
         elif kind == "result":
-            _, _, batch_id, used_version, n_lags, outcomes = message
             dispatch = worker.inflight
             worker.inflight = None
             worker.phase = "ready"
             worker.last_pong = self._loop.time()
-            self._idle_events[worker_id].set()
-            if dispatch is not None and not dispatch.future.done():
-                dispatch.future.set_result((used_version, n_lags, outcomes))
-            self._update_ready_gauge()
+            self._idle_events[worker.worker_id].set()
+            # The queued batch goes out before this one commits.
             self._pump()
-
-    def _on_eof(self, worker_id: int, epoch: int) -> None:
-        worker = self._workers.get(worker_id)
-        if worker is None or worker.epoch != epoch or self._stopping:
-            return
-        self._restart(worker, reason="crash")
+            if dispatch is not None and not dispatch.future.done():
+                dispatch.future.set_result(message[2:])
+            self._update_ready_gauge()
 
     # -- supervision ----------------------------------------------------
 
@@ -458,7 +561,7 @@ class WorkerSupervisor:
         dispatch = worker.inflight
         worker.inflight = None
         if worker.publish_ack is not None and not worker.publish_ack.done():
-            # The replacement spawns with the full blob set, new version
+            # The replacement spawns with the full model set, new version
             # included — the publish is satisfied by the respawn itself.
             worker.publish_ack.set_result(-1)
         if dispatch is not None:
@@ -472,10 +575,9 @@ class WorkerSupervisor:
                         )
                     )
             else:
-                # Fresh id => fresh chaos draw; front of the backlog so
-                # recovered work is not starved by newly admitted work.
-                dispatch.batch_id = self._next_batch_id
-                self._next_batch_id += 1
+                # Front of the backlog so recovered work is not starved by
+                # newly admitted work; its redispatch gets a fresh id, so
+                # a fresh chaos draw.
                 self.reenqueued += 1
                 _M_REENQUEUED.inc()
                 self._backlog.appendleft(dispatch)
@@ -512,18 +614,23 @@ class WorkerSupervisor:
     def _pump(self) -> None:
         """Hand backlog batches to ready workers, lowest worker id first."""
         while self._backlog:
-            candidates = [w for w in self._workers.values() if w.phase == "ready"]
+            candidates = [
+                w for w in self._workers.values()
+                if w.phase == "ready" and w.publish_ack is None
+            ]
             if not candidates:
                 return
             worker = min(candidates, key=lambda w: w.worker_id)
             dispatch = self._backlog.popleft()
+            dispatch.batch_id = self._next_batch_id
+            self._next_batch_id += 1
             worker.phase = "busy"
             worker.inflight = dispatch
             worker.dispatched_at = self._loop.time()
             self._idle_events[worker.worker_id].clear()
             try:
                 worker.conn.send(
-                    ("batch", dispatch.batch_id, self.latest_version, dispatch.rows)
+                    ("batch", dispatch.batch_id, self.latest_version, dispatch.body)
                 )
             except (BrokenPipeError, OSError):
                 self._restart(worker, reason="crash")
@@ -539,15 +646,14 @@ class WorkerSupervisor:
         exhausted its dispatch attempts) — acknowledged work is never
         dropped on the floor.
         """
-        dispatch = _Dispatch(
-            batch_id=self._next_batch_id,
-            rows=list(rows),
-            future=self._loop.create_future(),
-        )
-        self._next_batch_id += 1
+        dispatch = _Dispatch(body=_pack_rows(rows), future=self._loop.create_future())
         self._backlog.append(dispatch)
         self._pump()
-        return await dispatch.future
+        used_version, n_lags, body, deltas = await dispatch.future
+        for counter, delta in zip(_FORWARDED_COUNTERS, deltas):
+            if delta:
+                counter.inc(delta)
+        return used_version, n_lags, _unpack_outcomes(body, len(rows))
 
     # -- rolling publish ------------------------------------------------
 
@@ -560,11 +666,11 @@ class WorkerSupervisor:
         the fleet keeps serving its newest good version.
         """
         try:
-            self._load_blob(version)
+            self._load_model(version)
         except CorruptModelError:
             return None
         if self._loop is None or self._stopping:
-            return None  # next start()/spawn ships the blob anyway
+            return None  # next start()/spawn ships the model anyway
         task = self._loop.create_task(
             self._rolling_publish(version), name=f"serve-publish-v{version}"
         )
@@ -573,44 +679,50 @@ class WorkerSupervisor:
         return task
 
     async def _rolling_publish(self, version: int) -> None:
-        blob = self._blobs.get(version)
-        if blob is None:
+        model = self._models.get(version)
+        if model is None:
             return
         async with self._publish_lock:
             for worker_id in sorted(self._workers):
-                await self._publish_to_worker(self._workers[worker_id], version, blob)
+                await self._publish_to_worker(self._workers[worker_id], version, model)
             self.latest_version = max(self.latest_version, version)
 
-    async def _publish_to_worker(self, worker: _Worker, version: int, blob) -> None:
-        """Drain one worker, ship the blob, await its compile ack."""
-        while True:
-            if version in worker.versions:
-                return  # respawned with the new blob set already
-            if worker.phase == "ready":
-                break
-            await self._idle_events[worker.worker_id].wait()
-        worker.phase = "publishing"
-        self._idle_events[worker.worker_id].clear()
+    async def _publish_to_worker(self, worker: _Worker, version: int, model) -> None:
+        """Drain one worker, ship the model, await its compile ack.
+
+        ``publish_ack`` is set before the wait, so the worker finishes
+        its batch and then takes no other one until the ack.
+        """
         worker.publish_ack = self._loop.create_future()
         try:
-            worker.conn.send(("model", version, blob))
-        except (BrokenPipeError, OSError):
-            self._restart(worker, reason="crash")
-            return
-        try:
-            await asyncio.wait_for(
-                worker.publish_ack, self.config.worker_start_timeout
-            )
-        except asyncio.TimeoutError:
-            self._restart(worker, reason="publish_timeout")
-            return
+            while worker.phase != "ready":
+                if version in worker.versions:
+                    return  # respawned with the new model set already
+                await self._idle_events[worker.worker_id].wait()
+            if version in worker.versions:
+                return
+            worker.phase = "publishing"
+            self._idle_events[worker.worker_id].clear()
+            try:
+                worker.conn.send(("model", version, model))
+            except (BrokenPipeError, OSError):
+                self._restart(worker, reason="crash")
+                return
+            try:
+                await asyncio.wait_for(
+                    worker.publish_ack, self.config.worker_start_timeout
+                )
+            except asyncio.TimeoutError:
+                self._restart(worker, reason="publish_timeout")
+                return
+            if worker.phase == "publishing":
+                worker.phase = "ready"
+                self._idle_events[worker.worker_id].set()
+                self._update_ready_gauge()
         finally:
             worker.publish_ack = None
-        if worker.phase == "publishing":
-            worker.phase = "ready"
-            self._idle_events[worker.worker_id].set()
-            self._update_ready_gauge()
-            self._pump()
+            if not self._stopping:
+                self._pump()
 
     # -- introspection --------------------------------------------------
 

@@ -94,8 +94,9 @@ class ServeConfig:
     #: the event loop exactly as the single-loop service always has.
     n_workers: int = 0
     #: multiprocessing start method for supervised workers ("fork" is
-    #: cheap on Linux; workers are rehydrated from ModelStore blobs either
-    #: way, so the code is spawn-safe).
+    #: cheap on Linux and lets workers inherit the models the parent
+    #: deserialized; under "spawn" they arrive pickled, so the code is
+    #: spawn-safe).
     worker_start_method: str = "fork"
     #: supervisor tick interval (seconds, wall clock) between liveness
     #: checks, and how long a worker may sit on one dispatched batch (or

@@ -200,7 +200,8 @@ class Env2VecService:
                 lambda record: self.supervisor.schedule_publish(record.version)
             )
             execute = self._dispatch_supervised
-            max_inflight = self.config.n_workers
+            # One batch scoring and one queued per worker (supervisor docs).
+            max_inflight = 2 * self.config.n_workers
         else:
             self.pool = WarmModelPool(
                 model_store,

@@ -11,10 +11,12 @@ swap model versions without the service ever going cold.
 """
 
 import asyncio
+import threading
 
 import pytest
 
 from repro.data import TelecomConfig, generate_telecom
+from repro.obs import get_observability
 from repro.resilience import ChaosProfile
 from repro.serve import Env2VecService, PredictRequest, ServeConfig
 from repro.workflow import (
@@ -295,33 +297,241 @@ class TestRowIsolation:
             _assert_bytes_match([results[0], results[2]], reference)
 
 
-def _flood(worker_id, epoch, conn, init):
-    """A worker that never stops talking: the reader is always mid-recv."""
+@pytest.fixture
+def registry():
+    """The global metrics registry, switched on for the test."""
+    registry = get_observability().registry
+    was_enabled = registry.enabled
+    registry.enabled = True
+    yield registry
+    registry.enabled = was_enabled
+
+
+#: Counters the scoring half increments, wherever it runs.
+_SCORING_COUNTERS = (
+    "repro_detector_detections_total",
+    "repro_detector_alarms_total",
+    "repro_detector_flagged_timesteps_total",
+    "repro_detector_filtered_timesteps_total",
+    "repro_prediction_row_failures_total",
+    "repro_predictions_total",
+)
+
+
+class TestCounterForwarding:
+    def test_worker_scoring_counters_reach_the_parent(self, dataset, registry):
+        # Workers increment the detector and row-failure counters in
+        # their own processes; the parent must end up with the same
+        # deltas as the single loop that scores inline.
+        from dataclasses import replace
+
+        store = ModelStore()
+        _train(store, dataset)
+        good = [chain.current for chain in dataset.chains]
+        bad = replace(good[1], features=good[1].features[:, :2])
+        executions = [*good, bad]
+        counters = [registry.get(name) for name in _SCORING_COUNTERS]
+
+        async def scenario(n_workers):
+            service = Env2VecService(
+                store, alarm_store=AlarmStore(), config=ServeConfig(n_workers=n_workers)
+            )
+            async with service:
+                await asyncio.gather(
+                    *(
+                        service.submit_predict(
+                            PredictRequest(execution=execution, request_id=str(i))
+                        )
+                        for i, execution in enumerate(executions)
+                    ),
+                    return_exceptions=True,
+                )
+
+        def deltas(n_workers):
+            before = [counter.value for counter in counters]
+            asyncio.run(scenario(n_workers))
+            return [counter.value - b for counter, b in zip(counters, before)]
+
+        single, multi = deltas(0), deltas(2)
+        assert single == multi
+        detections, alarms, _, _, row_failures, predictions = single
+        assert detections == len(good) and row_failures == 1
+        assert alarms > 0 and predictions > 0
+
+
+class _FailFirstBatch:
+    """Chaos that kills or stalls the worker on batch id 0 only."""
+
+    def __init__(self, mode: str):
+        self.mode = mode
+
+    def worker_kill(self, batch_id) -> bool:
+        return self.mode == "kill" and batch_id == 0
+
+    def worker_stall(self, batch_id) -> bool:
+        return self.mode == "stall" and batch_id == 0
+
+
+class TestQueuedBatchChaos:
+    @pytest.mark.parametrize("mode", ["kill", "stall"])
+    def test_failure_with_successor_queued_resolves_both_once(self, dataset, registry, mode):
+        # One worker, two batches in flight: the first batch is on the
+        # worker and the second waits in the backlog when the worker dies.
+        store = ModelStore()
+        _train(store, dataset)
+        executions = [chain.current for chain in dataset.chains] * 2
+        reference = _reference_runs(store, dataset, executions)
+        requests = [
+            PredictRequest(execution=execution, request_id=str(i))
+            for i, execution in enumerate(executions)
+        ]
+        answered = registry.get("repro_serve_requests_total").labels(
+            kind="predict", status="ok"
+        )
+
+        async def scenario():
+            service = Env2VecService(
+                store,
+                alarm_store=AlarmStore(),
+                config=ServeConfig(
+                    max_batch=4,
+                    n_workers=1,
+                    heartbeat_interval=0.02,
+                    worker_stall_timeout=0.2,
+                ),
+                chaos=_FailFirstBatch(mode),
+            )
+            async with service:
+                supervisor = service.supervisor
+                queued = []
+                restart = supervisor._restart
+
+                def spy(worker, *, reason):
+                    queued.append(len(supervisor._backlog))
+                    restart(worker, reason=reason)
+
+                supervisor._restart = spy
+                before = answered.value
+                responses = await service.client().predict_many(requests)
+                n_answered = answered.value - before
+                n_alarms = len(service.alarm_store.fetch())
+                reenqueued = supervisor.reenqueued
+            return responses, queued, n_answered, n_alarms, reenqueued
+
+        responses, queued, n_answered, n_alarms, reenqueued = asyncio.run(scenario())
+        assert len(queued) == 1 and queued[0] >= 1  # the successor was waiting
+        assert reenqueued == 1
+        assert n_answered == len(requests)  # every request resolved exactly once
+        assert n_alarms == sum(len(run.alarm_ids) for run in reference)
+        # Byte-identical, alarm ids dense and in dispatch order.
+        _assert_bytes_match(responses, reference)
+
+
+class TestRollingPublishUnderLoad:
+    def test_publish_completes_while_batches_stay_queued(self, dataset):
+        # With two batches per worker, a finished worker usually finds a
+        # queued batch. A publish waiting for a worker to go idle holds
+        # new batches off it, so it waits for one batch at most.
+        store = ModelStore()
+        _train(store, dataset, seed=0)
+        # Train the next version off the loop, so the busy workers are
+        # never stuck behind a blocked loop; publishing it is instant.
+        retrained = ModelStore()
+        _train(retrained, dataset, seed=1)
+        next_blob, _ = retrained.fetch_latest()
+        executions = [chain.current for chain in dataset.chains]
+
+        async def scenario():
+            service = Env2VecService(
+                store, alarm_store=AlarmStore(), config=ServeConfig(max_batch=2, n_workers=2)
+            )
+            async with service:
+                client = service.client()
+                responses, running, sent_while_draining = [], [True], []
+                for worker in service.supervisor._workers.values():
+
+                    def spy(message, worker=worker, send=worker.conn.send):
+                        if message[0] == "batch" and worker.publish_ack is not None:
+                            sent_while_draining.append(worker.worker_id)
+                        send(message)
+
+                    worker.conn.send = spy
+
+                async def load(k):
+                    sent = 0
+                    while running[0]:
+                        execution = executions[(k + sent) % len(executions)]
+                        responses.append(
+                            await client.predict(
+                                PredictRequest(execution=execution, request_id=f"{k}-{sent}")
+                            )
+                        )
+                        sent += 1
+
+                clients = [asyncio.ensure_future(load(k)) for k in range(32)]
+                await asyncio.sleep(0.2)
+                store.publish(next_blob)
+                await asyncio.wait_for(
+                    asyncio.gather(*service.supervisor._publish_tasks), timeout=10
+                )
+                published_at = len(responses)
+                await asyncio.sleep(0.2)
+                running[0] = False
+                await asyncio.gather(*clients)
+                states = service.supervisor.worker_states()
+            return responses, published_at, states, sent_while_draining
+
+        responses, published_at, states, sent_while_draining = asyncio.run(scenario())
+        assert sent_while_draining == []
+        assert all(response.status == "ok" for response in responses)
+        assert len(responses) > published_at  # traffic kept flowing
+        assert responses[-1].run.model_version == 2
+        assert all(state.epoch == 1 and state.model_version == 2 for state in states)
+
+
+def _flood(conn, init):
+    """A worker that never stops talking: its pipe is always readable."""
     while True:
-        conn.send(("pong", epoch, 0.0))
+        conn.send(("pong", 0.0))
 
 
 class TestPipeOwnership:
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
     def test_kill_respawn_never_races_the_reader(self, monkeypatch):
-        # Tearing a worker down used to close its pipe while the reader
-        # thread was inside conn.recv(), which raised TypeError in that
-        # thread. Now only the reader closes the pipe, after EOF.
+        # The event loop is each pipe's only reader and only closer.
+        # Tearing a flooding worker down mid-stream must close its pipe
+        # and stop reading it: a read of a closed pipe would raise inside
+        # a loop callback, and no thread may read a pipe.
         from repro.serve._internal import supervisor as module
 
         monkeypatch.setattr(module, "_worker_main", _flood)
 
         async def scenario():
+            loop = asyncio.get_running_loop()
+            errors = []
+            loop.set_exception_handler(lambda _, context: errors.append(context))
             sup = module.WorkerSupervisor(ModelStore(), ServeConfig(n_workers=1))
-            sup._loop = asyncio.get_running_loop()
+            sup._loop = loop
             worker = module._Worker(worker_id=0, epoch=0)
             sup._workers[0] = worker
             sup._idle_events[0] = asyncio.Event()
+            conns, heard = [], 0
             for _ in range(25):
                 sup._spawn(worker)
-                await asyncio.sleep(0.005)
+                spawned_at = worker.last_pong
+                for _ in range(1000):  # tear down only once the worker floods
+                    await asyncio.sleep(0.001)
+                    if worker.last_pong > spawned_at:
+                        break
+                heard += worker.last_pong > spawned_at
+                conns.append(worker.conn)
                 sup._teardown(worker)
             sup._stopping = True
             await asyncio.sleep(0.1)
+            return errors, conns, heard
 
-        asyncio.run(scenario())
+        errors, conns, heard = asyncio.run(scenario())
+        assert errors == []
+        assert all(conn.closed for conn in conns)
+        assert heard == 25  # every teardown hit a pipe the loop was reading
+        assert not [t for t in threading.enumerate() if t.name.startswith("repro-serve-reader")]

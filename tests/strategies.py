@@ -20,18 +20,27 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from repro.core.anomaly import GaussianErrorModel
 from repro.data import Environment, TestExecution
 
 __all__ = [
     "CHUNK_BOUNDARY_TOTALS",
     "DERANDOMIZED",
+    "MAX_BATCH",
+    "MAX_BATCH_SIZES",
     "environment_pool",
     "execution_batches",
     "environment_runs",
+    "scoring_rows",
 ]
 
 #: Window totals around the compiled forward's 1024-row chunk.
 CHUNK_BOUNDARY_TOTALS = (1, 1023, 1024, 1025, 2049)
+
+#: The serve micro-batch bound the e2e benchmark runs at, and batch
+#: sizes at its boundaries: one row, one short, exactly full, one over.
+MAX_BATCH = 64
+MAX_BATCH_SIZES = (1, MAX_BATCH - 1, MAX_BATCH, MAX_BATCH + 1)
 
 DERANDOMIZED = settings(
     derandomize=True,
@@ -119,3 +128,57 @@ def execution_batches(
             )
         )
     return executions
+
+
+@st.composite
+def scoring_rows(
+    draw,
+    pool: list[Environment],
+    *,
+    n_features: int,
+    n_lags: int,
+    sizes: tuple[int, ...] = MAX_BATCH_SIZES,
+    mixed_widths: bool = False,
+) -> list[tuple[TestExecution, GaussianErrorModel | None]]:
+    """``(execution, error_model)`` rows, as the serve layer scores them.
+
+    The row count comes from ``sizes``. Each execution has 2–12 windows,
+    features drawn as float64, float32 or small ints (``TestExecution``
+    stores float64 either way), sometimes a constant CPU series, an
+    environment from ``pool`` (own object or equal copy) and either no
+    error model (self-calibrated) or a
+    Gaussian one. With ``mixed_widths``, some batches have rows with a
+    feature count other than ``n_features``, which a model cannot
+    consume.
+    """
+    n_rows = draw(st.sampled_from(sizes))
+    mixed_widths = mixed_widths and draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(n_rows):
+        steps = n_lags + int(rng.integers(2, 13))
+        width = n_features
+        if mixed_widths and rng.random() < 0.2:
+            width = int(rng.choice([1, n_features - 1, n_features + 2]))
+        kind = rng.integers(3)
+        if kind == 0:
+            features = rng.standard_normal((steps, width))
+        elif kind == 1:
+            features = rng.standard_normal((steps, width)).astype(np.float32)
+        else:
+            features = rng.integers(-3, 4, (steps, width))
+        environment = pool[int(rng.integers(len(pool)))]
+        if rng.random() < 0.5:
+            environment = _copy(environment)
+        error_model = None
+        if rng.random() < 0.5:
+            error_model = GaussianErrorModel(
+                mu=float(rng.normal(0.0, 2.0)), sigma=float(rng.uniform(0.5, 8.0))
+            )
+        if rng.random() < 0.2:
+            cpu = np.full(steps, rng.uniform(10.0, 90.0))
+        else:
+            cpu = rng.uniform(10.0, 90.0, steps)
+        execution = TestExecution(environment=environment, features=features, cpu=cpu)
+        rows.append((execution, error_model))
+    return rows
