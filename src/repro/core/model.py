@@ -47,6 +47,7 @@ from ..nn.inference import (
     snapshot,
 )
 from ..nn.layers import Dense, Dropout, Module
+from ..nn.optim import Adam
 from ..nn.tensor import Tensor, no_grad
 from ..nn.training import EarlyStopping, Trainer, TrainingHistory
 from .embeddings import EnvironmentEmbeddings, EnvironmentVocabulary
@@ -117,6 +118,11 @@ class Env2VecModel(Module):
         elif head == "mlp":
             self.head_hidden = Dense(2 * c_dim, c_dim, activation="relu", rng=rng)
             self.head_out = Dense(c_dim, 1, rng=rng)
+
+    def reseed(self, rng: np.random.Generator) -> None:
+        """Draw dropout, ``<unk>``-dropout and table-growth noise from ``rng``."""
+        self.fnn_dropout.rng = rng
+        self.embeddings._rng = rng
 
     def forward(self, cf: np.ndarray, history: np.ndarray, env: np.ndarray) -> Tensor:
         """Predict ``y'_p`` for a batch.
@@ -302,6 +308,43 @@ class Env2VecRegressor(Estimator):
         X, history = self._scale_inputs(X, history)
         return {"cf": X, "history": history, "env": env_ids}
 
+    def _training_arrays(self, environments, X, history, y):
+        X = np.asarray(X, dtype=np.float64)
+        history = np.asarray(history, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if not (len(environments) == len(X) == len(history) == len(y)):
+            raise ValueError("environments, X, history and y must be aligned")
+        if history.shape[1] != self.n_lags:
+            raise ValueError(f"history window must have {self.n_lags} columns; got {history.shape[1]}")
+        return X, history, y
+
+    def _train(self, environments, X, history, y, *, parameters, lr, batch_size, epochs, rng, val=None):
+        """The one training path behind ``fit`` and ``fine_tune``.
+
+        Scales inputs and targets with the fitted scalers and runs MSE +
+        Adam over ``parameters``, early-stopping on ``val`` when given.
+        """
+        inputs = self._batch(environments, X, history)
+        targets = (y - self._y_mean) / self._y_std
+        val_inputs = val_targets = None
+        early_stopping = None
+        if val is not None:
+            val_envs, val_X, val_history, val_y = val
+            val_inputs = self._batch(list(val_envs), val_X, val_history)
+            val_targets = (np.asarray(val_y, dtype=np.float64) - self._y_mean) / self._y_std
+            early_stopping = EarlyStopping(patience=self.patience)
+        trainer = Trainer(
+            self.model,
+            loss="mse",
+            optimizer=Adam(parameters, lr=lr),
+            batch_size=batch_size,
+            max_epochs=epochs,
+            early_stopping=early_stopping,
+            rng=rng,
+        )
+        self.history_ = trainer.fit(inputs, targets, val_inputs, val_targets)
+        self._engine = None  # weights changed; any compiled engine is stale
+
     # -- estimator API ------------------------------------------------------
     def fit(
         self,
@@ -311,14 +354,7 @@ class Env2VecRegressor(Estimator):
         y: np.ndarray,
         val: tuple[list[Environment], np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> "Env2VecRegressor":
-        X = np.asarray(X, dtype=np.float64)
-        history = np.asarray(history, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if not (len(environments) == len(X) == len(history) == len(y)):
-            raise ValueError("environments, X, history and y must be aligned")
-        if history.shape[1] != self.n_lags:
-            raise ValueError(f"history window must have {self.n_lags} columns; got {history.shape[1]}")
-
+        X, history, y = self._training_arrays(environments, X, history, y)
         rng = np.random.default_rng(self.seed)
         self.vocabulary = EnvironmentVocabulary(fields=self.em_fields).fit(list(environments))
         self._x_scaler = StandardScaler().fit(X)
@@ -338,28 +374,15 @@ class Env2VecRegressor(Estimator):
             encoder=self.encoder,
             rng=rng,
         )
-        inputs = self._batch(environments, X, history)
-        targets = (y - self._y_mean) / self._y_std
-
-        val_inputs = val_targets = None
-        early_stopping = None
-        if val is not None:
-            val_envs, val_X, val_history, val_y = val
-            val_inputs = self._batch(list(val_envs), val_X, val_history)
-            val_targets = (np.asarray(val_y, dtype=np.float64) - self._y_mean) / self._y_std
-            early_stopping = EarlyStopping(patience=self.patience)
-
-        trainer = Trainer(
-            self.model,
-            loss="mse",
+        self._train(
+            environments, X, history, y,
+            parameters=self.model.parameters(),
             lr=self.lr,
             batch_size=self.batch_size,
-            max_epochs=self.max_epochs,
-            early_stopping=early_stopping,
+            epochs=self.max_epochs,
             rng=rng,
+            val=val,
         )
-        self.history_ = trainer.fit(inputs, targets, val_inputs, val_targets)
-        self._engine = None  # weights changed; any compiled engine is stale
         self._fitted = True
         return self
 
@@ -474,38 +497,31 @@ class Env2VecRegressor(Estimator):
         every other environment. Pass ``False`` for a full-parameter update
         (then the data should include replay examples from old
         environments).
+
+        Every random draw (shuffling, dropout, ``<unk>``-dropout and the
+        new rows' noise) comes from one generator seeded by ``seed + 1``,
+        so a deserialized copy given the same ``seed``, ``lr`` and
+        ``batch_size`` fine-tunes to the same bytes as the original.
+        ``history_`` then holds the fine-tune's loss curve.
         """
         if self.model is None:
             raise RuntimeError("model is not fitted; call fit() first")
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
-        X = np.asarray(X, dtype=np.float64)
-        history = np.asarray(history, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if not (len(environments) == len(X) == len(history) == len(y)):
-            raise ValueError("environments, X, history and y must be aligned")
-
+        X, history, y = self._training_arrays(environments, X, history, y)
+        rng = np.random.default_rng(self.seed + 1)
+        self.model.reseed(rng)
         added = self.vocabulary.extend(list(environments))
         self.model.embeddings.grow_tables(added)
-
-        inputs = self._batch(environments, X, history)
-        targets = (y - self._y_mean) / self._y_std
-        if adapt_embeddings_only:
-            parameters = list(self.model.embeddings.parameters())
-        else:
-            parameters = list(self.model.parameters())
-        from ..nn.optim import Adam
-
-        trainer = Trainer(
-            self.model,
-            loss="mse",
-            optimizer=Adam(parameters, lr=lr if lr is not None else self.lr * 0.3),
+        trained = self.model.embeddings if adapt_embeddings_only else self.model
+        self._train(
+            environments, X, history, y,
+            parameters=trained.parameters(),
+            lr=lr if lr is not None else self.lr * 0.3,
             batch_size=min(self.batch_size, max(1, len(y))),
-            max_epochs=epochs,
-            rng=np.random.default_rng(self.seed + 1),
+            epochs=epochs,
+            rng=rng,
         )
-        trainer.fit(inputs, targets)
-        self._engine = None  # tables grew and weights moved; recompile lazily
         return self
 
     def coverage(self, environment: Environment) -> dict[str, bool]:

@@ -4,11 +4,16 @@ A multi-day testing campaign is exactly the kind of process that gets
 killed mid-run — node reboots, deploys, OOM. The orchestrator therefore
 snapshots its mutable state after every completed day: the training pool,
 the masked-environment set, the serving model blob, the drift detector,
-the self-scrape clock, the day reports so far, and the dead-letter
-records. Restoring the latest snapshot and re-running the campaign
-replays only the *remaining* days and produces the same reports and the
-same final model as an uninterrupted run (training is deterministic given
-the pool and seed — each day fits a fresh seeded regressor).
+the day of the last full fit, the self-scrape clock, the day reports so
+far, and the dead-letter records. Restoring the latest snapshot and
+re-running the campaign replays only the *remaining* days and produces
+the same reports and the same final model as an uninterrupted run.
+Training is deterministic given the snapshot: a full fit trains a fresh
+regressor seeded by the campaign seed on the pool, and a warm day
+fine-tunes a copy of the serving model blob with its replay sample and
+every random draw derived from ``(seed, day)``. The last full-fit day
+decides which kind the next day runs. A snapshot written before that
+field existed loads with it unset, so its next day refits in full.
 
 Snapshots are single ``day-NNNNN.npz`` files: JSON metadata plus the pool
 arrays and the model blob, written atomically (tmp file + rename) so a
@@ -41,6 +46,8 @@ class CampaignState:
     exporter_now: float | None
     reports: list[dict] = field(default_factory=list)
     dead_letters: list[dict] = field(default_factory=list)
+    # None: the next retrain must be a full fit.
+    last_full_day: int | None = None
 
 
 def _checkpoint_path(directory: Path, day: int) -> Path:
@@ -73,6 +80,7 @@ def save_checkpoint(directory: str | Path, state: CampaignState) -> Path:
         "exporter_now": state.exporter_now,
         "reports": state.reports,
         "dead_letters": state.dead_letters,
+        "last_full_day": state.last_full_day,
     }
     arrays: dict[str, np.ndarray] = {
         "meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
@@ -114,6 +122,7 @@ def load_checkpoint(directory: str | Path, day: int) -> CampaignState:
         exporter_now=meta["exporter_now"],
         reports=meta["reports"],
         dead_letters=meta["dead_letters"],
+        last_full_day=meta.get("last_full_day"),
     )
 
 

@@ -10,7 +10,9 @@ detector over the stream of absolute prediction errors on *clean*
 executions: it accumulates the deviation of each observation from the
 running mean (minus a tolerance ``delta``) and signals when the
 accumulated drift exceeds ``threshold``. :class:`DriftMonitor` wraps it
-per-deployment and recommends a retrain when drift fires.
+per-deployment and recommends a retrain when drift fires; a
+:class:`~repro.workflow.orchestrator.TestingCampaign` day on which it
+fires refits in full instead of fine-tuning yesterday's model.
 """
 
 from __future__ import annotations

@@ -9,8 +9,14 @@ Ties the whole Figure 2 loop together over simulated days:
 - executions whose alarms were confirmed true positives are **masked out**
   of the training pool, exactly as step 2 prescribes ("Executions with
   true positive alarms are masked out from the training data");
-- the model is retrained daily on the accumulated non-flagged pool and
-  republished.
+- the model is retrained and republished daily. A warm day fine-tunes a
+  copy of yesterday's model on the day's non-flagged executions plus a
+  seeded replay sample of the older pool (paper §4.3: "retraining Env2Vec
+  incrementally with the new data"). A full fit of a fresh model on the
+  whole non-flagged pool runs on the first day, on a day the drift
+  monitor fires, on the day after a diverged fit, once a week, and on a
+  day with no new non-flagged execution. Only a full fit re-standardizes
+  the model's scalers.
 
 This is the integration surface a team adopting Env2Vec would run; the
 example scripts and integration tests drive it end to end.
@@ -71,6 +77,10 @@ __all__ = ["DayReport", "TestingCampaign"]
 
 #: Simulated seconds per campaign day — the observability scrape cadence.
 DAY_SECONDS = 86400.0
+
+#: Days after a full fit at which the next one is due, even without drift
+#: or a divergence (paper §6: Env2Vec is retrained periodically).
+_FULL_REFIT_DAYS = 7
 
 _OBS = get_observability()
 _M_DAYS = _OBS.counter("repro_campaign_days_total", "Campaign days orchestrated.")
@@ -224,6 +234,9 @@ class TestingCampaign:
             self.model_store, self.alarm_store, self.gamma, self.abs_threshold
         )
         self._model: Env2VecRegressor | None = None
+        # Day of the last full fit; None when the next retrain must be a
+        # full fit (no model yet, or the last fit diverged).
+        self._last_full_day: int | None = None
 
     def service(self, **kwargs):
         """Campaign-as-a-service: an always-on front end over this campaign.
@@ -332,13 +345,19 @@ class TestingCampaign:
             )
         return delivered, quarantined
 
-    def _retrain(self, day: int) -> tuple[int, bool]:
-        """Daily retrain; returns (serving model version, diverged?)."""
+    def _retrain(self, day: int, n_new: int, drift_detected: bool) -> tuple[int, bool]:
+        """Daily retrain; returns (serving model version, diverged?).
+
+        ``self._pool[-n_new:]`` are the day's executions. The day is warm
+        unless a full fit is due (see the module docstring).
+        """
         records = self._pool
         if self.chaos is not None and records and self.chaos.training_diverges(day):
             # Poison one execution's targets: the divergence guard must
             # abort the fit and the previous model must keep serving. The
-            # victim must survive masking or the poison never reaches fit.
+            # victim must survive masking or the poison never reaches fit;
+            # the latest unmasked execution is the day's whenever the day
+            # is warm, so it reaches either kind of fit.
             victim = next(
                 (
                     i
@@ -352,10 +371,24 @@ class TestingCampaign:
                 environment, features, cpu = poisoned[victim]
                 poisoned[victim] = (environment, features, np.full_like(cpu, np.nan))
                 records = poisoned
+        full = (
+            self._last_full_day is None
+            or drift_detected
+            or day - self._last_full_day >= _FULL_REFIT_DAYS
+            or all(record[0] in self._masked for record in records[len(records) - n_new :])
+        )
         try:
-            result = self._pipeline.train(records, masked_environments=self._masked)
+            if full:
+                result = self._pipeline.train(records, masked_environments=self._masked)
+            else:
+                result = self._pipeline.fine_tune(
+                    self._model.to_bytes(), records, n_new, day, masked_environments=self._masked
+                )
         except TrainingDiverged:
+            self._last_full_day = None
             return self.model_store.latest_version, True
+        if full:
+            self._last_full_day = day
         self._model = result.model
         # Compile once per retrain: tomorrow's monitoring (many predict
         # calls across chains) runs on the tape-free engine.
@@ -404,7 +437,9 @@ class TestingCampaign:
 
             if self._pool:
                 with _OBS.span("campaign.retrain"):
-                    model_version, training_diverged = self._retrain(day)
+                    model_version, training_diverged = self._retrain(
+                        day, len(executions), drift_detected
+                    )
             else:
                 # Every execution so far was quarantined; nothing to train
                 # on yet. The campaign stays up and tries again tomorrow.
@@ -467,6 +502,7 @@ class TestingCampaign:
             masked=sorted(self._masked, key=lambda e: e.as_tuple()),
             model_blob=self._model.to_bytes() if self._model is not None else None,
             drift_state=self.drift_monitor.state_dict(),
+            last_full_day=self._last_full_day,
             exporter_now=self._exporter.last_scrape if self._exporter is not None else None,
             reports=list(self._report_dicts),
             dead_letters=[
@@ -491,6 +527,7 @@ class TestingCampaign:
             self._model = Env2VecRegressor.from_bytes(state.model_blob)
             self._model.compile()
         self.drift_monitor.load_state(state.drift_state)
+        self._last_full_day = state.last_full_day
         if self._exporter is not None and state.exporter_now is not None:
             # Continue the simulated scrape clock; the restored exporter
             # writes into a fresh TSDB, so monotonicity is preserved.

@@ -9,7 +9,13 @@ completion, the model is available via HTTP."
 :class:`TrainingPipeline` gathers historical executions, masks flagged
 environments, windows the series, trains a single
 :class:`~repro.core.model.Env2VecRegressor`, and publishes the serialized
-artifact to a :class:`~repro.workflow.model_store.ModelStore`.
+artifact to a :class:`~repro.workflow.model_store.ModelStore`. A run is
+either a full fit of a fresh regressor on the whole pool
+(:meth:`TrainingPipeline.train`) or a warm one (paper §4.3, "retraining
+Env2Vec incrementally with the new data"): a copy of the serving model
+fine-tuned on the newest executions plus a seeded replay sample of the
+older ones (:meth:`TrainingPipeline.fine_tune`). Both publish through the
+same spans and metrics, labelled by kind.
 """
 
 from __future__ import annotations
@@ -33,7 +39,11 @@ _H_RUN = _OBS.histogram(
     "Wall-clock latency of one daily training run (window build, fit, publish).",
     buckets=(0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0),
 )
-_M_RUNS = _OBS.counter("repro_training_runs_total", "Training-pipeline runs executed.")
+_M_RUNS = _OBS.counter(
+    "repro_training_runs_total",
+    "Training-pipeline runs published, by kind (full fit or warm fine-tune).",
+    labels=("kind",),
+)
 _M_EPOCHS = _OBS.counter(
     "repro_training_epochs_total", "Training epochs run across all training runs."
 )
@@ -90,26 +100,87 @@ class TrainingPipeline:
 
         ``masked_environments`` are the executions with true-positive
         alarms (and engineer-reported problems) excluded per step 2.
+        This is the full fit: a fresh seeded regressor, standardized
+        anew and early-stopped on a seeded validation split.
+        """
+        masked = masked_environments or set()
+        usable = [record for record in records if record[0] not in masked]
+
+        def fit(environments, X, history, y, val):
+            model = Env2VecRegressor(n_lags=self.n_lags, seed=self.seed, **self.model_params)
+            return model.fit(environments, X, history, y, val=val)
+
+        return self._run("full", usable, len(records) - len(usable), fit, self.val_fraction)
+
+    def fine_tune(
+        self,
+        base_blob: bytes,
+        records: list[TrainingRecord],
+        n_new: int,
+        day: int,
+        masked_environments: set[Environment] | None = None,
+    ) -> TrainingResult:
+        """Warm run: fine-tune a copy of ``base_blob``'s model and publish it.
+
+        ``records[-n_new:]`` are the day's executions, the rest the older
+        pool. The copy trains on the day's unmasked executions plus an
+        equal-size sample of the older unmasked ones (all of them when
+        fewer), every parameter free, for half the full fit's epochs at
+        ``fine_tune``'s reduced learning rate. Scaling stays as the base
+        model was fitted. The replay sample and every random draw of the
+        fine-tune derive from ``(seed, day)``, so a resumed campaign
+        repeats the day bit for bit.
+        """
+        masked = masked_environments or set()
+        split = len(records) - n_new
+        old = [record for record in records[:split] if record[0] not in masked]
+        new = [record for record in records[split:] if record[0] not in masked]
+        if not new:
+            raise ValueError("no new training data left after masking")
+        rng = np.random.default_rng((self.seed, day))
+        seed = int(rng.integers(2**32))
+        replay = np.sort(rng.choice(len(old), size=min(len(new), len(old)), replace=False))
+
+        def fit(environments, X, history, y, val):
+            # A copy, so the serving model is never mutated. from_bytes
+            # restores the architecture and weights only; the training
+            # parameters are the pipeline's. No validation split (val is
+            # None): the fine-tune runs its fixed epoch budget.
+            model = Env2VecRegressor.from_bytes(base_blob)
+            model.set_params(**self.model_params, seed=seed)
+            return model.fine_tune(
+                environments, X, history, y,
+                epochs=max(1, model.max_epochs // 2),
+                adapt_embeddings_only=False,
+            )
+
+        usable = [old[i] for i in replay] + new
+        return self._run("warm", usable, len(records) - len(old) - len(new), fit, 0.0)
+
+    def _run(
+        self, kind: str, usable: list[TrainingRecord], n_masked: int, fit, val_fraction: float
+    ) -> TrainingResult:
+        """Window ``usable``, train with ``fit``, publish; one span each.
+
+        ``fit(environments, X, history, y, val)`` returns the trained
+        model. With ``val_fraction`` > 0 a seeded share of the windows is
+        held out as ``val``; the split rebinds the window arrays, so the
+        unsplit ones are freed before training starts.
         """
         with _H_RUN.time():
-            masked = masked_environments or set()
-            usable = [record for record in records if record[0] not in masked]
             if not usable:
                 raise ValueError("no training data left after masking")
-            n_masked = len(records) - len(usable)
-
             with _OBS.span("train.build_windows"):
                 series = [(features, cpu) for _, features, cpu in usable]
                 X, history, y, series_ids = build_windows_multi(series, self.n_lags)
                 environments = [usable[i][0] for i in series_ids]
             n_windows = len(y)
 
-            model = Env2VecRegressor(n_lags=self.n_lags, seed=self.seed, **self.model_params)
             val = None
-            if self.val_fraction > 0 and len(y) >= 20:
+            if val_fraction > 0 and n_windows >= 20:
                 rng = np.random.default_rng(self.seed)
-                order = rng.permutation(len(y))
-                n_val = max(1, int(len(y) * self.val_fraction))
+                order = rng.permutation(n_windows)
+                n_val = max(1, int(n_windows * val_fraction))
                 val_idx, train_idx = order[:n_val], order[n_val:]
                 val = (
                     [environments[i] for i in val_idx],
@@ -122,7 +193,7 @@ class TrainingPipeline:
 
             with _OBS.span("train.fit"):
                 try:
-                    model.fit(environments, X, history, y, val=val)
+                    model = fit(environments, X, history, y, val)
                 except TrainingDiverged:
                     # The aborted model is never published; the store keeps
                     # serving the previous version. Count it and let the
@@ -139,7 +210,7 @@ class TrainingPipeline:
                         "masked_executions": n_masked,
                     },
                 )
-            _M_RUNS.inc()
+            _M_RUNS.labels(kind=kind).inc()
             _M_EPOCHS.inc(model.history_.epochs_run)
             _M_WINDOWS.inc(n_windows)
             _G_MASKED.set(n_masked)

@@ -129,6 +129,33 @@ class TestFineTune:
         # Mild drift is allowed; catastrophic forgetting is not.
         assert drifted < baseline + 0.5 * y_a.std()
 
+    def _fitted(self):
+        envs, X, h, y = self._task(_env(build="B1"), 200, base=40.0, seed=0)
+        # Dropout and <unk>-dropout on, so every random stream is exercised.
+        model = Env2VecRegressor(n_lags=2, max_epochs=3, batch_size=64, seed=0)
+        return model.fit(envs, X, h, y)
+
+    def test_deserialized_copy_fine_tunes_to_the_same_bytes(self):
+        # The fitted original's dropout streams have advanced through fit;
+        # the copy's are fresh. fine_tune reseeds both from ``seed + 1``.
+        original = self._fitted()
+        copy = Env2VecRegressor.from_bytes(original.to_bytes())
+        copy.set_params(lr=original.lr, batch_size=original.batch_size, seed=original.seed)
+        envs, X, h, y = self._task(_env(build="B2"), 150, base=45.0, seed=1)
+        for model in (original, copy):
+            model.fine_tune(envs, X, h, y, epochs=2, adapt_embeddings_only=False)
+        assert copy.to_bytes() == original.to_bytes()
+        assert copy.history_.train_loss == original.history_.train_loss
+
+    def test_fine_tune_draws_from_its_seed(self):
+        envs, X, h, y = self._task(_env(build="B2"), 150, base=45.0, seed=1)
+        blobs = []
+        for seed in (3, 3, 4):
+            model = self._fitted().set_params(seed=seed)
+            model.fine_tune(envs, X, h, y, epochs=1, adapt_embeddings_only=False)
+            blobs.append(model.to_bytes())
+        assert blobs[0] == blobs[1] != blobs[2]
+
     def test_validation(self):
         model = Env2VecRegressor()
         with pytest.raises(RuntimeError):

@@ -1,5 +1,7 @@
 """Campaign checkpointing: snapshot round-trips and idempotent resume."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from repro.workflow import (
     CampaignState,
     ModelStore,
     TestingCampaign,
+    TrainingPipeline,
     checkpoint_days,
     load_latest_checkpoint,
+    orchestrator,
     save_checkpoint,
 )
 
@@ -109,6 +113,34 @@ class TestSnapshotRoundTrip:
         assert checkpoint_days(tmp_path / "missing") == []
         assert load_latest_checkpoint(tmp_path / "missing") is None
 
+    def test_last_full_day_round_trips(self, tmp_path):
+        for day, last_full_day in ((0, None), (1, 0)):
+            save_checkpoint(
+                tmp_path,
+                CampaignState(day=day, pool=[], masked=[], model_blob=None, drift_state={},
+                              exporter_now=None, last_full_day=last_full_day),
+            )
+            assert load_latest_checkpoint(tmp_path).last_full_day == last_full_day
+
+    def test_snapshot_without_last_full_day_loads(self, tmp_path):
+        # Snapshots written before warm retraining have no such field;
+        # they load with it unset, so the resumed day refits in full.
+        path = save_checkpoint(
+            tmp_path,
+            CampaignState(day=4, pool=[], masked=[_env(0)], model_blob=b"blob",
+                          drift_state={}, exporter_now=None, last_full_day=4),
+        )
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        meta = json.loads(arrays["meta"].tobytes())
+        del meta["last_full_day"]
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        loaded = load_latest_checkpoint(tmp_path)
+        assert loaded.last_full_day is None
+        assert (loaded.day, loaded.masked, loaded.model_blob) == (4, [_env(0)], b"blob")
+
     def test_no_torn_tmp_files_left_behind(self, tmp_path):
         save_checkpoint(
             tmp_path,
@@ -175,3 +207,48 @@ class TestCampaignResume:
         ]
         assert again.model_store.latest_version == published
         assert again.latest_model.to_bytes() == first.latest_model.to_bytes()
+
+    def test_resume_from_a_killed_warm_day_across_a_full_fit(
+        self, dataset, tmp_path, monkeypatch
+    ):
+        # Full fits on days 0 and 2, warm fits on days 1 and 3. The campaign
+        # dies inside day 1's warm fit, so the resumed run repeats day 1
+        # warm from the restored model, then refits in full, then warms.
+        monkeypatch.setattr(orchestrator, "_FULL_REFIT_DAYS", 2)
+        reference = TestingCampaign(model_params=dict(MODEL_PARAMS))
+        reference_reports = reference.run(dataset)
+
+        class Killed(Exception):
+            pass
+
+        def killed_fine_tune(self, *args, **kwargs):
+            raise Killed
+
+        ckpt = tmp_path / "ckpt"
+        killed = TestingCampaign(
+            model_store=ModelStore(path=tmp_path / "models"),
+            model_params=dict(MODEL_PARAMS),
+            checkpoint_dir=ckpt,
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(TrainingPipeline, "fine_tune", killed_fine_tune)
+            with pytest.raises(Killed):
+                killed.run(dataset)
+        assert checkpoint_days(ckpt) == [0]
+
+        runs = OBS.counter("repro_training_runs_total", labels=("kind",))
+        before = {kind: runs.labels(kind=kind).value for kind in ("full", "warm")}
+        resumed = TestingCampaign(
+            model_store=ModelStore(path=tmp_path / "models"),
+            model_params=dict(MODEL_PARAMS),
+            checkpoint_dir=ckpt,
+        )
+        resumed_reports = resumed.run(dataset)
+        assert runs.labels(kind="warm").value - before["warm"] == 2
+        assert runs.labels(kind="full").value - before["full"] == 1
+
+        assert [_report_fields(r) for r in resumed_reports] == [
+            _report_fields(r) for r in reference_reports
+        ]
+        assert resumed.masked_environments == reference.masked_environments
+        assert resumed.latest_model.to_bytes() == reference.latest_model.to_bytes()

@@ -129,6 +129,37 @@ class TestTrainingPipeline:
         with pytest.raises(ValueError):
             TrainingPipeline(ModelStore(), val_fraction=1.0)
 
+    def _warm(self, dataset, trained, seed, day, masked=()):
+        """One warm run over the history pool, its last 5 executions new."""
+        _, result = trained
+        store = ModelStore()
+        pipeline = TrainingPipeline(
+            store, n_lags=3, model_params={"max_epochs": 2, "batch_size": 256}, seed=seed
+        )
+        base = result.model.to_bytes()
+        records = dataset.history_training_series()
+        warm = pipeline.fine_tune(base, records, 5, day, masked_environments=set(masked))
+        assert result.model.to_bytes() == base  # the base model is not touched
+        return warm, store.fetch_latest()[0], records
+
+    def test_warm_run_trains_new_records_plus_equal_replay(self, dataset, trained):
+        warm, _, records = self._warm(dataset, trained, seed=0, day=1, masked=[])
+        assert warm.version.version == 1
+        assert warm.epochs_run == 1  # max(1, max_epochs // 2)
+        new_windows = sum(len(cpu) - 3 for _, _, cpu in records[-5:])
+        assert new_windows < warm.n_examples < new_windows * 3
+
+    def test_warm_run_draws_from_seed_and_day(self, dataset, trained):
+        blob = self._warm(dataset, trained, seed=0, day=1)[1]
+        assert self._warm(dataset, trained, seed=0, day=1)[1] == blob
+        assert self._warm(dataset, trained, seed=0, day=2)[1] != blob
+        assert self._warm(dataset, trained, seed=1, day=1)[1] != blob
+
+    def test_warm_run_needs_new_unmasked_records(self, dataset, trained):
+        records = dataset.history_training_series()
+        with pytest.raises(ValueError):
+            self._warm(dataset, trained, seed=0, day=1, masked=[env for env, _, _ in records[-5:]])
+
     def test_roundtrip_model_predicts_like_original(self, dataset, trained):
         from repro.core import Env2VecRegressor
         from repro.data.windows import build_windows
