@@ -358,7 +358,8 @@ def _serve_main(argv: list[str]) -> int:
     print(
         f"health: live={health.live} ready={health.ready} "
         f"degraded={health.degraded} breaker={health.breaker_state} "
-        f"workers={health.workers_ready}/{health.n_workers}"
+        f"workers={health.workers_ready}/{health.n_workers} "
+        f"model_version={health.model_version}"
     )
     if service.supervisor is not None:
         supervisor = service.supervisor

@@ -400,23 +400,15 @@ class Env2VecRegressor(Estimator):
             self._engine = compile_module(self.model, dtype=dtype)
         return self._engine
 
-    def _ensure_engine(self) -> InferenceModel:
-        if self._engine is None:
-            self.compile()
-        return self._engine
-
-    def ensure_compiled(self, dtype=None) -> InferenceModel:
+    def ensure_compiled(self) -> InferenceModel:
         """Compile on first use, else return the cached engine.
 
         The prediction pipeline calls this once per batch so scoring
-        never pays the lazy first-predict compile mid-batch. With
-        ``dtype`` set, the cached engine is recompiled if it was
-        built at a different precision (serving callers pick float32 for
-        batch throughput; float64 remains the default everywhere).
+        never pays the lazy first-predict compile mid-batch.
         """
-        if dtype is not None and (self._engine is None or self._engine.dtype != np.dtype(dtype)):
-            return self.compile(dtype=dtype)
-        return self._ensure_engine()
+        if self._engine is None:
+            self.compile()
+        return self._engine
 
     def predict(
         self,
@@ -452,7 +444,7 @@ class Env2VecRegressor(Estimator):
             raise ValueError("environments, X and history must be aligned")
         batch = self._encoded_batch(env_ids, X, history)
         if compiled:
-            scaled = self._ensure_engine().predict(batch, batch_size=ops._CACHED_ROWS)
+            scaled = self.ensure_compiled().predict(batch, batch_size=ops._CACHED_ROWS)
         else:
             self.model.eval()
             outputs = []

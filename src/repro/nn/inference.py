@@ -347,10 +347,6 @@ class InferenceModel:
         self._forward = forward_fn
         self._source = source
         self.dtype = dtype
-        #: free-form tags owners attach to a compiled engine — the serve
-        #: warm pool stamps the model-store version it was compiled for,
-        #: so operators can tell resident engines apart in diagnostics.
-        self.meta: dict = {}
         #: the Env2Vec engine's embedding-row cache, if the plan has one
         self.env_cache: EmbeddingRowCache | None = getattr(forward_fn, "env_cache", None)
         # The row cache counts its own hits/misses as plain ints (the per-

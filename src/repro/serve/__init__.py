@@ -5,8 +5,8 @@ keeps the same pipelines resident behind a unified request API, the way
 a production deployment of the paper's system would actually run:
 
 - :class:`Env2VecService` — the service: bounded admission with explicit
-  backpressure and deadline shedding, cross-chain micro-batching, a
-  per-version warm model pool fed by publish hooks, a circuit breaker on
+  backpressure and deadline shedding, cross-chain micro-batching,
+  publish-time model compiles, a circuit breaker on
   the TSDB boundary, and (with ``n_workers > 0``) a supervised
   multi-process scoring tier with heartbeat crash/stall detection,
   deterministic in-flight re-dispatch, and rolling model rollouts.

@@ -72,7 +72,7 @@ import multiprocessing
 import os
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +87,14 @@ from ...workflow.prediction_pipeline import PredictionPipeline
 from ..api import ServeConfig, WorkerState
 
 __all__ = ["WorkerSupervisor"]
+
+#: model versions the parent and every worker keep. During a rolling
+#: publish an updated worker must still hold the version the rest of the
+#: fleet serves, as well as the new one.
+_RESIDENT_VERSIONS = 2
+#: seconds a spawned worker may take to report ready, and a worker may
+#: take to acknowledge a published model.
+_WORKER_START_TIMEOUT = 30.0
 
 _OBS = get_observability()
 _M_RESTARTS = _OBS.counter(
@@ -212,8 +220,8 @@ def _unpack_outcomes(body: tuple, n_rows: int) -> list[tuple]:
 def _worker_main(conn, init: dict) -> None:
     """Entry point of one scoring worker process.
 
-    Single-threaded recv loop over the duplex pipe. The worker holds a
-    capacity-bounded dict of compiled model replicas (the parent
+    Single-threaded recv loop over the duplex pipe. The worker holds its
+    ``_RESIDENT_VERSIONS`` newest compiled model replicas (the parent
     deserialized them; a forked worker inherits them) and a
     store-less :class:`PredictionPipeline` used purely for
     ``score_with_isolation`` — it never touches a ModelStore, AlarmStore,
@@ -227,14 +235,12 @@ def _worker_main(conn, init: dict) -> None:
     )
     chaos = init.get("chaos")
     stall_seconds = init["stall_seconds"]
-    capacity = init["capacity"]
-    dtype = np.dtype(init.get("dtype", "float64")).type
-    models: OrderedDict[int, Env2VecRegressor] = OrderedDict()
+    models: dict[int, Env2VecRegressor] = {}
 
     def admit(version: int, model: Env2VecRegressor) -> None:
-        model.compile(dtype=dtype)
+        model.compile()
         models[version] = model
-        while len(models) > capacity:
+        while len(models) > _RESIDENT_VERSIONS:
             del models[min(models)]
 
     for version, model in init["models"]:
@@ -253,7 +259,8 @@ def _worker_main(conn, init: dict) -> None:
                 model = models.get(version)
                 used = version
                 if model is None and models:
-                    # Mirror the warm pool's fallback: newest resident.
+                    # The requested version is not resident: serve the
+                    # newest one, as the pipeline's last-good model does.
                     used = max(models)
                     model = models[used]
                 executions, error_models = _unpack_rows(body)
@@ -348,7 +355,7 @@ class WorkerSupervisor:
         self._backlog: deque[_Dispatch] = deque()
         self._next_batch_id = 0
         #: deserialized, uncompiled replicas; a forked worker inherits them
-        self._models: OrderedDict[int, Env2VecRegressor] = OrderedDict()
+        self._models: dict[int, Env2VecRegressor] = {}
         self.latest_version = 0
         self.n_lags: int | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -409,14 +416,14 @@ class WorkerSupervisor:
         """Deserialize a published version once; workers only compile it.
 
         The parent also reads the model geometry it needs for
-        admission-time pre-checks off it, without a warm pool.
+        admission-time pre-checks off it, without compiling it.
         """
         if not version or version in self._models:
             return
         blob, _record = self._store.fetch(version)
         model = Env2VecRegressor.from_bytes(blob)
         self._models[version] = model
-        while len(self._models) > self.config.pool_capacity:
+        while len(self._models) > _RESIDENT_VERSIONS:
             del self._models[min(self._models)]
         self.latest_version = max(self.latest_version, version)
         self.n_lags = model.n_lags
@@ -428,9 +435,7 @@ class WorkerSupervisor:
             "gamma": self._gamma,
             "abs_threshold": self._abs_threshold,
             "chaos": self._chaos,
-            "capacity": self.config.pool_capacity,
             "stall_seconds": self.config.worker_stall_timeout * 10,
-            "dtype": self.config.inference_dtype,
             "models": list(self._models.items()),
         }
         process = self._ctx.Process(
@@ -537,7 +542,7 @@ class WorkerSupervisor:
                     self._restart(worker, reason="stall")
                     continue
                 if worker.phase == "starting":
-                    if now - worker.last_pong > self.config.worker_start_timeout:
+                    if now - worker.last_pong > _WORKER_START_TIMEOUT:
                         self._restart(worker, reason="start_timeout")
                     continue
                 if worker.phase == "ready":
@@ -598,7 +603,7 @@ class WorkerSupervisor:
         return sum(1 for w in self._workers.values() if w.phase == "ready")
 
     async def _wait_all_ready(self) -> None:
-        deadline = self._loop.time() + self.config.worker_start_timeout
+        deadline = self._loop.time() + _WORKER_START_TIMEOUT
         for worker_id, event in self._idle_events.items():
             remaining = deadline - self._loop.time()
             try:
@@ -606,7 +611,7 @@ class WorkerSupervisor:
             except asyncio.TimeoutError:
                 raise RuntimeError(
                     f"worker {worker_id} did not become ready within "
-                    f"{self.config.worker_start_timeout}s"
+                    f"{_WORKER_START_TIMEOUT}s"
                 ) from None
 
     # -- dispatch -------------------------------------------------------
@@ -662,8 +667,9 @@ class WorkerSupervisor:
 
         Fired synchronously from the store's subscriber hook; the actual
         rollout runs as a task so the publisher is never blocked on N
-        compiles. Corrupt blobs are absorbed exactly like the warm pool:
-        the fleet keeps serving its newest good version.
+        compiles. Corrupt blobs are absorbed, as the single-loop
+        service's publish hook absorbs them: the fleet keeps serving its
+        newest good version.
         """
         try:
             self._load_model(version)
@@ -710,7 +716,7 @@ class WorkerSupervisor:
                 return
             try:
                 await asyncio.wait_for(
-                    worker.publish_ack, self.config.worker_start_timeout
+                    worker.publish_ack, _WORKER_START_TIMEOUT
                 )
             except asyncio.TimeoutError:
                 self._restart(worker, reason="publish_timeout")

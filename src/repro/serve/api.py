@@ -77,19 +77,10 @@ class ServeConfig:
     max_batch: int = 32
     max_wait: float = 0.002
     max_queue_depth: int = 1024
-    #: warm model pool: how many compiled versions to keep resident.
-    pool_capacity: int = 2
     #: consecutive scrape failures before the TSDB breaker opens, and the
     #: (simulated) seconds it stays open before a half-open trial.
     breaker_failures: int = 5
     breaker_recovery: float = 300.0
-    #: fallback per-request service-time estimate (seconds) used for
-    #: ``retry_after`` before the first batch has been measured — it seeds
-    #: the EWMA, so the cold-start estimate is this value, not zero.
-    default_service_seconds: float = 0.005
-    #: EWMA decay for the measured service time: ``estimate = decay * old
-    #: + (1 - decay) * sample``. Higher values smooth harder.
-    service_time_decay: float = 0.8
     #: worker processes behind the supervisor; ``0`` executes batches on
     #: the event loop exactly as the single-loop service always has.
     n_workers: int = 0
@@ -103,8 +94,6 @@ class ServeConfig:
     #: fail to answer pings while idle) before it is declared hung.
     heartbeat_interval: float = 0.05
     worker_stall_timeout: float = 2.0
-    #: how long a spawned worker may take to report ready.
-    worker_start_timeout: float = 30.0
     #: dispatch attempts per batch before its requests are failed (each
     #: worker crash/stall consumes one attempt for the batch it carried).
     max_dispatch_attempts: int = 5
@@ -112,11 +101,6 @@ class ServeConfig:
     #: serving (stamped ``degraded=True``) while the TSDB breaker is open
     #: or every worker is restarting. ``0`` disables the ladder.
     last_good_capacity: int = 256
-    #: numeric precision of the compiled inference engines ("float64" or
-    #: "float32"). float64 is the default and is byte-identical to batch
-    #: mode; float32 trades that for ~3× batch-path throughput within the
-    #: :data:`repro.nn.inference.FLOAT32_ATOL` parity bound.
-    inference_dtype: str = "float64"
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -125,16 +109,10 @@ class ServeConfig:
             raise ValueError("max_wait must be >= 0")
         if self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
-        if self.pool_capacity < 1:
-            raise ValueError("pool_capacity must be >= 1")
         if self.breaker_failures < 1:
             raise ValueError("breaker_failures must be >= 1")
         if self.breaker_recovery <= 0:
             raise ValueError("breaker_recovery must be positive")
-        if self.default_service_seconds <= 0:
-            raise ValueError("default_service_seconds must be positive")
-        if not 0.0 < self.service_time_decay < 1.0:
-            raise ValueError("service_time_decay must be in (0, 1)")
         if self.n_workers < 0:
             raise ValueError("n_workers must be >= 0")
         if self.worker_start_method not in ("fork", "spawn", "forkserver"):
@@ -145,14 +123,10 @@ class ServeConfig:
             raise ValueError("heartbeat_interval must be positive")
         if self.worker_stall_timeout <= 0:
             raise ValueError("worker_stall_timeout must be positive")
-        if self.worker_start_timeout <= 0:
-            raise ValueError("worker_start_timeout must be positive")
         if self.max_dispatch_attempts < 1:
             raise ValueError("max_dispatch_attempts must be >= 1")
         if self.last_good_capacity < 0:
             raise ValueError("last_good_capacity must be >= 0")
-        if self.inference_dtype not in ("float64", "float32"):
-            raise ValueError("inference_dtype must be 'float64' or 'float32'")
 
 
 @dataclass(frozen=True)

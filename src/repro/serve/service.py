@@ -20,9 +20,10 @@ alarm) into a long-running asyncio service with one typed request API:
   run the pure scoring half only; alarm fan-in happens here, in dispatch
   order through a :class:`~repro.parallel.SequencedMerger`, so both
   modes are byte-identical to batch mode and to each other,
-- **warm models** — publishes compile off the request path (the warm
-  pool on the loop; rolling one-worker-at-a-time rollouts under the
-  supervisor), so a retrain swaps in without a cold-compile spike,
+- **warm models** — publishes compile off the request path (a publish
+  hook fills the prediction pipeline's model cache on the loop; rolling
+  one-worker-at-a-time rollouts under the supervisor), so a retrain swaps
+  in without a cold-compile spike,
 - **resilience at the boundary** — a :class:`~repro.resilience.CircuitBreaker`
   around the TSDB scrape path fails fast during outages; rejections
   carry ``retry_after`` hints sized from measured service time; a
@@ -60,7 +61,7 @@ from ..resilience import (
     TransientError,
 )
 from ..workflow.alarms import AlarmStore
-from ..workflow.model_store import ModelStore
+from ..workflow.model_store import CorruptModelError, ModelStore
 from ..workflow.prediction_pipeline import (
     PipelineRun,
     PredictionPipeline,
@@ -70,7 +71,6 @@ from ..workflow.tsdb import AmbiguousSeries, SeriesNotFound, TimeSeriesDB
 from ._internal.admission import AdmissionController, PendingRequest
 from ._internal.batcher import MicroBatcher
 from ._internal.supervisor import WorkerSupervisor
-from ._internal.warm_pool import WarmModelPool
 from .api import (
     AlarmQuery,
     AlarmQueryResponse,
@@ -83,6 +83,12 @@ from .api import (
 )
 
 __all__ = ["Env2VecService", "ServeClient"]
+
+#: cold-start per-request service-time estimate (seconds) behind
+#: ``retry_after`` before the first batch is measured, and the EWMA decay
+#: of the measured estimate (``decay * old + (1 - decay) * sample``).
+_DEFAULT_SERVICE_SECONDS = 0.005
+_SERVICE_TIME_DECAY = 0.8
 
 _OBS = get_observability()
 _M_REQUESTS = _OBS.counter(
@@ -174,8 +180,8 @@ class Env2VecService:
         )
         self.admission = AdmissionController(
             self.config.max_queue_depth,
-            self.config.default_service_seconds,
-            decay=self.config.service_time_decay,
+            _DEFAULT_SERVICE_SECONDS,
+            decay=_SERVICE_TIME_DECAY,
         )
         self.tsdb_breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_failures,
@@ -186,8 +192,6 @@ class Env2VecService:
         self.dead_letters = DeadLetterStore()
         self.last_good = _LastGoodCache(self.config.last_good_capacity)
         self.supervisor: WorkerSupervisor | None = None
-        self.pool: WarmModelPool | None = None
-        self._unsubscribe = None
         if self.config.n_workers > 0:
             self.supervisor = WorkerSupervisor(
                 model_store,
@@ -203,11 +207,8 @@ class Env2VecService:
             # One batch scoring and one queued per worker (supervisor docs).
             max_inflight = 2 * self.config.n_workers
         else:
-            self.pool = WarmModelPool(
-                model_store,
-                capacity=self.config.pool_capacity,
-                dtype=self.config.inference_dtype,
-            )
+            self._unsubscribe = model_store.subscribe(self._compile_latest)
+            self._compile_latest()
             execute = self._execute_batch
             max_inflight = 1
         self._merger = SequencedMerger()
@@ -261,10 +262,19 @@ class Env2VecService:
         if self._unsubscribe is not None:
             self._unsubscribe()
             self._unsubscribe = None
-        if self.pool is not None:
-            self.pool.close()
         if self.exporter is not None:
             self.exporter.tick()
+
+    def _compile_latest(self, _record=None) -> None:
+        """Publish hook: compile the newest model before traffic needs it.
+
+        A corrupt blob is absorbed here, so the publisher never sees it:
+        the pipeline keeps serving its last good model, or holds none.
+        """
+        try:
+            self.pipeline.latest_model()
+        except (CorruptModelError, LookupError):
+            pass
 
     async def __aenter__(self) -> "Env2VecService":
         if self.supervisor is not None:
@@ -293,8 +303,10 @@ class Env2VecService:
 
         *Live* means the drain loop can make progress; *ready* means a
         request admitted right now would be served fresh (a worker free
-        or the loop executing inline, breaker not open). ``degraded``
-        says answers are currently coming from the last-good cache.
+        or the loop executing inline with a model to score with, breaker
+        not open). ``model_version`` is the version fresh responses carry.
+        ``degraded`` says answers are currently coming from the last-good
+        cache.
         """
         live = self._batcher.running
         breaker_open = self.tsdb_breaker.state == BREAKER_OPEN
@@ -303,13 +315,13 @@ class Env2VecService:
             available = self.supervisor.available_count
             n_workers = self.config.n_workers
             version = self.supervisor.latest_version
-            ready = live and available > 0
+            ready = live and available > 0 and version > 0
             degraded = breaker_open or available == 0
         else:
             workers = ()
             available = 1 if live else 0
             n_workers = 0
-            version = self.model_store.latest_version
+            version = self.pipeline.cached_version
             ready = live and version > 0
             degraded = breaker_open
         return HealthReport(
@@ -462,7 +474,7 @@ class Env2VecService:
         """Single-loop mode: one coalesced forward on the event loop."""
         loop = asyncio.get_running_loop()
         try:
-            model, version = self.pool.latest()
+            model, version = self.pipeline.latest_model()
         except LookupError as exc:
             for pending in batch:
                 pending.future.set_exception(LookupError(str(exc)))
@@ -471,7 +483,6 @@ class Env2VecService:
         if not ready:
             return
         started = loop.time()
-        model.ensure_compiled(dtype=self.pool.dtype)
         outcomes = self.pipeline.score_with_isolation(
             model,
             [execution for _, execution, _ in ready],
@@ -535,7 +546,7 @@ class Env2VecService:
         version = (
             self.supervisor.latest_version
             if self.supervisor is not None
-            else self.model_store.latest_version
+            else self.pipeline.cached_version
         )
         return PredictResponse(
             request_id=pending.request.request_id,

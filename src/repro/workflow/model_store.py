@@ -109,12 +109,12 @@ class ModelStore:
             )
         # Publish hooks fire after the blob is durably stored, so a
         # subscriber that immediately fetches the version always succeeds.
-        # The serve layer's warm model pool uses this to compile the new
-        # version *at publish time* — the request path never pays a cold
-        # compile after a retrain. Subscriber exceptions propagate to the
-        # publisher (a failed warm compile is the trainer's problem, not a
-        # condition to hide from it); subscribers that prefer last-good
-        # semantics catch their own errors.
+        # The serve layer uses this to compile the new version *at publish
+        # time*, so the request path never pays a cold compile after a
+        # retrain. Subscriber exceptions propagate to the publisher (a
+        # failed compile is the trainer's problem, not a condition to hide
+        # from it); subscribers that prefer last-good semantics catch
+        # their own errors.
         for callback in tuple(self._subscribers):
             callback(record)
         return record

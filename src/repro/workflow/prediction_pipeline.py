@@ -184,38 +184,51 @@ class PredictionPipeline:
         self.termination_threshold = termination_threshold
         self._model_cache: tuple[int, Env2VecRegressor] | None = None
 
-    def _fetch_model(self) -> tuple[Env2VecRegressor, int]:
+    def latest_model(self) -> tuple[Env2VecRegressor, int]:
         """Latest model, deserialized and compiled once per published version.
 
-        ``calibrate``/``execute``/``report`` each fetch the model; without the
-        version-keyed cache every call re-parsed the npz blob and rebuilt the
-        network. The cached regressor carries its compiled inference engine,
-        so repeated monitoring calls skip both deserialization and compile.
+        ``calibrate``/``execute``/``report`` and the single-loop serve
+        service each fetch the model; without the version-keyed cache every
+        call re-parsed the npz blob and rebuilt the network. The cached
+        regressor carries its compiled inference engine, so repeated
+        monitoring calls skip both deserialization and compile. The serve
+        service also calls this from a publish hook, so a retrain compiles
+        before the next request needs it.
 
         The cache doubles as the *last-good* model: when the newest
         published blob is corrupt (:class:`CorruptModelError`), monitoring
         keeps serving the cached version instead of going dark. Only a
-        corrupt blob with no prior good model propagates the error.
+        corrupt blob with no prior good model propagates the error, and
+        :class:`LookupError` means nothing has been published yet.
         """
-        if self._model_cache is not None and self._model_cache[0] == self.store.latest_version:
+        # One read of the slot: a publish hook may replace it from the
+        # publisher's thread, and a model must not pair with another version.
+        cached = self._model_cache
+        if cached is not None and cached[0] == self.store.latest_version:
             _M_CACHE_HITS.inc()
-            return self._model_cache[1], self._model_cache[0]
+            return cached[1], cached[0]
         try:
             blob, version = self.store.fetch_latest()
             model = Env2VecRegressor.from_bytes(blob)
         except CorruptModelError:
-            if self._model_cache is None:
+            if cached is None:
                 raise
             _M_FALLBACKS.inc()
-            return self._model_cache[1], self._model_cache[0]
+            return cached[1], cached[0]
         _M_CACHE_MISSES.inc()
         model.compile()
         self._model_cache = (version.version, model)
         return model, version.version
 
+    @property
+    def cached_version(self) -> int:
+        """Version of the model :meth:`latest_model` holds; 0 when none."""
+        cached = self._model_cache
+        return cached[0] if cached is not None else 0
+
     def calibrate(self, chain: BuildChain) -> GaussianErrorModel:
         """Fit the normal-error Gaussian over a chain's historical builds."""
-        model, _ = self._fetch_model()
+        model, _ = self.latest_model()
         error_model = self.history_error_model(model, chain.history)
         if error_model is None:
             raise ValueError("chain has no historical executions to calibrate on")
@@ -257,10 +270,10 @@ class PredictionPipeline:
         callers slice a workload into batches, which is what lets the
         ``repro.serve`` micro-batcher coalesce concurrent requests freely.
 
-        ``model``/``model_version`` inject an already-fetched model (the
-        serve layer's warm pool, a campaign's freshly trained model); by
-        default the latest published version is fetched through the
-        version-keyed cache. Executions must be long enough to window
+        ``model``/``model_version`` inject an already-fetched model (a
+        campaign's freshly trained model); by default the latest
+        published version is fetched through the version-keyed cache.
+        Executions must be long enough to window
         (``n_timesteps > n_lags + 1``).
         """
         executions = list(batch.executions)
@@ -272,7 +285,7 @@ class PredictionPipeline:
         # observation would misrepresent the coalesced forwards).
         with _H_RUN.time(), _OBS.span("predict.execute"):
             if model is None:
-                model, model_version = self._fetch_model()
+                model, model_version = self.latest_model()
             model.ensure_compiled()
             scored = self.score_executions(
                 model, executions, list(batch.aligned_error_models())
@@ -453,5 +466,5 @@ class PredictionPipeline:
         """Render the engineer-facing report for a completed run (step 4)."""
         from .reporting import execution_report
 
-        model, _ = self._fetch_model()
+        model, _ = self.latest_model()
         return execution_report(execution, run.report, n_lags=model.n_lags, width=width)

@@ -466,7 +466,7 @@ def test_rep010_flags_internal_imports_outside_serve():
     findings = scan(
         """
         from repro.serve._internal.admission import AdmissionController
-        from ..serve._internal.warm_pool import WarmModelPool
+        from ..serve._internal.supervisor import WorkerSupervisor
         import repro.serve._internal.batcher
         """,
         path=WORKFLOW,

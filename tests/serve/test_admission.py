@@ -166,14 +166,3 @@ class TestServiceTimeDecay:
             admission.record_service_time(1.0)
         assert sluggish._service_seconds == pytest.approx(0.9 * 0.01 + 0.1 * 1.0)
         assert nimble._service_seconds == pytest.approx(0.1 * 0.01 + 0.9 * 1.0)
-
-    def test_config_decay_reaches_admission(self):
-        from repro.serve import Env2VecService, ServeConfig
-        from repro.workflow import ModelStore
-
-        service = Env2VecService(
-            ModelStore(), config=ServeConfig(service_time_decay=0.5)
-        )
-        assert service.admission._decay == 0.5
-        with pytest.raises(ValueError, match="service_time_decay"):
-            ServeConfig(service_time_decay=1.0)

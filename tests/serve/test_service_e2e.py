@@ -24,7 +24,6 @@ from repro.serve import (
     ServiceOverloaded,
 )
 from repro.serve._internal.admission import _M_REJECTED
-from repro.serve._internal.warm_pool import _M_COLD
 from repro.workflow import (
     AlarmStore,
     EMRegistry,
@@ -35,6 +34,7 @@ from repro.workflow import (
     TimeSeriesDB,
     TrainingPipeline,
 )
+from repro.workflow.prediction_pipeline import _M_CACHE_MISSES
 
 pytestmark = pytest.mark.serving
 
@@ -257,19 +257,21 @@ class TestRetrainMidTraffic:
                 wave1 = await client.predict_many(
                     [PredictRequest(execution=e) for e in executions[:4]]
                 )
-                cold_before = _M_COLD.value
+                before = _M_CACHE_MISSES.value
                 _train(store, dataset)  # retrain lands mid-traffic
+                at_publish = _M_CACHE_MISSES.value
                 wave2 = await client.predict_many(
                     [PredictRequest(execution=e) for e in executions[4:]]
                 )
-                return wave1, wave2, cold_before
+                return wave1, wave2, before, at_publish, _M_CACHE_MISSES.value
 
-        wave1, wave2, cold_before = asyncio.run(scenario())
+        wave1, wave2, before, at_publish, after = asyncio.run(scenario())
         assert {r.run.model_version for r in wave1} == {1}
         assert {r.run.model_version for r in wave2} == {2}
         # The publish hook compiled version 2 off the request path: the
         # first post-retrain request never triggers an inline compile.
-        assert _M_COLD.value == cold_before
+        assert at_publish == before + 1
+        assert after == at_publish
 
 
 class TestAlarmQueryPath:
