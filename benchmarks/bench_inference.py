@@ -19,23 +19,28 @@ interleaved rounds — interference (host steal, cache pollution from a
 neighbouring contender, a GC pause) only ever adds time, so the minimum
 is the standard estimator of the true per-call cost, and round-level
 interleaving keeps slow drift from biasing one contender. A per-op
-profile of the compiled forward at batch 256 (via
-:func:`repro.obs.profile_ops`) is recorded alongside the speedups so
-EXPERIMENTS.md's table can be regenerated from the JSON. Results go to
+profile of the compiled forward at batch 256 is recorded alongside the
+speedups so EXPERIMENTS.md's table can be regenerated from the JSON: after
+the timed rounds, the plan's stages are wrapped from outside in
+:func:`repro.obs.span` and read back from ``repro_span_duration_seconds``,
+so the floors always time unpatched code. Results go to
 ``benchmarks/results/BENCH_inference.json``.
 """
 
 import json
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from conftest import emit
+from repro.core import model as model_module
 from repro.core.model import Env2VecRegressor
 from repro.data import Environment
-from repro.nn.inference import FLOAT32_ATOL
-from repro.obs import profile_ops
+from repro.nn import ops
+from repro.nn.inference import FLOAT32_ATOL, CompiledDense, EmbeddingRowCache
+from repro.obs import get_observability, span
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -49,6 +54,9 @@ MIN_BATCH_SPEEDUP_F64 = 1.0
 
 #: Timing rounds per (shape, contender) cell; the minimum is reported.
 ROUNDS = 7
+
+#: Span names of the compiled plan's stages in the per-op table.
+STAGES = ("fnn", "encoder", "combine", "env_rows", "head")
 
 
 def _trained_regressor(seed: int = 0) -> Env2VecRegressor:
@@ -92,15 +100,59 @@ def _time_contenders(fns: list, repeats: int, rounds: int = ROUNDS) -> list[floa
     return [min(times) for times in samples]
 
 
+def _in_span(fn, name: str):
+    def timed(*args, **kwargs):
+        with span(name):
+            return fn(*args, **kwargs)
+
+    return timed
+
+
+@contextmanager
+def _stage_spans(n_features: int):
+    """Time the compiled Env2Vec plan's stages in spans, then unpatch.
+
+    ``CompiledDense`` serves both the FNN and the combine layer; an
+    input ``n_features`` wide is the FNN. The float32 Hadamard fold has
+    no combine GEMM, so its plan records no ``combine`` span.
+    """
+    dense_call = CompiledDense.__call__
+
+    def dense(self, x):
+        with span("fnn" if x.shape[1] == n_features else "combine"):
+            return dense_call(self, x)
+
+    patches = [
+        (ops, "gru_sequence", _in_span(ops.gru_sequence, "encoder")),
+        (CompiledDense, "__call__", dense),
+        (EmbeddingRowCache, "rows", _in_span(EmbeddingRowCache.rows, "env_rows")),
+        (ops, "hadamard_head", _in_span(ops.hadamard_head, "head")),
+        (model_module, "_folded_head", _in_span(model_module._folded_head, "head")),
+    ]
+    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
+    try:
+        for owner, name, wrapped in patches:
+            setattr(owner, name, wrapped)
+        yield
+    finally:
+        for owner, name, original in originals:
+            setattr(owner, name, original)
+
+
 def _profile_batch(engine, batch, repeats: int = 50) -> dict:
     """Per-op microseconds-per-call for one engine on one batch shape."""
-    with profile_ops() as prof:
+    durations = get_observability().registry.get("repro_span_duration_seconds")
+    stages = {op: durations.labels(span=op) for op in STAGES}
+    before = {op: (h.sum, h.count) for op, h in stages.items()}
+    with _stage_spans(batch["cf"].shape[1]):
         for _ in range(repeats):
             engine(**batch)
-    return {
-        name: {"us_per_call": 1e6 * total / calls, "calls": calls}
-        for name, total, calls in prof.table()
-    }
+    table = {}
+    for op, h in stages.items():
+        calls = h.count - before[op][1]
+        if calls:
+            table[op] = {"us_per_call": 1e6 * (h.sum - before[op][0]) / calls, "calls": calls}
+    return table
 
 
 def run_inference_bench(n_stream: int = 300) -> dict:

@@ -17,8 +17,7 @@ A full from-scratch reproduction of the paper's system:
   discovery, collector, training/prediction pipelines (the one scoring
   path), alarm and model stores, and the multi-day campaign.
 - :mod:`repro.serve` — the always-on serving layer, including the
-  supervised worker processes (the only owner of parallelism).
-- :mod:`repro.parallel` — ``SequencedMerger``, the serve supervisor's
+  supervised worker processes (the only owner of parallelism) and their
   in-order fan-in.
 - :mod:`repro.eval` — metrics and per-table/figure experiment drivers.
 

@@ -54,10 +54,10 @@ __all__ = ["DEFAULT_REGISTRY", "default_registry", "ALL_RULES", "RULESET_VERSION
 #: plus the cross-file rules in :mod:`repro.analysis.program`). The
 #: incremental cache embeds it in every entry, so bumping it on any rule
 #: semantics change invalidates stale cached scans wholesale.
-RULESET_VERSION = 4
+RULESET_VERSION = 5
 
 #: Packages under src/repro/ that run on the simulated campaign clock.
-_SIM_CLOCK_PACKAGES = frozenset({"core", "workflow", "parallel", "resilience"})
+_SIM_CLOCK_PACKAGES = frozenset({"core", "workflow", "resilience"})
 
 #: numpy legacy global-state API — any call through these mutates or reads
 #: hidden process-wide RNG state.

@@ -218,6 +218,7 @@ class ContextualAnomalyDetector:
             raise ValueError("error_models must align with the rows")
 
         groups: dict[int, list[int]] = {}
+        per_row: list[int] = []
         rows: list[tuple[np.ndarray, np.ndarray]] = []
         for index, (predicted, observed) in enumerate(zip(predicted_rows, observed_rows)):
             predicted = np.asarray(predicted, dtype=np.float64)
@@ -225,21 +226,25 @@ class ContextualAnomalyDetector:
             if predicted.shape != observed.shape:
                 raise ValueError("predicted and observed must align")
             rows.append((predicted, observed))
-            groups.setdefault(len(predicted), []).append(index)
+            model = error_models[index]
+            if model is None or isinstance(model, GaussianErrorModel):
+                groups.setdefault(len(predicted), []).append(index)
+            else:
+                per_row.append(index)
 
         reports: list[AnomalyReport | None] = [None] * len(rows)
-        for width, indices in groups.items():
-            if width < 2:
-                # Degenerate rows keep the exact per-row error behavior
-                # (a self-calibrated fit on < 2 samples must raise).
-                for index in indices:
-                    predicted, observed = rows[index]
-                    model = error_models[index]
-                    if model is None:
-                        reports[index] = self.detect_self_calibrated(predicted, observed)
-                    else:
-                        reports[index] = self.detect(predicted, observed, model)
-                continue
+        # Degenerate rows keep the exact per-row error behavior (a
+        # self-calibrated fit on < 2 samples must raise), and a model
+        # without a (mu, sigma) pair, such as a QuantileErrorModel, flags
+        # through its own is_anomalous.
+        for index in per_row + groups.pop(0, []) + groups.pop(1, []):
+            predicted, observed = rows[index]
+            model = error_models[index]
+            if model is None:
+                reports[index] = self.detect_self_calibrated(predicted, observed)
+            else:
+                reports[index] = self.detect(predicted, observed, model)
+        for indices in groups.values():
             errors = np.stack([rows[index][0] - rows[index][1] for index in indices])
             mu = np.empty((len(indices), 1))
             sigma = np.empty((len(indices), 1))

@@ -12,8 +12,10 @@ cases." This module supplies that rigour:
 - :class:`QuantileErrorModel` is the distribution-free alternative: flag a
   timestep when its error falls outside the historical errors' central
   ``1 - 2q`` quantile band — the analogue of γ·σ without the Gaussian
-  assumption. It plugs into :class:`ContextualAnomalyDetector` wherever a
-  :class:`GaussianErrorModel` is accepted.
+  assumption. It plugs into :class:`ContextualAnomalyDetector`'s
+  ``detect`` and ``detect_many`` wherever a :class:`GaussianErrorModel`
+  is accepted. The serve API takes only a :class:`GaussianErrorModel`:
+  its worker wire ships the ``(mu, sigma)`` pair.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ import numpy as np
 from ..data.environment import EM_FIELDS, Environment
 from ..ml.base import Estimator
 from ..ml.preprocessing import StandardScaler
-from ..obs import active_profiler, get_observability
+from ..obs import get_observability
 from ..nn import init as initializers
 from ..nn import ops
 from ..nn.encoders import create_encoder, validate_encoder_name
@@ -57,10 +57,6 @@ __all__ = ["Env2VecModel", "Env2VecRegressor", "PREDICTION_HEADS"]
 PREDICTION_HEADS = ("hadamard", "bilinear", "mlp")
 
 _OBS = get_observability()
-_H_COMPILE = _OBS.histogram(
-    "repro_model_compile_seconds",
-    "Time for Env2VecRegressor.compile (snapshot + plan build).",
-)
 _M_PREDICTIONS = _OBS.counter(
     "repro_predictions_total", "Individual RU predictions served by Env2VecRegressor."
 )
@@ -189,9 +185,6 @@ def _compile_env2vec(model: Env2VecModel, dtype: np.dtype):
             raise ValueError(f"expected {n_features} contextual features, got {cf.shape[1]}")
         if history.shape[1] != n_lags:
             raise ValueError(f"expected history window of {n_lags}, got {history.shape[1]}")
-        prof = active_profiler()
-        if prof is not None:
-            return _profiled_forward(prof, cf, history, env)
         v_fs = fnn(cf)
         v_ts = encoder(history[:, :, None])
         if fold:
@@ -203,27 +196,6 @@ def _compile_env2vec(model: Env2VecModel, dtype: np.dtype):
         if head == "bilinear":
             return ops.bilinear_head(v_d, bilinear, c)[0]
         return head_out(head_hidden(np.concatenate([v_d, c], axis=1))).reshape(-1)
-
-    def _profiled_forward(prof, cf: np.ndarray, history: np.ndarray, env: np.ndarray) -> np.ndarray:
-        # Same ops, same order as the fast path — only timing added.
-        with prof.op("fnn"):
-            v_fs = fnn(cf)
-        with prof.op("encoder"):
-            v_ts = encoder(history[:, :, None])
-        with prof.op("combine"):
-            v_s = np.concatenate([v_ts, v_fs], axis=1)
-            if not fold:
-                v_d = combine(v_s)
-        with prof.op("env_rows"):
-            c = env_cache.rows(env)
-        with prof.op("head"):
-            if fold:
-                return _folded_head(v_s, c)
-            if head == "hadamard":
-                return ops.hadamard_head(v_d, c)
-            if head == "bilinear":
-                return ops.bilinear_head(v_d, bilinear, c)[0]
-            return head_out(head_hidden(np.concatenate([v_d, c], axis=1))).reshape(-1)
 
     forward.env_cache = env_cache
     return forward
@@ -395,9 +367,8 @@ class Env2VecRegressor(Estimator):
         """
         if self.model is None:
             raise RuntimeError("model is not fitted; call fit() first")
-        with _H_COMPILE.time():
-            self.model.eval()
-            self._engine = compile_module(self.model, dtype=dtype)
+        self.model.eval()
+        self._engine = compile_module(self.model, dtype=dtype)
         return self._engine
 
     def ensure_compiled(self) -> InferenceModel:

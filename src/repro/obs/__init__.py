@@ -36,7 +36,6 @@ from .metrics import (
     MetricsRegistry,
 )
 from .observability import OBS, Observability, get_observability
-from .profile import OpProfiler, active_profiler, profile_ops
 from .spans import Span, SpanTracker
 
 __all__ = [
@@ -54,9 +53,6 @@ __all__ = [
     "Span",
     "SpanTracker",
     "span",
-    "OpProfiler",
-    "active_profiler",
-    "profile_ops",
     "render_prometheus",
     "TSDBExporter",
 ]

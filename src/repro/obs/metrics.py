@@ -262,7 +262,7 @@ class HistogramTimer:
     """``with histogram.time() as t: ...`` — observe the block's duration.
 
     This is the sanctioned way for sim-clock code (``core``, ``workflow``,
-    ``parallel``, ``resilience``) to measure real elapsed time: the
+    ``resilience``) to measure real elapsed time: the
     monotonic-clock read lives here in :mod:`repro.obs`, the one package
     the REP002 wall-clock rule exempts, instead of being scattered
     through pipeline bodies as ``time.perf_counter()`` pairs. The timer

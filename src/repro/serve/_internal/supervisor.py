@@ -18,8 +18,8 @@ there), under a supervisor that holds three guarantees:
    (:meth:`~repro.workflow.PredictionPipeline.score_with_isolation` —
    windows, one coalesced forward, detection); every side effect (alarm
    pushes, metrics) is applied by the parent in dispatch order through a
-   :class:`~repro.parallel.SequencedMerger`. Chaos draws are keyed by
-   batch id, and a re-dispatch gets a *new* id, so a seeded
+   :class:`~repro.serve._internal.batcher.SequencedMerger`. Chaos draws
+   are keyed by batch id, and a re-dispatch gets a *new* id, so a seeded
    ``worker_kill_rate < 1`` cannot pin one batch forever.
 3. **Serving never goes cold on a publish.** Rolling publishes walk the
    fleet one worker at a time: wait for the worker to go idle, ship the

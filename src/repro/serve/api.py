@@ -161,6 +161,12 @@ class PredictRequest:
             raise ValueError("a record_id request must carry its environment")
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ValueError("deadline_seconds must be positive when set")
+        if self.error_model is not None and not isinstance(self.error_model, GaussianErrorModel):
+            # The worker wire ships an error model as its (mu, sigma) pair.
+            raise TypeError(
+                f"error_model must be a GaussianErrorModel or None, "
+                f"got {type(self.error_model).__name__}"
+            )
 
     def __repr__(self) -> str:
         # Compact by design: the default repr would stringify the inline

@@ -18,8 +18,8 @@ alarm) into a long-running asyncio service with one typed request API:
   N supervised worker processes
   (:class:`~repro.serve._internal.supervisor.WorkerSupervisor`): workers
   run the pure scoring half only; alarm fan-in happens here, in dispatch
-  order through a :class:`~repro.parallel.SequencedMerger`, so both
-  modes are byte-identical to batch mode and to each other,
+  order through a :class:`~repro.serve._internal.batcher.SequencedMerger`,
+  so both modes are byte-identical to batch mode and to each other,
 - **warm models** — publishes compile off the request path (a publish
   hook fills the prediction pipeline's model cache on the loop; rolling
   one-worker-at-a-time rollouts under the supervisor), so a retrain swaps
@@ -50,7 +50,6 @@ import asyncio
 from collections import OrderedDict
 
 from ..obs import LATENCY_BUCKETS, get_observability
-from ..parallel import SequencedMerger
 from ..resilience import (
     BREAKER_OPEN,
     CircuitBreaker,
@@ -69,7 +68,7 @@ from ..workflow.prediction_pipeline import (
 )
 from ..workflow.tsdb import AmbiguousSeries, SeriesNotFound, TimeSeriesDB
 from ._internal.admission import AdmissionController, PendingRequest
-from ._internal.batcher import MicroBatcher
+from ._internal.batcher import MicroBatcher, SequencedMerger
 from ._internal.supervisor import WorkerSupervisor
 from .api import (
     AlarmQuery,
@@ -348,8 +347,8 @@ class Env2VecService:
         """Inline execution, or the TSDB read-back behind a record_id.
 
         Returns ``(execution, skipped)`` — exactly one is set. Degraded
-        telemetry becomes a typed skip (mirroring
-        :meth:`~repro.workflow.PredictionPipeline.run_from_tsdb`); a TSDB
+        telemetry becomes a typed skip, with missing and ambiguous series
+        both reported as ``series_missing`` as the campaign does; a TSDB
         outage trips the scrape breaker's failure counter too, since both
         paths share the backend.
         """

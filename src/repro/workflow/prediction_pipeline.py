@@ -17,14 +17,11 @@ import numpy as np
 from ..core.anomaly import AnomalyReport, ContextualAnomalyDetector, GaussianErrorModel
 from ..core.model import Env2VecRegressor
 from ..data.chains import BuildChain, TestExecution
-from ..data.environment import Environment
 from ..data.frame import Frame
 from ..data.windows import build_windows
 from ..obs import get_observability
-from ..resilience import ExecutionQuarantined
 from .alarms import AlarmStore
 from .model_store import CorruptModelError, ModelStore
-from .tsdb import AmbiguousSeries, SeriesNotFound
 
 __all__ = [
     "PredictionPipeline",
@@ -57,11 +54,6 @@ _M_CACHE_HITS = _OBS.counter(
 _M_CACHE_MISSES = _OBS.counter(
     "repro_model_cache_misses_total",
     "Model fetches that deserialized and compiled a published blob.",
-)
-_M_SKIPS = _OBS.counter(
-    "repro_resilience_executions_skipped_total",
-    "Executions the prediction pipeline skipped instead of crashing on.",
-    labels=("reason",),
 )
 _M_FALLBACKS = _OBS.counter(
     "repro_resilience_model_fallbacks_total",
@@ -156,9 +148,9 @@ class PipelineRun:
 class SkippedExecution:
     """A typed skip-with-reason: the pipeline could not monitor this one.
 
-    Returned (never raised) by :meth:`PredictionPipeline.run_from_tsdb`
-    when the telemetry behind an execution is missing, ambiguous, or
-    quarantined — monitoring one execution must not crash the day.
+    Returned (never raised) by the serve layer when the telemetry behind
+    a ``record_id`` request is missing, ambiguous, quarantined or
+    unreachable — monitoring one execution must not crash the service.
     """
 
     reason: str
@@ -432,35 +424,6 @@ class PredictionPipeline:
                 )
             )
         return runs
-
-    def run_from_tsdb(
-        self,
-        collector,
-        record_id: str,
-        environment: Environment,
-        error_model: GaussianErrorModel | None = None,
-    ) -> PipelineRun | SkippedExecution:
-        """Monitor an execution straight from the TSDB (step 3 for real).
-
-        Reads the series back through ``collector.read_back`` and runs the
-        normal pipeline on the reconstruction. Degraded telemetry —
-        missing series, ambiguous selectors, quarantined executions —
-        yields a :class:`SkippedExecution` naming the reason instead of
-        propagating a crash into the caller's day loop.
-        """
-        try:
-            features, cpu = collector.read_back(record_id)
-        except SeriesNotFound as exc:
-            _M_SKIPS.labels(reason="series_missing").inc()
-            return SkippedExecution(reason="series_missing", detail=str(exc))
-        except AmbiguousSeries as exc:
-            _M_SKIPS.labels(reason="ambiguous_series").inc()
-            return SkippedExecution(reason="ambiguous_series", detail=str(exc))
-        except ExecutionQuarantined as exc:
-            _M_SKIPS.labels(reason=exc.reason).inc()
-            return SkippedExecution(reason=exc.reason, detail=exc.detail)
-        execution = TestExecution(environment=environment, features=features, cpu=cpu)
-        return self.execute(PredictBatch((execution,), (error_model,)))[0]
 
     def report(self, execution: TestExecution, run: PipelineRun, width: int = 72) -> str:
         """Render the engineer-facing report for a completed run (step 4)."""

@@ -12,6 +12,7 @@ from repro.core import (
 )
 from repro.data import Environment
 from repro.nn import Tensor
+from repro.obs import get_observability
 
 RNG = np.random.default_rng(23)
 
@@ -163,6 +164,17 @@ class TestEnv2VecRegressor:
         model.fit(envs, X, history, y)
         matrix = model.embed_environments(_envs())
         assert matrix.shape == (3, 40)
+
+    def test_compile_is_timed_once_by_the_nn_compile_histogram(self):
+        envs, X, history, y = _synthetic_task(n_per_env=60)
+        model = Env2VecRegressor(n_lags=2, max_epochs=2, seed=0).fit(envs, X, history, y)
+        registry = get_observability().registry
+        compiles = registry.get("repro_nn_compile_seconds")
+        before = compiles.count
+        model.compile()
+        assert compiles.count == before + 1
+        timers = [name for name in registry.names() if "compile_seconds" in name]
+        assert timers == ["repro_nn_compile_seconds"]
 
     def test_misaligned_inputs_rejected(self):
         envs, X, history, y = _synthetic_task(n_per_env=60)

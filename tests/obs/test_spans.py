@@ -65,10 +65,15 @@ class TestTiming:
         assert root.children[0].duration <= root.duration
 
     def test_durations_feed_the_span_histogram(self, tracker):
-        with tracker.span("timed"):
-            pass
-        histogram = tracker._histogram.labels(span="timed")
-        assert histogram.count == 1
+        for _ in range(3):
+            with tracker.span("timed"):
+                pass
+        with tracker.span("slow"):
+            time.sleep(0.002)
+        assert tracker._histogram.labels(span="timed").count == 3
+        slow = tracker._histogram.labels(span="slow")
+        assert slow.count == 1
+        assert slow.sum >= 0.002
 
     def test_walk_and_render(self, tracker):
         with tracker.span("outer"):

@@ -28,6 +28,17 @@ def run(coroutine):
     return asyncio.run(coroutine)
 
 
+def test_request_rejects_an_error_model_without_mu_and_sigma():
+    import numpy as np
+
+    from repro.core import GaussianErrorModel, QuantileErrorModel
+
+    _request(0, error_model=GaussianErrorModel(mu=0.0, sigma=1.0))
+    quantile = QuantileErrorModel.fit(np.random.default_rng(0).normal(size=50))
+    with pytest.raises(TypeError, match="GaussianErrorModel"):
+        _request(1, error_model=quantile)
+
+
 class TestAdmission:
     def test_rejects_past_depth_bound_and_counts(self):
         async def scenario():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.parallel import SequencedMerger
+from repro.serve._internal.batcher import SequencedMerger
 
 
 class TestSequencedMerger:

@@ -6,7 +6,6 @@ require touching this test, which is the point.
 """
 
 import repro.obs
-import repro.parallel
 import repro.resilience
 import repro.serve
 import repro.workflow
@@ -63,8 +62,6 @@ RESILIENCE_API = {
     "DeadLetterRecord", "DeadLetterStore",
 }
 
-PARALLEL_API = {"SequencedMerger"}
-
 OBS_API = {
     "Observability", "get_observability", "OBS",
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "HistogramTimer",
@@ -72,8 +69,6 @@ OBS_API = {
     "DEFAULT_BUCKETS", "LATENCY_BUCKETS",
     "Span", "SpanTracker", "span",
     "render_prometheus", "TSDBExporter",
-    # per-op inference profiling (bench_inference per-op table)
-    "OpProfiler", "active_profiler", "profile_ops",
 }
 
 
@@ -102,10 +97,6 @@ def test_resilience_public_api():
     _check_surface(repro.resilience, RESILIENCE_API)
 
 
-def test_parallel_public_api():
-    _check_surface(repro.parallel, PARALLEL_API)
-
-
 def test_serve_public_api():
     _check_surface(repro.serve, SERVE_API)
 
@@ -121,16 +112,16 @@ def test_serve_internal_stays_private():
 
 
 def test_parallel_importable_first():
-    """repro.parallel must load cleanly as the *first* repro import.
+    """repro.serve must load cleanly as the *first* repro import.
 
-    The serve layer imports repro.parallel and the workflow; an import
-    cycle between them would only surface for one load order, so probe
-    parallel-first in a fresh interpreter.
+    The serve layer imports the workflow; an import cycle between them
+    would only surface for one load order, so probe serve-first in a
+    fresh interpreter.
     """
     import subprocess
     import sys
 
-    probe = "import repro.parallel; import repro.workflow"
+    probe = "import repro.serve; import repro.workflow"
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True
     )

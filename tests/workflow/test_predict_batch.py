@@ -1,9 +1,17 @@
 """PredictBatch: the one request type :meth:`PredictionPipeline.execute` takes."""
 
+import numpy as np
 import pytest
 
+from repro.core import GaussianErrorModel, QuantileErrorModel
 from repro.data import TelecomConfig, generate_telecom
-from repro.workflow import ModelStore, PredictBatch, TrainingPipeline
+from repro.workflow import (
+    AlarmStore,
+    ModelStore,
+    PredictBatch,
+    PredictionPipeline,
+    TrainingPipeline,
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,3 +53,21 @@ class TestPredictBatch:
         _, executions = trained
         batch = PredictBatch(executions)
         assert isinstance(batch.executions, tuple)
+
+    def test_quantile_error_model_scores_like_detect(self, trained):
+        store, executions = trained
+        pipeline = PredictionPipeline(store, AlarmStore())
+        quantile = QuantileErrorModel.fit(np.random.default_rng(0).normal(0.0, 1.5, 400))
+        models = (quantile, GaussianErrorModel(mu=0.0, sigma=1.5)) + (None,) * (
+            len(executions) - 2
+        )
+        runs = pipeline.execute(PredictBatch(tuple(executions), models))
+        for run, model in zip(runs, models):
+            if model is None:
+                expected = pipeline.detector.detect_self_calibrated(
+                    run.predictions, run.observations
+                )
+            else:
+                expected = pipeline.detector.detect(run.predictions, run.observations, model)
+            assert run.report.flags.tobytes() == expected.flags.tobytes()
+            assert run.report.alarms == expected.alarms
