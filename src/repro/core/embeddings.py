@@ -15,13 +15,16 @@ previously unseen environments.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from ..data.environment import EM_FIELDS, Environment
 from ..ml.preprocessing import LabelEncoder
+from ..nn import ops
 from ..nn.init import ensure_rng
 from ..nn.layers import Embedding, Module
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, apply_op
 
 __all__ = ["EnvironmentVocabulary", "EnvironmentEmbeddings"]
 
@@ -174,21 +177,67 @@ class EnvironmentEmbeddings(Module):
         return self.embedding_dim * len(self.vocabulary.fields)
 
     def forward(self, ids: np.ndarray) -> Tensor:
-        """(n, n_fields) id matrix -> (n, output_dim) concatenated embeddings."""
+        """(n, n_fields) id matrix -> (n, output_dim) concatenated embeddings.
+
+        One tape node for all fields: :meth:`lookup` forward,
+        :meth:`table_grads` backward.
+        """
+        c, effective = self.lookup(ids)
+        tables = [self.tables[field].weight for field in self.vocabulary.fields]
+        return apply_op(tables, c, lambda grad: self.table_grads(grad, effective))
+
+    def lookup(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``C`` for an ``(n, n_fields)`` id matrix, and the effective ids.
+
+        In training mode with ``unknown_dropout > 0`` (grad mode does not
+        matter) each field's ids are replaced by that field's unknown id
+        with probability ``unknown_dropout``: one ``rng.random(n)`` mask
+        per field, in field order. Ids are range-checked after replacement
+        (the first bad field raises ``IndexError``). The effective ids are
+        what :meth:`table_grads` needs for the backward.
+        """
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim != 2 or ids.shape[1] != len(self.vocabulary.fields):
-            raise ValueError(
-                f"expected ids of shape (n, {len(self.vocabulary.fields)}); got {ids.shape}"
-            )
-        pieces = []
-        for i, field in enumerate(self.vocabulary.fields):
-            column = ids[:, i]
-            if self.training and self.unknown_dropout > 0.0:
-                unknown_id = self.tables[field].num_embeddings - 1
-                mask = self._rng.random(len(column)) < self.unknown_dropout
-                column = np.where(mask, unknown_id, column)
-            pieces.append(self.tables[field](column))
-        return Tensor.concat(pieces, axis=1)
+        fields = self.vocabulary.fields
+        if ids.ndim != 2 or ids.shape[1] != len(fields):
+            raise ValueError(f"expected ids of shape (n, {len(fields)}); got {ids.shape}")
+        tables = [self.tables[field] for field in fields]
+        bounds = self._row_bounds()
+        sizes = bounds[1:] - bounds[:-1]
+        if self.training and self.unknown_dropout > 0.0:
+            # One draw of (n_fields, n) is the per-field rng.random(n) calls
+            # in field order, value for value.
+            masks = self._rng.random((len(fields), len(ids))) < self.unknown_dropout
+            ids = np.where(masks.T, sizes - 1, ids)
+        # Negative ids wrap to huge unsigned values, so one comparison
+        # checks both ends of every table's range.
+        bad = ids.view(np.uint64) >= sizes.astype(np.uint64)
+        if bad.any():
+            i = int(np.argmax(bad.any(axis=0)))
+            tables[i].check_ids(ids[:, i])
+        stacked = np.concatenate([table.weight.data for table in tables])
+        rows, _ = ops.embedding_forward(stacked, ids + bounds[:-1])
+        return rows.reshape(len(ids), self.output_dim), ids
+
+    def table_grads(self, grad_c: np.ndarray, ids: np.ndarray) -> list[np.ndarray]:
+        """Per-table gradients, in field order, of ``C`` looked up at ``ids``.
+
+        One :func:`repro.nn.ops.embedding_backward` over the tables stacked
+        row-wise: each ``(row, column)`` bin still sums its contributions in
+        batch order, so every table's gradient equals a per-field scatter
+        bit for bit.
+        """
+        bounds = self._row_bounds()
+        (full,) = ops.embedding_backward(
+            grad_c.reshape(-1, self.embedding_dim),
+            {"shape": (bounds[-1], self.embedding_dim), "ids": (ids + bounds[:-1]).reshape(-1)},
+        )
+        return [full[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
+
+    def _row_bounds(self) -> np.ndarray:
+        """Where each field's table starts within the tables stacked
+        row-wise, plus their total row count."""
+        sizes = [self.tables[field].num_embeddings for field in self.vocabulary.fields]
+        return np.array([0, *accumulate(sizes)])
 
     def table_arrays(self) -> list[np.ndarray]:
         """Raw per-field weight matrices in ``vocabulary.fields`` order.

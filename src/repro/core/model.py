@@ -48,7 +48,7 @@ from ..nn.inference import (
 )
 from ..nn.layers import Dense, Dropout, Module
 from ..nn.optim import Adam
-from ..nn.tensor import Tensor, no_grad
+from ..nn.tensor import Tensor, apply_op, is_grad_enabled, no_grad
 from ..nn.training import EarlyStopping, Trainer, TrainingHistory
 from .embeddings import EnvironmentEmbeddings, EnvironmentVocabulary
 
@@ -126,6 +126,10 @@ class Env2VecModel(Module):
         ``cf``: (batch, n_features) contextual features;
         ``history``: (batch, n_lags) previous RU values, oldest first;
         ``env``: (batch, n_fields) integer EM ids.
+
+        Records two tape nodes: the encoder's, and one body node for the
+        rest of the model (:meth:`_body`). The dropout mask is drawn
+        before the encoder runs, the ``<unk>`` masks after it.
         """
         cf = np.asarray(cf, dtype=np.float64)
         history = np.asarray(history, dtype=np.float64)
@@ -133,17 +137,76 @@ class Env2VecModel(Module):
             raise ValueError(f"expected {self.n_features} contextual features, got {cf.shape[1]}")
         if history.shape[1] != self.n_lags:
             raise ValueError(f"expected history window of {self.n_lags}, got {history.shape[1]}")
-        v_fs = self.fnn_dropout(self.fnn(Tensor(cf)))
+        dropout = self.fnn_dropout
+        mask = None
+        if dropout.training and dropout.rate > 0.0 and is_grad_enabled():
+            mask = ops.dropout_mask((len(cf), self.fnn.out_features), dropout.rate, dropout.rng)
         v_ts = self.encoder(Tensor(history[:, :, None]))
-        v_s = Tensor.concat([v_ts, v_fs], axis=1)
-        v_d = self.combine(v_s)
-        c = self.embeddings(env)
-        if self.head == "hadamard":
-            return (v_d * c).sum(axis=1)
-        if self.head == "bilinear":
-            return ((v_d @ self.bilinear) * c).sum(axis=1)
-        merged = Tensor.concat([v_d, c], axis=1)
-        return self.head_out(self.head_hidden(merged)).reshape(-1)
+        return self._body(cf, mask, v_ts, env)
+
+    def _body(self, cf: np.ndarray, mask: np.ndarray | None, v_ts: Tensor, env: np.ndarray) -> Tensor:
+        """FNN → dropout → concat → combine → embeddings → head as one tape node.
+
+        The arithmetic is the per-layer tape's, operation for operation
+        (``ops`` kernels, the head's ``(v * C).sum(axis=1)``), so outputs
+        and gradients are bitwise those of one node per layer. Activations
+        the backward reads are fresh arrays; its temporaries are
+        per-thread scratch, and it never forms the gradient of ``cf``.
+        """
+        fnn, combine, embeddings, head = self.fnn, self.combine, self.embeddings, self.head
+        c, ids = embeddings.lookup(env)
+        a, fnn_cache = ops.dense_forward(cf, fnn.weight.data, fnn.bias.data, fnn.activation_name)
+        width = v_ts.shape[1]
+        v_s = np.empty((len(cf), width + a.shape[1]))
+        v_s[:, :width] = v_ts.data
+        if mask is None:
+            v_s[:, width:] = a
+        else:
+            np.multiply(a, mask, out=v_s[:, width:])
+        v_d, combine_cache = ops.dense_forward(v_s, combine.weight.data, combine.bias.data)
+        head_params: tuple = ()
+        if head == "hadamard":
+            y = np.multiply(v_d, c, out=ops._scratch("head_product", *c.shape)).sum(axis=1)
+        elif head == "bilinear":
+            head_params = (self.bilinear,)
+            r = self.bilinear.data
+            projected = v_d @ r
+            y = np.multiply(projected, c, out=ops._scratch("head_product", *c.shape)).sum(axis=1)
+        else:
+            hidden, out = self.head_hidden, self.head_out
+            head_params = (hidden.weight, hidden.bias, out.weight, out.bias)
+            h, hidden_cache = ops.dense_forward(
+                np.concatenate([v_d, c], axis=1), hidden.weight.data, hidden.bias.data,
+                hidden.activation_name,
+            )
+            o, out_cache = ops.dense_forward(h, out.weight.data, out.bias.data)
+            y = o.reshape(-1)
+
+        def backward(grad: np.ndarray) -> list:
+            if head == "hadamard":
+                d_v_d, d_c = ops.hadamard_head_backward(grad, v_d, c)
+                head_grads = ()
+            elif head == "bilinear":
+                d_v_d, d_r, d_c = ops.bilinear_head_backward(grad, v_d, r, c, projected)
+                head_grads = (d_r,)
+            else:
+                d_h, d_w_out, d_b_out = ops.dense_backward(grad.reshape(-1, 1), out_cache)
+                d_merged, d_w_hidden, d_b_hidden = ops.dense_backward(d_h, hidden_cache)
+                d_v_d, d_c = d_merged[:, : c.shape[1]], d_merged[:, c.shape[1] :]
+                head_grads = (d_w_hidden, d_b_hidden, d_w_out, d_b_out)
+            d_v_s, d_w_combine, d_b_combine = ops.dense_backward(d_v_d, combine_cache)
+            d_a = d_v_s[:, width:]
+            if mask is not None:
+                (d_a,) = ops.dropout_backward(d_a, {"mask": mask})
+            _, d_w_fnn, d_b_fnn = ops.dense_backward(d_a, fnn_cache, input_grad=False)
+            return [
+                d_v_s[:, :width], d_w_fnn, d_b_fnn, d_w_combine, d_b_combine,
+                *embeddings.table_grads(d_c, ids), *head_grads,
+            ]
+
+        tables = [embeddings.tables[field].weight for field in embeddings.vocabulary.fields]
+        parents = (v_ts, fnn.weight, fnn.bias, combine.weight, combine.bias, *tables, *head_params)
+        return apply_op(parents, y, backward)
 
 
 @register_compiler(Env2VecModel)

@@ -230,13 +230,17 @@ class Embedding(Module):
             initializers.embedding_uniform((num_embeddings, embedding_dim), rng), name="weight"
         )
 
-    def forward(self, ids: np.ndarray) -> Tensor:
-        ids = np.asarray(ids, dtype=np.int64)
+    def check_ids(self, ids: np.ndarray) -> None:
+        """Raise ``IndexError`` unless every id is a row of this table."""
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_embeddings):
             raise IndexError(
                 f"embedding ids out of range [0, {self.num_embeddings}): "
                 f"min={ids.min()}, max={ids.max()}"
             )
+
+    def forward(self, ids: np.ndarray) -> Tensor:
+        ids = np.asarray(ids, dtype=np.int64)
+        self.check_ids(ids)
         out, cache = ops.embedding_forward(self.weight.data, ids)
         return apply_op((self.weight,), out, lambda grad: ops.embedding_backward(grad, cache))
 

@@ -7,15 +7,34 @@ reports Mean Absolute Error for evaluation (§4.1.2).
 
 from __future__ import annotations
 
-from .tensor import Tensor
+import numpy as np
+
+from .tensor import Tensor, _unbroadcast, apply_op
 
 __all__ = ["mse_loss", "mae_loss", "huber_loss", "get_loss"]
 
 
 def mse_loss(predicted: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error over all elements."""
-    diff = predicted - target
-    return (diff * diff).mean()
+    """Mean squared error over all elements, as one tape node.
+
+    Value and gradient are those of ``((predicted - target) ** 2).mean()``
+    built from elementary tape ops, bit for bit: ``(d * d).sum() * (1 / n)``
+    and ``g * d + g * d`` with ``g = grad * (1 / n)``.
+    """
+    predicted = predicted if isinstance(predicted, Tensor) else Tensor(predicted)
+    target = target if isinstance(target, Tensor) else Tensor(target)
+    diff = predicted.data - target.data
+    scale = 1.0 / diff.size
+
+    def backward(grad: np.ndarray):
+        half = (grad * scale) * diff
+        d_diff = half + half
+        return (
+            _unbroadcast(d_diff, predicted.shape),
+            _unbroadcast(-d_diff, target.shape) if target.requires_grad else None,
+        )
+
+    return apply_op((predicted, target), (diff * diff).sum() * scale, backward)
 
 
 def mae_loss(predicted: Tensor, target: Tensor) -> Tensor:

@@ -8,7 +8,9 @@ its matching ``*_backward`` kernel needs. Two consumers sit on top:
 - the layer classes (:mod:`repro.nn.layers`, :mod:`repro.nn.gru`,
   :mod:`repro.nn.lstm`, :mod:`repro.nn.attention`) call a forward kernel
   once and register the matching backward kernel as a single tape node via
-  :func:`repro.nn.tensor.apply_op` — differentiable training math;
+  :func:`repro.nn.tensor.apply_op` — differentiable training math; the
+  Env2Vec model's body (:class:`repro.core.model.Env2VecModel`) chains
+  the dense, dropout, embedding and head kernels into one such node;
 - the tape-free engine (:mod:`repro.nn.inference`) calls the forward
   kernels (and the sequence runners at the bottom of this module)
   directly and throws the caches away — lean serving math.
@@ -35,6 +37,7 @@ __all__ = [
     "dense_backward",
     "embedding_forward",
     "embedding_backward",
+    "dropout_mask",
     "dropout_forward",
     "dropout_backward",
     "gru_sequence_forward",
@@ -97,13 +100,14 @@ def activation(name: str, pre: np.ndarray) -> np.ndarray:
 
 
 def activation_inplace(name: str, x: np.ndarray) -> np.ndarray:
-    """Apply a named activation *in place* (inference paths only).
+    """Apply a named activation *in place*.
 
-    The autograd kernels must keep their pre-activation arrays intact for
-    the backward pass, so they use :func:`activation`; the compiled
-    engine's buffers are throwaway, so it overwrites them instead of
-    allocating. Elementwise results are bitwise identical to
-    :func:`activation` (sigmoid is the same composition either way).
+    The compiled engine's buffers are throwaway, so it overwrites them
+    instead of allocating; :func:`dense_forward` does the same for the
+    activations whose derivative reads only the output. Autograd kernels
+    whose backward reads the pre-activation (relu) use :func:`activation`.
+    Elementwise results are bitwise identical to :func:`activation`
+    (sigmoid is the same composition either way).
     """
     if name == "linear":
         return x
@@ -138,38 +142,72 @@ def _resolve_act(act: str):
         ) from None
 
 
-def activation_delta(name: str, grad: np.ndarray, pre: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. ``pre`` given the gradient w.r.t. ``out``."""
+def activation_delta(
+    name: str, grad: np.ndarray, pre: np.ndarray, out: np.ndarray, delta: np.ndarray | None = None
+) -> np.ndarray:
+    """Gradient w.r.t. ``pre`` given the gradient w.r.t. ``out``.
+
+    Written into ``delta`` when given; sigmoid and tanh then take their
+    one temporary from per-thread scratch. ``linear`` returns ``grad``.
+    """
     if name == "linear":
         return grad
     if name == "relu":
-        return grad * (pre > 0)
+        return np.multiply(grad, pre > 0, out=delta)
+    tmp = None if delta is None else _scratch("delta_tmp", *out.shape)
     if name == "sigmoid":
-        return grad * out * (1.0 - out)
+        # grad * out * (1 - out)
+        tmp = np.subtract(1.0, out, out=tmp)
+        delta = np.multiply(grad, out, out=delta)
+        delta *= tmp
+        return delta
     if name == "tanh":
-        return grad * (1.0 - out * out)
+        # grad * (1 - out * out)
+        tmp = np.multiply(out, out, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        return np.multiply(grad, tmp, out=delta)
     raise ValueError(f"unknown activation {name!r}; choose from {ACTIVATION_NAMES}")
 
 
 # ---------------------------------------------------------------------------
 # Dense
 # ---------------------------------------------------------------------------
+#: Activations whose derivative reads only their output: ``dense_forward``
+#: applies them in place over the pre-activation.
+_OUTPUT_DELTA = ("sigmoid", "tanh")
+
+
 def dense_forward(
     x: np.ndarray, weight: np.ndarray, bias: np.ndarray, act: str = "linear"
 ) -> tuple[np.ndarray, dict]:
-    """``activation(x @ weight + bias)`` for 1-d or 2-d ``x``."""
-    pre = x @ weight + bias
-    out = activation(act, pre)
+    """``activation(x @ weight + bias)`` for 1-d or 2-d ``x``.
+
+    The bias add runs in place on the matmul's result, and so does a
+    sigmoid or tanh: up to two fewer fresh arrays per call, same bits.
+    """
+    pre = x @ weight
+    pre += bias
+    out = activation_inplace(act, pre) if act in _OUTPUT_DELTA else activation(act, pre)
     return out, {"x": x, "weight": weight, "pre": pre, "out": out, "act": act}
 
 
-def dense_backward(grad: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns ``(d_x, d_weight, d_bias)``."""
+def dense_backward(
+    grad: np.ndarray, cache: dict, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Returns ``(d_x, d_weight, d_bias)``; ``d_x`` is None unless ``input_grad``.
+
+    For a batch, the activation's delta is per-thread scratch; every
+    returned gradient is fresh.
+    """
     x, weight = cache["x"], cache["weight"]
-    delta = activation_delta(cache["act"], grad, cache["pre"], cache["out"])
     if x.ndim == 1:
-        return delta @ weight.T, np.outer(x, delta), delta
-    return delta @ weight.T, x.T @ delta, delta.sum(axis=0)
+        delta = activation_delta(cache["act"], grad, cache["pre"], cache["out"])
+        return delta @ weight.T if input_grad else None, np.outer(x, delta), delta
+    delta = activation_delta(
+        cache["act"], grad, cache["pre"], cache["out"], _scratch("dense_delta", *grad.shape)
+    )
+    d_x = delta @ weight.T if input_grad else None
+    return d_x, x.T @ delta, delta.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +236,19 @@ def embedding_backward(grad: np.ndarray, cache: dict) -> tuple[np.ndarray]:
 # ---------------------------------------------------------------------------
 # Dropout
 # ---------------------------------------------------------------------------
+def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:
+    """The inverted-dropout multiplier: ``0`` or ``1 / (1 - rate)`` per element,
+    one ``rng.random(shape)`` draw."""
+    if not 0.0 < rate < 1.0:
+        raise ValueError("dropout rate must be in (0, 1)")
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
 def dropout_forward(
     x: np.ndarray, rate: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, dict]:
     """Inverted dropout; the inference engine simply never calls this."""
-    if not 0.0 < rate < 1.0:
-        raise ValueError("dropout rate must be in (0, 1)")
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    mask = dropout_mask(x.shape, rate, rng)
     return x * mask, {"mask": mask}
 
 
@@ -285,7 +329,12 @@ def hadamard_head(v_d: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def hadamard_head_backward(grad: np.ndarray, v_d: np.ndarray, c: np.ndarray):
-    return grad[:, None] * c, grad[:, None] * v_d
+    """``(d_v_d, d_c)``, both per-thread scratch (see :func:`_scratch`)."""
+    g = grad[:, None]
+    return (
+        np.multiply(g, c, out=_scratch("head_dv", *c.shape)),
+        np.multiply(g, v_d, out=_scratch("head_dc", *c.shape)),
+    )
 
 
 def bilinear_head(v_d: np.ndarray, r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,8 +346,14 @@ def bilinear_head(v_d: np.ndarray, r: np.ndarray, c: np.ndarray) -> tuple[np.nda
 def bilinear_head_backward(
     grad: np.ndarray, v_d: np.ndarray, r: np.ndarray, c: np.ndarray, projected: np.ndarray
 ):
-    d_projected = grad[:, None] * c
-    return d_projected @ r.T, v_d.T @ d_projected, grad[:, None] * projected
+    """``(d_v_d, d_r, d_c)``; ``d_v_d`` and ``d_c`` are per-thread scratch."""
+    g = grad[:, None]
+    d_projected = np.multiply(g, c, out=_scratch("head_dp", *c.shape))
+    return (
+        np.matmul(d_projected, r.T, out=_scratch("head_dv", *v_d.shape)),
+        v_d.T @ d_projected,
+        np.multiply(g, projected, out=_scratch("head_dc", *c.shape)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 This module is the foundation of the ``repro.nn`` deep-learning stack. The
 paper implements Env2Vec with Keras/TensorFlow; neither is available here,
 so we provide a compact tape-based autograd engine that supports everything
-the Env2Vec architecture needs: dense layers, GRU recurrences, embedding
-lookups with sparse gradients, dropout, concatenation, and the
-sum-of-Hadamard-product prediction head.
+the Env2Vec architecture needs. The layers and the model's body run
+fused :mod:`repro.nn.ops` kernels as single graph nodes
+(:func:`apply_op`); the elementary operations here cover everything
+else and the finite-difference tests.
 
 The design follows the classic define-by-run model: every operation on a
 :class:`Tensor` records a backward closure and its parent tensors; calling
@@ -437,35 +438,6 @@ class Tensor:
                 _send(tensor, np.squeeze(piece, axis=axis))
 
         return Tensor._make(data, tuple(tensors), backward)
-
-    def take_rows(self, indices: np.ndarray) -> "Tensor":
-        """Embedding-style row gather: ``out[i] = self[indices[i]]``.
-
-        The backward pass scatter-adds into the table, giving the sparse
-        gradient semantics embedding lookup tables rely on.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        original_shape = self.shape
-
-        def backward(grad: np.ndarray) -> None:
-            full = np.zeros(original_shape, dtype=np.float64)
-            np.add.at(full, indices, grad)
-            _send(self, full)
-
-        return Tensor._make(self.data[indices], (self,), backward)
-
-    def dropout(self, rate: float, rng: np.random.Generator) -> "Tensor":
-        """Inverted dropout: active only while grad recording is enabled."""
-        if rate <= 0.0 or not _GRAD_MODE.enabled:
-            return self
-        if rate >= 1.0:
-            raise ValueError("dropout rate must be < 1")
-        mask = (rng.random(self.shape) >= rate) / (1.0 - rate)
-
-        def backward(grad: np.ndarray) -> None:
-            _send(self, grad * mask)
-
-        return Tensor._make(self.data * mask, (self,), backward)
 
 
 # A stack of gradient dictionaries used while a backward pass is running.

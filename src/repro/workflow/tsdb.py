@@ -75,8 +75,8 @@ class Series:
                 f"timestamps must be strictly increasing; series {self.metric}{self.labels} "
                 f"already ends at {self.timestamps[-1]}, new batch starts at {timestamps[0]}"
             )
-        self.timestamps.extend(float(t) for t in timestamps)
-        self.values.extend(float(v) for v in values)
+        self.timestamps.extend(timestamps.tolist())
+        self.values.extend(values.tolist())
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -112,10 +112,18 @@ _G_SAMPLES = _OBS.gauge("repro_tsdb_samples", "Stored samples per TSDB.", labels
 
 
 class TimeSeriesDB:
-    """Append-only store with Prometheus-style label matching."""
+    """Append-only store with Prometheus-style label matching.
+
+    Queries read two indexes kept in series-creation order: metric →
+    series, and ``(metric, label, value)`` → series. A query filters the
+    shortest candidate list its selector names, so its cost follows the
+    matching series, not the size of the database.
+    """
 
     def __init__(self, name: str = "default") -> None:
         self._series: dict[tuple, Series] = {}
+        self._by_metric: dict[str, list[Series]] = {}
+        self._by_label: dict[tuple[str, str, str], list[Series]] = {}
         self.name = name
         self._n_samples = 0
         # Handles resolved once per instance; per-write cost is one method
@@ -135,6 +143,9 @@ class TimeSeriesDB:
         if series is None:
             series = Series(metric=metric, labels=labels)
             self._series[key] = series
+            self._by_metric.setdefault(metric, []).append(series)
+            for label, value in labels.items():
+                self._by_label.setdefault((metric, label, value), []).append(series)
             self._g_series.set(len(self._series))
         return series
 
@@ -180,13 +191,16 @@ class TimeSeriesDB:
         """Series of ``metric`` whose labels include all ``matchers``."""
         self._m_queries.inc()
         matchers = {str(k): str(v) for k, v in (matchers or {}).items()}
-        out = []
-        for series in self._series.values():
-            if series.metric != metric:
-                continue
-            if all(series.labels.get(k) == v for k, v in matchers.items()):
-                out.append(series)
-        return out
+        candidates = self._by_metric.get(metric, [])
+        for k, v in matchers.items():
+            indexed = self._by_label.get((metric, k, v), [])
+            if len(indexed) < len(candidates):
+                candidates = indexed
+        return [
+            series
+            for series in candidates
+            if all(series.labels.get(k) == v for k, v in matchers.items())
+        ]
 
     def query_one(self, metric: str, matchers: dict[str, str] | None = None) -> Series:
         """Like :meth:`query` but requires exactly one matching series.
@@ -218,7 +232,7 @@ class TimeSeriesDB:
 
     # -- introspection ----------------------------------------------------------
     def metrics(self) -> list[str]:
-        return sorted({series.metric for series in self._series.values()})
+        return sorted(self._by_metric)
 
     def label_values(self, label: str) -> list[str]:
         values = {

@@ -157,14 +157,6 @@ class TestStructural:
         t[idx].sum().backward()
         np.testing.assert_allclose(t.grad, [2.0, 0.0, 1.0, 0.0])
 
-    def test_take_rows(self):
-        table = Tensor(RNG.standard_normal((5, 3)), requires_grad=True)
-        ids = np.array([1, 1, 4, 0])
-        (table.take_rows(ids) ** 2).sum().backward()
-        expected = np.zeros((5, 3))
-        np.add.at(expected, ids, 2 * table.numpy()[ids])
-        np.testing.assert_allclose(table.grad, expected)
-
     def test_reshape(self):
         check_grad(lambda t: (t.reshape(6) ** 2).sum(), (2, 3))
 
@@ -237,27 +229,6 @@ class TestGraphMechanics:
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ValueError):
             (x * 1.0).backward(np.ones(4))
-
-    def test_dropout_scales_and_masks(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(np.ones((100, 10)), requires_grad=True)
-        y = x.dropout(0.5, rng)
-        values = np.unique(y.numpy())
-        assert set(np.round(values, 6)) <= {0.0, 2.0}
-        y.sum().backward()
-        np.testing.assert_allclose(x.grad, y.numpy())
-
-    def test_dropout_identity_in_no_grad(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(np.ones(10))
-        with no_grad():
-            y = x.dropout(0.9, rng)
-        np.testing.assert_allclose(y.numpy(), x.numpy())
-
-    def test_dropout_invalid_rate(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        with pytest.raises(ValueError):
-            x.dropout(1.0, np.random.default_rng(0))
 
 
 @settings(max_examples=30, deadline=None)

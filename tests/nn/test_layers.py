@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Dense, Dropout, Embedding, Module, Parameter, Sequential, Tensor
+from repro.nn import Dense, Dropout, Embedding, Module, Parameter, Sequential, Tensor, no_grad, ops
 
 RNG = np.random.default_rng(11)
 
@@ -70,6 +70,25 @@ class TestDropout:
         with pytest.raises(ValueError):
             Dropout(-0.1)
 
+    def test_dropout_scales_and_masks(self):
+        layer = Dropout(0.5, rng=np.random.default_rng(0))
+        x = Tensor(np.ones((100, 10)), requires_grad=True)
+        y = layer(x)
+        assert set(np.unique(y.numpy())) == {0.0, 2.0}
+        y.sum().backward()
+        np.testing.assert_array_equal(x.grad, y.numpy())
+
+    def test_dropout_identity_in_no_grad(self):
+        layer = Dropout(0.9, rng=np.random.default_rng(0))
+        x = Tensor(np.ones(10))
+        with no_grad():
+            assert layer(x) is x
+
+    def test_dropout_invalid_rate(self):
+        for rate in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                ops.dropout_mask((3,), rate, np.random.default_rng(0))
+
 
 class TestEmbedding:
     def test_lookup_returns_rows(self):
@@ -86,6 +105,14 @@ class TestEmbedding:
         np.testing.assert_allclose(grad[1], [2.0, 2.0, 2.0])
         np.testing.assert_allclose(grad[3], [1.0, 1.0, 1.0])
         np.testing.assert_allclose(grad[0], 0.0)
+
+    def test_gather_gradient_scatter_adds_duplicates(self):
+        emb = Embedding(5, 3, rng=RNG)
+        ids = np.array([1, 1, 4, 0])
+        (emb(ids) ** 2).sum().backward()
+        expected = np.zeros((5, 3))
+        np.add.at(expected, ids, 2 * emb.weight.numpy()[ids])
+        np.testing.assert_allclose(emb.weight.grad, expected)
 
     def test_out_of_range_ids_rejected(self):
         emb = Embedding(5, 3, rng=RNG)
