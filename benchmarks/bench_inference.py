@@ -5,13 +5,10 @@ running testbed, i.e. batch-size-1 streaming, where tape bookkeeping and
 Tensor allocation dominate the numpy math. The campaign/calibration path
 (and every serve micro-batch) is the opposite shape: one vectorized call
 over hundreds of rows, where the BLAS kernels dominate. This benchmark
-measures both shapes on a trained Env2Vec model through three contenders:
+measures both shapes on a trained Env2Vec model through two contenders:
 
 - the autograd forward under ``no_grad`` (baseline);
-- the compiled float64 engine (the serving default, byte-identical to
-  the autograd forward at ≤1e-10);
-- the compiled float32 engine (the throughput mode, parity within
-  :data:`repro.nn.inference.FLOAT32_ATOL`).
+- the compiled engine (float64, byte-identical to the autograd forward).
 
 Timing keeps the original best-of-rounds discipline: every contender is
 warmed up first, then each (shape, contender) cell is the *minimum* over
@@ -35,21 +32,18 @@ from pathlib import Path
 import numpy as np
 
 from conftest import emit
-from repro.core import model as model_module
 from repro.core.model import Env2VecRegressor
 from repro.data import Environment
 from repro.nn import ops
-from repro.nn.inference import FLOAT32_ATOL, CompiledDense, EmbeddingRowCache
+from repro.nn.inference import CompiledDense, EmbeddingRowCache
 from repro.obs import get_observability, span
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: Acceptance floors: the float64 engine must beat the no_grad autograd
-#: forward by at least this factor on batch-1 streaming, and the float32
-#: engine by the same factor on batch-256 throughput. The float64 engine
-#: must never lose to autograd on the batch path.
+#: Acceptance floors: the compiled engine must beat the no_grad autograd
+#: forward by at least this factor on batch-1 streaming, and must never
+#: lose to autograd on the batch-256 path.
 MIN_STREAMING_SPEEDUP = 3.0
-MIN_BATCH_SPEEDUP_F32 = 3.0
 MIN_BATCH_SPEEDUP_F64 = 1.0
 
 #: Timing rounds per (shape, contender) cell; the minimum is reported.
@@ -113,8 +107,7 @@ def _stage_spans(n_features: int):
     """Time the compiled Env2Vec plan's stages in spans, then unpatch.
 
     ``CompiledDense`` serves both the FNN and the combine layer; an
-    input ``n_features`` wide is the FNN. The float32 Hadamard fold has
-    no combine GEMM, so its plan records no ``combine`` span.
+    input ``n_features`` wide is the FNN.
     """
     dense_call = CompiledDense.__call__
 
@@ -127,7 +120,6 @@ def _stage_spans(n_features: int):
         (CompiledDense, "__call__", dense),
         (EmbeddingRowCache, "rows", _in_span(EmbeddingRowCache.rows, "env_rows")),
         (ops, "hadamard_head", _in_span(ops.hadamard_head, "head")),
-        (model_module, "_folded_head", _in_span(model_module._folded_head, "head")),
     ]
     originals = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
     try:
@@ -157,7 +149,7 @@ def _profile_batch(engine, batch, repeats: int = 50) -> dict:
 
 def run_inference_bench(n_stream: int = 300) -> dict:
     regressor = _trained_regressor()
-    engine64 = regressor.compile(dtype=np.float64)
+    engine = regressor.compile()
     model = regressor.model
     model.eval()
     rng = np.random.default_rng(1)
@@ -168,13 +160,8 @@ def run_inference_bench(n_stream: int = 300) -> dict:
     big_batch = regressor._batch([environment] * 256, rng.standard_normal((256, 6)),
                                  rng.standard_normal((256, 3)))
 
-    engine64.assert_close(stream_batch)   # dtype-aware default: 1e-10
-    engine64.assert_close(big_batch)
-    # A second compile at float32 for the throughput mode; recompiling
-    # does not disturb engine64 (engines are standalone snapshots).
-    engine32 = regressor.compile(dtype=np.float32)
-    f32_err_stream = engine32.assert_close(stream_batch)  # default: FLOAT32_ATOL
-    f32_err_big = engine32.assert_close(big_batch)
+    engine.assert_close(stream_batch)   # default: 1e-10
+    engine.assert_close(big_batch)
 
     from repro.nn import no_grad
 
@@ -187,58 +174,36 @@ def run_inference_bench(n_stream: int = 300) -> dict:
         ("batch1_streaming", stream_batch, n_stream),
         ("batch256_throughput", big_batch, max(1, n_stream // 5)),
     ):
-        autograd_s, f64_s, f32_s = _time_contenders(
-            [
-                lambda b=batch: autograd_forward(b),
-                lambda b=batch: engine64(**b),
-                lambda b=batch: engine32(**b),
-            ],
-            repeats,
+        autograd_s, f64_s = _time_contenders(
+            [lambda b=batch: autograd_forward(b), lambda b=batch: engine(**b)], repeats
         )
         results[name] = {
             "calls": repeats,
             "timing": f"best of {ROUNDS} interleaved rounds after warmup",
             "autograd_no_grad_us_per_call": 1e6 * autograd_s / repeats,
             "compiled_us_per_call": 1e6 * f64_s / repeats,
-            "compiled_f32_us_per_call": 1e6 * f32_s / repeats,
             "speedup": autograd_s / f64_s,
-            "speedup_f32": autograd_s / f32_s,
         }
-    results["per_op_batch256"] = {
-        "float64": _profile_batch(engine64, big_batch),
-        "float32": _profile_batch(engine32, big_batch),
-    }
-    results["float32_parity"] = {
-        "atol_bound": FLOAT32_ATOL,
-        "max_abs_err_batch1": f32_err_stream,
-        "max_abs_err_batch256": f32_err_big,
-    }
-    results["env_cache"] = {"hits": engine64.env_cache.hits, "misses": engine64.env_cache.misses}
+    results["per_op_batch256"] = _profile_batch(engine, big_batch)
+    results["env_cache"] = {"hits": engine.env_cache.hits, "misses": engine.env_cache.misses}
     return results
 
 
 def _render(results: dict) -> str:
     lines = [
-        "Inference engine — autograd no_grad vs compiled f64/f32 (trained Env2Vec,"
+        "Inference engine — autograd no_grad vs compiled f64 (trained Env2Vec,"
         f" best of {ROUNDS} rounds)"
     ]
     for name in ("batch1_streaming", "batch256_throughput"):
         row = results[name]
         lines.append(
             f"  {name:<22} autograd={row['autograd_no_grad_us_per_call']:9.1f}us  "
-            f"f64={row['compiled_us_per_call']:8.1f}us ({row['speedup']:4.1f}x)  "
-            f"f32={row['compiled_f32_us_per_call']:8.1f}us ({row['speedup_f32']:4.1f}x)"
+            f"f64={row['compiled_us_per_call']:8.1f}us ({row['speedup']:4.1f}x)"
         )
-    lines.append("  per-op @256 (us/call):")
-    for dtype_name in ("float64", "float32"):
-        ops_table = results["per_op_batch256"][dtype_name]
-        cells = "  ".join(f"{op}={row['us_per_call']:.0f}" for op, row in ops_table.items())
-        lines.append(f"    {dtype_name}: {cells}")
-    parity = results["float32_parity"]
-    lines.append(
-        f"  f32 parity: max |err| = {parity['max_abs_err_batch256']:.2e} "
-        f"(bound {parity['atol_bound']:.0e})"
+    cells = "  ".join(
+        f"{op}={row['us_per_call']:.0f}" for op, row in results["per_op_batch256"].items()
     )
+    lines.append(f"  per-op @256 (us/call): {cells}")
     cache = results["env_cache"]
     lines.append(f"  embedding row cache: {cache['hits']} hits / {cache['misses']} misses")
     return "\n".join(lines)
@@ -248,11 +213,6 @@ def _check_floors(results: dict) -> None:
     assert results["batch1_streaming"]["speedup"] >= MIN_STREAMING_SPEEDUP, (
         f"compiled batch-1 inference is only "
         f"{results['batch1_streaming']['speedup']:.2f}x faster; need {MIN_STREAMING_SPEEDUP}x"
-    )
-    assert results["batch256_throughput"]["speedup_f32"] >= MIN_BATCH_SPEEDUP_F32, (
-        f"float32 batch-256 inference is only "
-        f"{results['batch256_throughput']['speedup_f32']:.2f}x faster; "
-        f"need {MIN_BATCH_SPEEDUP_F32}x"
     )
     assert results["batch256_throughput"]["speedup"] >= MIN_BATCH_SPEEDUP_F64, (
         "compiled batched inference must not be slower than autograd"

@@ -105,9 +105,10 @@ class RFNNModel(Module):
 
 
 @register_compiler(FNNModel)
-def _compile_fnn(model: FNNModel, dtype: np.dtype):
-    hidden_layer = CompiledDense(model.hidden_layer, dtype)
-    output = CompiledDense(model.output, dtype)
+def _compile_fnn(model: FNNModel):
+    hidden_layer = CompiledDense(model.hidden_layer)
+    output = CompiledDense(model.output)
+    dtype = hidden_layer.weight.dtype
 
     def forward(cf: np.ndarray) -> np.ndarray:
         return output(hidden_layer(np.asarray(cf, dtype=dtype))).reshape(-1)
@@ -116,12 +117,13 @@ def _compile_fnn(model: FNNModel, dtype: np.dtype):
 
 
 @register_compiler(RFNNModel)
-def _compile_rfnn(model: RFNNModel, dtype: np.dtype):
-    fnn = CompiledDense(model.fnn, dtype)
-    encoder = compile_plan(model.encoder, dtype)
-    combine = CompiledDense(model.combine, dtype)
-    output = CompiledDense(model.output, dtype)
+def _compile_rfnn(model: RFNNModel):
+    fnn = CompiledDense(model.fnn)
+    encoder = compile_plan(model.encoder)
+    combine = CompiledDense(model.combine)
+    output = CompiledDense(model.output)
     n_features, n_lags = model.n_features, model.n_lags
+    dtype = fnn.weight.dtype
 
     def forward(cf: np.ndarray, history: np.ndarray) -> np.ndarray:
         cf = np.asarray(cf, dtype=dtype)

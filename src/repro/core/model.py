@@ -210,7 +210,7 @@ class Env2VecModel(Module):
 
 
 @register_compiler(Env2VecModel)
-def _compile_env2vec(model: Env2VecModel, dtype: np.dtype):
+def _compile_env2vec(model: Env2VecModel):
     """Compile rule for the full Env2Vec architecture.
 
     Mirrors :meth:`Env2VecModel.forward` in eval mode: dropout and
@@ -218,28 +218,19 @@ def _compile_env2vec(model: Env2VecModel, dtype: np.dtype):
     encoder's own registered plan (fused sequence kernels), and the
     embedding branch is served from an LRU :class:`EmbeddingRowCache`
     keyed by the env-id tuple.
-
-    Below float64 the Hadamard head folds the combine layer into that
-    cache: ``y = (v_s W + b) · C = v_s · (W C) + b · C``, so each
-    environment's row is cached as ``[W C | b · C]`` and a prediction is
-    one row-wise dot product instead of a GEMM plus the head (float32
-    parity bound; float64 keeps the autograd op order and its bits).
     """
-    fnn = CompiledDense(model.fnn, dtype)
-    encoder = compile_plan(model.encoder, dtype)
-    combine = CompiledDense(model.combine, dtype)
+    fnn = CompiledDense(model.fnn)
+    encoder = compile_plan(model.encoder)
+    combine = CompiledDense(model.combine)
     head = model.head
-    fold = head == "hadamard" and dtype != np.float64
-    project = None
-    if fold:
-        project = np.hstack([model.combine.weight.data.T, model.combine.bias.data[:, None]])
-    env_cache = EmbeddingRowCache(model.embeddings.table_arrays(), dtype, project=project)
+    env_cache = EmbeddingRowCache(model.embeddings.table_arrays())
     if head == "bilinear":
-        bilinear = snapshot(model.bilinear.data, dtype)
+        bilinear = snapshot(model.bilinear.data)
     elif head == "mlp":
-        head_hidden = CompiledDense(model.head_hidden, dtype)
-        head_out = CompiledDense(model.head_out, dtype)
+        head_hidden = CompiledDense(model.head_hidden)
+        head_out = CompiledDense(model.head_out)
     n_features, n_lags = model.n_features, model.n_lags
+    dtype = fnn.weight.dtype
 
     def forward(cf: np.ndarray, history: np.ndarray, env: np.ndarray) -> np.ndarray:
         cf = np.asarray(cf, dtype=dtype)
@@ -250,8 +241,6 @@ def _compile_env2vec(model: Env2VecModel, dtype: np.dtype):
             raise ValueError(f"expected history window of {n_lags}, got {history.shape[1]}")
         v_fs = fnn(cf)
         v_ts = encoder(history[:, :, None])
-        if fold:
-            return _folded_head(np.concatenate([v_ts, v_fs], axis=1), env_cache.rows(env))
         v_d = combine(np.concatenate([v_ts, v_fs], axis=1))
         c = env_cache.rows(env)
         if head == "hadamard":
@@ -262,13 +251,6 @@ def _compile_env2vec(model: Env2VecModel, dtype: np.dtype):
 
     forward.env_cache = env_cache
     return forward
-
-
-def _folded_head(v_s: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``v_s · (W C) + b · C`` from cached ``[W C | b · C]`` rows."""
-    y = np.einsum("ij,ij->i", v_s, rows[:, :-1])
-    y += rows[:, -1]
-    return y
 
 
 def _legacy_encoder_name(hyper: dict) -> str:
@@ -421,17 +403,18 @@ class Env2VecRegressor(Estimator):
         self._fitted = True
         return self
 
-    def compile(self, dtype=np.float64) -> InferenceModel:
+    def compile(self) -> InferenceModel:
         """Snapshot the fitted model into a tape-free inference engine.
 
-        The engine is cached and reused by :meth:`predict` until the next
-        ``fit``/``fine_tune`` invalidates it. Pass ``np.float32`` to halve
-        the weight footprint (at float32 accuracy).
+        The engine computes in the weights' float64 and its outputs are
+        bitwise equal to the autograd forward in eval mode. It is cached
+        and reused by :meth:`predict` until the next ``fit``/``fine_tune``
+        invalidates it.
         """
         if self.model is None:
             raise RuntimeError("model is not fitted; call fit() first")
         self.model.eval()
-        self._engine = compile_module(self.model, dtype=dtype)
+        self._engine = compile_module(self.model)
         return self._engine
 
     def ensure_compiled(self) -> InferenceModel:
@@ -537,7 +520,9 @@ class Env2VecRegressor(Estimator):
         X, history, y = self._training_arrays(environments, X, history, y)
         rng = np.random.default_rng(self.seed + 1)
         self.model.reseed(rng)
-        added = self.vocabulary.extend(list(environments))
+        # Each distinct environment once, in first-occurrence order, which
+        # keeps every field's new values (and so their ids) in that order.
+        added = self.vocabulary.extend(list(dict.fromkeys(environments)))
         self.model.embeddings.grow_tables(added)
         trained = self.model.embeddings if adapt_embeddings_only else self.model
         self._train(

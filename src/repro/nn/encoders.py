@@ -343,43 +343,33 @@ class AttentionLSTMEncoder(SequenceEncoder):
 # Compiled-inference rules — each encoder's tape-free counterpart
 # ---------------------------------------------------------------------------
 @register_compiler(GRUEncoder)
-def _compile_gru_encoder(module: GRUEncoder, dtype: np.dtype):
-    run = compile_recurrent(module.gru, dtype)
-
-    def forward(sequence: np.ndarray) -> np.ndarray:
-        return run(np.asarray(sequence, dtype=dtype))
-
-    return forward
+def _compile_gru_encoder(module: GRUEncoder):
+    return compile_recurrent(module.gru)
 
 
 @register_compiler(LSTMEncoder)
-def _compile_lstm_encoder(module: LSTMEncoder, dtype: np.dtype):
-    run = compile_recurrent(module.lstm, dtype)
-
-    def forward(sequence: np.ndarray) -> np.ndarray:
-        return run(np.asarray(sequence, dtype=dtype))
-
-    return forward
+def _compile_lstm_encoder(module: LSTMEncoder):
+    return compile_recurrent(module.lstm)
 
 
 @register_compiler(StackedGRUEncoder)
-def _compile_stacked_encoder(module: StackedGRUEncoder, dtype: np.dtype):
-    lower = compile_recurrent(module.lower, dtype)
-    upper = compile_recurrent(module.upper, dtype)
+def _compile_stacked_encoder(module: StackedGRUEncoder):
+    lower = compile_recurrent(module.lower)
+    upper = compile_recurrent(module.upper)
 
     def forward(sequence: np.ndarray) -> np.ndarray:
-        return upper(lower(np.asarray(sequence, dtype=dtype)))
+        return upper(lower(sequence))
 
     return forward
 
 
 @register_compiler(BidirectionalGRUEncoder)
-def _compile_bidirectional_encoder(module: BidirectionalGRUEncoder, dtype: np.dtype):
-    run_forward = compile_recurrent(module.forward_gru, dtype)
-    run_backward = compile_recurrent(module.backward_gru, dtype)
+def _compile_bidirectional_encoder(module: BidirectionalGRUEncoder):
+    run_forward = compile_recurrent(module.forward_gru)
+    run_backward = compile_recurrent(module.backward_gru)
 
     def forward(sequence: np.ndarray) -> np.ndarray:
-        sequence = np.asarray(sequence, dtype=dtype)
+        sequence = np.asarray(sequence)
         return np.concatenate(
             [run_forward(sequence), run_backward(sequence[:, ::-1, :])], axis=1
         )
@@ -388,22 +378,22 @@ def _compile_bidirectional_encoder(module: BidirectionalGRUEncoder, dtype: np.dt
 
 
 @register_compiler(AttentionGRUEncoder)
-def _compile_attention_gru_encoder(module: AttentionGRUEncoder, dtype: np.dtype):
-    run = compile_recurrent(module.gru, dtype)
-    pool = compile_attention(module.attention, dtype)
+def _compile_attention_gru_encoder(module: AttentionGRUEncoder):
+    run = compile_recurrent(module.gru)
+    pool = compile_attention(module.attention)
 
     def forward(sequence: np.ndarray) -> np.ndarray:
-        return pool(run(np.asarray(sequence, dtype=dtype)))
+        return pool(run(sequence))
 
     return forward
 
 
 @register_compiler(AttentionLSTMEncoder)
-def _compile_attention_lstm_encoder(module: AttentionLSTMEncoder, dtype: np.dtype):
-    run = compile_recurrent(module.lstm, dtype)
-    pool = compile_attention(module.attention, dtype)
+def _compile_attention_lstm_encoder(module: AttentionLSTMEncoder):
+    run = compile_recurrent(module.lstm)
+    pool = compile_attention(module.attention)
 
     def forward(sequence: np.ndarray) -> np.ndarray:
-        return pool(run(np.asarray(sequence, dtype=dtype)))
+        return pool(run(sequence))
 
     return forward

@@ -6,9 +6,11 @@ streaming testbed metrics, so every wasted allocation on the predict path
 is paid once per timestep per testbed. This module "compiles" a fitted
 :class:`~repro.nn.layers.Module` into an :class:`InferenceModel`:
 
-- weights are snapshotted as contiguous arrays (optionally ``float32``),
-  with recurrent gate kernels stacked into one batched matmul per step
-  (:func:`repro.nn.ops.fuse_gru_weights` / ``fuse_lstm_weights``);
+- weights are snapshotted as contiguous arrays in their own dtype
+  (float64, the dtype :class:`~repro.nn.tensor.Tensor` stores), with
+  recurrent gate kernels stacked into one batched matmul per step
+  (:func:`repro.nn.ops.fuse_gru_weights` / ``fuse_lstm_weights``), and
+  each plan casts its inputs to that dtype at entry;
 - dropout is elided entirely (it is already a no-op in eval mode — here it
   doesn't even appear in the compiled plan);
 - no :class:`~repro.nn.tensor.Tensor` objects, backward closures, or graph
@@ -66,7 +68,6 @@ _M_CACHE_MISSES = _OBS.counter(
 )
 
 __all__ = [
-    "FLOAT32_ATOL",
     "UnsupportedModuleError",
     "InferenceModel",
     "EmbeddingRowCache",
@@ -80,24 +81,16 @@ __all__ = [
 ]
 
 
-#: Documented parity bound for ``float32`` engines: max |compiled_f32 −
-#: autograd_f64| observed across the encoder zoo and trained Env2Vec
-#: models is ≈1e-6 (single-precision rounding through ~20 elementwise/
-#: GEMM ops); the bound keeps two orders of magnitude of headroom.
-#: ``float64`` engines stay at the ≤1e-10 contract.
-FLOAT32_ATOL = 1e-4
-
-
 class UnsupportedModuleError(TypeError):
     """No compile rule is registered for the module's exact type."""
 
 
-def snapshot(array: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """Contiguous, dtype-converted copy of a parameter — the engine never
+def snapshot(array: np.ndarray) -> np.ndarray:
+    """Contiguous copy of a parameter in its own dtype — the engine never
     aliases live training weights, so an optimizer step cannot corrupt a
     compiled model. (``ascontiguousarray`` alone would alias when the input
-    is already contiguous in the right dtype, hence the explicit copy.)"""
-    return np.array(array, dtype=dtype, order="C", copy=True)
+    is already contiguous, hence the explicit copy.)"""
+    return np.array(array, order="C", copy=True)
 
 
 #: OpenBLAS runs a GEMM of at most this many multiply-adds (m·n·k) on
@@ -121,9 +114,9 @@ class CompiledDense:
 
     __slots__ = ("weight", "bias", "act", "_act_fn", "_block_rows")
 
-    def __init__(self, dense: Dense, dtype: np.dtype):
-        self.weight = snapshot(dense.weight.data, dtype)
-        self.bias = snapshot(dense.bias.data, dtype)
+    def __init__(self, dense: Dense):
+        self.weight = snapshot(dense.weight.data)
+        self.bias = snapshot(dense.bias.data)
         self.act = dense.activation_name
         # Resolve the activation once — the per-call string-compare chain
         # in activation_inplace is measurable at batch size 1.
@@ -150,21 +143,22 @@ class CompiledDense:
         return pre
 
 
-def compile_recurrent(module: GRU | LSTM, dtype: np.dtype) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile a GRU/LSTM layer into a fused tape-free sequence runner."""
+def compile_recurrent(module: GRU | LSTM) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile a GRU/LSTM layer into a fused tape-free sequence runner
+    that casts its input to the weights' dtype."""
     if isinstance(module, GRU):
         cell = module.cell
         fused = ops.fuse_gru_weights(
             cell.w_z.data, cell.u_z.data, cell.b_z.data,
             cell.w_r.data, cell.u_r.data, cell.b_r.data,
             cell.w_h.data, cell.u_h.data, cell.b_h.data,
-            dtype=dtype,
         )
+        dtype = fused["u"].dtype
         act = cell.activation_name
         return_sequences = module.return_sequences
 
         def run_gru(sequence: np.ndarray) -> np.ndarray:
-            return ops.gru_sequence(sequence, fused, act, return_sequences)
+            return ops.gru_sequence(np.asarray(sequence, dtype=dtype), fused, act, return_sequences)
 
         return run_gru
     if isinstance(module, LSTM):
@@ -174,23 +168,21 @@ def compile_recurrent(module: GRU | LSTM, dtype: np.dtype) -> Callable[[np.ndarr
             cell.w_f.data, cell.u_f.data, cell.b_f.data,
             cell.w_o.data, cell.u_o.data, cell.b_o.data,
             cell.w_g.data, cell.u_g.data, cell.b_g.data,
-            dtype=dtype,
         )
+        dtype = fused["u"].dtype
         return_sequences = module.return_sequences
 
         def run_lstm(sequence: np.ndarray) -> np.ndarray:
-            return ops.lstm_sequence(sequence, fused, return_sequences)
+            return ops.lstm_sequence(np.asarray(sequence, dtype=dtype), fused, return_sequences)
 
         return run_lstm
     raise UnsupportedModuleError(f"not a recurrent layer: {type(module).__name__}")
 
 
-def compile_attention(
-    module: AdditiveAttention, dtype: np.dtype
-) -> Callable[[np.ndarray], np.ndarray]:
+def compile_attention(module: AdditiveAttention) -> Callable[[np.ndarray], np.ndarray]:
     """Compile additive attention pooling (weights snapshotted)."""
-    projection = snapshot(module.projection.data, dtype)
-    context = snapshot(module.context.data, dtype)
+    projection = snapshot(module.projection.data)
+    context = snapshot(module.context.data)
 
     def run_attention(sequence: np.ndarray) -> np.ndarray:
         return ops.attention_pool(sequence, projection, context)
@@ -209,10 +201,6 @@ class EmbeddingRowCache:
     one dict hit; with the Hadamard head the whole environment side of
     eq. 2 then costs a single cached gather + dot per step.
 
-    With ``project`` (a ``(dim, out)`` matrix) the cache holds each
-    concatenated row times ``project`` instead: a linear map applied to
-    ``C`` once per environment rather than once per prediction.
-
     Cached rows are handed out by reference, so they are marked
     non-writeable before they enter the cache: a caller mutating a
     returned row would otherwise silently corrupt every future prediction
@@ -223,17 +211,11 @@ class EmbeddingRowCache:
     thread) can share one compiled engine.
     """
 
-    def __init__(
-        self, tables: list[np.ndarray], dtype: np.dtype, maxsize: int = 4096,
-        project: np.ndarray | None = None,
-    ):
+    def __init__(self, tables: list[np.ndarray], maxsize: int = 4096):
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
-        self.tables = [snapshot(table, dtype) for table in tables]
-        self.project = None if project is None else snapshot(project, dtype)
+        self.tables = [snapshot(table) for table in tables]
         self.dim = int(sum(table.shape[1] for table in self.tables))
-        if self.project is not None:
-            self.dim = self.project.shape[1]
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
@@ -266,8 +248,6 @@ class EmbeddingRowCache:
                 return row
             self.misses += 1
             row = np.concatenate([table[i] for table, i in zip(self.tables, key)])
-            if self.project is not None:
-                row = row @ self.project
             row.setflags(write=False)
             self._cache[key] = row
             if len(self._cache) > self.maxsize:
@@ -314,11 +294,11 @@ class EmbeddingRowCache:
         return np.asarray(gathered)[inverse]
 
 
-_COMPILERS: dict[type, Callable[[object, np.dtype], Callable[..., np.ndarray]]] = {}
+_COMPILERS: dict[type, Callable[[object], Callable[..., np.ndarray]]] = {}
 
 
 def register_compiler(cls: type):
-    """Register a compile rule: ``fn(module, dtype) -> forward_fn``.
+    """Register a compile rule: ``fn(module) -> forward_fn``.
 
     ``forward_fn`` takes the same keyword arrays as the module's ``forward``
     and returns a numpy array. Attributes set on ``forward_fn`` (e.g. an
@@ -343,10 +323,9 @@ class InferenceModel:
     bitwise equal to per-request ones.
     """
 
-    def __init__(self, forward_fn: Callable[..., np.ndarray], source, dtype: np.dtype):
+    def __init__(self, forward_fn: Callable[..., np.ndarray], source):
         self._forward = forward_fn
         self._source = source
-        self.dtype = dtype
         #: the Env2Vec engine's embedding-row cache, if the plan has one
         self.env_cache: EmbeddingRowCache | None = getattr(forward_fn, "env_cache", None)
         # The row cache counts its own hits/misses as plain ints (the per-
@@ -404,17 +383,15 @@ class InferenceModel:
             return self(**inputs)
         return self(**{key: np.concatenate([value, value]) for key, value in inputs.items()})[:1]
 
-    def assert_close(self, inputs: Mapping[str, np.ndarray], atol: float | None = None) -> float:
+    def assert_close(self, inputs: Mapping[str, np.ndarray], atol: float = 1e-10) -> float:
         """Check parity against the source module's autograd forward.
 
         Runs the original module in eval mode under ``no_grad`` and compares
         elementwise. Returns the max absolute difference; raises
-        ``AssertionError`` beyond ``atol``. The default tolerance follows
-        the engine dtype: ``1e-10`` for ``float64`` (the bitwise-faithful
-        serving default), :data:`FLOAT32_ATOL` for ``float32`` engines.
+        ``AssertionError`` beyond ``atol``. The compiled plan replays the
+        autograd op order, so the default ``1e-10`` holds with room to
+        spare (the served outputs are bitwise equal).
         """
-        if atol is None:
-            atol = 1e-10 if self.dtype == np.float64 else FLOAT32_ATOL
         compiled = np.asarray(self._forward(**inputs), dtype=np.float64)
         was_training = getattr(self._source, "training", False)
         self._source.eval()
@@ -433,42 +410,41 @@ class InferenceModel:
         return max_err
 
 
-def compile_plan(module, dtype=np.float64) -> Callable[..., np.ndarray]:
+def compile_plan(module) -> Callable[..., np.ndarray]:
     """The registered compile rule's raw forward closure, no engine wrapper.
 
     This is how one module's plan embeds inside another's: the Env2Vec
     compile rule dispatches its time-series branch through the registry
-    (``compile_plan(model.encoder, dtype)``) instead of special-casing
+    (``compile_plan(model.encoder)``) instead of special-casing
     recurrent/attention layer types. Raises
     :class:`UnsupportedModuleError` when no rule is registered for the
     module's exact type (subclasses may override ``forward``, so they are
     deliberately not matched through the MRO).
     """
-    dtype = np.dtype(dtype)
     compiler = _COMPILERS.get(type(module))
     if compiler is None:
         raise UnsupportedModuleError(
             f"no inference compiler registered for {type(module).__name__}"
         )
-    return compiler(module, dtype)
+    return compiler(module)
 
 
-def compile_module(module, dtype=np.float64) -> InferenceModel:
+def compile_module(module) -> InferenceModel:
     """Compile a fitted module into an :class:`InferenceModel`.
 
     Raises :class:`UnsupportedModuleError` when no rule is registered for
     the module's exact type (see :func:`compile_plan`).
     """
-    dtype = np.dtype(dtype)
     start = time.perf_counter()
-    engine = InferenceModel(compile_plan(module, dtype), module, dtype)
+    engine = InferenceModel(compile_plan(module), module)
     _H_COMPILE.observe(time.perf_counter() - start)
     return engine
 
 
 @register_compiler(Dense)
-def _compile_dense(module: Dense, dtype: np.dtype):
-    layer = CompiledDense(module, dtype)
+def _compile_dense(module: Dense):
+    layer = CompiledDense(module)
+    dtype = layer.weight.dtype
 
     def forward(x: np.ndarray) -> np.ndarray:
         return layer(np.asarray(x, dtype=dtype))
@@ -477,17 +453,19 @@ def _compile_dense(module: Dense, dtype: np.dtype):
 
 
 @register_compiler(Sequential)
-def _compile_sequential(module: Sequential, dtype: np.dtype):
+def _compile_sequential(module: Sequential):
     steps = []
     for sub in module.modules:
         if type(sub) is Dropout:  # eval-mode identity: elide from the plan
             continue
         if type(sub) is Dense:
-            steps.append(CompiledDense(sub, dtype))
+            steps.append(CompiledDense(sub))
             continue
         raise UnsupportedModuleError(
             f"Sequential contains uncompilable layer {type(sub).__name__}"
         )
+    # An all-dropout stack is the identity on Tensor's float64.
+    dtype = steps[0].weight.dtype if steps else np.float64
 
     def forward(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=dtype)

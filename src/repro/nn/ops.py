@@ -446,15 +446,16 @@ def _input_rows(timesteps: int, batch: int, width: int, dtype) -> tuple[np.ndarr
     return rows.reshape(timesteps * batch, width + 1), rows
 
 
-def _stack_gates(ws, us, bs, dtype) -> dict[str, np.ndarray]:
+def _stack_gates(ws, us, bs) -> dict[str, np.ndarray]:
     """Per-gate kernels as ``wb`` ``(gates, K + 1, H)`` (bias as the last
-    row) and ``u`` ``(gates, H, H)``, the layout the sequence kernels take."""
+    row) and ``u`` ``(gates, H, H)``, the layout the sequence kernels take,
+    in the operands' dtype."""
     width, hidden = ws[0].shape
-    wb = np.empty((len(ws), width + 1, hidden), dtype=dtype)
+    wb = np.empty((len(ws), width + 1, hidden), dtype=np.result_type(*ws, *bs))
     for k, (w, b) in enumerate(zip(ws, bs)):
         wb[k, :width] = w
         wb[k, width] = b
-    return {"wb": wb, "u": np.stack(us).astype(dtype, copy=False), "hidden": hidden}
+    return {"wb": wb, "u": np.stack(us), "hidden": hidden}
 
 
 def _run_dtype(sequence: np.ndarray, fused: dict) -> np.dtype:
@@ -465,12 +466,10 @@ def _run_dtype(sequence: np.ndarray, fused: dict) -> np.dtype:
     return np.result_type(sequence.dtype, fused["u"].dtype)
 
 
-def fuse_gru_weights(
-    w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h, dtype=np.float64
-) -> dict[str, np.ndarray]:
+def fuse_gru_weights(w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h) -> dict[str, np.ndarray]:
     """Stack per-gate GRU kernels (z, r, h) for :func:`gru_sequence_forward`
     and the compiled runner: ``wb`` ``(3, K + 1, H)``, ``u`` ``(3, H, H)``."""
-    return _stack_gates((w_z, w_r, w_h), (u_z, u_r, u_h), (b_z, b_r, b_h), dtype)
+    return _stack_gates((w_z, w_r, w_h), (u_z, u_r, u_h), (b_z, b_r, b_h))
 
 
 def _gru_step_views(xw: np.ndarray, hs: np.ndarray, zr: np.ndarray, cand: np.ndarray) -> list:
@@ -699,9 +698,8 @@ def gru_sequence(
     This is :func:`_gru_sequence_steps`, the recurrence training uses,
     over per-thread scratch (see DESIGN.md §6) in the promoted dtype of
     the input and the weights: float64 outputs are bitwise equal to the
-    autograd forward, float32 ones within
-    :data:`repro.nn.inference.FLOAT32_ATOL`. Returned arrays are always
-    fresh.
+    autograd forward, and float32 operands run the same recurrence in
+    single precision. Returned arrays are always fresh.
 
     Zero timesteps returns the zero initial state (what the autograd GRU
     yields when its loop never runs): ``(batch, hidden)`` zeros, or the
@@ -726,10 +724,10 @@ def gru_sequence(
 
 
 def fuse_lstm_weights(
-    w_i, u_i, b_i, w_f, u_f, b_f, w_o, u_o, b_o, w_g, u_g, b_g, dtype=np.float64
+    w_i, u_i, b_i, w_f, u_f, b_f, w_o, u_o, b_o, w_g, u_g, b_g
 ) -> dict[str, np.ndarray]:
     """Stack per-gate LSTM kernels (i, f, o, g) like :func:`fuse_gru_weights`."""
-    return _stack_gates((w_i, w_f, w_o, w_g), (u_i, u_f, u_o, u_g), (b_i, b_f, b_o, b_g), dtype)
+    return _stack_gates((w_i, w_f, w_o, w_g), (u_i, u_f, u_o, u_g), (b_i, b_f, b_o, b_g))
 
 
 def _lstm_step_views(xw: np.ndarray, hs: np.ndarray, cs: np.ndarray, gates: np.ndarray, tc: np.ndarray) -> list:

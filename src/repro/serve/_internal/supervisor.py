@@ -598,10 +598,6 @@ class WorkerSupervisor:
         """Workers currently able to serve (ready now, or finishing a batch)."""
         return sum(1 for w in self._workers.values() if w.phase in ("ready", "busy"))
 
-    @property
-    def ready_count(self) -> int:
-        return sum(1 for w in self._workers.values() if w.phase == "ready")
-
     async def _wait_all_ready(self) -> None:
         deadline = self._loop.time() + _WORKER_START_TIMEOUT
         for worker_id, event in self._idle_events.items():

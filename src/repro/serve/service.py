@@ -289,12 +289,6 @@ class Env2VecService:
     def client(self) -> "ServeClient":
         return ServeClient(self)
 
-    def export_metrics(self) -> float:
-        """Dogfood one metrics snapshot into the service's own TSDB."""
-        if self.exporter is None:
-            raise RuntimeError("service was built with self_monitor=False")
-        return self.exporter.tick()
-
     # -- health --------------------------------------------------------
 
     def health(self) -> HealthReport:

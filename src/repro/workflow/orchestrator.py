@@ -556,15 +556,6 @@ class TestingCampaign:
         return self._model
 
     @property
-    def workload_tsdb(self) -> TimeSeriesDB:
-        """The collector-path TSDB (only with ``use_collector``/chaos)."""
-        if self._collector is None:
-            raise RuntimeError("collector path is disabled (use_collector=False)")
-        tsdb = self._collector.tsdb
-        # Unwrap the chaos proxy so callers query the real store.
-        return getattr(tsdb, "_tsdb", tsdb)
-
-    @property
     def observability_tsdb(self) -> TimeSeriesDB:
         """The campaign's self-metrics TSDB (one scrape per day).
 

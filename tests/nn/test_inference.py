@@ -40,26 +40,13 @@ class TestCompileDense:
         after = engine(x=np.ones((1, 3)))
         np.testing.assert_allclose(before, after)
 
-    def test_float32_option(self):
-        layer = Dense(6, 4, activation="tanh", rng=RNG)
-        engine = compile_module(layer, dtype=np.float32)
-        out = engine(x=RNG.standard_normal((5, 6)))
-        assert out.dtype == np.float32
-        engine.assert_close({"x": RNG.standard_normal((5, 6))}, atol=1e-5)
-
-    def test_float32_fails_strict_tolerance(self):
-        layer = Dense(16, 8, rng=RNG)
-        engine = compile_module(layer, dtype=np.float32)
-        with pytest.raises(AssertionError, match="diverges"):
-            engine.assert_close({"x": RNG.standard_normal((30, 16)) * 100}, atol=1e-10)
-
 
     @pytest.mark.parametrize("n", [312, 313, 626, 1024, 1025])
     def test_row_blocked_gemm_is_bitwise(self, n):
         # 80 × 40 is the Env2Vec combine layer: above 312 rows its GEMM
         # passes the small-matrix bound and is multiplied in row blocks.
         layer = Dense(80, 40, activation="sigmoid", rng=RNG)
-        dense = CompiledDense(layer, np.dtype(np.float64))
+        dense = CompiledDense(layer)
         assert dense._block_rows == 312
         x = RNG.standard_normal((n, 80))
         with no_grad():
@@ -94,7 +81,7 @@ class TestCompiledRecurrent:
     @pytest.mark.parametrize("return_sequences", [False, True])
     def test_gru_parity(self, return_sequences):
         layer = GRU(2, 5, activation="relu", return_sequences=return_sequences, rng=RNG)
-        run = compile_recurrent(layer, np.dtype(np.float64))
+        run = compile_recurrent(layer)
         x = RNG.standard_normal((4, 6, 2))
         with no_grad():
             reference = layer(Tensor(x)).numpy()
@@ -103,7 +90,7 @@ class TestCompiledRecurrent:
     @pytest.mark.parametrize("return_sequences", [False, True])
     def test_lstm_parity(self, return_sequences):
         layer = LSTM(3, 4, return_sequences=return_sequences, rng=RNG)
-        run = compile_recurrent(layer, np.dtype(np.float64))
+        run = compile_recurrent(layer)
         x = RNG.standard_normal((5, 7, 3))
         with no_grad():
             reference = layer(Tensor(x)).numpy()
@@ -111,7 +98,7 @@ class TestCompiledRecurrent:
 
     def test_attention_parity(self):
         layer = AdditiveAttention(6, rng=RNG)
-        run = compile_attention(layer, np.dtype(np.float64))
+        run = compile_attention(layer)
         x = RNG.standard_normal((3, 5, 6))
         with no_grad():
             reference = layer(Tensor(x)).numpy()
@@ -124,7 +111,7 @@ class TestEmbeddingRowCache:
 
     def test_rows_concatenate_in_order(self):
         tables = self._tables()
-        cache = EmbeddingRowCache(tables, np.dtype(np.float64))
+        cache = EmbeddingRowCache(tables)
         ids = np.array([[1, 2], [3, 0]])
         expected = np.stack(
             [np.concatenate([tables[0][1], tables[1][2]]), np.concatenate([tables[0][3], tables[1][0]])]
@@ -133,7 +120,7 @@ class TestEmbeddingRowCache:
         assert cache.dim == 5
 
     def test_hit_and_miss_accounting(self):
-        cache = EmbeddingRowCache(self._tables(), np.dtype(np.float64))
+        cache = EmbeddingRowCache(self._tables())
         cache.rows(np.array([[0, 0]]))
         cache.rows(np.array([[0, 0]]))
         cache.rows(np.array([[1, 1]]))
@@ -141,13 +128,13 @@ class TestEmbeddingRowCache:
         assert cache.hits == 1
 
     def test_batched_path_counts_unique_tuples_once(self):
-        cache = EmbeddingRowCache(self._tables(), np.dtype(np.float64))
+        cache = EmbeddingRowCache(self._tables())
         ids = np.array([[0, 0], [1, 1], [0, 0], [0, 0]])
         cache.rows(ids)
         assert cache.misses == 2  # two unique tuples, batched through np.unique
 
     def test_lru_eviction(self):
-        cache = EmbeddingRowCache(self._tables(), np.dtype(np.float64), maxsize=2)
+        cache = EmbeddingRowCache(self._tables(), maxsize=2)
         cache.rows(np.array([[0, 0]]))
         cache.rows(np.array([[1, 1]]))
         cache.rows(np.array([[0, 0]]))  # refresh (0,0): now (1,1) is LRU
@@ -159,7 +146,7 @@ class TestEmbeddingRowCache:
         assert len(cache) == 2
 
     def test_shape_validation(self):
-        cache = EmbeddingRowCache(self._tables(), np.dtype(np.float64))
+        cache = EmbeddingRowCache(self._tables())
         with pytest.raises(ValueError, match="shape"):
             cache.rows(np.array([[0, 0, 0]]))
 
@@ -169,7 +156,7 @@ class TestEmbeddingRowCache:
         composite before checking ranges, so with table sizes (4, 5) the
         out-of-range row [0, 6] shared key 6 with [1, 1] and was served
         its embedding whenever [1, 1] came first."""
-        cache = EmbeddingRowCache(self._tables(), np.dtype(np.float64))
+        cache = EmbeddingRowCache(self._tables())
         rows = [[0, 6], [1, 1]] if bad_first else [[1, 1], [0, 6]]
         assert (np.array(rows) @ cache._radix).tolist() == [6, 6]  # aliased keys
         with pytest.raises(IndexError):
@@ -179,13 +166,13 @@ class TestEmbeddingRowCache:
 
     def test_rejects_zero_maxsize(self):
         with pytest.raises(ValueError):
-            EmbeddingRowCache(self._tables(), np.dtype(np.float64), maxsize=0)
+            EmbeddingRowCache(self._tables(), maxsize=0)
 
     def test_cached_rows_are_read_only(self):
         """Regression: rows() used to hand out writable references into the
         cache, so a caller's in-place edit silently corrupted every future
         prediction for that environment."""
-        cache = EmbeddingRowCache(self._tables(), np.dtype(np.float64))
+        cache = EmbeddingRowCache(self._tables())
         row = cache.rows(np.array([[1, 2]]))
         assert not row.flags.writeable
         with pytest.raises(ValueError):
@@ -194,7 +181,7 @@ class TestEmbeddingRowCache:
         np.testing.assert_array_equal(row, cache.rows(np.array([[1, 2]])))
 
     def test_multi_row_batches_are_writable_copies(self):
-        cache = EmbeddingRowCache(self._tables(), np.dtype(np.float64))
+        cache = EmbeddingRowCache(self._tables())
         batch = cache.rows(np.array([[0, 0], [1, 1]]))
         expected_first = batch[0].copy()
         assert batch.flags.writeable  # fancy-indexed fresh array

@@ -8,44 +8,47 @@ promises three things this file pins down:
   recurrence scalar-op for scalar-op, so their float64 outputs equal the
   ``no_grad`` forward byte for byte — not merely to a tolerance.
 - **float32 is bounded.** The same recurrence in single precision stays
-  within :data:`repro.nn.inference.FLOAT32_ATOL` of the float64 answer.
+  within :data:`LOWP_ATOL` of the float64 answer.
 - **Workspace reuse is invisible.** Per-thread scratch buffers must
   never alias a returned array: results survive later calls, and the
   empty/zero-length edges still come back in the right shape and dtype.
+
+It also pins that the weight-fusing helpers stack in their operands' dtype.
 """
 
 import numpy as np
 import pytest
 
 from repro.nn import GRU, LSTM, Tensor, no_grad
-from repro.nn.inference import FLOAT32_ATOL, compile_recurrent
+from repro.nn.inference import compile_recurrent
 from repro.nn import ops
 
 RNG = np.random.default_rng(11)
 
+#: Parity bound of a float32 run against the float64 one: single-precision
+#: rounding through the recurrence stays near 1e-6, two orders below this.
+LOWP_ATOL = 1e-4
 
-def _gru_fused(input_dim=3, hidden=16, dtype=np.float64, seed=5):
+
+def _gate_parts(gates, input_dim, hidden, dtype, seed):
+    """``(w, u, b)`` per gate, flattened in fuse-argument order."""
     rng = np.random.default_rng(seed)
     parts = []
-    for gate in range(3):
+    for _ in range(gates):
         parts += [
-            rng.standard_normal((input_dim, hidden)),
-            rng.standard_normal((hidden, hidden)),
-            rng.standard_normal(hidden),
+            rng.standard_normal((input_dim, hidden)).astype(dtype),
+            rng.standard_normal((hidden, hidden)).astype(dtype),
+            rng.standard_normal(hidden).astype(dtype),
         ]
-    return ops.fuse_gru_weights(*parts, dtype=dtype)
+    return parts
+
+
+def _gru_fused(input_dim=3, hidden=16, dtype=np.float64, seed=5):
+    return ops.fuse_gru_weights(*_gate_parts(3, input_dim, hidden, dtype, seed))
 
 
 def _lstm_fused(input_dim=3, hidden=16, dtype=np.float64, seed=5):
-    rng = np.random.default_rng(seed)
-    parts = []
-    for gate in range(4):
-        parts += [
-            rng.standard_normal((input_dim, hidden)),
-            rng.standard_normal((hidden, hidden)),
-            rng.standard_normal(hidden),
-        ]
-    return ops.fuse_lstm_weights(*parts, dtype=dtype)
+    return ops.fuse_lstm_weights(*_gate_parts(4, input_dim, hidden, dtype, seed))
 
 
 class TestFloat64Bitwise:
@@ -55,7 +58,7 @@ class TestFloat64Bitwise:
     @pytest.mark.parametrize("return_sequences", [False, True])
     def test_gru_matches_autograd_bytes(self, activation, return_sequences):
         layer = GRU(3, 16, activation=activation, return_sequences=return_sequences, rng=RNG)
-        run = compile_recurrent(layer, np.dtype(np.float64))
+        run = compile_recurrent(layer)
         x = RNG.standard_normal((5, 9, 3))
         with no_grad():
             reference = layer(Tensor(x)).numpy()
@@ -64,7 +67,7 @@ class TestFloat64Bitwise:
     @pytest.mark.parametrize("return_sequences", [False, True])
     def test_lstm_matches_autograd_bytes(self, return_sequences):
         layer = LSTM(3, 16, return_sequences=return_sequences, rng=RNG)
-        run = compile_recurrent(layer, np.dtype(np.float64))
+        run = compile_recurrent(layer)
         x = RNG.standard_normal((5, 9, 3))
         with no_grad():
             reference = layer(Tensor(x)).numpy()
@@ -74,7 +77,7 @@ class TestFloat64Bitwise:
         # K=1 is the RU-history hot path where the input GEMM degenerates
         # to a broadcast multiply; it must still match autograd exactly.
         layer = GRU(1, 16, activation="relu", rng=RNG)
-        run = compile_recurrent(layer, np.dtype(np.float64))
+        run = compile_recurrent(layer)
         x = RNG.standard_normal((1, 3, 1))
         with no_grad():
             reference = layer(Tensor(x)).numpy()
@@ -93,13 +96,31 @@ class TestFloat32Parity:
             x.astype(np.float32), fused(dtype=np.float32), *extra, True
         )
         assert lowp.dtype == np.float32
-        assert np.max(np.abs(lowp - exact)) <= FLOAT32_ATOL
+        assert np.max(np.abs(lowp - exact)) <= LOWP_ATOL
 
     def test_unknown_activation_raises(self):
         fused = _gru_fused(dtype=np.float32)
         x = RNG.standard_normal((2, 3, 3)).astype(np.float32)
         with pytest.raises(ValueError, match="unknown activation"):
             ops.gru_sequence(x, fused, "softmax")
+
+
+class TestFuseFollowsOperandDtype:
+    @pytest.mark.parametrize("fuse,gates", [
+        (ops.fuse_gru_weights, 3), (ops.fuse_lstm_weights, 4),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_stack_keeps_dtype_and_float64_bytes(self, fuse, gates, dtype):
+        parts = _gate_parts(gates, 3, 5, dtype, seed=9)
+        fused = fuse(*parts)
+        assert fused["wb"].dtype == dtype and fused["u"].dtype == dtype
+        if dtype is np.float64:
+            # The float64 stack, built the explicit way: each gate's
+            # kernel with its bias appended as the last row.
+            ws, us, bs = parts[0::3], parts[1::3], parts[2::3]
+            wb = np.stack([np.vstack([w, b]) for w, b in zip(ws, bs)]).astype(np.float64)
+            assert fused["wb"].tobytes() == wb.tobytes()
+            assert fused["u"].tobytes() == np.stack(us).astype(np.float64).tobytes()
 
 
 class TestWorkspaceIsolation:

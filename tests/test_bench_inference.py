@@ -1,0 +1,29 @@
+"""Smoke test: ``benchmarks/bench_inference.py`` runs and renders.
+
+A tiny run with no floors checked, so a change to the result's shape
+breaks here rather than only when the benchmark is next run by hand.
+"""
+
+import sys
+from pathlib import Path
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+if str(BENCHMARKS) not in sys.path:
+    # Appended, not prepended, so no test module can be shadowed by it.
+    sys.path.append(str(BENCHMARKS))
+
+import bench_inference  # noqa: E402
+
+SHAPE_KEYS = {"autograd_no_grad_us_per_call", "compiled_us_per_call", "speedup"}
+
+
+def test_small_run_renders_every_row():
+    results = bench_inference.run_inference_bench(n_stream=10)
+    for shape in ("batch1_streaming", "batch256_throughput"):
+        assert SHAPE_KEYS <= results[shape].keys()
+        assert results[shape]["speedup"] > 0
+    assert all("us_per_call" in row for row in results["per_op_batch256"].values())
+    assert {"hits", "misses"} <= results["env_cache"].keys()
+    text = bench_inference._render(results)
+    assert "batch1_streaming" in text and "batch256_throughput" in text
+    assert "per-op @256" in text and "embedding row cache" in text
