@@ -27,16 +27,12 @@ from pathlib import Path
 from .engine import FileScan, Finding
 from .summaries import SUMMARY_SCHEMA_VERSION, ModuleSummary
 
-__all__ = ["AnalysisCache", "CACHE_DIR_NAME", "CACHE_FORMAT_VERSION", "content_hash"]
+__all__ = ["AnalysisCache", "CACHE_DIR_NAME", "CACHE_FORMAT_VERSION"]
 
 CACHE_DIR_NAME = ".repro_analysis_cache"
 
 #: Bump when the on-disk entry layout changes shape.
 CACHE_FORMAT_VERSION = 1
-
-
-def content_hash(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8", errors="replace")).hexdigest()
 
 
 class AnalysisCache:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, fields
-from typing import Iterator
 
 __all__ = [
     "SUMMARY_SCHEMA_VERSION",
@@ -891,10 +890,3 @@ def summarize_module(tree: ast.Module, path: str, module: str | None = None) -> 
         held_calls=tuple(extractor.held_calls),
         dispatches=tuple(extractor.dispatches),
     )
-
-
-def iter_accesses(summary: ModuleSummary) -> Iterator[tuple[ClassSummary, AttrAccess]]:
-    """Convenience: every (class, access) pair in a module summary."""
-    for cls in summary.classes:
-        for access in cls.accesses:
-            yield cls, access

@@ -48,7 +48,7 @@ EXPERIMENTS = (
     "calibration",
 )
 
-__all__ = ["main", "EXPERIMENTS", "clear_caches"]
+__all__ = ["main", "EXPERIMENTS"]
 
 # Explicit module-level caches, keyed by the corpus-defining CLI options.
 # These used to be mutable default arguments (``def _f(args, cache={})``),
@@ -63,12 +63,6 @@ _CHAIN_MAE_CACHE: dict[tuple, object] = {}
 
 def _cache_key(args) -> tuple:
     return (args.seed, args.chains, args.full)
-
-
-def clear_caches() -> None:
-    """Drop memoized datasets/models (for tests and long-lived processes)."""
-    _CONTEXT_CACHE.clear()
-    _CHAIN_MAE_CACHE.clear()
 
 
 def _telecom_context(args):

@@ -118,10 +118,6 @@ class AnomalyReport:
     def n_alarms(self) -> int:
         return len(self.alarms)
 
-    @property
-    def flagged_fraction(self) -> float:
-        return float(self.flags.mean()) if self.flags.size else 0.0
-
 
 def merge_flags_into_alarms(flags: np.ndarray, deviations: np.ndarray) -> list[Alarm]:
     """Group consecutive flagged timesteps into alarms with peak deviation."""
@@ -315,11 +311,6 @@ class AlarmScore:
     def true_alarm_rate(self) -> float:
         """A_T = N_tp / (N_tp + N_fp); 0 when no alarms were raised."""
         return self.correct_alarms / self.n_alarms if self.n_alarms else 0.0
-
-    @property
-    def false_alarm_rate(self) -> float:
-        """A_F = 1 − A_T (defined as 0 when no alarms were raised)."""
-        return 1.0 - self.true_alarm_rate if self.n_alarms else 0.0
 
     @property
     def f1(self) -> float:

@@ -25,6 +25,7 @@ from ..nn.encoders import create_encoder, validate_encoder_name
 from ..nn.init import ensure_rng
 from ..nn.inference import CompiledDense, compile_plan, register_compiler
 from ..nn.layers import Dense, Dropout, Module
+from ..nn.optim import Adam
 from ..nn.tensor import Tensor
 from ..nn.training import EarlyStopping, Trainer, TrainingHistory
 
@@ -181,8 +182,7 @@ class _ScaledNNRegressor(Estimator):
 
         trainer = Trainer(
             self.model,
-            loss="mse",
-            lr=self.lr,
+            optimizer=Adam(self.model.parameters(), lr=self.lr),
             batch_size=self.batch_size,
             max_epochs=self.max_epochs,
             early_stopping=early_stopping,

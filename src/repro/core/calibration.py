@@ -96,15 +96,6 @@ class CalibrationReport:
         """Normality not rejected at the paper's 0.05 significance."""
         return self.normality_p_value >= 0.05
 
-    def worst_tail_inflation(self) -> float:
-        """max over γ of empirical / predicted tail mass (>1 = heavy tails)."""
-        ratios = [
-            empirical / predicted
-            for empirical, predicted in self.tail_mass.values()
-            if predicted > 0
-        ]
-        return max(ratios) if ratios else 1.0
-
     def table(self) -> str:
         lines = [
             f"Error calibration over {self.n_samples} samples: "

@@ -47,10 +47,6 @@ class EnvironmentVocabulary:
             self._encoders[field] = encoder
         return self
 
-    @property
-    def fitted(self) -> bool:
-        return bool(self._encoders)
-
     def to_config(self) -> dict:
         """JSON-serializable snapshot of the fitted vocabulary."""
         self._require_fitted()
@@ -111,10 +107,6 @@ class EnvironmentVocabulary:
             field: int(ids[i]) != self._encoders[field].unknown_id
             for i, field in enumerate(self.fields)
         }
-
-    def known_values(self, field: str) -> list[str]:
-        self._require_fitted()
-        return list(self._encoders[field].classes_)
 
     def extend(self, environments: list[Environment]) -> dict[str, list[str]]:
         """Register new EM values; returns the per-field lists of additions.

@@ -352,7 +352,6 @@ class Env2VecRegressor(Estimator):
             early_stopping = EarlyStopping(patience=self.patience)
         trainer = Trainer(
             self.model,
-            loss="mse",
             optimizer=Adam(parameters, lr=lr),
             batch_size=batch_size,
             max_epochs=epochs,

@@ -16,7 +16,6 @@ from .faults import FAULT_KINDS, InjectedFault, apply_fault, inject_faults
 from .frame import Frame
 from .kdn import KDN_CPU_SCALE, KDN_NAMES, KDN_SPLITS, KDNDataset, load_all_kdn, load_kdn
 from .stats import CorpusStats, FieldCoverage, corpus_stats
-from .serialize import dataset_from_bytes, dataset_to_bytes, load_dataset, save_dataset
 from .telecom import (
     FEATURE_NAMES,
     ChainedTelecomConfig,
@@ -57,10 +56,6 @@ __all__ = [
     "generate_chained_telecom",
     "ServiceChainTopology",
     "VNFPlacement",
-    "save_dataset",
-    "load_dataset",
-    "dataset_to_bytes",
-    "dataset_from_bytes",
     "corpus_stats",
     "CorpusStats",
     "FieldCoverage",

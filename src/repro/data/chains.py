@@ -68,19 +68,6 @@ class TestExecution:
                 )
             self.extra_kpis[name] = series
 
-    def kpi(self, name: str) -> np.ndarray:
-        """One target series by name ('cpu' or any extra KPI)."""
-        if name == "cpu":
-            return self.cpu
-        try:
-            return self.extra_kpis[name]
-        except KeyError:
-            raise KeyError(
-                f"no KPI {name!r}; available: ['cpu', "
-                + ", ".join(repr(k) for k in self.extra_kpis)
-                + "]"
-            ) from None
-
     @property
     def n_timesteps(self) -> int:
         return len(self.cpu)
@@ -207,9 +194,3 @@ class ServiceChainTopology:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def upstream_of(self, position: int) -> int | None:
-        """Member index feeding the VNF at ``position`` (None for ingress)."""
-        if not 0 <= position < len(self.members):
-            raise IndexError(f"position {position} out of range for {len(self.members)} members")
-        return self.members[position - 1] if position > 0 else None

@@ -136,10 +136,6 @@ class Environment:
         """
         return (self.testbed, self.sut, self.testcase)
 
-    def with_build(self, build: str) -> "Environment":
-        """The same testbed/SUT/testcase running a different build."""
-        return Environment(self.testbed, self.sut, self.testcase, build)
-
     def overlap(self, other: "Environment") -> int:
         """Number of EM fields shared with another environment (0-4)."""
         return sum(

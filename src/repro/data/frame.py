@@ -5,13 +5,12 @@ from this monitoring data, appending the relevant EM" — Table 2 shows the
 layout: contextual features (WMs + PMs), environment metadata columns, the
 RU-history lists, and the observed RU. pandas is unavailable offline, so
 :class:`Frame` provides the small slice of functionality the workflow
-needs: typed columns, row/column selection, filtering, and horizontal
-concatenation.
+needs: typed columns and row selection.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -72,55 +71,15 @@ class Frame:
                 for name, column in self._columns.items()}
 
     # -- selection ---------------------------------------------------------
-    def select(self, names: Sequence[str]) -> "Frame":
-        """A new frame with only the given columns, in the given order."""
-        return Frame({name: self[name] for name in names})
-
     def take(self, indices: np.ndarray) -> "Frame":
         """A new frame with rows selected by integer indices or bool mask."""
         indices = np.asarray(indices)
         return Frame({name: column[indices] for name, column in self._columns.items()})
 
-    def filter(self, predicate: Callable[[dict], bool]) -> "Frame":
-        """Rows for which ``predicate(row_dict)`` is true."""
-        mask = np.array([predicate(self.row(i)) for i in range(self._length)], dtype=bool)
-        return self.take(mask)
-
     def head(self, n: int = 5) -> "Frame":
         return self.take(np.arange(min(n, self._length)))
 
-    # -- combination --------------------------------------------------------
-    def with_columns(self, columns: Mapping[str, Sequence]) -> "Frame":
-        """A new frame with extra/overridden columns."""
-        merged = dict(self._columns)
-        out = Frame(merged)
-        for name, values in columns.items():
-            out[name] = values
-        return out
-
-    @staticmethod
-    def concat_rows(frames: Sequence["Frame"]) -> "Frame":
-        """Stack frames vertically; all must share the same columns."""
-        if not frames:
-            raise ValueError("need at least one frame")
-        names = frames[0].columns
-        for frame in frames[1:]:
-            if frame.columns != names:
-                raise ValueError(f"column mismatch: {frame.columns} vs {names}")
-        return Frame({name: np.concatenate([f[name] for f in frames]) for name in names})
-
     # -- conversion -----------------------------------------------------------
-    def to_matrix(self, names: Sequence[str] | None = None) -> np.ndarray:
-        """Numeric columns stacked into a float (n_rows, n_cols) matrix."""
-        names = names if names is not None else self.columns
-        arrays = []
-        for name in names:
-            column = self[name]
-            if not np.issubdtype(column.dtype, np.number):
-                raise TypeError(f"column {name!r} is not numeric (dtype {column.dtype})")
-            arrays.append(column.astype(np.float64))
-        return np.stack(arrays, axis=1) if arrays else np.empty((self._length, 0))
-
     def to_dict(self) -> dict[str, np.ndarray]:
         return dict(self._columns)
 

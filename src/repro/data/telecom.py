@@ -569,10 +569,6 @@ class ChainedTelecomDataset(TelecomDataset):
 
     topologies: list[ServiceChainTopology] = field(default_factory=list)
 
-    def chained_indices(self) -> set[int]:
-        """Indices of build chains that belong to some service chain."""
-        return {index for topology in self.topologies for index in topology.members}
-
 
 def _propagated_load(upstream: np.ndarray, n: int, delay: int) -> np.ndarray:
     """Upstream series as seen ``delay`` steps later, trimmed/held to ``n``."""

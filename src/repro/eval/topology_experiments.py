@@ -69,10 +69,6 @@ class TopologyComparisonResult:
                 return row
         raise KeyError(f"no row for encoder={encoder!r} topology={topology!r}")
 
-    def f1_drop(self, encoder: str) -> float:
-        """F1 lost when moving the same encoder from independent to chained."""
-        return self.row(encoder, "independent").f1 - self.row(encoder, "chained").f1
-
     def table(self) -> str:
         """The grid as a GitHub-markdown table (encoder rows, topology columns)."""
         encoders = sorted({row.encoder for row in self.rows}, key=self._zoo_order)

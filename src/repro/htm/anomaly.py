@@ -53,7 +53,3 @@ class AnomalyLikelihood:
         # standard error is std / sqrt(short_window).
         z = (short_mean - mean) / (std / np.sqrt(self.short_window))
         return float(1.0 - stats.norm.sf(z))
-
-    def reset(self) -> None:
-        self._scores.clear()
-        self._seen = 0

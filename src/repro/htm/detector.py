@@ -82,8 +82,3 @@ class HTMDetector:
         for i, value in enumerate(series):
             raw_scores[i], likelihoods[i] = self.step(value, learn=learn)
         return HTMResult(raw_scores=raw_scores, likelihoods=likelihoods)
-
-    def reset_sequence(self) -> None:
-        """Forget sequence state between independent series."""
-        self.memory.reset()
-        self.likelihood.reset()

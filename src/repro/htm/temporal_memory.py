@@ -141,12 +141,6 @@ class TemporalMemory:
         self.predicted_cells = self._compute_predictions(next_active)
         return anomaly
 
-    def reset(self) -> None:
-        """Clear sequence state (e.g. between independent time series)."""
-        self.active_cells = set()
-        self.winner_cells = set()
-        self.predicted_cells = set()
-
     # -- internals --------------------------------------------------------
     def _compute_predictions(self, active_cells: set[int]) -> set[int]:
         predicted: set[int] = set()

@@ -8,7 +8,7 @@ and PCA utilities the evaluation relies on.
 from .base import Estimator, check_X, check_X_y, clone
 from .forest import PAPER_RF_MAX_DEPTHS, PAPER_RF_N_ESTIMATORS, RandomForestRegressor
 from .lasso import Lasso
-from .model_selection import KFold, ParameterGrid, ValidationGridSearch, train_val_test_split
+from .model_selection import ParameterGrid, ValidationGridSearch
 from .pca import PCA
 from .preprocessing import LabelEncoder, MinMaxScaler, StandardScaler
 from .ridge import PAPER_RIDGE_ALPHAS, LinearRegression, Ridge, RidgeTS
@@ -39,7 +39,5 @@ __all__ = [
     "LabelEncoder",
     "ParameterGrid",
     "ValidationGridSearch",
-    "KFold",
-    "train_val_test_split",
     "PCA",
 ]

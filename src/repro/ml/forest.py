@@ -49,8 +49,6 @@ class RandomForestRegressor(Estimator):
         rng = np.random.default_rng(self.random_state)
         n = len(y)
         self.trees_ = []
-        self._oob_predictions = np.zeros(n)
-        self._oob_counts = np.zeros(n)
         for _ in range(self.n_estimators):
             tree = DecisionTreeRegressor(
                 max_depth=self.max_depth,
@@ -62,11 +60,6 @@ class RandomForestRegressor(Estimator):
             if self.bootstrap:
                 idx = rng.integers(0, n, size=n)
                 tree.fit(X[idx], y[idx])
-                oob_mask = np.ones(n, dtype=bool)
-                oob_mask[np.unique(idx)] = False
-                if oob_mask.any():
-                    self._oob_predictions[oob_mask] += tree.predict(X[oob_mask])
-                    self._oob_counts[oob_mask] += 1
             else:
                 tree.fit(X, y)
             self.trees_.append(tree)
@@ -86,15 +79,3 @@ class RandomForestRegressor(Estimator):
         self._require_fitted()
         stacked = np.stack([tree.feature_importances() for tree in self.trees_])
         return stacked.mean(axis=0)
-
-    def oob_score(self, y) -> float:
-        """Out-of-bag negative MSE over samples with at least one OOB vote."""
-        self._require_fitted()
-        if not self.bootstrap:
-            raise RuntimeError("OOB score requires bootstrap=True")
-        y = np.asarray(y, dtype=np.float64)
-        mask = self._oob_counts > 0
-        if not mask.any():
-            raise RuntimeError("no out-of-bag samples recorded")
-        predictions = self._oob_predictions[mask] / self._oob_counts[mask]
-        return -float(np.mean((predictions - y[mask]) ** 2))

@@ -90,8 +90,3 @@ class Lasso(Estimator):
         """Fraction of exactly-zero coefficients."""
         self._require_fitted()
         return float(np.mean(np.abs(self.coef_) <= threshold))
-
-    def selected_features(self, threshold: float = 1e-12) -> np.ndarray:
-        """Indices of features with non-zero weight."""
-        self._require_fitted()
-        return np.flatnonzero(np.abs(self.coef_) > threshold)

@@ -1,10 +1,11 @@
-"""Hyper-parameter search and data-splitting utilities.
+"""Hyper-parameter search on a validation set.
 
 The paper (§4.1.1) uses a fixed train/validation/test split per dataset and
-tunes every method's hyper-parameters on the validation set, so the central
-tool here is :class:`ValidationGridSearch` — exhaustive search scored on an
-explicit validation set (not cross-validation). ``KFold`` and
-``train_val_test_split`` are provided for general use.
+tunes every method's hyper-parameters on the validation set, so the tool
+here is :class:`ValidationGridSearch` — exhaustive search scored on an
+explicit validation set (not cross-validation) over a
+:class:`ParameterGrid`. The experiments slice their fixed splits
+themselves.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .base import Estimator, clone
 
-__all__ = ["ParameterGrid", "ValidationGridSearch", "KFold", "train_val_test_split"]
+__all__ = ["ParameterGrid", "ValidationGridSearch"]
 
 
 class ParameterGrid:
@@ -86,64 +87,3 @@ class ValidationGridSearch:
                 self.best_params_ = params
                 self.best_estimator_ = candidate
         return self
-
-    def refit(self, X, y, fit_kwargs: Mapping | None = None) -> Estimator:
-        """Refit a fresh estimator with the best parameters on (X, y)."""
-        if self.best_params_ is None:
-            raise RuntimeError("grid search has not been fitted")
-        estimator = clone(self.estimator).set_params(**self.best_params_)
-        return estimator.fit(X, y, **dict(fit_kwargs or {}))
-
-
-class KFold:
-    """Deterministic K-fold index generator (optionally shuffled)."""
-
-    def __init__(self, n_splits: int = 5, shuffle: bool = False, random_state: int | None = None):
-        if n_splits < 2:
-            raise ValueError("n_splits must be >= 2")
-        self.n_splits = n_splits
-        self.shuffle = shuffle
-        self.random_state = random_state
-
-    def split(self, n_samples: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        if n_samples < self.n_splits:
-            raise ValueError(f"cannot split {n_samples} samples into {self.n_splits} folds")
-        indices = np.arange(n_samples)
-        if self.shuffle:
-            np.random.default_rng(self.random_state).shuffle(indices)
-        sizes = np.full(self.n_splits, n_samples // self.n_splits)
-        sizes[: n_samples % self.n_splits] += 1
-        start = 0
-        for size in sizes:
-            test = indices[start : start + size]
-            train = np.concatenate([indices[:start], indices[start + size :]])
-            yield train, test
-            start += size
-
-
-def train_val_test_split(
-    n_samples: int,
-    train: int,
-    val: int,
-    test: int,
-    shuffle: bool = False,
-    random_state: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split ``range(n_samples)`` into three contiguous (or shuffled) parts.
-
-    The KDN experiments (Table 3) use *fixed-size* splits (e.g. Snort:
-    900/259/200), which this mirrors; time-series data should keep
-    ``shuffle=False`` to avoid leakage from the future into training.
-    """
-    if train < 1 or val < 0 or test < 1:
-        raise ValueError("train/test must be >= 1 and val >= 0")
-    if train + val + test > n_samples:
-        raise ValueError(f"split sizes {train}+{val}+{test} exceed {n_samples} samples")
-    indices = np.arange(n_samples)
-    if shuffle:
-        np.random.default_rng(random_state).shuffle(indices)
-    return (
-        indices[:train],
-        indices[train : train + val],
-        indices[train + val : train + val + test],
-    )

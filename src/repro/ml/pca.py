@@ -52,8 +52,3 @@ class PCA:
 
     def fit_transform(self, X) -> np.ndarray:
         return self.fit(X).transform(X)
-
-    def inverse_transform(self, Z) -> np.ndarray:
-        if self.components_ is None:
-            raise RuntimeError("PCA is not fitted")
-        return np.asarray(Z, dtype=np.float64) @ self.components_ + self.mean_

@@ -44,11 +44,6 @@ class StandardScaler:
     def fit_transform(self, X) -> np.ndarray:
         return self.fit(X).transform(X)
 
-    def inverse_transform(self, X) -> np.ndarray:
-        if self.mean_ is None:
-            raise RuntimeError("scaler is not fitted")
-        return np.asarray(X, dtype=np.float64) * self.scale_ + self.mean_
-
 
 class MinMaxScaler:
     """Scale features into [0, 1] per column (constant columns map to 0)."""
@@ -78,11 +73,6 @@ class MinMaxScaler:
 
     def fit_transform(self, X) -> np.ndarray:
         return self.fit(X).transform(X)
-
-    def inverse_transform(self, X) -> np.ndarray:
-        if self.min_ is None:
-            raise RuntimeError("scaler is not fitted")
-        return np.asarray(X, dtype=np.float64) * self.range_ + self.min_
 
 
 class LabelEncoder:
@@ -153,16 +143,3 @@ class LabelEncoder:
 
     def fit_transform(self, values) -> np.ndarray:
         return self.fit(values).transform(values)
-
-    def inverse_transform(self, ids) -> list[str]:
-        if self.classes_ is None:
-            raise RuntimeError("encoder is not fitted")
-        out = []
-        for i in np.asarray(ids, dtype=np.int64):
-            if i == self.unknown_id:
-                out.append("<unk>")
-            elif 0 <= i < len(self.classes_):
-                out.append(self.classes_[i])
-            else:
-                raise ValueError(f"id {i} out of range")
-        return out

@@ -138,8 +138,3 @@ class SVR(Estimator):
             raise ValueError(f"expected {self._X_train.shape[1]} features, got {X.shape[1]}")
         K = _kernel_matrix(self.kernel, X, self._X_train, self._gamma, self.degree)
         return K @ self.beta_ + self.intercept_
-
-    def support_fraction(self, threshold: float = 1e-6) -> float:
-        """Fraction of training points with non-negligible dual weight."""
-        self._require_fitted()
-        return float(np.mean(np.abs(self.beta_) > threshold))

@@ -192,16 +192,6 @@ class DecisionTreeRegressor(Estimator):
 
         return walk(self.root_)
 
-    def n_leaves(self) -> int:
-        self._require_fitted()
-
-        def walk(node: TreeNode) -> int:
-            if node.is_leaf:
-                return 1
-            return walk(node.left) + walk(node.right)
-
-        return walk(self.root_)
-
     def feature_importances(self) -> np.ndarray:
         """Impurity-based importances: weighted variance reduction per feature.
 

@@ -11,7 +11,7 @@ which are unavailable offline. It is layered as three tiers:
 - :mod:`repro.nn.inference` — a tape-free engine that compiles a fitted
   module into contiguous-weight numpy closures (serving math).
 
-Plus everything around them: MSE/MAE losses, the Adam optimizer (one
+Plus everything around them: the MSE loss, the Adam optimizer (one
 vectorized pass over a flat parameter buffer), a mini-batch training
 loop with early stopping, and model serialization.
 """
@@ -22,7 +22,6 @@ from .encoders import (
     SequenceEncoder,
     available_encoders,
     create_encoder,
-    encoder_from_config,
     register_encoder,
     validate_encoder_name,
 )
@@ -35,21 +34,14 @@ from .inference import (
     compile_plan,
     register_compiler,
 )
-from .init import deferred_init, embedding_uniform, glorot_uniform, he_uniform, orthogonal, zeros
+from .init import deferred_init, embedding_uniform, glorot_uniform, orthogonal, zeros
 from .layers import ACTIVATIONS, Dense, Dropout, Embedding, Module, Parameter, Sequential
-from .losses import get_loss, huber_loss, mae_loss, mse_loss
+from .losses import mse_loss
 from .lstm import LSTM, LSTMCell
-from .optim import SGD, Adam, Optimizer, clip_gradients
-from .serialize import (
-    load_encoder_bytes,
-    load_model_bytes,
-    load_state,
-    save_encoder_bytes,
-    save_model_bytes,
-    save_state,
-)
+from .optim import Adam, Optimizer
+from .serialize import load_model_bytes, save_model_bytes
 from .tensor import Tensor, apply_op, is_grad_enabled, no_grad
-from .training import EarlyStopping, ReduceLROnPlateau, Trainer, TrainingDiverged, TrainingHistory
+from .training import EarlyStopping, Trainer, TrainingDiverged, TrainingHistory
 
 __all__ = [
     "Tensor",
@@ -68,9 +60,6 @@ __all__ = [
     "available_encoders",
     "validate_encoder_name",
     "create_encoder",
-    "encoder_from_config",
-    "save_encoder_bytes",
-    "load_encoder_bytes",
     "deferred_init",
     "Module",
     "Parameter",
@@ -83,26 +72,17 @@ __all__ = [
     "GRUCell",
     "AdditiveAttention",
     "mse_loss",
-    "mae_loss",
-    "huber_loss",
-    "get_loss",
     "Optimizer",
-    "SGD",
     "Adam",
-    "clip_gradients",
     "LSTM",
     "LSTMCell",
     "Trainer",
     "TrainingDiverged",
     "TrainingHistory",
     "EarlyStopping",
-    "ReduceLROnPlateau",
-    "save_state",
-    "load_state",
     "save_model_bytes",
     "load_model_bytes",
     "glorot_uniform",
-    "he_uniform",
     "orthogonal",
     "zeros",
     "embedding_uniform",

@@ -14,8 +14,8 @@ A :class:`SequenceEncoder` owns everything one architecture choice implies:
 - its compiled-inference counterpart, registered through the standard
   :func:`repro.nn.inference.register_compiler` mechanism (consumers embed
   the plan via :func:`repro.nn.inference.compile_plan`);
-- its serialization schema (:meth:`SequenceEncoder.to_config` /
-  :func:`encoder_from_config`).
+- its share of the model's weights, saved and restored through the
+  owning model's state dict.
 
 Encoders register by name via :func:`register_encoder`; consumers only ever
 see the name. ``Env2VecModel(encoder="lstm")`` and the chained-topology
@@ -61,7 +61,6 @@ __all__ = [
     "available_encoders",
     "validate_encoder_name",
     "create_encoder",
-    "encoder_from_config",
     "GRUEncoder",
     "LSTMEncoder",
     "StackedGRUEncoder",
@@ -96,14 +95,6 @@ class SequenceEncoder(Module):
     def output_dim(self) -> int:
         """Width of the summary vector (``hidden_size`` unless overridden)."""
         return self.hidden_size
-
-    def to_config(self) -> dict:
-        """JSON-serializable construction recipe (see :func:`encoder_from_config`)."""
-        return {
-            "name": self.name,
-            "input_size": self.input_size,
-            "hidden_size": self.hidden_size,
-        }
 
     def _check_input(self, sequence: Tensor) -> Tensor:
         sequence = sequence if isinstance(sequence, Tensor) else Tensor(sequence)
@@ -162,20 +153,6 @@ def create_encoder(
     return cls(input_size, hidden_size, rng=rng, **kwargs)
 
 
-def encoder_from_config(
-    config: dict, rng: np.random.Generator | None = None
-) -> SequenceEncoder:
-    """Rebuild an encoder from :meth:`SequenceEncoder.to_config` output."""
-    config = dict(config)
-    try:
-        name = config.pop("name")
-        input_size = config.pop("input_size")
-        hidden_size = config.pop("hidden_size")
-    except KeyError as error:
-        raise ValueError(f"encoder config is missing {error.args[0]!r}") from None
-    return create_encoder(name, input_size, hidden_size, rng=rng, **config)
-
-
 # ---------------------------------------------------------------------------
 # The built-in zoo
 # ---------------------------------------------------------------------------
@@ -197,9 +174,6 @@ class GRUEncoder(SequenceEncoder):
 
     def forward(self, sequence: Tensor) -> Tensor:
         return self.gru(self._check_input(sequence))
-
-    def to_config(self) -> dict:
-        return {**super().to_config(), "activation": self.activation}
 
 
 @register_encoder("lstm")
@@ -242,9 +216,6 @@ class StackedGRUEncoder(SequenceEncoder):
     def forward(self, sequence: Tensor) -> Tensor:
         return self.upper(self.lower(self._check_input(sequence)))
 
-    def to_config(self) -> dict:
-        return {**super().to_config(), "activation": self.activation}
-
 
 @register_encoder("bidirectional")
 class BidirectionalGRUEncoder(SequenceEncoder):
@@ -278,9 +249,6 @@ class BidirectionalGRUEncoder(SequenceEncoder):
             [self.forward_gru(sequence), self.backward_gru(reversed_sequence)], axis=1
         )
 
-    def to_config(self) -> dict:
-        return {**super().to_config(), "activation": self.activation}
-
 
 @register_encoder("attention")
 class AttentionGRUEncoder(SequenceEncoder):
@@ -305,13 +273,6 @@ class AttentionGRUEncoder(SequenceEncoder):
     def forward(self, sequence: Tensor) -> Tensor:
         return self.attention(self.gru(self._check_input(sequence)))
 
-    def to_config(self) -> dict:
-        return {
-            **super().to_config(),
-            "activation": self.activation,
-            "attention_size": self.attention.attention_size,
-        }
-
 
 @register_encoder("lstm_attention")
 class AttentionLSTMEncoder(SequenceEncoder):
@@ -331,12 +292,6 @@ class AttentionLSTMEncoder(SequenceEncoder):
 
     def forward(self, sequence: Tensor) -> Tensor:
         return self.attention(self.lstm(self._check_input(sequence)))
-
-    def to_config(self) -> dict:
-        return {
-            **super().to_config(),
-            "attention_size": self.attention.attention_size,
-        }
 
 
 # ---------------------------------------------------------------------------

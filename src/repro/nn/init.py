@@ -17,7 +17,6 @@ __all__ = [
     "DEFAULT_SEED",
     "ensure_rng",
     "glorot_uniform",
-    "he_uniform",
     "orthogonal",
     "zeros",
     "embedding_uniform",
@@ -31,20 +30,16 @@ __all__ = [
 DEFAULT_SEED = 0
 
 
-def ensure_rng(
-    rng: np.random.Generator | None, seed: int | None = None
-) -> np.random.Generator:
-    """``rng`` unchanged, or a deterministically seeded generator.
+def ensure_rng(rng: np.random.Generator | None) -> np.random.Generator:
+    """``rng`` unchanged, or a generator seeded with :data:`DEFAULT_SEED`.
 
     The replacement for ``rng if rng is not None else default_rng()``:
     an unseeded ``default_rng()`` (REP001) silently made every
-    default-constructed layer irreproducible. ``seed=None`` falls back to
-    :data:`DEFAULT_SEED` so ``ensure_rng(rng, seed)`` stays deterministic
-    even for callers whose own seed parameter was left unset.
+    default-constructed layer irreproducible.
     """
     if rng is not None:
         return rng
-    return np.random.default_rng(DEFAULT_SEED if seed is None else seed)
+    return np.random.default_rng(DEFAULT_SEED)
 
 
 class _InitMode(threading.local):
@@ -77,15 +72,6 @@ def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarr
         return np.zeros(shape, dtype=np.float64)
     fan_in, fan_out = _fans(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def he_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He uniform: U(-l, l) with l = sqrt(6 / fan_in); suits ReLU layers."""
-    if _INIT_MODE.deferred:
-        return np.zeros(shape, dtype=np.float64)
-    fan_in, _ = _fans(shape)
-    limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape)
 
 

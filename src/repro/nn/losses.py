@@ -1,8 +1,8 @@
-"""Loss functions.
+"""The training loss.
 
 The paper trains Env2Vec by minimizing Mean Squared Error
-(``MSE = (1/N) Σ (y_i - y'_i)^2``, §3.1 / Appendix A.1) and additionally
-reports Mean Absolute Error for evaluation (§4.1.2).
+(``MSE = (1/N) Σ (y_i - y'_i)^2``, §3.1 / Appendix A.1); it is the one
+loss here. Evaluation metrics (MAE, MSE) live in :mod:`repro.eval.metrics`.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import numpy as np
 
 from .tensor import Tensor, _unbroadcast, apply_op
 
-__all__ = ["mse_loss", "mae_loss", "huber_loss", "get_loss"]
+__all__ = ["mse_loss"]
 
 
 def mse_loss(predicted: Tensor, target: Tensor) -> Tensor:
@@ -35,37 +35,3 @@ def mse_loss(predicted: Tensor, target: Tensor) -> Tensor:
         )
 
     return apply_op((predicted, target), (diff * diff).sum() * scale, backward)
-
-
-def mae_loss(predicted: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error over all elements."""
-    return (predicted - target).abs().mean()
-
-
-def huber_loss(predicted: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
-    """Huber loss: quadratic within ``delta`` of the target, linear beyond.
-
-    Useful when occasional KPI spikes would dominate a pure MSE objective:
-    the linear tail bounds each sample's gradient at ``delta``.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    diff = (predicted - target).abs()
-    quadratic = (diff * diff) * 0.5
-    linear = diff * delta - 0.5 * delta * delta
-    # Smooth switch: min(quadratic, linear) equals the Huber loss for
-    # diff >= 0 because the two branches cross exactly at diff == delta.
-    mask = diff.numpy() <= delta
-    combined = quadratic * Tensor(mask.astype(float)) + linear * Tensor((~mask).astype(float))
-    return combined.mean()
-
-
-_LOSSES = {"mse": mse_loss, "mae": mae_loss, "huber": huber_loss}
-
-
-def get_loss(name: str):
-    """Resolve a loss function by name (``'mse'`` or ``'mae'``)."""
-    try:
-        return _LOSSES[name]
-    except KeyError:
-        raise ValueError(f"unknown loss {name!r}; choose from {sorted(_LOSSES)}") from None

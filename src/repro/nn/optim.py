@@ -1,8 +1,7 @@
-"""Gradient-descent optimizers.
+"""The Adam optimizer.
 
 The paper uses the Adam update rule [Kingma & Ba 2014] to train Env2Vec
-(Appendix A.1). SGD (with optional momentum) is provided as a simpler
-alternative used in tests.
+(Appendix A.1); it is the one optimizer here.
 """
 
 from __future__ import annotations
@@ -13,24 +12,7 @@ import numpy as np
 
 from .layers import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_gradients"]
-
-
-def clip_gradients(parameters: Iterable[Parameter], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``.
-
-    Returns the pre-clip norm. Standard protection for recurrent models
-    whose backpropagated-through-time gradients can occasionally explode.
-    """
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
-    parameters = [p for p in parameters if p.grad is not None]
-    total = float(np.sqrt(sum(float(np.sum(p.grad**2)) for p in parameters)))
-    if total > max_norm and total > 0:
-        scale = max_norm / total
-        for parameter in parameters:
-            parameter.grad *= scale
-    return total
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
@@ -64,35 +46,6 @@ class Optimizer:
 
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(parameters, lr, weight_decay)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        self._apply_weight_decay()
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            if self.momentum:
-                velocity *= self.momentum
-                velocity -= self.lr * param.grad
-                param.data += velocity
-            else:
-                param.data -= self.lr * param.grad
 
 
 class Adam(Optimizer):

@@ -3,7 +3,7 @@
 The paper notes (§6) that the full Env2Vec artifact — the DL weights plus
 the environment embeddings — serializes to under 10 MB and is served over
 HTTP to the prediction pipeline. Here we persist a model's state dict plus
-an arbitrary JSON-serializable config blob into a single ``.npz`` file;
+an arbitrary JSON-serializable config blob into one ``.npz`` blob;
 :mod:`repro.workflow.model_store` layers the paper's fetch/publish workflow
 on top of this format.
 """
@@ -12,23 +12,14 @@ from __future__ import annotations
 
 import io
 import json
-from pathlib import Path
 
 import numpy as np
 
 from .layers import Module
 
-__all__ = [
-    "save_state",
-    "load_state",
-    "save_model_bytes",
-    "load_model_bytes",
-    "save_encoder_bytes",
-    "load_encoder_bytes",
-]
+__all__ = ["save_model_bytes", "load_model_bytes"]
 
 _CONFIG_KEY = "__config__"
-_ENCODER_KEY = "encoder"
 
 
 def save_model_bytes(model: Module, config: dict | None = None, compress: bool = False) -> bytes:
@@ -53,43 +44,3 @@ def load_model_bytes(blob: bytes) -> tuple[dict[str, np.ndarray], dict]:
     config_raw = arrays.pop(_CONFIG_KEY, None)
     config = json.loads(config_raw.tobytes().decode("utf-8")) if config_raw is not None else {}
     return arrays, config
-
-
-def save_encoder_bytes(encoder) -> bytes:
-    """Serialize a :class:`~repro.nn.encoders.SequenceEncoder` standalone.
-
-    The encoder's :meth:`to_config` recipe travels with the weights, so
-    :func:`load_encoder_bytes` can rebuild the exact registered variant
-    without the caller knowing which one was saved.
-    """
-    return save_model_bytes(encoder, {_ENCODER_KEY: encoder.to_config()})
-
-
-def load_encoder_bytes(blob: bytes):
-    """Inverse of :func:`save_encoder_bytes`."""
-    from .encoders import encoder_from_config
-    from .init import deferred_init
-
-    state, config = load_model_bytes(blob)
-    recipe = config.get(_ENCODER_KEY)
-    if recipe is None:
-        raise ValueError("blob is not a serialized SequenceEncoder (missing recipe)")
-    with deferred_init():
-        encoder = encoder_from_config(recipe)
-    encoder.load_state_dict(state)
-    return encoder
-
-
-def save_state(model: Module, path: str | Path, config: dict | None = None) -> int:
-    """Write the model to ``path``; returns the file size in bytes."""
-    blob = save_model_bytes(model, config)
-    path = Path(path)
-    path.write_bytes(blob)
-    return len(blob)
-
-
-def load_state(model: Module, path: str | Path) -> dict:
-    """Load parameters from ``path`` into ``model``; returns the stored config."""
-    state, config = load_model_bytes(Path(path).read_bytes())
-    model.load_state_dict(state)
-    return config

@@ -211,10 +211,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        """Return a view of the data cut off from the autograd graph."""
-        return Tensor(self.data)
-
     # ------------------------------------------------------------------
     # Arithmetic
     # ------------------------------------------------------------------

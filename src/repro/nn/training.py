@@ -9,7 +9,7 @@ the best weights observed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -17,11 +17,11 @@ from ..obs import get_observability
 from .inference import UnsupportedModuleError, compile_module
 from .init import ensure_rng
 from .layers import Module
-from .losses import get_loss
-from .optim import Adam, Optimizer
+from .losses import mse_loss
+from .optim import Optimizer
 from .tensor import Tensor, no_grad
 
-__all__ = ["EarlyStopping", "ReduceLROnPlateau", "TrainingDiverged", "TrainingHistory", "Trainer"]
+__all__ = ["EarlyStopping", "TrainingDiverged", "TrainingHistory", "Trainer"]
 
 Batch = Mapping[str, np.ndarray]
 
@@ -51,15 +51,13 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class EarlyStopping:
-    """Stop training when a monitored loss has not improved for ``patience`` epochs.
+    """Stop training when the validation loss has not improved for ``patience`` epochs.
 
-    ``min_delta`` is the smallest decrease counted as an improvement;
-    ``restore_best`` reloads the best weights seen when stopping.
+    Any decrease counts as an improvement; when training stops,
+    :meth:`finalize` reloads the best weights seen.
     """
 
     patience: int = 5
-    min_delta: float = 0.0
-    restore_best: bool = True
 
     def __post_init__(self) -> None:
         if self.patience < 1:
@@ -70,58 +68,17 @@ class EarlyStopping:
 
     def update(self, loss: float, model: Module) -> bool:
         """Record an epoch's validation loss. Returns True when training should stop."""
-        if loss < self.best_loss - self.min_delta:
+        if loss < self.best_loss:
             self.best_loss = loss
             self.wait = 0
-            if self.restore_best:
-                self.best_state = model.state_dict()
+            self.best_state = model.state_dict()
             return False
         self.wait += 1
         return self.wait >= self.patience
 
     def finalize(self, model: Module) -> None:
-        if self.restore_best and self.best_state is not None:
+        if self.best_state is not None:
             model.load_state_dict(self.best_state)
-
-
-@dataclass
-class ReduceLROnPlateau:
-    """Halve (by ``factor``) the optimizer's learning rate when the
-    validation loss stalls for ``patience`` epochs.
-
-    A standard complement to early stopping: the model escapes noisy
-    plateaus by taking smaller steps before the stopper gives up.
-    """
-
-    patience: int = 3
-    factor: float = 0.5
-    min_lr: float = 1e-5
-    min_delta: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if not 0.0 < self.factor < 1.0:
-            raise ValueError("factor must be in (0, 1)")
-        if self.min_lr <= 0:
-            raise ValueError("min_lr must be positive")
-        self.best_loss = np.inf
-        self.wait = 0
-        self.reductions = 0
-
-    def update(self, loss: float, optimizer: Optimizer) -> bool:
-        """Record an epoch's loss; returns True when the lr was reduced."""
-        if loss < self.best_loss - self.min_delta:
-            self.best_loss = loss
-            self.wait = 0
-            return False
-        self.wait += 1
-        if self.wait >= self.patience and optimizer.lr > self.min_lr:
-            optimizer.lr = max(self.min_lr, optimizer.lr * self.factor)
-            self.wait = 0
-            self.reductions += 1
-            return True
-        return False
 
 
 @dataclass
@@ -144,46 +101,39 @@ class Trainer:
     maps input names to numpy arrays sliced along axis 0. This keeps the
     trainer agnostic to the Env2Vec model's three heterogeneous inputs
     (contextual features, RU history window, environment id columns).
+    The loss is always :func:`~repro.nn.losses.mse_loss`; the caller
+    builds the optimizer (Adam in this repo) over the parameters to train.
 
     ``evaluate`` and ``predict`` route through the tape-free inference
     engine (:mod:`repro.nn.inference`) whenever the model's type has a
     registered compile rule, falling back to the autograd forward under
     ``no_grad`` otherwise.
 
-    Shuffling uses ``rng`` when given, else a generator seeded with
-    ``seed`` — pass either to make two identical ``fit`` calls produce
-    identical histories.
+    Each epoch visits the rows in a permutation drawn from ``rng``
+    (:data:`~repro.nn.init.DEFAULT_SEED` when omitted), so two identical
+    ``fit`` calls with equally seeded generators produce identical
+    histories.
     """
 
     def __init__(
         self,
         model: Module,
-        loss: str | Callable[[Tensor, Tensor], Tensor] = "mse",
-        optimizer: Optimizer | None = None,
-        lr: float = 0.001,
+        optimizer: Optimizer,
         batch_size: int = 128,
         max_epochs: int = 100,
         early_stopping: EarlyStopping | None = None,
-        lr_scheduler: "ReduceLROnPlateau | None" = None,
-        shuffle: bool = True,
         rng: np.random.Generator | None = None,
-        seed: int | None = None,
-        verbose: bool = False,
     ):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         self.model = model
-        self.loss_fn = get_loss(loss) if isinstance(loss, str) else loss
-        self.optimizer = optimizer if optimizer is not None else Adam(model.parameters(), lr=lr)
+        self.optimizer = optimizer
         self.batch_size = batch_size
         self.max_epochs = max_epochs
         self.early_stopping = early_stopping
-        self.lr_scheduler = lr_scheduler
-        self.shuffle = shuffle
-        self.rng = ensure_rng(rng, seed)
-        self.verbose = verbose
+        self.rng = ensure_rng(rng)
 
     def fit(
         self,
@@ -197,19 +147,17 @@ class Trainer:
         has_val = val_inputs is not None and val_targets is not None
         if self.early_stopping is not None and not has_val:
             raise ValueError("early stopping requires validation data")
-        if self.lr_scheduler is not None and not has_val:
-            raise ValueError("lr scheduling requires validation data")
 
         history = TrainingHistory()
         targets = np.asarray(targets, dtype=np.float64)
         for epoch in range(self.max_epochs):
-            order = self.rng.permutation(n) if self.shuffle else np.arange(n)
+            order = self.rng.permutation(n)
             self.model.train()
             epoch_loss = 0.0
             for batch, batch_targets in _shuffled_batches(inputs, targets, order, self.batch_size):
                 self.optimizer.zero_grad()
                 predicted = self.model(**batch)
-                loss = self.loss_fn(predicted, Tensor(batch_targets))
+                loss = mse_loss(predicted, Tensor(batch_targets))
                 loss.backward()
                 self.optimizer.step()
                 epoch_loss += loss.item() * len(batch_targets)
@@ -231,10 +179,6 @@ class Trainer:
                         epoch=epoch,
                     )
                 history.val_loss.append(val_loss)
-                if self.verbose:  # pragma: no cover - logging only
-                    print(f"epoch {epoch}: train={history.train_loss[-1]:.5f} val={val_loss:.5f}")
-                if self.lr_scheduler is not None:
-                    self.lr_scheduler.update(val_loss, self.optimizer)
                 if self.early_stopping is not None and self.early_stopping.update(val_loss, self.model):
                     history.stopped_epoch = epoch
                     break
@@ -261,7 +205,7 @@ class Trainer:
                 batch = {key: value[start : start + self.batch_size] for key, value in inputs.items()}
                 batch_targets = targets[start : start + self.batch_size]
                 predicted = Tensor(engine(**batch)) if engine is not None else self.model(**batch)
-                loss = self.loss_fn(predicted, Tensor(batch_targets))
+                loss = mse_loss(predicted, Tensor(batch_targets))
                 total += loss.item() * len(batch_targets)
         return total / n
 

@@ -18,10 +18,10 @@ through :mod:`repro.workflow.promql`::
 
     exporter = TSDBExporter(obs.registry, interval=15.0)
     exporter.tick()                      # scrape at simulated t=15s
-    print(obs.expose())                  # Prometheus text format
+    print(render_prometheus(obs.registry))  # Prometheus text format
 
-Everything is zero-cost when disabled (``obs.disable()``): mutators become
-a flag check, spans become a shared no-op context manager.
+Everything is zero-cost when disabled (``with obs.disabled():``): mutators
+become a flag check, spans become a shared no-op context manager.
 """
 
 from .export import TSDBExporter, render_prometheus

@@ -359,15 +359,6 @@ class Histogram(_Metric):
         self._require_leaf()
         return self._snapshot()[1]
 
-    def cumulative_counts(self) -> list[int]:
-        """Per-bound cumulative counts, ending with the +Inf total."""
-        self._require_leaf()
-        out, running = [], 0
-        for count in self._snapshot()[0]:
-            running += count
-            out.append(running)
-        return out
-
     def _value_samples(self, labels: dict[str, str]) -> Iterator[MetricSample]:
         counts, total_sum, total_count = self._snapshot()
         cumulative, running = [], 0

@@ -5,8 +5,8 @@ instance (:func:`get_observability`, or the :data:`OBS` alias) so that a
 single scrape sees the whole system: collector ingestion, TSDB traffic,
 pipeline latencies, campaign alarms, inference-engine cache behaviour.
 
-Switching instrumentation off (:meth:`Observability.disable`, or
-``Observability(enabled=False)``) turns every ``inc``/``set``/``observe``
+Switching instrumentation off (the :meth:`Observability.disabled` block,
+or ``Observability(enabled=False)``) turns every ``inc``/``set``/``observe``
 into a flag check and every ``span(...)`` into a shared no-op context
 manager — the hot paths stay within noise of uninstrumented code
 (``benchmarks/bench_observability.py`` holds this to <2%).
@@ -28,7 +28,7 @@ __all__ = ["Observability", "get_observability", "OBS"]
 
 
 class Observability:
-    """Registry + span tracker behind one enable/disable switch."""
+    """Registry + span tracker behind one on/off switch."""
 
     def __init__(self, enabled: bool = True, max_roots: int = 256):
         self.registry = MetricsRegistry(enabled=enabled)
@@ -38,12 +38,6 @@ class Observability:
     @property
     def enabled(self) -> bool:
         return self.registry.enabled
-
-    def enable(self) -> None:
-        self.registry.enabled = True
-
-    def disable(self) -> None:
-        self.registry.enabled = False
 
     @contextmanager
     def disabled(self):
@@ -76,13 +70,7 @@ class Observability:
         """Most recent completed root spans, oldest first."""
         return list(self.spans.roots)
 
-    # -- exposition --------------------------------------------------------
-    def expose(self) -> str:
-        """Prometheus text exposition of the whole registry."""
-        from .export import render_prometheus
-
-        return render_prometheus(self.registry)
-
+    # -- isolation -----------------------------------------------------------
     def reset(self) -> None:
         """Zero all metric values and drop recorded spans.
 

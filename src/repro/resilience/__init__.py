@@ -7,9 +7,8 @@ survive that:
 - :mod:`~repro.resilience.errors` — the typed failure taxonomy
   (transient vs terminal);
 - :mod:`~repro.resilience.policies` — :class:`Retry` (exponential backoff
-  + jitter on a simulated clock), :class:`Deadline` budgets, and a
-  :class:`CircuitBreaker`, all usable as decorators or context managers
-  and all emitting ``repro_resilience_*`` metrics;
+  + jitter on a simulated clock) and a :class:`CircuitBreaker`, both
+  emitting ``repro_resilience_*`` metrics;
 - :mod:`~repro.resilience.chaos` — :class:`ChaosProfile`, the seeded
   infrastructure-fault simulator (dropped / duplicated / reordered /
   NaN-poisoned samples, transient TSDB failures, collector outages,
@@ -25,7 +24,6 @@ from .chaos import ChaosProfile, FlakyTSDB
 from .deadletter import DeadLetterRecord, DeadLetterStore
 from .errors import (
     CircuitOpen,
-    CollectorOutage,
     DeadlineExceeded,
     ExecutionQuarantined,
     ResilienceError,
@@ -39,8 +37,6 @@ from .policies import (
     BREAKER_OPEN,
     CircuitBreaker,
     Clock,
-    Deadline,
-    MonotonicClock,
     Retry,
     SimulatedClock,
 )
@@ -50,17 +46,14 @@ __all__ = [
     "ResilienceError",
     "TransientError",
     "TransientTSDBError",
-    "CollectorOutage",
     "ExecutionQuarantined",
     "CircuitOpen",
     "DeadlineExceeded",
     "RetryExhausted",
     # policies
     "Clock",
-    "MonotonicClock",
     "SimulatedClock",
     "Retry",
-    "Deadline",
     "CircuitBreaker",
     "BREAKER_CLOSED",
     "BREAKER_OPEN",

@@ -73,13 +73,6 @@ class DeadLetterStore:
             out = [record for record in out if record.reason == reason]
         return out
 
-    def reasons(self) -> dict[str, int]:
-        """Histogram of quarantine reasons."""
-        counts: dict[str, int] = {}
-        for record in self._records.values():
-            counts[record.reason] = counts.get(record.reason, 0) + 1
-        return counts
-
     def __contains__(self, key: str) -> bool:
         return key in self._records
 

@@ -7,13 +7,14 @@ quarantining) without string-matching messages:
 
 - :class:`TransientError` and subclasses: the operation may succeed if
   repeated — :class:`Retry` policies only ever retry these by default.
-- :class:`CollectorOutage`: a whole execution's scrape window was lost;
-  nothing to retry, the execution goes to the dead-letter store.
 - :class:`ExecutionQuarantined`: degraded telemetry crossed the
-  degradation ladder's floor (e.g. a gap too long to impute) — the
-  execution is excluded from monitoring *and* training.
-- :class:`CircuitOpen` / :class:`DeadlineExceeded` / :class:`RetryExhausted`:
-  raised by the policies themselves when a budget runs out.
+  degradation ladder's floor (e.g. a gap too long to impute, or a whole
+  scrape window lost to a collector outage) — the execution is excluded
+  from monitoring *and* training.
+- :class:`CircuitOpen` / :class:`RetryExhausted`: raised by the policies
+  themselves when a budget runs out.
+- :class:`DeadlineExceeded`: serve admission shed a request whose
+  deadline lapsed in the queue.
 
 :class:`~repro.nn.training.TrainingDiverged` (raised by the Trainer's
 NaN/Inf loss guard) and :class:`~repro.workflow.model_store.CorruptModelError`
@@ -28,7 +29,6 @@ __all__ = [
     "ResilienceError",
     "TransientError",
     "TransientTSDBError",
-    "CollectorOutage",
     "ExecutionQuarantined",
     "CircuitOpen",
     "DeadlineExceeded",
@@ -46,10 +46,6 @@ class TransientError(ResilienceError):
 
 class TransientTSDBError(TransientError):
     """A TSDB write/query failed transiently (simulated Prometheus hiccup)."""
-
-
-class CollectorOutage(ResilienceError):
-    """The metric collector lost an entire execution's scrape window."""
 
 
 class ExecutionQuarantined(ResilienceError):
@@ -70,7 +66,7 @@ class CircuitOpen(ResilienceError):
 
 
 class DeadlineExceeded(ResilienceError):
-    """A deadline-scoped block ran past its time budget."""
+    """A request's deadline lapsed before it could be served."""
 
 
 class RetryExhausted(ResilienceError):

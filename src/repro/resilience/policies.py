@@ -1,8 +1,8 @@
-"""Resilience policies: retry with backoff, deadlines, circuit breakers.
+"""Resilience policies: retry with backoff and circuit breakers.
 
 The workflow talks to lossy infrastructure (scrapes stall, TSDB writes
-fail transiently, test executions die mid-run), so every cross-component
-call can be wrapped in a policy:
+fail transiently, test executions die mid-run), so cross-component calls
+go through a policy:
 
 - :class:`Retry` — bounded attempts with exponential backoff + decorrelated
   jitter. Backoff sleeps go through a :class:`Clock`, and the default is
@@ -10,54 +10,46 @@ call can be wrapped in a policy:
   a campaign that retries thousands of times still runs in milliseconds,
   while ``repro_resilience_backoff_seconds_total`` records how long a real
   deployment would have waited.
-- :class:`Deadline` — a wall-clock (or simulated) time budget over a block,
-  with cooperative :meth:`Deadline.check` for long loops.
 - :class:`CircuitBreaker` — the classic closed → open → half-open state
   machine: after ``failure_threshold`` consecutive failures the circuit
   opens and calls fail fast with :class:`CircuitOpen`; after
   ``recovery_time`` one trial call probes the backend (half-open) and
   either closes the circuit or re-opens it.
 
-All three work as decorators *and* as context managers (``Retry`` in its
-iterator form, since a failed ``with`` block cannot be re-entered)::
+Each policy has one entry form, the one its caller uses::
 
     retry = Retry(max_attempts=4, name="tsdb-write")
+    retry.call(tsdb.write_array, ...)    # the collector's writes
 
-    @retry
-    def write():
-        tsdb.write_array(...)
-
-    for attempt in retry.attempts():     # context-manager form
-        with attempt:
-            tsdb.write_array(...)
-
-    with CircuitBreaker(name="model-store") as breaker:  # one guarded call
-        store.fetch_latest()
+    breaker = CircuitBreaker(name="tsdb-scrape")
+    breaker.allow()                      # raises CircuitOpen while open
+    try:
+        scrape()
+    except TransientError:
+        breaker.record_failure()
+        raise
+    breaker.record_success()             # the service's scrape path
 
 Every decision is observable: ``repro_resilience_retries_total``,
 ``repro_resilience_giveups_total``, ``repro_resilience_backoff_seconds_total``
-(all labelled ``policy``), ``repro_resilience_deadline_exceeded_total``,
-``repro_resilience_breaker_state`` and
+(all labelled ``policy``), ``repro_resilience_breaker_state`` and
 ``repro_resilience_breaker_transitions_total`` — scraped into the campaign
 TSDB alongside everything else in :mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from ..obs import get_observability
-from .errors import CircuitOpen, DeadlineExceeded, RetryExhausted, TransientError
+from .errors import CircuitOpen, RetryExhausted, TransientError
 
 __all__ = [
     "Clock",
-    "MonotonicClock",
     "SimulatedClock",
     "Retry",
-    "Deadline",
     "CircuitBreaker",
     "BREAKER_CLOSED",
     "BREAKER_OPEN",
@@ -78,11 +70,6 @@ _M_GIVEUPS = _OBS.counter(
 _M_BACKOFF = _OBS.counter(
     "repro_resilience_backoff_seconds_total",
     "Total (simulated) seconds spent backing off between retry attempts.",
-    labels=("policy",),
-)
-_M_DEADLINES = _OBS.counter(
-    "repro_resilience_deadline_exceeded_total",
-    "Blocks that ran past their deadline budget.",
     labels=("policy",),
 )
 _G_BREAKER_STATE = _OBS.gauge(
@@ -112,17 +99,6 @@ class Clock:
         raise NotImplementedError
 
 
-class MonotonicClock(Clock):
-    """Real wall-clock time; sleeps actually block (production mode)."""
-
-    def now(self) -> float:
-        return time.monotonic()
-
-    def sleep(self, seconds: float) -> None:
-        if seconds > 0:
-            time.sleep(seconds)
-
-
 class SimulatedClock(Clock):
     """A deterministic clock whose sleeps advance time instantaneously.
 
@@ -146,40 +122,13 @@ class SimulatedClock(Clock):
         self.sleep(seconds)
 
 
-class _Attempt:
-    """One try in :meth:`Retry.attempts`; swallows retryable failures."""
-
-    __slots__ = ("_retry", "_state", "number")
-
-    def __init__(self, retry: "Retry", state: dict, number: int):
-        self._retry = retry
-        self._state = state
-        self.number = number
-
-    def __enter__(self) -> "_Attempt":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is None:
-            self._state["done"] = True
-            return False
-        if not isinstance(exc, self._retry.retry_on):
-            return False
-        self._state["last_error"] = exc
-        if self.number >= self._retry.max_attempts:
-            return False  # let the final failure propagate via attempts()
-        self._retry._backoff(self.number)
-        return True  # swallow and let the loop hand out the next attempt
-
-
 class Retry:
     """Bounded retry with exponential backoff and decorrelated jitter.
 
     Only exceptions matching ``retry_on`` (default: :class:`TransientError`)
     are retried; anything else propagates immediately. When the budget is
-    exhausted the *original* exception type propagates (the last failure),
-    wrapped semantics preserved via ``raise ... from`` under
-    :class:`RetryExhausted` only in :meth:`call`'s give-up path.
+    exhausted :meth:`call` raises :class:`RetryExhausted` from the last
+    failure.
     """
 
     def __init__(
@@ -222,12 +171,6 @@ class Retry:
             raw *= 1.0 - self.jitter * float(self._rng.random())
         return raw
 
-    def _backoff(self, attempt: int) -> None:
-        self._m_retries.inc()
-        delay = self.delay_for(attempt)
-        self._m_backoff.inc(delay)
-        self.clock.sleep(delay)
-
     def call(self, fn: Callable, *args, **kwargs):
         """Invoke ``fn`` under this policy, returning its result.
 
@@ -243,7 +186,10 @@ class Retry:
         if self.max_attempts > 1:
             with _OBS.span(f"resilience.retry.{self.name}"):
                 for attempt in range(1, self.max_attempts):
-                    self._backoff(attempt)
+                    self._m_retries.inc()
+                    delay = self.delay_for(attempt)
+                    self._m_backoff.inc(delay)
+                    self.clock.sleep(delay)
                     try:
                         return fn(*args, **kwargs)
                     except self.retry_on as exc:
@@ -252,90 +198,6 @@ class Retry:
         raise RetryExhausted(
             f"policy {self.name!r} gave up after {self.max_attempts} attempts"
         ) from last_error
-
-    def __call__(self, fn: Callable) -> Callable:
-        """Decorator form: ``@Retry(...)``."""
-
-        def wrapped(*args, **kwargs):
-            return self.call(fn, *args, **kwargs)
-
-        wrapped.__name__ = getattr(fn, "__name__", "wrapped")
-        wrapped.__doc__ = fn.__doc__
-        wrapped.__wrapped__ = fn
-        return wrapped
-
-    def attempts(self) -> Iterator[_Attempt]:
-        """Context-manager form: iterate attempts, ``with`` each one.
-
-        The loop ends as soon as an attempt's block completes without a
-        retryable exception; when the budget is exhausted the last failure
-        propagates out of the final ``with`` block.
-        """
-        state: dict = {"done": False, "last_error": None}
-        for number in range(1, self.max_attempts + 1):
-            if state["done"]:
-                return
-            yield _Attempt(self, state, number)
-        if not state["done"] and state["last_error"] is not None:
-            self._m_giveups.inc()
-
-
-class Deadline:
-    """A time budget over a block of work (context manager + decorator).
-
-    On normal exit past the budget, :class:`DeadlineExceeded` is raised
-    (an in-flight exception always takes precedence). Long-running loops
-    should call :meth:`check` cooperatively to abort mid-block.
-    """
-
-    def __init__(self, seconds: float, clock: Clock | None = None, name: str = "deadline"):
-        if seconds <= 0:
-            raise ValueError("deadline must be positive")
-        self.seconds = float(seconds)
-        self.clock = clock if clock is not None else MonotonicClock()
-        self.name = name
-        self._started_at: float | None = None
-        self._m_exceeded = _M_DEADLINES.labels(policy=name)
-
-    def __enter__(self) -> "Deadline":
-        self._started_at = self.clock.now()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        started, self._started_at = self._started_at, None
-        if exc_type is None and started is not None:
-            elapsed = self.clock.now() - started
-            if elapsed > self.seconds:
-                self._m_exceeded.inc()
-                raise DeadlineExceeded(
-                    f"{self.name}: block took {elapsed:.3f}s, budget was {self.seconds:.3f}s"
-                )
-        return False
-
-    def remaining(self) -> float:
-        """Seconds left in the budget (0 when expired or not entered)."""
-        if self._started_at is None:
-            return self.seconds
-        return max(0.0, self.seconds - (self.clock.now() - self._started_at))
-
-    def check(self) -> None:
-        """Cooperative cancellation point for loops inside the block."""
-        if self._started_at is None:
-            return
-        if self.clock.now() - self._started_at > self.seconds:
-            self._m_exceeded.inc()
-            raise DeadlineExceeded(f"{self.name}: budget of {self.seconds:.3f}s exhausted")
-
-    def __call__(self, fn: Callable) -> Callable:
-        """Decorator form: each call gets a fresh budget."""
-
-        def wrapped(*args, **kwargs):
-            with Deadline(self.seconds, clock=self.clock, name=self.name):
-                return fn(*args, **kwargs)
-
-        wrapped.__name__ = getattr(fn, "__name__", "wrapped")
-        wrapped.__wrapped__ = fn
-        return wrapped
 
 
 BREAKER_CLOSED = "closed"
@@ -349,10 +211,11 @@ class CircuitBreaker:
     """Closed → open → half-open breaker around a flaky dependency.
 
     ``failure_threshold`` *consecutive* failures open the circuit; while
-    open, :meth:`allow` (and the context-manager form) fail fast with
-    :class:`CircuitOpen`. After ``recovery_time`` (on the breaker's clock)
-    the next call runs as a half-open trial: success closes the circuit,
-    failure re-opens it and restarts the recovery timer.
+    open, :meth:`allow` fails fast with :class:`CircuitOpen`. After
+    ``recovery_time`` (on the breaker's clock) the next call runs as a
+    half-open trial: the caller's :meth:`record_success` closes the
+    circuit, :meth:`record_failure` re-opens it and restarts the recovery
+    timer.
     """
 
     def __init__(
@@ -374,7 +237,6 @@ class CircuitBreaker:
         self.consecutive_failures = 0
         self._opened_at = 0.0
         self._g_state = _G_BREAKER_STATE.labels(breaker=name)
-        self._m_transitions = _M_BREAKER_TRANSITIONS.labels(breaker=name, to="")
         self._m_rejected = _M_BREAKER_REJECTED.labels(breaker=name)
         self._g_state.set(_STATE_VALUES[self.state])
 
@@ -417,33 +279,3 @@ class CircuitBreaker:
         if self.state == BREAKER_HALF_OPEN or self.consecutive_failures >= self.failure_threshold:
             self._opened_at = self.clock.now()
             self._transition(BREAKER_OPEN)
-
-    def __enter__(self) -> "CircuitBreaker":
-        self.allow()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is None:
-            self.record_success()
-        elif not issubclass(exc_type, CircuitOpen):
-            self.record_failure()
-        return False
-
-    def __call__(self, fn: Callable) -> Callable:
-        """Decorator form: every call is gated and recorded."""
-
-        def wrapped(*args, **kwargs):
-            self.allow()
-            try:
-                result = fn(*args, **kwargs)
-            except CircuitOpen:
-                raise
-            except BaseException:
-                self.record_failure()
-                raise
-            self.record_success()
-            return result
-
-        wrapped.__name__ = getattr(fn, "__name__", "wrapped")
-        wrapped.__wrapped__ = fn
-        return wrapped

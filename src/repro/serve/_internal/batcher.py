@@ -226,11 +226,6 @@ class SequencedMerger:
         self._buffer: dict[int, object] = {}
 
     @property
-    def next_seq(self) -> int:
-        """The sequence number the merger is waiting to release."""
-        return self._next
-
-    @property
     def pending(self) -> int:
         """Completed items buffered behind an earlier, unfinished one."""
         return len(self._buffer)

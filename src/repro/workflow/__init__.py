@@ -40,12 +40,11 @@ from .prediction_pipeline import (
     build_prediction_frame,
 )
 from .training_pipeline import TrainingPipeline, TrainingResult
-from .tsdb import AmbiguousSeries, Sample, Series, SeriesNotFound, TimeSeriesDB
+from .tsdb import AmbiguousSeries, Series, SeriesNotFound, TimeSeriesDB
 
 __all__ = [
     "TimeSeriesDB",
     "Series",
-    "Sample",
     "SeriesNotFound",
     "AmbiguousSeries",
     "ServiceDiscovery",

@@ -77,22 +77,9 @@ class ServiceDiscovery:
         self._entries.append({"targets": [endpoint], "labels": {"env": em_record_id}})
         self._flush()
 
-    def remove_target(self, endpoint: str) -> None:
-        before = len(self._entries)
-        self._entries = [e for e in self._entries if endpoint not in e["targets"]]
-        if len(self._entries) == before:
-            raise KeyError(f"endpoint {endpoint!r} is not registered")
-        self._flush()
-
     def targets(self) -> list[dict]:
         """The current config entries (as Prometheus would read them)."""
         return [dict(entry) for entry in self._entries]
-
-    def env_of(self, endpoint: str) -> str:
-        for entry in self._entries:
-            if endpoint in entry["targets"]:
-                return entry["labels"]["env"]
-        raise KeyError(f"endpoint {endpoint!r} is not registered")
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -124,10 +124,6 @@ class DayReport:
     training_diverged: bool = False
     quarantined_environments: list[Environment] = field(default_factory=list)
 
-    @property
-    def any_flagged(self) -> bool:
-        return bool(self.flagged_environments)
-
 
 def _report_to_dict(report: DayReport) -> dict:
     return {

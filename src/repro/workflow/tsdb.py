@@ -27,7 +27,6 @@ import numpy as np
 from ..obs import get_observability
 
 __all__ = [
-    "Sample",
     "Series",
     "SeriesNotFound",
     "AmbiguousSeries",
@@ -41,12 +40,6 @@ class SeriesNotFound(LookupError):
 
 class AmbiguousSeries(LookupError):
     """A selector expected to identify one series matched several."""
-
-
-@dataclass(frozen=True)
-class Sample:
-    timestamp: float
-    value: float
 
 
 @dataclass
@@ -218,27 +211,9 @@ class TimeSeriesDB:
             )
         return matches[0]
 
-    def query_range(
-        self,
-        metric: str,
-        matchers: dict[str, str] | None,
-        start: float,
-        end: float,
-    ) -> list[Series]:
-        """Matching series restricted to [start, end)."""
-        if end <= start:
-            raise ValueError("need start < end")
-        return [series.range(start, end) for series in self.query(metric, matchers)]
-
     # -- introspection ----------------------------------------------------------
     def metrics(self) -> list[str]:
         return sorted(self._by_metric)
-
-    def label_values(self, label: str) -> list[str]:
-        values = {
-            series.labels[label] for series in self._series.values() if label in series.labels
-        }
-        return sorted(values)
 
     def n_series(self) -> int:
         return len(self._series)

@@ -174,7 +174,6 @@ class TestContextualAnomalyDetector:
         predicted, observed = self._series()
         detector = ContextualAnomalyDetector(gamma=2.0)
         report = detector.detect_self_calibrated(predicted, observed)
-        assert 0.0 <= report.flagged_fraction <= 1.0
         assert report.gamma == 2.0
         assert report.errors.shape == predicted.shape
 
@@ -191,19 +190,16 @@ class TestAlarmScoring:
         assert score.n_alarms == 2
         assert score.correct_alarms == 1
         assert score.true_alarm_rate == pytest.approx(0.5)
-        assert score.false_alarm_rate == pytest.approx(0.5)
 
     def test_no_alarms(self):
         score = score_alarms([], np.zeros(10, dtype=bool))
         assert score.true_alarm_rate == 0.0
-        assert score.false_alarm_rate == 0.0
 
     def test_perfect_detector(self):
         truth = np.zeros(50, dtype=bool)
         truth[10:20] = True
         score = score_alarms([Alarm(12, 18, 5.0)], truth)
         assert score.true_alarm_rate == 1.0
-        assert score.false_alarm_rate == 0.0
 
     def test_scores_add(self):
         a = AlarmScore(n_alarms=3, correct_alarms=2)
@@ -222,6 +218,4 @@ class TestAlarmScoring:
         flags = rng.random(n) < 0.3
         alarms = merge_flags_into_alarms(flags, np.ones(n))
         score = score_alarms(alarms, truth)
-        if score.n_alarms:
-            assert score.true_alarm_rate + score.false_alarm_rate == pytest.approx(1.0)
         assert 0 <= score.correct_alarms <= score.n_alarms

@@ -35,7 +35,6 @@ class TestCalibrationReport:
         # Empirical tails match Gaussian predictions closely.
         for empirical, predicted in report.tail_mass.values():
             assert empirical == pytest.approx(predicted, abs=0.02)
-        assert report.worst_tail_inflation() < 1.6
 
     def test_heavy_tailed_errors_flagged(self):
         errors = np.random.default_rng(1).standard_t(df=3, size=3000)

@@ -47,10 +47,6 @@ class TestVocabulary:
         # Unknown testbed gets the last row of its table.
         assert ids[0] == vocab.vocabulary_sizes()["testbed"] - 1
 
-    def test_known_values(self):
-        vocab = EnvironmentVocabulary().fit(_envs())
-        assert vocab.known_values("sut") == ["SUT_A", "SUT_B"]
-
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             EnvironmentVocabulary().encode(_envs())
@@ -68,9 +64,8 @@ class TestVocabulary:
 
 def _naive_encode(vocab, environments):
     """One ``LabelEncoder.transform`` per row and field, no dedup at all."""
-    encoders = {
-        field: LabelEncoder.from_classes(vocab.known_values(field)) for field in vocab.fields
-    }
+    classes = vocab.to_config()["classes"]
+    encoders = {field: LabelEncoder.from_classes(classes[field]) for field in vocab.fields}
     rows = [
         [int(encoders[field].transform([getattr(env, field)])[0]) for field in vocab.fields]
         for env in environments

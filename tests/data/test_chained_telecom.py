@@ -9,8 +9,6 @@ from repro.data import (
     ServiceChainTopology,
     TelecomConfig,
     VNFPlacement,
-    dataset_from_bytes,
-    dataset_to_bytes,
     generate_chained_telecom,
     generate_telecom,
 )
@@ -51,20 +49,6 @@ class TestTopologyDataclasses:
         with pytest.raises(ValueError, match="ordered"):
             ServiceChainTopology(name="t", members=(1, 2), placements=(head, head))
 
-    def test_upstream_of(self):
-        topology = ServiceChainTopology(
-            name="t",
-            members=(4, 9),
-            placements=(
-                VNFPlacement(position=0, testbed="Testbed_01"),
-                VNFPlacement(position=1, testbed="Testbed_02", delay=2, damping=0.7),
-            ),
-        )
-        assert topology.upstream_of(0) is None
-        assert topology.upstream_of(1) == 4
-        with pytest.raises(IndexError):
-            topology.upstream_of(2)
-
 
 class TestChainedGeneration:
     def test_produces_topologies_over_valid_members(self, chained):
@@ -78,7 +62,7 @@ class TestChainedGeneration:
     def test_rare_chain_stays_independent(self, chained):
         rare_index = len(chained.chains) - 1
         assert chained.chains[rare_index].key[0] == "Testbed_rare"
-        assert rare_index not in chained.chained_indices()
+        assert all(rare_index not in topology.members for topology in chained.topologies)
 
     def test_members_appear_in_exactly_one_topology(self, chained):
         seen = [index for topology in chained.topologies for index in topology.members]
@@ -87,7 +71,7 @@ class TestChainedGeneration:
     def test_downstream_members_are_coupled(self, chained, independent):
         """Downstream CPU differs from the independent corpus; heads do not."""
         heads = {topology.members[0] for topology in chained.topologies}
-        downstream = chained.chained_indices() - heads
+        downstream = {i for topology in chained.topologies for i in topology.members} - heads
         assert downstream
         for index in downstream:
             assert not np.allclose(
@@ -132,24 +116,3 @@ class TestChainedGeneration:
             ChainedTelecomConfig(**CFG, damping_range=(0.5, 1.2))
         with pytest.raises(ValueError, match="gains"):
             ChainedTelecomConfig(**CFG, queue_gain=-0.1)
-
-
-class TestChainedSerialization:
-    def test_roundtrip_preserves_type_config_and_topologies(self, chained):
-        restored = dataset_from_bytes(dataset_to_bytes(chained))
-        assert isinstance(restored, ChainedTelecomDataset)
-        assert isinstance(restored.config, ChainedTelecomConfig)
-        assert restored.config == chained.config
-        assert restored.topologies == chained.topologies
-        for chain_a, chain_b in zip(restored.chains, chained.chains):
-            for exec_a, exec_b in zip(chain_a.executions, chain_b.executions):
-                np.testing.assert_array_equal(exec_a.cpu, exec_b.cpu)
-
-    def test_roundtrip_is_byte_identical(self, chained):
-        blob = dataset_to_bytes(chained)
-        assert dataset_to_bytes(dataset_from_bytes(blob)) == blob
-
-    def test_independent_corpus_keeps_plain_type(self, independent):
-        restored = dataset_from_bytes(dataset_to_bytes(independent))
-        assert type(restored) is type(independent)
-        assert not isinstance(restored, ChainedTelecomDataset)

@@ -40,12 +40,6 @@ class TestEnvironment:
         b = self._env(build="Build_S11")
         assert a.chain_key == b.chain_key
 
-    def test_with_build(self):
-        env = self._env()
-        upgraded = env.with_build("Build_S11")
-        assert upgraded.build == "Build_S11"
-        assert upgraded.chain_key == env.chain_key
-
     def test_overlap_counts_shared_fields(self):
         # The §3.1 example: same testbed and SUT, different testcase/build.
         a = Environment("Testbed_15", "SUT_DB", "Testcase_Regression", "Build_S10")

@@ -46,39 +46,10 @@ class TestFrame:
 
     def test_select_and_take(self):
         frame = self._frame()
-        sub = frame.select(["cpu"])
-        assert sub.columns == ["cpu"]
         taken = frame.take(np.array([2, 0]))
         np.testing.assert_allclose(taken["demand"], [30.0, 10.0])
         masked = frame.take(frame["demand"] > 15)
         assert len(masked) == 2
-
-    def test_filter(self):
-        frame = self._frame()
-        filtered = frame.filter(lambda row: row["build"] == "S01")
-        assert len(filtered) == 2
-
-    def test_with_columns(self):
-        frame = self._frame()
-        extended = frame.with_columns({"mem": [1.0, 2.0, 3.0]})
-        assert "mem" in extended
-        assert "mem" not in frame  # original untouched
-
-    def test_concat_rows(self):
-        frame = self._frame()
-        combined = Frame.concat_rows([frame, frame])
-        assert len(combined) == 6
-        with pytest.raises(ValueError):
-            Frame.concat_rows([frame, frame.select(["cpu"])])
-        with pytest.raises(ValueError):
-            Frame.concat_rows([])
-
-    def test_to_matrix_numeric_only(self):
-        frame = self._frame()
-        matrix = frame.to_matrix(["demand", "cpu"])
-        assert matrix.shape == (3, 2)
-        with pytest.raises(TypeError):
-            frame.to_matrix(["build"])
 
     def test_head(self):
         assert len(self._frame().head(2)) == 2

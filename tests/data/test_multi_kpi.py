@@ -46,14 +46,6 @@ class TestExtraKPIs:
         )
         assert dataset.chains[0].current.extra_kpis == {}
 
-    def test_kpi_accessor(self):
-        dataset = _dataset()
-        execution = dataset.chains[0].current
-        np.testing.assert_array_equal(execution.kpi("cpu"), execution.cpu)
-        np.testing.assert_array_equal(execution.kpi("memory"), execution.extra_kpis["memory"])
-        with pytest.raises(KeyError, match="disk"):
-            execution.kpi("disk")
-
     def test_memory_in_valid_range(self):
         dataset = _dataset()
         for chain in dataset.chains:
@@ -104,7 +96,7 @@ class TestMemoryModelling:
         series, envs_per_series = [], []
         for chain in dataset.chains:
             for execution in chain.history:
-                series.append((execution.features, execution.kpi("memory")))
+                series.append((execution.features, execution.extra_kpis["memory"]))
                 envs_per_series.append(execution.environment)
         X, history, y, ids = build_windows_multi(series, 3)
         environments = [envs_per_series[i] for i in ids]

@@ -153,13 +153,6 @@ class TestTemporalMemory:
         assert novel > settled
         assert novel == 1.0
 
-    def test_reset_clears_state(self):
-        memory = TemporalMemory(n_columns=30, activation_threshold=3, learning_threshold=2, seed=0)
-        memory.compute(self._column_sdr(30, range(5)))
-        memory.reset()
-        assert memory.active_cells == set()
-        assert memory.predicted_cells == set()
-
     def test_empty_input_zero_anomaly(self):
         memory = TemporalMemory(n_columns=30, activation_threshold=3, learning_threshold=2)
         assert memory.compute(np.zeros(30, dtype=bool)) == 0.0
@@ -234,9 +227,3 @@ class TestHTMDetector:
         result = detector.run(np.linspace(0, 1, 60))
         assert result.alarms().shape == (60,)
         assert result.alarms().dtype == bool
-
-    def test_reset_sequence(self):
-        detector = HTMDetector(minimum=0, maximum=1, seed=0)
-        detector.run(np.linspace(0, 1, 30))
-        detector.reset_sequence()
-        assert detector.memory.active_cells == set()

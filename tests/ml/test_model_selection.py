@@ -1,16 +1,14 @@
-"""Grid search, K-fold, and split utilities."""
+"""Validation grid search and estimator cloning."""
 
 import numpy as np
 import pytest
 
 from repro.ml import (
-    KFold,
     ParameterGrid,
     Ridge,
     RidgeTS,
     ValidationGridSearch,
     clone,
-    train_val_test_split,
 )
 
 
@@ -52,18 +50,6 @@ class TestValidationGridSearch:
         preds = search.best_estimator_.predict(X_val)
         assert preds.shape == y_val.shape
 
-    def test_refit_on_combined_data(self):
-        X_train, y_train, X_val, y_val = self._data()
-        search = ValidationGridSearch(Ridge(), {"alpha": [0.1, 10.0]})
-        search.fit(X_train, y_train, X_val, y_val)
-        model = search.refit(np.vstack([X_train, X_val]), np.concatenate([y_train, y_val]))
-        assert model.score(X_val, y_val) > -1.0
-
-    def test_refit_before_fit_raises(self):
-        search = ValidationGridSearch(Ridge(), {"alpha": [1.0]})
-        with pytest.raises(RuntimeError):
-            search.refit(np.zeros((2, 2)), np.zeros(2))
-
     def test_fit_kwargs_passed_through(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((200, 3))
@@ -88,53 +74,3 @@ class TestClone:
         copy = clone(model)
         assert copy.alpha == 3.0
         assert copy.coef_ is None
-
-
-class TestKFold:
-    def test_partitions_cover_all_indices(self):
-        folds = list(KFold(n_splits=4).split(22))
-        assert len(folds) == 4
-        all_test = np.concatenate([test for _, test in folds])
-        assert sorted(all_test.tolist()) == list(range(22))
-
-    def test_train_test_disjoint(self):
-        for train, test in KFold(n_splits=3).split(10):
-            assert not set(train) & set(test)
-
-    def test_shuffle_deterministic_with_seed(self):
-        f1 = [t.tolist() for _, t in KFold(3, shuffle=True, random_state=1).split(9)]
-        f2 = [t.tolist() for _, t in KFold(3, shuffle=True, random_state=1).split(9)]
-        assert f1 == f2
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            KFold(n_splits=1)
-        with pytest.raises(ValueError):
-            list(KFold(n_splits=5).split(3))
-
-
-class TestTrainValTestSplit:
-    def test_kdn_snort_sizes(self):
-        # Table 3: Snort has 1359 total = 900 train + 259 val + 200 test.
-        train, val, test = train_val_test_split(1359, 900, 259, 200)
-        assert (len(train), len(val), len(test)) == (900, 259, 200)
-        assert train[-1] == 899 and test[-1] == 1358
-
-    def test_contiguous_without_shuffle(self):
-        train, val, test = train_val_test_split(10, 5, 2, 3)
-        np.testing.assert_array_equal(train, np.arange(5))
-        np.testing.assert_array_equal(val, [5, 6])
-        np.testing.assert_array_equal(test, [7, 8, 9])
-
-    def test_shuffle_covers_everything(self):
-        train, val, test = train_val_test_split(10, 5, 2, 3, shuffle=True, random_state=0)
-        combined = sorted(np.concatenate([train, val, test]).tolist())
-        assert combined == list(range(10))
-
-    def test_oversized_split_rejected(self):
-        with pytest.raises(ValueError):
-            train_val_test_split(10, 9, 1, 1)
-
-    def test_invalid_sizes(self):
-        with pytest.raises(ValueError):
-            train_val_test_split(10, 0, 1, 1)

@@ -28,7 +28,6 @@ class TestDecisionTree:
         X, y = _step_data()
         tree = DecisionTreeRegressor(max_depth=1).fit(X, y)
         assert tree.depth() <= 1
-        assert tree.n_leaves() <= 2
 
     def test_stump_predicts_two_means(self):
         X, y = _step_data()
@@ -148,17 +147,6 @@ class TestRandomForest:
         f1 = RandomForestRegressor(n_estimators=5, random_state=1).fit(X, y).predict(X)
         f2 = RandomForestRegressor(n_estimators=5, random_state=2).fit(X, y).predict(X)
         assert not np.allclose(f1, f2)
-
-    def test_oob_score_available_with_bootstrap(self):
-        X, y = _step_data(150)
-        forest = RandomForestRegressor(n_estimators=30, random_state=0).fit(X, y)
-        assert forest.oob_score(y) > -1.0
-
-    def test_oob_score_rejected_without_bootstrap(self):
-        X, y = _step_data(50)
-        forest = RandomForestRegressor(n_estimators=3, bootstrap=False, random_state=0).fit(X, y)
-        with pytest.raises(RuntimeError):
-            forest.oob_score(y)
 
     def test_invalid_n_estimators(self):
         with pytest.raises(ValueError):

@@ -207,11 +207,6 @@ class TestGraphMechanics:
         x = Tensor(np.array([1.0]), requires_grad=True)
         assert (x * 2.0).requires_grad
 
-    def test_detach(self):
-        x = Tensor(np.array([1.0]), requires_grad=True)
-        y = x.detach() * 5.0
-        assert not y.requires_grad
-
     def test_backward_requires_grad(self):
         x = Tensor(np.array([1.0]))
         with pytest.raises(RuntimeError):

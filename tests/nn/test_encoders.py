@@ -1,9 +1,8 @@
 """SequenceEncoder registry tests, parametrized over every registered encoder.
 
 New encoders added via ``@register_encoder`` are picked up automatically:
-each one must pass autograd-vs-compiled parity (≤1e-10), byte-identical
-``save_encoder_bytes``/``load_encoder_bytes`` round-trips, config
-round-trips, and seed determinism.
+each one must pass autograd-vs-compiled parity (≤1e-10) and seed
+determinism.
 """
 
 import numpy as np
@@ -15,10 +14,7 @@ from repro.nn import (
     available_encoders,
     compile_module,
     create_encoder,
-    encoder_from_config,
-    load_encoder_bytes,
     register_encoder,
-    save_encoder_bytes,
     validate_encoder_name,
 )
 from repro.nn.encoders import _ENCODERS
@@ -98,28 +94,6 @@ class TestEveryEncoder:
         assert out.shape == (4, encoder.output_dim)
         assert out.dtype == np.float64
 
-    def test_serialization_byte_identity(self, name):
-        encoder = _make(name)
-        blob = save_encoder_bytes(encoder)
-        restored = load_encoder_bytes(blob)
-        assert type(restored) is type(encoder)
-        assert save_encoder_bytes(restored) == blob
-
-    def test_restored_encoder_predicts_identically(self, name):
-        encoder = _make(name)
-        restored = load_encoder_bytes(save_encoder_bytes(encoder))
-        encoder.eval()
-        restored.eval()
-        sequence = _sequence(batch=4)
-        np.testing.assert_array_equal(
-            encoder(Tensor(sequence)).numpy(), restored(Tensor(sequence)).numpy()
-        )
-
-    def test_config_roundtrip(self, name):
-        encoder = _make(name)
-        rebuilt = encoder_from_config(encoder.to_config(), rng=np.random.default_rng(0))
-        assert rebuilt.to_config() == encoder.to_config()
-
     def test_seed_determinism(self, name):
         a, b = _make(name, seed=21), _make(name, seed=21)
         for (key_a, param_a), (key_b, param_b) in zip(
@@ -139,16 +113,3 @@ class TestEveryEncoder:
 def test_bidirectional_output_dim_doubles():
     encoder = _make("bidirectional")
     assert encoder.output_dim == 2 * HIDDEN
-
-
-def test_encoder_from_config_missing_key():
-    with pytest.raises(ValueError, match="missing"):
-        encoder_from_config({"name": "gru", "input_size": 1})
-
-
-def test_load_encoder_bytes_rejects_plain_model_blob():
-    from repro.nn import Dense, save_model_bytes
-
-    blob = save_model_bytes(Dense(2, 2, rng=np.random.default_rng(0)))
-    with pytest.raises(ValueError, match="missing recipe"):
-        load_encoder_bytes(blob)

@@ -8,6 +8,7 @@ import pytest
 from repro.nn import (
     GRU,
     LSTM,
+    Adam,
     Dense,
     Dropout,
     EmbeddingRowCache,
@@ -244,7 +245,7 @@ class TestEnginePredict:
 class TestTrainerEngineRouting:
     def test_predict_matches_autograd_forward(self):
         model = Dense(3, 1, rng=RNG)
-        trainer = Trainer(model, batch_size=8)
+        trainer = Trainer(model, Adam(model.parameters()), batch_size=8)
         x = RNG.standard_normal((20, 3))
         with no_grad():
             reference = model(Tensor(x)).numpy()
@@ -256,7 +257,7 @@ class TestTrainerEngineRouting:
                 return super().forward(x) + 1.0
 
         model = Odd(3, 1, rng=RNG)
-        trainer = Trainer(model, batch_size=8)
+        trainer = Trainer(model, Adam(model.parameters()), batch_size=8)
         x = RNG.standard_normal((10, 3))
         with no_grad():
             reference = model(Tensor(x)).numpy()
@@ -267,8 +268,10 @@ class TestTrainerEngineRouting:
         y = x @ np.array([1.0, -2.0, 0.5])
         histories = []
         for _ in range(2):
+            model = _FlatDense(np.random.default_rng(11))
             trainer = Trainer(
-                _FlatDense(np.random.default_rng(11)), max_epochs=3, batch_size=8, seed=99
+                model, Adam(model.parameters()), max_epochs=3, batch_size=8,
+                rng=np.random.default_rng(99),
             )
             histories.append(trainer.fit({"x": x}, y).train_loss)
         assert histories[0] == histories[1]

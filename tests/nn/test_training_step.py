@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import Env2VecRegressor
 from repro.data.environment import Environment
-from repro.nn import Adam, Dense, Module, Tensor, Trainer, ops
+from repro.nn import Adam, Dense, Module, Tensor, Trainer, mse_loss, ops
 from repro.nn.training import _GATHER_BATCHES, TrainingHistory, _shuffled_batches
 
 
@@ -62,14 +62,14 @@ class ReferenceTrainer(Trainer):
         history = TrainingHistory()
         targets = np.asarray(targets, dtype=np.float64)
         for epoch in range(self.max_epochs):
-            order = self.rng.permutation(n) if self.shuffle else np.arange(n)
+            order = self.rng.permutation(n)
             self.model.train()
             epoch_loss = 0.0
             for start in range(0, n, self.batch_size):
                 idx = order[start : start + self.batch_size]
                 batch = {key: value[idx] for key, value in inputs.items()}
                 self.optimizer.zero_grad()
-                loss = self.loss_fn(self.model(**batch), Tensor(targets[idx]))
+                loss = mse_loss(self.model(**batch), Tensor(targets[idx]))
                 loss.backward()
                 self.optimizer.step()
                 epoch_loss += loss.item() * len(idx)
@@ -207,7 +207,7 @@ def test_seeded_fit_bytes_unchanged_by_flat_adam_bincount_and_block_gather(monke
         return model.fit(*train, val=val).to_bytes()
 
     fast = fit()
-    monkeypatch.setattr("repro.nn.training.Adam", ReferenceAdam)
+    monkeypatch.setattr("repro.core.model.Adam", ReferenceAdam)
     monkeypatch.setattr("repro.core.model.Trainer", ReferenceTrainer)
     monkeypatch.setattr(ops, "embedding_backward", reference_embedding_backward)
     assert fit() == fast

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import MetricsRegistry, Observability, TSDBExporter, render_prometheus
+from repro.obs import MetricsRegistry, TSDBExporter, render_prometheus
 from repro.workflow.tsdb import TimeSeriesDB
 
 
@@ -50,11 +50,6 @@ class TestPrometheusExposition:
     def test_non_integer_values_keep_precision(self, registry):
         registry.gauge("repro_ratio").set(0.125)
         assert "repro_ratio 0.125" in render_prometheus(registry)
-
-    def test_observability_expose_delegates(self):
-        obs = Observability()
-        obs.counter("repro_hits_total").inc()
-        assert "repro_hits_total 1" in obs.expose()
 
 
 class TestTSDBExporter:

@@ -18,6 +18,13 @@ def registry():
     return MetricsRegistry()
 
 
+def _bucket_counts(histogram):
+    """The ``_bucket`` sample values, ending with the +Inf total."""
+    return [
+        int(sample.value) for sample in histogram.samples() if sample.name.endswith("_bucket")
+    ]
+
+
 class TestCounter:
     def test_starts_at_zero_and_accumulates(self, registry):
         counter = registry.counter("repro_things_total", "Things.")
@@ -98,14 +105,14 @@ class TestHistogram:
         histogram = registry.histogram("repro_lat_seconds", buckets=(0.1, 1.0, 10.0))
         for value in (0.05, 0.5, 5.0, 50.0):
             histogram.observe(value)
-        assert histogram.cumulative_counts() == [1, 2, 3, 4]
+        assert _bucket_counts(histogram) == [1, 2, 3, 4]
         assert histogram.count == 4
         assert histogram.sum == pytest.approx(55.55)
 
     def test_boundary_value_falls_in_its_le_bucket(self, registry):
         histogram = registry.histogram("repro_lat_seconds", buckets=(0.1, 1.0))
         histogram.observe(0.1)  # le="0.1" is inclusive
-        assert histogram.cumulative_counts() == [1, 1, 1]
+        assert _bucket_counts(histogram) == [1, 1, 1]
 
     def test_bucket_samples_are_cumulative_with_inf(self, registry):
         histogram = registry.histogram("repro_lat_seconds", buckets=(1.0, 2.0))
@@ -138,7 +145,7 @@ class TestHistogram:
         child = histogram.labels(stage="fit")
         child.observe(1.5)
         assert child.bounds == (1.0, 2.0)
-        assert child.cumulative_counts() == [0, 1, 1]
+        assert _bucket_counts(child) == [0, 1, 1]
 
 
 class TestRegistry:
@@ -269,4 +276,4 @@ class TestThreadSafety:
         assert histogram.count == expected
         assert histogram.sum == pytest.approx(1.5 * expected)
         # every observation landed in the (1.0, 2.0] bucket, none lost
-        assert histogram.cumulative_counts() == [0, expected, expected]
+        assert _bucket_counts(histogram) == [0, expected, expected]

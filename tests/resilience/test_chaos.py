@@ -163,7 +163,6 @@ class TestDeadLetterStore:
         store.add("c", "gap_too_long")
         assert [r.key for r in store.records()] == ["a", "b", "c"]
         assert [r.key for r in store.records(reason="outage")] == ["a", "b"]
-        assert store.reasons() == {"outage": 2, "gap_too_long": 1}
 
     def test_empty_key_or_reason_rejected(self):
         store = DeadLetterStore()

@@ -1,4 +1,4 @@
-"""Unit tests for the resilience policy toolkit (retry/deadline/breaker)."""
+"""Unit tests for the resilience policy toolkit (retry/breaker)."""
 
 import pytest
 
@@ -9,8 +9,6 @@ from repro.resilience import (
     BREAKER_OPEN,
     CircuitBreaker,
     CircuitOpen,
-    Deadline,
-    DeadlineExceeded,
     Retry,
     RetryExhausted,
     SimulatedClock,
@@ -68,35 +66,6 @@ class TestRetry:
         assert isinstance(excinfo.value.__cause__, TransientTSDBError)
         assert "failure #3" in str(excinfo.value.__cause__)
 
-    def test_decorator_form(self):
-        fn = Flaky(1)
-
-        @Retry(max_attempts=2, name="t-deco")
-        def guarded():
-            return fn()
-
-        assert guarded() == "ok"
-        assert guarded.__wrapped__ is not None
-
-    def test_attempts_iterator_form(self):
-        fn = Flaky(2)
-        retry = Retry(max_attempts=4, name="t-iter")
-        result = None
-        for attempt in retry.attempts():
-            with attempt:
-                result = fn()
-        assert result == "ok"
-        assert fn.calls == 3
-
-    def test_attempts_iterator_propagates_final_failure(self):
-        fn = Flaky(99)
-        retry = Retry(max_attempts=2, name="t-iter-fail")
-        with pytest.raises(TransientError, match="failure #2"):
-            for attempt in retry.attempts():
-                with attempt:
-                    fn()
-        assert fn.calls == 2
-
     def test_backoff_consumes_simulated_time_only(self):
         clock = SimulatedClock()
         retry = Retry(
@@ -149,71 +118,12 @@ class TestRetry:
             Retry(jitter=1.5)
 
 
-class TestDeadline:
-    def test_within_budget_passes(self):
-        clock = SimulatedClock()
-        with Deadline(10.0, clock=clock, name="d-ok"):
-            clock.advance(5.0)
-
-    def test_over_budget_raises_on_exit(self):
-        clock = SimulatedClock()
-        with pytest.raises(DeadlineExceeded):
-            with Deadline(10.0, clock=clock, name="d-over"):
-                clock.advance(11.0)
-
-    def test_inflight_exception_takes_precedence(self):
-        clock = SimulatedClock()
-        with pytest.raises(KeyError):
-            with Deadline(10.0, clock=clock, name="d-exc"):
-                clock.advance(99.0)
-                raise KeyError("boom")
-
-    def test_cooperative_check_aborts_long_loops(self):
-        clock = SimulatedClock()
-        iterations = 0
-        with pytest.raises(DeadlineExceeded):
-            with Deadline(3.0, clock=clock, name="d-check") as deadline:
-                for _ in range(100):
-                    clock.advance(1.0)
-                    deadline.check()
-                    iterations += 1
-        assert iterations == 3
-
-    def test_remaining(self):
-        clock = SimulatedClock()
-        deadline = Deadline(10.0, clock=clock, name="d-rem")
-        assert deadline.remaining() == 10.0
-        with pytest.raises(DeadlineExceeded):
-            with deadline:
-                clock.advance(4.0)
-                assert deadline.remaining() == pytest.approx(6.0)
-                clock.advance(100.0)
-                assert deadline.remaining() == 0.0
-
-    def test_decorator_gives_fresh_budget_per_call(self):
-        clock = SimulatedClock()
-
-        @Deadline(5.0, clock=clock, name="d-deco")
-        def work(seconds):
-            clock.advance(seconds)
-
-        work(4.0)
-        work(4.0)  # would exceed a shared budget; fresh one passes
-        with pytest.raises(DeadlineExceeded):
-            work(6.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Deadline(0.0)
-
-
 class TestCircuitBreaker:
     @staticmethod
     def _trip(breaker, n):
         for _ in range(n):
-            with pytest.raises(RuntimeError, match="backend down"):
-                with breaker:
-                    raise RuntimeError("backend down")
+            breaker.allow()
+            breaker.record_failure()
 
     def test_opens_after_threshold_consecutive_failures(self):
         breaker = CircuitBreaker(failure_threshold=3, name="b-open")
@@ -225,17 +135,14 @@ class TestCircuitBreaker:
     def test_open_circuit_fails_fast(self):
         breaker = CircuitBreaker(failure_threshold=1, recovery_time=30.0, name="b-fast")
         self._trip(breaker, 1)
-        calls = 0
         with pytest.raises(CircuitOpen):
-            with breaker:
-                calls += 1
-        assert calls == 0  # the protected call never ran
+            breaker.allow()
 
     def test_success_resets_consecutive_count(self):
         breaker = CircuitBreaker(failure_threshold=3, name="b-reset")
         self._trip(breaker, 2)
-        with breaker:
-            pass
+        breaker.allow()
+        breaker.record_success()
         self._trip(breaker, 2)
         assert breaker.state == BREAKER_CLOSED
 
@@ -246,8 +153,9 @@ class TestCircuitBreaker:
         )
         self._trip(breaker, 1)
         clock.advance(31.0)
-        with breaker:  # allow() promotes to half-open, success closes
-            assert breaker.state == BREAKER_HALF_OPEN
+        breaker.allow()  # promotes to half-open; the success closes
+        assert breaker.state == BREAKER_HALF_OPEN
+        breaker.record_success()
         assert breaker.state == BREAKER_CLOSED
 
     def test_half_open_probe_failure_reopens(self):
@@ -262,25 +170,6 @@ class TestCircuitBreaker:
         assert breaker.state == BREAKER_OPEN
         with pytest.raises(CircuitOpen):
             breaker.allow()
-
-    def test_decorator_form(self):
-        clock = SimulatedClock()
-        breaker = CircuitBreaker(failure_threshold=2, recovery_time=10.0, clock=clock, name="b-deco")
-        fn = Flaky(2, error=TransientTSDBError)
-
-        @breaker
-        def guarded():
-            return fn()
-
-        for _ in range(2):
-            with pytest.raises(TransientTSDBError):
-                guarded()
-        with pytest.raises(CircuitOpen):
-            guarded()
-        assert fn.calls == 2
-        clock.advance(11.0)
-        assert guarded() == "ok"
-        assert breaker.state == BREAKER_CLOSED
 
     def test_breaker_metrics_emitted(self):
         OBS.reset()

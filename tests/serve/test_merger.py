@@ -13,7 +13,6 @@ class TestSequencedMerger:
         released = merger.put(0, "a")
         assert released == [(0, "a"), (1, "b")]
         assert merger.pending == 0
-        assert merger.next_seq == 2
 
     def test_contiguous_run_released_at_once(self):
         merger = SequencedMerger()

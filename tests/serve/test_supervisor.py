@@ -286,14 +286,14 @@ class TestRowIsolation:
                 ]
                 results = await asyncio.gather(*futures, return_exceptions=True)
                 n_dead = len(service.dead_letters)
-                reasons = service.dead_letters.reasons()
+                reasons = [record.reason for record in service.dead_letters.records()]
             return results, n_dead, reasons
 
         for n_workers in (0, 2):
             results, n_dead, reasons = asyncio.run(scenario(n_workers))
             assert isinstance(results[1], RuntimeError)
             assert "dead-lettered" in str(results[1])
-            assert n_dead == 1 and reasons == {"serve_row_failure": 1}
+            assert n_dead == 1 and reasons == ["serve_row_failure"]
             _assert_bytes_match([results[0], results[2]], reference)
 
 

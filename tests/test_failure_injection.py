@@ -18,7 +18,7 @@ from repro.core import (
 )
 from repro.data import Environment, Frame, TelecomConfig, build_windows, generate_telecom
 from repro.ml import PCA, Lasso, Ridge, StandardScaler
-from repro.nn import Dense, Tensor, Trainer
+from repro.nn import Adam, Dense, Tensor, Trainer
 from repro.workflow import AlarmStore, ModelStore, TimeSeriesDB
 
 
@@ -130,7 +130,7 @@ class TestEmptyCollections:
                 return super().forward(Tensor(x)).reshape(-1)
 
         wrapped = Wrap(2, 1, rng=np.random.default_rng(0))
-        trainer = Trainer(wrapped)
+        trainer = Trainer(wrapped, Adam(wrapped.parameters()))
         with pytest.raises(ValueError):
             trainer.fit({}, np.zeros(0))
 
@@ -306,7 +306,8 @@ class TestTrainingDivergence:
     def test_nan_targets_raise_training_diverged_naming_epoch(self):
         from repro.nn import TrainingDiverged
 
-        trainer = Trainer(self._model(), max_epochs=5)
+        model = self._model()
+        trainer = Trainer(model, Adam(model.parameters()), max_epochs=5)
         x = np.random.default_rng(0).standard_normal((32, 2))
         with pytest.raises(TrainingDiverged, match="epoch 0") as excinfo:
             trainer.fit({"x": x}, np.full(32, np.nan))
@@ -315,7 +316,8 @@ class TestTrainingDivergence:
     def test_nan_validation_loss_raises_training_diverged(self):
         from repro.nn import TrainingDiverged
 
-        trainer = Trainer(self._model(), max_epochs=5)
+        model = self._model()
+        trainer = Trainer(model, Adam(model.parameters()), max_epochs=5)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((32, 2))
         y = x[:, 0]

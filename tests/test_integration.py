@@ -1,5 +1,7 @@
 """Golden-path integration tests spanning the whole library."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -102,7 +104,7 @@ class TestGoldenPath:
     def test_incremental_adaptation_end_to_end(self, corpus, trained_model):
         """A brand-new build version appears; fine-tuning adapts to it."""
         chain = corpus.chains[0]
-        new_env = chain.current.environment.with_build("Build_Z99")
+        new_env = dataclasses.replace(chain.current.environment, build="Build_Z99")
         execution = chain.current
         X, history, y = build_windows(execution.features, execution.cpu, 3)
         before = trained_model.coverage(new_env)["build"]

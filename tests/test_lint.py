@@ -12,6 +12,11 @@ and no ``except`` handler may raise a *new* exception without chaining it
 The project's own AST engine (:mod:`repro.analysis`, the REP rules)
 runs alongside either path — it has no external binary to
 be missing.
+
+A third gate keeps deleted code deleted: every public definition in
+``src`` must be referenced by name from ``src``, ``examples`` or
+``benchmarks`` (tests do not count), or carry a reasoned entry in
+:data:`UNCALLED_EXCEPTIONS`.
 """
 
 from __future__ import annotations
@@ -219,3 +224,125 @@ def test_repro_analysis_sarif_output_is_valid():
     (run,) = payload["runs"]
     assert run["tool"]["driver"]["name"] == "repro.analysis"
     assert run["results"] == []  # live tree is clean
+
+
+#: Trees whose code counts as a caller. Tests are not callers: a definition
+#: only a test reaches is dead weight the test keeps alive.
+CALLER_ROOTS = ("src", "examples", "benchmarks")
+
+#: Public src definitions kept without a production reference, each with
+#: the reason it stays.
+UNCALLED_EXCEPTIONS = {
+    "AlarmStore.acknowledge": "AlarmQuery.unacknowledged_only reads the column it sets",
+    "SimulatedClock.advance": "the test control of the policies' injectable clock",
+    "Analyzer.analyze_source": "the single-file entry the analyzer's rule tests drive",
+    "run_encoder_topology_table": "EXPERIMENTS' 'Encoder zoo vs. topology' table",
+    "render_prometheus": "the registry's Prometheus text exposition, the obs scrape format",
+}
+
+
+def _all_nodes(tree: ast.Module) -> set[int]:
+    """Ids of the nodes inside ``__all__ = [...]``: exporting is not calling."""
+    inside: set[int] = set()
+    for node in ast.walk(tree):
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else []
+        )
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            inside.update(id(child) for child in ast.walk(node))
+    return inside
+
+
+def _is_exempt(node: ast.AST) -> bool:
+    if node.name.startswith("_") or node.name.startswith("visit_"):
+        return True  # private/dunder, or NodeVisitor dispatch by name
+    for decorator in getattr(node, "decorator_list", ()):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = getattr(target, "id", getattr(target, "attr", ""))
+        if name.startswith("register_"):
+            return True  # reached through a registry, not by name
+    return False
+
+
+def uncalled_public_definitions(root: Path) -> list[str]:
+    """Public top-level functions/classes and top-level-class methods under
+    ``root/src`` whose name no file under :data:`CALLER_ROOTS` references.
+
+    A reference is a ``Name``, an ``Attribute``, an ``ImportFrom`` name or
+    an identifier string constant. ``__init__.py`` files and ``__all__``
+    lists are skipped: re-exporting a name does not call it.
+    """
+    referenced: set[str] = set()
+    definitions: list[tuple[str, str]] = []
+    for caller_root in CALLER_ROOTS:
+        for path in sorted((root / caller_root).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(), filename=str(path))
+            exported = _all_nodes(tree)
+            for node in ast.walk(tree):
+                if id(node) in exported:
+                    continue
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    referenced.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    if node.value.isidentifier():
+                        referenced.add(node.value)
+            if caller_root != "src":
+                continue
+            where = path.relative_to(root).as_posix()
+            for node in tree.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    continue
+                if not _is_exempt(node):
+                    definitions.append((node.name, f"{where}:{node.lineno} {node.name}"))
+                methods = node.body if isinstance(node, ast.ClassDef) else ()
+                for method in methods:
+                    if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_exempt(method):
+                        definitions.append(
+                            (method.name, f"{where}:{method.lineno} {node.name}.{method.name}")
+                        )
+    return [label for name, label in definitions if name not in referenced]
+
+
+def test_no_uncalled_public_definitions():
+    """No public src definition outlives its last caller in src, examples
+    or benchmarks; a kept one needs a reason in UNCALLED_EXCEPTIONS."""
+    assert len(UNCALLED_EXCEPTIONS) <= 6, "the exception list is meant to stay short"
+    uncalled = {label.split(" ", 1)[1]: label for label in uncalled_public_definitions(REPO)}
+    unexpected = [label for name, label in uncalled.items() if name not in UNCALLED_EXCEPTIONS]
+    stale = sorted(set(UNCALLED_EXCEPTIONS) - set(uncalled))
+    assert not unexpected, (
+        "public definitions nothing in src/examples/benchmarks calls "
+        "(delete them, or justify them in UNCALLED_EXCEPTIONS):\n" + "\n".join(unexpected)
+    )
+    assert not stale, f"UNCALLED_EXCEPTIONS entries that now have a caller: {stale}"
+
+
+def test_uncalled_definition_guard_can_fail(tmp_path):
+    """The collector reports an uncalled method; a benchmark reference clears
+    it, and an ``__all__`` entry alone does not."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "benchmarks").mkdir()
+    (package / "__init__.py").write_text("from .mod import Widget\n__all__ = ['Widget']\n")
+    (package / "mod.py").write_text(
+        "__all__ = ['Widget', 'spin']\n\n"
+        "class Widget:\n"
+        "    def spin(self):\n"
+        "        return 1\n\n"
+        "def build():\n"
+        "    return Widget()\n"
+    )
+    (tmp_path / "examples" / "demo.py").write_text("from pkg.mod import build\nbuild()\n")
+    assert uncalled_public_definitions(tmp_path) == ["src/pkg/mod.py:4 Widget.spin"]
+
+    (tmp_path / "benchmarks" / "bench_spin.py").write_text(
+        "from pkg.mod import build\nbuild().spin()\n"
+    )
+    assert uncalled_public_definitions(tmp_path) == []

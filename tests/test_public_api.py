@@ -12,7 +12,7 @@ import repro.workflow
 
 WORKFLOW_API = {
     # TSDB
-    "TimeSeriesDB", "Series", "Sample", "SeriesNotFound", "AmbiguousSeries",
+    "TimeSeriesDB", "Series", "SeriesNotFound", "AmbiguousSeries",
     # discovery + collection
     "ServiceDiscovery", "EMRegistry", "MetricCollector", "RU_METRIC",
     "SAMPLE_INTERVAL_SECONDS",
@@ -51,10 +51,10 @@ SERVE_API = {
 RESILIENCE_API = {
     # failure taxonomy
     "ResilienceError", "TransientError", "TransientTSDBError",
-    "CollectorOutage", "ExecutionQuarantined", "CircuitOpen",
+    "ExecutionQuarantined", "CircuitOpen",
     "DeadlineExceeded", "RetryExhausted",
     # policies
-    "Clock", "MonotonicClock", "SimulatedClock", "Retry", "Deadline",
+    "Clock", "SimulatedClock", "Retry",
     "CircuitBreaker", "BREAKER_CLOSED", "BREAKER_OPEN", "BREAKER_HALF_OPEN",
     # chaos
     "ChaosProfile", "FlakyTSDB",

@@ -157,7 +157,7 @@ class TestChaoticCampaignSurvives:
             "collector_outage", "tsdb_unavailable", "gap_too_long",
             "too_many_gaps", "all_samples_missing", "series_missing",
         }
-        assert set(campaign.dead_letters.reasons()) <= known
+        assert {record.reason for record in campaign.dead_letters.records()} <= known
         assert len(campaign.dead_letters.records(reason="collector_outage")) >= 2
 
     def test_detection_quality_within_documented_bound(self, dataset, clean, chaotic):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.data import TelecomConfig, generate_telecom
-from repro.obs import OBS
+from repro.obs import OBS, render_prometheus
 from repro.workflow import TestingCampaign, observability_summary, promql_query
 
 
@@ -100,7 +100,7 @@ class TestCampaignSelfMetrics:
             campaign.observability_tsdb
 
     def test_prometheus_exposition_of_live_registry(self, campaign):
-        text = OBS.expose()
+        text = render_prometheus(OBS.registry)
         assert "# TYPE repro_campaign_days_total counter" in text
         assert "# TYPE repro_span_duration_seconds histogram" in text
 

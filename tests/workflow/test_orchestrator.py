@@ -45,7 +45,7 @@ class TestCampaignLifecycle:
         # No model exists before the first training, so day 0 only ingests.
         _, reports = finished_campaign
         assert reports[0].alarms_raised == 0
-        assert not reports[0].any_flagged
+        assert not reports[0].flagged_environments
 
     def test_executions_per_day_match_chain_lengths(self, dataset, finished_campaign):
         _, reports = finished_campaign

