@@ -74,9 +74,11 @@ STAGE_CORPUS = dict(
 #: Timed passes over every chain's calibrate call, per tree.
 STAGE_ROUNDS = 7
 #: (stage, module, attribute path) — each wrapped where the pipeline
-#: looks it up while timing the stages.
+#: looks it up while timing the stages. A tree that lacks one of the
+#: names (older trees window per execution with ``build_windows``) skips it.
 STAGES = (
     ("windows", "workflow.prediction_pipeline", "build_windows"),
+    ("windows", "workflow.prediction_pipeline", "build_windows_multi"),
     ("encode", "core.embeddings", "EnvironmentVocabulary.encode"),
     ("scale", "core.model", "Env2VecRegressor._scale_inputs"),
     ("forward", "nn.inference", "InferenceModel.predict"),
@@ -239,7 +241,9 @@ class _StageClock:
             *outer, attr = path.split(".")
             for part in outer:
                 owner = getattr(owner, part)
-            original = owner.__dict__[attr]
+            original = owner.__dict__.get(attr)
+            if original is None:
+                continue
             self._patches.append((owner, attr, original))
             is_classmethod = isinstance(original, classmethod)
             setattr(owner, attr, self._timed(name, original, is_classmethod))
@@ -354,7 +358,7 @@ def _render_stages(stages: dict) -> str:
         f"{config['cores']} cores)",
         "  " + f"{'stage':<18}" + "".join(f"{label:>10}" for label in labels),
     ]
-    keys = [name for name, _, _ in STAGES] + ["other", "total", "calibrate_p50"]
+    keys = [*dict.fromkeys(name for name, _, _ in STAGES), "other", "total", "calibrate_p50"]
     for key in keys:
         lines.append(
             "  " + f"{key:<18}" + "".join(f"{stages[label][key + '_ms']:10.3f}" for label in labels)

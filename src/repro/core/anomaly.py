@@ -125,19 +125,13 @@ def merge_flags_into_alarms(flags: np.ndarray, deviations: np.ndarray) -> list[A
     deviations = np.asarray(deviations, dtype=np.float64)
     if flags.shape != deviations.shape:
         raise ValueError("flags and deviations must align")
-    alarms: list[Alarm] = []
-    start = None
-    for i, flagged in enumerate(flags):
-        if flagged and start is None:
-            start = i
-        elif not flagged and start is not None:
-            peak = float(np.abs(deviations[start:i]).max())
-            alarms.append(Alarm(start=start, end=i, peak_deviation=peak))
-            start = None
-    if start is not None:
-        peak = float(np.abs(deviations[start:]).max())
-        alarms.append(Alarm(start=start, end=len(flags), peak_deviation=peak))
-    return alarms
+    # A run starts where the flags rise and ends where they fall; padding
+    # with False on both sides closes runs at either edge.
+    edges = np.flatnonzero(np.diff(flags, prepend=False, append=False)).tolist()
+    return [
+        Alarm(start=start, end=end, peak_deviation=float(np.abs(deviations[start:end]).max()))
+        for start, end in zip(edges[::2], edges[1::2])
+    ]
 
 
 class ContextualAnomalyDetector:
@@ -197,7 +191,9 @@ class ContextualAnomalyDetector:
 
         Rows are grouped by timestep count and each group is scored with
         one set of reductions over a stacked ``(rows, timesteps)`` array
-        instead of ~10 tiny numpy calls per row. Every reduction runs
+        instead of ~10 tiny numpy calls per row; only rows with a flag
+        are merged into alarms, and the counters move once per group.
+        Every reduction runs
         along ``axis=1`` — each row independently — so flags, errors and
         alarms are bitwise identical to calling :meth:`detect` (or
         :meth:`detect_self_calibrated` for rows without an error model)
@@ -215,64 +211,68 @@ class ContextualAnomalyDetector:
 
         groups: dict[int, list[int]] = {}
         per_row: list[int] = []
-        rows: list[tuple[np.ndarray, np.ndarray]] = []
-        for index, (predicted, observed) in enumerate(zip(predicted_rows, observed_rows)):
-            predicted = np.asarray(predicted, dtype=np.float64)
-            observed = np.asarray(observed, dtype=np.float64)
-            if predicted.shape != observed.shape:
+        for index, (predicted, observed, model) in enumerate(
+            zip(predicted_rows, observed_rows, error_models)
+        ):
+            # Equal lengths here; a group's stacked shapes are compared below.
+            if len(predicted) != len(observed):
                 raise ValueError("predicted and observed must align")
-            rows.append((predicted, observed))
-            model = error_models[index]
             if model is None or isinstance(model, GaussianErrorModel):
                 groups.setdefault(len(predicted), []).append(index)
             else:
                 per_row.append(index)
 
-        reports: list[AnomalyReport | None] = [None] * len(rows)
+        reports: list[AnomalyReport | None] = [None] * len(predicted_rows)
         # Degenerate rows keep the exact per-row error behavior (a
         # self-calibrated fit on < 2 samples must raise), and a model
         # without a (mu, sigma) pair, such as a QuantileErrorModel, flags
         # through its own is_anomalous.
         for index in per_row + groups.pop(0, []) + groups.pop(1, []):
-            predicted, observed = rows[index]
+            predicted, observed = predicted_rows[index], observed_rows[index]
             model = error_models[index]
             if model is None:
                 reports[index] = self.detect_self_calibrated(predicted, observed)
             else:
                 reports[index] = self.detect(predicted, observed, model)
         for indices in groups.values():
-            errors = np.stack([rows[index][0] - rows[index][1] for index in indices])
+            predicted = np.array([predicted_rows[index] for index in indices], dtype=np.float64)
+            observed = np.array([observed_rows[index] for index in indices], dtype=np.float64)
+            if predicted.shape != observed.shape:
+                raise ValueError("predicted and observed must align")
+            errors = predicted - observed
+            models = [error_models[index] for index in indices]
             mu = np.empty((len(indices), 1))
             sigma = np.empty((len(indices), 1))
-            calibrate = [
-                slot for slot, index in enumerate(indices) if error_models[index] is None
-            ]
+            calibrate = [slot for slot, model in enumerate(models) if model is None]
             if calibrate:
                 own = errors[calibrate]
                 if not np.isfinite(own).all():
                     raise ValueError("errors contain NaN or infinite values")
                 mu[calibrate, 0] = own.mean(axis=1)
                 sigma[calibrate, 0] = np.maximum(own.std(axis=1, ddof=1), 1e-9)
-            for slot, index in enumerate(indices):
-                model = error_models[index]
-                if model is not None:
-                    mu[slot, 0] = model.mu
-                    sigma[slot, 0] = model.sigma
+            if len(calibrate) < len(indices):
+                given = [slot for slot, model in enumerate(models) if model is not None]
+                mu[given, 0] = [models[slot].mu for slot in given]
+                sigma[given, 0] = [models[slot].sigma for slot in given]
             flags = np.abs((errors - mu) / sigma) > self.gamma
             over_sigma = int(flags.sum())
             if self.abs_threshold > 0:
                 flags &= np.abs(errors) > self.abs_threshold
             flagged = int(flags.sum())
+            # Only rows with a flag can raise an alarm.
+            alarms = {
+                slot: merge_flags_into_alarms(flags[slot], errors[slot])
+                for slot in np.flatnonzero(flags.any(axis=1)).tolist()
+            }
             _M_DETECTIONS.inc(len(indices))
+            _M_DET_ALARMS.inc(sum(map(len, alarms.values())))
             _M_FLAGS.inc(flagged)
             _M_FILTERED.inc(over_sigma - flagged)
-            for slot, index in enumerate(indices):
-                alarms = merge_flags_into_alarms(flags[slot], errors[slot])
-                _M_DET_ALARMS.inc(len(alarms))
+            for slot, (index, row_flags, row_errors) in enumerate(zip(indices, flags, errors)):
                 reports[index] = AnomalyReport(
-                    flags=flags[slot],
-                    alarms=alarms,
-                    errors=errors[slot],
+                    flags=row_flags,
+                    alarms=alarms.get(slot, []),
+                    errors=row_errors,
                     gamma=self.gamma,
                 )
         return reports

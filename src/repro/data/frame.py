@@ -5,7 +5,7 @@ from this monitoring data, appending the relevant EM" — Table 2 shows the
 layout: contextual features (WMs + PMs), environment metadata columns, the
 RU-history lists, and the observed RU. pandas is unavailable offline, so
 :class:`Frame` provides the small slice of functionality the workflow
-needs: typed columns and row selection.
+needs: typed columns.
 """
 
 from __future__ import annotations
@@ -62,22 +62,6 @@ class Frame:
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._columns)
-
-    def row(self, index: int) -> dict:
-        """One row as a dict (scalar python values)."""
-        if not -self._length <= index < self._length:
-            raise IndexError(f"row {index} out of range for {self._length} rows")
-        return {name: column[index].item() if column[index].shape == () else column[index]
-                for name, column in self._columns.items()}
-
-    # -- selection ---------------------------------------------------------
-    def take(self, indices: np.ndarray) -> "Frame":
-        """A new frame with rows selected by integer indices or bool mask."""
-        indices = np.asarray(indices)
-        return Frame({name: column[indices] for name, column in self._columns.items()})
-
-    def head(self, n: int = 5) -> "Frame":
-        return self.take(np.arange(min(n, self._length)))
 
     # -- conversion -----------------------------------------------------------
     def to_dict(self) -> dict[str, np.ndarray]:

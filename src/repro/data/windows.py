@@ -15,6 +15,25 @@ import numpy as np
 __all__ = ["build_windows", "build_windows_multi"]
 
 
+def _checked(
+    features: np.ndarray, target: np.ndarray, n_lags: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One series as float64 arrays, or the ``ValueError`` naming its flaw."""
+    features = np.asarray(features, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if n_lags < 1:
+        raise ValueError("n_lags must be >= 1")
+    if features.ndim != 2:
+        raise ValueError(f"features must be 2-d; got shape {features.shape}")
+    if target.ndim != 1:
+        raise ValueError(f"target must be 1-d; got shape {target.shape}")
+    if len(features) != len(target):
+        raise ValueError(f"features and target disagree on length: {len(features)} vs {len(target)}")
+    if len(target) <= n_lags:
+        raise ValueError(f"series of length {len(target)} too short for n_lags={n_lags}")
+    return features, target
+
+
 def build_windows(
     features: np.ndarray, target: np.ndarray, n_lags: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -28,18 +47,7 @@ def build_windows(
       GRU consumes), and
     - ``y[i] = y_p``.
     """
-    features = np.asarray(features, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if n_lags < 1:
-        raise ValueError("n_lags must be >= 1")
-    if features.ndim != 2:
-        raise ValueError(f"features must be 2-d; got shape {features.shape}")
-    if target.ndim != 1:
-        raise ValueError(f"target must be 1-d; got shape {target.shape}")
-    if len(features) != len(target):
-        raise ValueError(f"features and target disagree on length: {len(features)} vs {len(target)}")
-    if len(target) <= n_lags:
-        raise ValueError(f"series of length {len(target)} too short for n_lags={n_lags}")
+    features, target = _checked(features, target, n_lags)
     n_out = len(target) - n_lags
     # Row i gathers exactly target[i : i + n_lags]: one vectorized copy
     # with the same bytes as stacking the per-row slices it replaces.
@@ -56,19 +64,23 @@ def build_windows_multi(
     own sequence (§5: "a non-continuous set of time series for each test
     execution"). Returns ``(X, history, y, series_ids)`` where
     ``series_ids[i]`` is the index of the source series for example i.
+
+    The bytes equal concatenating :func:`build_windows` per series, and
+    the first invalid series raises its ``ValueError``. The targets are
+    concatenated and every history row is one gather from them: series
+    ``s`` starts ``s * n_lags`` source steps after its first output row,
+    so output row r reads from ``r + series_ids[r] * n_lags``.
     """
     if not series:
         raise ValueError("need at least one series")
-    xs, hists, ys, ids = [], [], [], []
-    for index, (features, target) in enumerate(series):
-        X, history, y = build_windows(features, target, n_lags)
-        xs.append(X)
-        hists.append(history)
-        ys.append(y)
-        ids.append(np.full(len(y), index, dtype=np.int64))
+    checked = [_checked(features, target, n_lags) for features, target in series]
+    targets = np.concatenate([target for _, target in checked])
+    n_out = np.array([len(target) for _, target in checked]) - n_lags
+    series_ids = np.repeat(np.arange(len(checked), dtype=np.int64), n_out)
+    source = np.arange(len(series_ids)) + series_ids * n_lags
     return (
-        np.concatenate(xs, axis=0),
-        np.concatenate(hists, axis=0),
-        np.concatenate(ys, axis=0),
-        np.concatenate(ids, axis=0),
+        np.concatenate([features[n_lags:] for features, _ in checked], axis=0),
+        targets[source[:, None] + np.arange(n_lags)],
+        targets[source + n_lags],
+        series_ids,
     )

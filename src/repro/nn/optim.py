@@ -16,29 +16,15 @@ __all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
-    """Base optimizer holding a parameter list.
+    """Base optimizer holding a parameter list."""
 
-    ``weight_decay`` applies decoupled L2 regularization (AdamW-style for
-    Adam): weights shrink by ``lr * weight_decay * w`` each step,
-    independent of the gradient moments.
-    """
-
-    def __init__(self, parameters: Iterable[Parameter], lr: float, weight_decay: float = 0.0):
+    def __init__(self, parameters: Iterable[Parameter], lr: float):
         self.parameters = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received no parameters")
         if lr <= 0:
             raise ValueError("learning rate must be positive")
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
         self.lr = lr
-        self.weight_decay = weight_decay
-
-    def _apply_weight_decay(self) -> None:
-        if self.weight_decay:
-            for parameter in self.parameters:
-                if parameter.grad is not None:
-                    parameter.data -= self.lr * self.weight_decay * parameter.data
 
     def zero_grad(self) -> None:
         for param in self.parameters:
@@ -68,9 +54,8 @@ class Adam(Optimizer):
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ):
-        super().__init__(parameters, lr, weight_decay)
+        super().__init__(parameters, lr)
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError("betas must be in [0, 1)")
         self.beta1 = beta1
@@ -115,7 +100,6 @@ class Adam(Optimizer):
 
     def step(self) -> None:
         self._bind()
-        self._apply_weight_decay()
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count

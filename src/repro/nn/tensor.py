@@ -363,14 +363,6 @@ class Tensor:
 
         return Tensor._make(np.log(self.data), (self,), backward)
 
-    def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            _send(self, grad * sign)
-
-        return Tensor._make(np.abs(self.data), (self,), backward)
-
     # ------------------------------------------------------------------
     # Shape manipulation
     # ------------------------------------------------------------------

@@ -443,25 +443,43 @@ class Env2VecService:
         return ready
 
     def _commit_scored(self, ready, outcomes, version, n_lags, elapsed, loop) -> None:
-        """Ordered side-effect half: dead-letter errs, fan in oks, respond."""
-        ready_ok, scored_ok = [], []
+        """Ordered side-effect half: dead-letter errs, fan in oks, respond.
+
+        Each ok request gets one response, stamped with its queue time at
+        the batch's commit; the request counter moves once per batch and
+        the latency histogram sees every request.
+        """
+        ok = []
         for (pending, execution, _), outcome in zip(ready, outcomes):
             if outcome[0] == "err":
                 self._dead_letter(pending, outcome[1])
             else:
-                ready_ok.append((pending, execution))
-                scored_ok.append((outcome[1], outcome[2], outcome[3]))
+                ok.append((pending, execution, outcome[1:]))
         runs = self.pipeline.fan_in(
-            [execution for _, execution in ready_ok],
-            scored_ok,
+            [execution for _, execution, _ in ok],
+            [scored for _, _, scored in ok],
             model_version=version,
             n_lags=n_lags,
         )
         if ready:
             self.admission.record_service_time(elapsed / len(ready))
-        for (pending, execution), run in zip(ready_ok, runs):
+        now = loop.time()
+        _M_PREDICT_OK.inc(len(runs))
+        for (pending, execution, _), run in zip(ok, runs):
             self.last_good.remember(execution.environment, version, run)
-            self._respond(pending, self._ok_response(pending, version, run), loop)
+            queued = now - pending.enqueued_at
+            _H_PREDICT_LATENCY.observe(queued)
+            if not pending.future.done():
+                pending.future.set_result(
+                    PredictResponse(
+                        request_id=pending.request.request_id,
+                        status="ok",
+                        model_version=version,
+                        run=run,
+                        batch_size=pending.batch_size,
+                        queued_seconds=queued,
+                    )
+                )
 
     def _execute_batch(self, batch: list[PendingRequest]) -> None:
         """Single-loop mode: one coalesced forward on the event loop."""
@@ -546,17 +564,6 @@ class Env2VecService:
             status="skipped",
             model_version=version,
             skipped=skipped,
-            batch_size=pending.batch_size,
-        )
-
-    def _ok_response(
-        self, pending: PendingRequest, version: int, run: PipelineRun
-    ) -> PredictResponse:
-        return PredictResponse(
-            request_id=pending.request.request_id,
-            status="ok",
-            model_version=version,
-            run=run,
             batch_size=pending.batch_size,
         )
 

@@ -188,11 +188,10 @@ class MetricCollector:
             self._expected[record_id] = (float(start_time), n, len(timestamps) == n)
             if n > len(timestamps):
                 _M_GAPS.inc(n - len(timestamps))
+            call, write = self.retry.call, self.tsdb.write_array
             for column, name in enumerate(names):
-                self.retry.call(
-                    self.tsdb.write_array, name, labels, timestamps, rows[:, column]
-                )
-            self.retry.call(self.tsdb.write_array, RU_METRIC, labels, timestamps, rows[:, -1])
+                call(write, name, labels, timestamps, rows[:, column])
+            call(write, RU_METRIC, labels, timestamps, rows[:, -1])
             _M_EXECUTIONS.inc()
             _M_SERIES.inc(len(names) + 1)
             _M_SAMPLES.inc(len(timestamps) * (len(names) + 1))

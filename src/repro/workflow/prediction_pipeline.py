@@ -18,7 +18,7 @@ from ..core.anomaly import AnomalyReport, ContextualAnomalyDetector, GaussianErr
 from ..core.model import Env2VecRegressor
 from ..data.chains import BuildChain, TestExecution
 from ..data.frame import Frame
-from ..data.windows import build_windows
+from ..data.windows import build_windows, build_windows_multi
 from ..obs import get_observability
 from .alarms import AlarmStore
 from .model_store import CorruptModelError, ModelStore
@@ -312,32 +312,35 @@ class PredictionPipeline:
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Window every execution, run one coalesced forward, split back.
 
+        One :func:`build_windows_multi` gather windows the whole batch.
         Each execution's environment is encoded once and its id row
         repeated over the execution's windows, so no environment is
         hashed per window. Returns per-execution ``(predictions,
         observations)`` lists, in input order; bitwise equal to predicting
-        each execution alone.
+        each execution alone. Observations are views of each execution's
+        own ``cpu`` (float64 by construction), so a run that outlives its
+        batch, such as the serve layer's last-good answer, keeps no
+        batch-sized array alive beyond its predictions.
         """
-        windows = [
-            build_windows(execution.features, execution.cpu, model.n_lags)
-            for execution in executions
-        ]
-        env_ids = np.repeat(
-            model.vocabulary.encode([execution.environment for execution in executions]),
-            [len(y) for _, _, y in windows],
-            axis=0,
+        n_lags = model.n_lags
+        X, history, _, series_ids = build_windows_multi(
+            [(execution.features, execution.cpu) for execution in executions], n_lags
         )
+        counts = np.bincount(series_ids, minlength=len(executions))
         predicted = model._predict_encoded(
-            env_ids,
-            np.concatenate([X for X, _, _ in windows], axis=0),
-            np.concatenate([h for _, h, _ in windows], axis=0),
+            np.repeat(
+                model.vocabulary.encode([execution.environment for execution in executions]),
+                counts,
+                axis=0,
+            ),
+            X,
+            history,
         )
-        predicted_rows, observed_rows, start = [], [], 0
-        for _, _, observed in windows:
-            predicted_rows.append(predicted[start : start + len(observed)])
-            observed_rows.append(observed)
-            start += len(observed)
-        return predicted_rows, observed_rows
+        bounds = np.cumsum(counts).tolist()
+        return (
+            [predicted[start:end] for start, end in zip([0, *bounds[:-1]], bounds)],
+            [execution.cpu[n_lags:] for execution in executions],
+        )
 
     def score_with_isolation(
         self,
@@ -389,10 +392,12 @@ class PredictionPipeline:
         only here, so alarm ids, store contents, and every returned
         :class:`PipelineRun` come out exactly as a sequential loop would
         produce them — regardless of which serve worker process scored
-        which row, or in what order scoring finished.
+        which row, or in what order scoring finished. The run counters
+        move once per batch, by the batch's totals.
         """
         runs: list[PipelineRun] = []
         offset = n_lags
+        n_windows = n_alarms = 0
         for execution, (report, pred, observed) in zip(executions, scored):
             alarm_ids = [
                 self.alarms.push(
@@ -410,9 +415,8 @@ class PredictionPipeline:
                     execution.environment, threshold=self.termination_threshold
                 )
             )
-            _M_RUNS.inc()
-            _M_WINDOWS.inc(len(observed))
-            _M_ALARMS.inc(len(alarm_ids))
+            n_windows += len(observed)
+            n_alarms += len(alarm_ids)
             runs.append(
                 PipelineRun(
                     report=report,
@@ -423,6 +427,9 @@ class PredictionPipeline:
                     terminated_early=terminated,
                 )
             )
+        _M_RUNS.inc(len(runs))
+        _M_WINDOWS.inc(n_windows)
+        _M_ALARMS.inc(n_alarms)
         return runs
 
     def report(self, execution: TestExecution, run: PipelineRun, width: int = 72) -> str:

@@ -13,6 +13,29 @@ from repro.core import (
     merge_flags_into_alarms,
     score_alarms,
 )
+from repro.obs import get_observability
+from tests.strategies import DERANDOMIZED, detection_rows
+
+#: Counters the detector moves, per row or per group.
+_DETECTOR_COUNTERS = (
+    "repro_detector_detections_total",
+    "repro_detector_alarms_total",
+    "repro_detector_flagged_timesteps_total",
+    "repro_detector_filtered_timesteps_total",
+)
+
+
+def _counter_deltas(run) -> list[float]:
+    """What ``run()`` adds to the detector counters, metrics switched on."""
+    registry = get_observability().registry
+    was_enabled, registry.enabled = registry.enabled, True
+    try:
+        counters = [registry.get(name) for name in _DETECTOR_COUNTERS]
+        before = [counter.value for counter in counters]
+        run()
+        return [counter.value - b for counter, b in zip(counters, before)]
+    finally:
+        registry.enabled = was_enabled
 
 
 class TestGaussianErrorModel:
@@ -104,6 +127,29 @@ class TestAlarmMerging:
             covered[alarm.start : alarm.end] = True
         np.testing.assert_array_equal(covered, flags)
 
+    @staticmethod
+    def _merge_by_loop(flags, deviations):
+        """The step-by-step merge, kept as the reference."""
+        alarms, start = [], None
+        for i, flagged in enumerate(flags):
+            if flagged and start is None:
+                start = i
+            elif not flagged and start is not None:
+                alarms.append(Alarm(start, i, float(np.abs(deviations[start:i]).max())))
+                start = None
+        if start is not None:
+            alarms.append(Alarm(start, len(flags), float(np.abs(deviations[start:]).max())))
+        return alarms
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.floats(-100, 100)), max_size=60))
+    def test_property_equals_the_step_loop(self, steps):
+        flags = np.array([flagged for flagged, _ in steps], dtype=bool)
+        deviations = np.array([deviation for _, deviation in steps], dtype=np.float64)
+        got = merge_flags_into_alarms(flags, deviations)
+        assert got == self._merge_by_loop(flags, deviations)
+        assert all(type(alarm.start) is int and type(alarm.end) is int for alarm in got)
+
 
 class TestContextualAnomalyDetector:
     def _series(self, n=200, fault=(120, 140), magnitude=15.0, noise=1.0, seed=0):
@@ -176,6 +222,65 @@ class TestContextualAnomalyDetector:
         report = detector.detect_self_calibrated(predicted, observed)
         assert report.gamma == 2.0
         assert report.errors.shape == predicted.shape
+
+
+class TestDetectMany:
+    """Grouped detection equals per-row ``detect``/``detect_self_calibrated``."""
+
+    @staticmethod
+    def _per_row(detector, rows):
+        return [
+            detector.detect_self_calibrated(predicted, observed)
+            if model is None
+            else detector.detect(predicted, observed, model)
+            for predicted, observed, model, _ in rows
+        ]
+
+    @staticmethod
+    def _grouped(detector, rows):
+        predicted, observed, models, _ = zip(*rows)
+        return detector.detect_many(list(predicted), list(observed), list(models))
+
+    @DERANDOMIZED
+    @given(rows=detection_rows())
+    def test_equals_per_row_detection(self, rows):
+        detector = ContextualAnomalyDetector(gamma=2.0)
+        got, want = [], []
+        got_counts = _counter_deltas(lambda: got.extend(self._grouped(detector, rows)))
+        want_counts = _counter_deltas(lambda: want.extend(self._per_row(detector, rows)))
+        assert len(got) == len(want)
+        for got_report, want_report in zip(got, want):
+            assert got_report.flags.dtype == want_report.flags.dtype
+            assert got_report.flags.tobytes() == want_report.flags.tobytes()
+            assert got_report.errors.dtype == want_report.errors.dtype
+            assert got_report.errors.tobytes() == want_report.errors.tobytes()
+            assert got_report.alarms == want_report.alarms
+            assert got_report.gamma == want_report.gamma
+        assert got_counts == want_counts
+
+    def test_patterns_reach_their_alarms(self):
+        # One batch with every pattern the strategy draws, checked by hand:
+        # nothing flagged, every step flagged, and alarms on either edge.
+        observed = np.full(6, 50.0)
+        model = GaussianErrorModel(mu=0.0, sigma=1.0)
+        spiked_first, spiked_last = observed.copy(), observed.copy()
+        spiked_first[0] += 50.0
+        spiked_last[-1] -= 50.0
+        rows = [
+            (observed.copy(), observed, None, "clear"),
+            (observed + 40.0, observed, model, "all_flagged"),
+            (spiked_first, observed, model, "first_step"),
+            (spiked_last, observed, model, "last_step"),
+        ]
+        detector = ContextualAnomalyDetector(gamma=2.0)
+        clear, flagged, first, last = self._grouped(detector, rows)
+        assert clear.alarms == [] and not clear.flags.any()
+        assert flagged.alarms == [Alarm(start=0, end=6, peak_deviation=40.0)]
+        assert first.alarms == [Alarm(start=0, end=1, peak_deviation=50.0)]
+        assert last.alarms == [Alarm(start=5, end=6, peak_deviation=50.0)]
+        assert [report.alarms for report in self._per_row(detector, rows)] == [
+            clear.alarms, flagged.alarms, first.alarms, last.alarms
+        ]
 
 
 class TestAlarmScoring:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import Frame, build_windows, build_windows_multi
+from tests.strategies import DERANDOMIZED, window_series
 
 
 class TestFrame:
@@ -37,23 +38,6 @@ class TestFrame:
     def test_non_1d_rejected(self):
         with pytest.raises(ValueError):
             Frame({"x": np.zeros((2, 2))})
-
-    def test_row(self):
-        row = self._frame().row(1)
-        assert row == {"demand": 20.0, "cpu": 50.0, "build": "S01"}
-        with pytest.raises(IndexError):
-            self._frame().row(5)
-
-    def test_select_and_take(self):
-        frame = self._frame()
-        taken = frame.take(np.array([2, 0]))
-        np.testing.assert_allclose(taken["demand"], [30.0, 10.0])
-        masked = frame.take(frame["demand"] > 15)
-        assert len(masked) == 2
-
-    def test_head(self):
-        assert len(self._frame().head(2)) == 2
-        assert len(self._frame().head(99)) == 3
 
 
 class TestBuildWindows:
@@ -135,3 +119,61 @@ class TestBuildWindows:
             np.testing.assert_allclose(history[i], target[p - n_lags : p])
             assert y[i] == target[p]
             np.testing.assert_allclose(X[i], features[p])
+
+
+def _error_of(call) -> str:
+    with pytest.raises(ValueError) as raised:
+        call()
+    return str(raised.value)
+
+
+def _bad_series(kind: str, n_lags: int) -> tuple[np.ndarray, np.ndarray]:
+    """One invalid series per failure ``build_windows`` names."""
+    steps = n_lags + 3
+    return {
+        "too_short": (np.zeros((n_lags, 3)), np.zeros(n_lags)),
+        "features_not_2d": (np.zeros(steps), np.zeros(steps)),
+        "target_not_1d": (np.zeros((steps, 3)), np.zeros((steps, 1))),
+        "length_mismatch": (np.zeros((steps - 1, 3)), np.zeros(steps)),
+    }[kind]
+
+
+_BAD_KINDS = ("too_short", "features_not_2d", "target_not_1d", "length_mismatch")
+
+
+class TestBuildWindowsMulti:
+    """One gather over the batch equals windowing series one at a time."""
+
+    @DERANDOMIZED
+    @given(drawn=window_series())
+    def test_byte_equals_concatenated_build_windows(self, drawn):
+        series, n_lags = drawn
+        got = build_windows_multi(series, n_lags)
+        parts = [build_windows(features, target, n_lags) for features, target in series]
+        want = [np.concatenate(blocks, axis=0) for blocks in zip(*parts)]
+        want.append(
+            np.concatenate(
+                [np.full(len(y), index, dtype=np.int64) for index, (_, _, y) in enumerate(parts)]
+            )
+        )
+        for got_block, want_block in zip(got, want):
+            assert got_block.dtype == want_block.dtype
+            assert got_block.shape == want_block.shape
+            assert got_block.tobytes() == want_block.tobytes()
+
+    @pytest.mark.parametrize("first", _BAD_KINDS)
+    @DERANDOMIZED
+    @given(drawn=window_series(), data=st.data())
+    def test_first_bad_series_raises_its_error(self, first, drawn, data):
+        series, n_lags = drawn
+        at = data.draw(st.integers(0, len(series)))
+        later = _bad_series(data.draw(st.sampled_from(_BAD_KINDS)), n_lags)
+        bad = _bad_series(first, n_lags)
+        batch = [*series[:at], bad, *series[at:], later]
+        want = _error_of(lambda: build_windows(*bad, n_lags))
+        assert _error_of(lambda: build_windows_multi(batch, n_lags)) == want
+
+    def test_bad_n_lags_raises_before_windowing(self):
+        series = [(np.zeros((5, 1)), np.zeros(5))]
+        want = _error_of(lambda: build_windows(*series[0], 0))
+        assert _error_of(lambda: build_windows_multi(series, 0)) == want

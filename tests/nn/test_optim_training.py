@@ -194,17 +194,3 @@ class TestSerialization:
         model = Regressor(3, np.random.default_rng(1))
         size = len(save_model_bytes(model))
         assert size < 10 * 1024 * 1024
-
-
-class TestWeightDecayAndClipping:
-    def test_adam_weight_decay_decoupled(self):
-        model = QuadraticModel([4.0])
-        opt = Adam(model.parameters(), lr=0.01, weight_decay=1.0)
-        model.w.grad = np.zeros(1)
-        opt.step()
-        # Decoupled decay ignores Adam moments entirely (grad is zero).
-        assert model.w.numpy()[0] == pytest.approx(4.0 - 0.01 * 4.0)
-
-    def test_invalid_weight_decay(self):
-        with pytest.raises(ValueError):
-            Adam(list(QuadraticModel([1.0]).parameters()), weight_decay=-0.1)

@@ -28,10 +28,12 @@ __all__ = [
     "DERANDOMIZED",
     "MAX_BATCH",
     "MAX_BATCH_SIZES",
+    "detection_rows",
     "environment_pool",
     "execution_batches",
     "environment_runs",
     "scoring_rows",
+    "window_series",
 ]
 
 #: Window totals around the compiled forward's 1024-row chunk.
@@ -160,13 +162,7 @@ def scoring_rows(
         width = n_features
         if mixed_widths and rng.random() < 0.2:
             width = int(rng.choice([1, n_features - 1, n_features + 2]))
-        kind = rng.integers(3)
-        if kind == 0:
-            features = rng.standard_normal((steps, width))
-        elif kind == 1:
-            features = rng.standard_normal((steps, width)).astype(np.float32)
-        else:
-            features = rng.integers(-3, 4, (steps, width))
+        features = _features(rng, steps, width)
         environment = pool[int(rng.integers(len(pool)))]
         if rng.random() < 0.5:
             environment = _copy(environment)
@@ -182,3 +178,85 @@ def scoring_rows(
         execution = TestExecution(environment=environment, features=features, cpu=cpu)
         rows.append((execution, error_model))
     return rows
+
+
+def _features(rng: np.random.Generator, steps: int, width: int) -> np.ndarray:
+    """A feature block as float64, float32 or small ints."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return rng.standard_normal((steps, width))
+    if kind == 1:
+        return rng.standard_normal((steps, width)).astype(np.float32)
+    return rng.integers(-3, 4, (steps, width))
+
+
+@st.composite
+def window_series(draw, *, max_lags: int = 6) -> tuple[list[tuple], int]:
+    """``(series, n_lags)``: ``(features, target)`` pairs to window.
+
+    One series, a few, or a serve micro-batch's worth; every series has
+    ``n_lags + 1`` timesteps (exactly one window) or more, and all share
+    one feature width, which varies between examples. Features come as
+    float64, float32 or small ints, and a target is sometimes constant
+    or a plain list.
+    """
+    n_lags = draw(st.integers(1, max_lags))
+    n_series = draw(st.sampled_from((1, 2, 5, *MAX_BATCH_SIZES[1:])))
+    width = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    series = []
+    for _ in range(n_series):
+        steps = n_lags + 1 + int(rng.integers(0, 12) if rng.random() < 0.8 else 0)
+        kind = rng.integers(3)
+        if kind == 0:
+            target = np.full(steps, rng.uniform(10.0, 90.0))
+        elif kind == 1:
+            target = rng.uniform(10.0, 90.0, steps).tolist()
+        else:
+            target = rng.uniform(10.0, 90.0, steps)
+        series.append((_features(rng, steps, width), target))
+    return series, n_lags
+
+
+#: Row shapes :func:`detection_rows` draws, one per row.
+DETECTION_PATTERNS = ("clear", "all_flagged", "first_step", "last_step", "noisy")
+
+
+@st.composite
+def detection_rows(draw, *, max_rows: int = MAX_BATCH + 1) -> list[tuple]:
+    """``(predicted, observed, error_model, pattern)`` rows for the detector.
+
+    Rows fall into a few length groups (so grouped detection stacks
+    several rows at once) and follow one of :data:`DETECTION_PATTERNS`:
+    predictions equal to the observations (nothing flagged), every step
+    far off under a tight Gaussian model, a spike on the first or the
+    last step, or plain noise. About half the rows are self-calibrated
+    (``error_model=None``); rows with fewer than two steps always carry
+    a Gaussian model, since self-calibration needs two samples.
+    """
+    n_rows = draw(st.integers(1, max_rows))
+    lengths = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(n_rows):
+        steps = lengths[int(rng.integers(len(lengths)))]
+        pattern = DETECTION_PATTERNS[int(rng.integers(len(DETECTION_PATTERNS)))]
+        observed = rng.uniform(10.0, 90.0, steps)
+        error_model = None
+        if steps < 2 or pattern == "all_flagged" or rng.random() < 0.5:
+            error_model = GaussianErrorModel(
+                mu=float(rng.normal(0.0, 1.0)), sigma=float(rng.uniform(0.5, 3.0))
+            )
+        if pattern == "clear":
+            predicted = observed.copy()
+        elif pattern == "all_flagged":
+            predicted = observed + rng.choice([-1.0, 1.0], steps) * rng.uniform(40.0, 60.0, steps)
+        else:
+            predicted = observed + rng.normal(0.0, 1.0 if pattern != "noisy" else 8.0, steps)
+            if steps and pattern == "first_step":
+                predicted[0] += 50.0
+            elif steps and pattern == "last_step":
+                predicted[-1] -= 50.0
+        rows.append((predicted, observed, error_model, pattern))
+    return rows
+
