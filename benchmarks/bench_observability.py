@@ -27,7 +27,9 @@ import numpy as np
 from conftest import emit
 from repro.core.model import Env2VecRegressor
 from repro.data import Environment
-from repro.obs import OBS
+from repro.obs import get_observability
+
+_OBS = get_observability()
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -59,7 +61,7 @@ def _trained_engine(seed: int = 0):
 
 def run_observability_bench(repeats: int = 1000) -> dict:
     engine, batch = _trained_engine()
-    OBS.reset()
+    _OBS.reset()
 
     # The pre-instrumentation __call__, verbatim: one wrapper frame and one
     # kwargs repack around the compiled plan.
@@ -73,7 +75,7 @@ def run_observability_bench(repeats: int = 1000) -> dict:
         engine(**batch)
 
     def disabled():
-        with OBS.disabled():
+        with _OBS.disabled():
             for _ in range(repeats):
                 instrumented()
 
@@ -82,7 +84,7 @@ def run_observability_bench(repeats: int = 1000) -> dict:
         raw()
 
     # raw vs disabled vs enabled, interleaved. The disabled contender wraps
-    # its whole inner loop in OBS.disabled() so the toggle itself is not on
+    # its whole inner loop in _OBS.disabled() so the toggle itself is not on
     # the per-call clock (production flips the switch once, not per call).
     # Best-of-many: the fixed per-call overhead is deterministic, so each
     # contender's floor is its true cost; the round count mostly buys
@@ -104,11 +106,11 @@ def run_observability_bench(repeats: int = 1000) -> dict:
 
     # Span overhead: one nested-free span per call, enabled vs disabled.
     def span_enabled():
-        with OBS.span("bench.noop"):
+        with _OBS.span("bench.noop"):
             pass
 
     def span_disabled():
-        with OBS.disabled():
+        with _OBS.disabled():
             for _ in range(repeats):
                 span_enabled()
 
@@ -140,7 +142,7 @@ def run_observability_bench(repeats: int = 1000) -> dict:
             "max_enabled_overhead": MAX_ENABLED_OVERHEAD,
         },
     }
-    OBS.reset()
+    _OBS.reset()
     return results
 
 

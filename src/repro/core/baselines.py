@@ -23,7 +23,7 @@ from ..ml.base import Estimator
 from ..ml.preprocessing import StandardScaler
 from ..nn.encoders import create_encoder, validate_encoder_name
 from ..nn.init import ensure_rng
-from ..nn.inference import CompiledDense, compile_plan, register_compiler
+from ..nn.inference import CompiledDense, InferenceModel, compile_module, compile_plan, register_compiler
 from ..nn.layers import Dense, Dropout, Module
 from ..nn.optim import Adam
 from ..nn.tensor import Tensor
@@ -150,6 +150,7 @@ class _ScaledNNRegressor(Estimator):
         self.seed = seed
         self.model: Module | None = None
         self.history_: TrainingHistory | None = None
+        self._engine: InferenceModel | None = None
 
     def _build_model(self, n_features: int, rng: np.random.Generator) -> Module:
         raise NotImplementedError
@@ -189,13 +190,16 @@ class _ScaledNNRegressor(Estimator):
             rng=rng,
         )
         self.history_ = trainer.fit(inputs, targets, val_inputs, val_targets)
-        self._trainer = trainer
+        self._engine = None
         self._fitted = True
 
     def _predict(self, X, history) -> np.ndarray:
         if self.model is None:
             raise RuntimeError("model is not fitted; call fit() first")
-        scaled = self._trainer.predict(self._scale(X, history))
+        if self._engine is None:
+            # one compile per fit; every later predict reuses the engine
+            self._engine = compile_module(self.model)
+        scaled = self._engine.predict(self._scale(X, history), batch_size=self.batch_size)
         return scaled * self._y_std + self._y_mean
 
 

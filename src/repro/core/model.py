@@ -253,15 +253,6 @@ def _compile_env2vec(model: Env2VecModel):
     return forward
 
 
-def _legacy_encoder_name(hyper: dict) -> str:
-    """Encoder name for a pre-registry blob, which stored the pair
-    ``recurrent_unit`` ("gru"/"lstm") and ``use_attention`` instead."""
-    unit = hyper.get("recurrent_unit") or "gru"
-    if hyper.get("use_attention"):
-        return {"gru": "attention", "lstm": "lstm_attention"}[unit]
-    return validate_encoder_name(unit)
-
-
 class Env2VecRegressor(Estimator):
     """High-level estimator: vocabulary + scaling + training + prediction.
 
@@ -586,7 +577,6 @@ class Env2VecRegressor(Estimator):
 
         state, config = load_model_bytes(blob)
         hyper = config["hyper"]
-        encoder_name = hyper.get("encoder") or _legacy_encoder_name(hyper)
         regressor = cls(
             n_lags=hyper["n_lags"],
             embedding_dim=hyper["embedding_dim"],
@@ -594,8 +584,8 @@ class Env2VecRegressor(Estimator):
             gru_hidden=hyper["gru_hidden"],
             dropout=hyper["dropout"],
             head=hyper["head"],
-            unknown_dropout=hyper.get("unknown_dropout", 0.0),
-            encoder=encoder_name,
+            unknown_dropout=hyper["unknown_dropout"],
+            encoder=hyper["encoder"],
         )
         regressor.vocabulary = EnvironmentVocabulary.from_config(config["vocabulary"])
         with initializers.deferred_init():
@@ -608,8 +598,8 @@ class Env2VecRegressor(Estimator):
                 gru_hidden=hyper["gru_hidden"],
                 dropout=hyper["dropout"],
                 head=hyper["head"],
-                unknown_dropout=hyper.get("unknown_dropout", 0.0),
-                encoder=encoder_name,
+                unknown_dropout=hyper["unknown_dropout"],
+                encoder=hyper["encoder"],
             )
         regressor.model.load_state_dict(state)
         scaler = StandardScaler()

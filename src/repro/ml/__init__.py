@@ -7,10 +7,9 @@ and PCA utilities the evaluation relies on.
 
 from .base import Estimator, check_X, check_X_y, clone
 from .forest import PAPER_RF_MAX_DEPTHS, PAPER_RF_N_ESTIMATORS, RandomForestRegressor
-from .lasso import Lasso
 from .model_selection import ParameterGrid, ValidationGridSearch
 from .pca import PCA
-from .preprocessing import LabelEncoder, MinMaxScaler, StandardScaler
+from .preprocessing import LabelEncoder, StandardScaler
 from .ridge import PAPER_RIDGE_ALPHAS, LinearRegression, Ridge, RidgeTS
 from .svr import PAPER_SVR_ALPHAS, PAPER_SVR_EPSILONS, PAPER_SVR_KERNELS, SVR
 from .tree import DecisionTreeRegressor, TreeNode
@@ -23,7 +22,6 @@ __all__ = [
     "Ridge",
     "RidgeTS",
     "LinearRegression",
-    "Lasso",
     "PAPER_RIDGE_ALPHAS",
     "DecisionTreeRegressor",
     "TreeNode",
@@ -35,7 +33,6 @@ __all__ = [
     "PAPER_SVR_KERNELS",
     "PAPER_SVR_EPSILONS",
     "StandardScaler",
-    "MinMaxScaler",
     "LabelEncoder",
     "ParameterGrid",
     "ValidationGridSearch",

@@ -73,9 +73,3 @@ class RandomForestRegressor(Estimator):
         for tree in self.trees_:
             total += tree.predict(X)
         return total / len(self.trees_)
-
-    def feature_importances(self) -> np.ndarray:
-        """Mean impurity-based importances over the ensemble's trees."""
-        self._require_fitted()
-        stacked = np.stack([tree.feature_importances() for tree in self.trees_])
-        return stacked.mean(axis=0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["StandardScaler", "MinMaxScaler", "LabelEncoder"]
+__all__ = ["StandardScaler", "LabelEncoder"]
 
 
 class StandardScaler:
@@ -40,36 +40,6 @@ class StandardScaler:
         if X.shape[-1] != self.mean_.shape[0]:
             raise ValueError(f"expected {self.mean_.shape[0]} features, got {X.shape[-1]}")
         return (X - self.mean_) / self.scale_
-
-    def fit_transform(self, X) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-
-class MinMaxScaler:
-    """Scale features into [0, 1] per column (constant columns map to 0)."""
-
-    def __init__(self):
-        self.min_: np.ndarray | None = None
-        self.range_: np.ndarray | None = None
-
-    def fit(self, X) -> "MinMaxScaler":
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError("MinMaxScaler expects a 2-d matrix")
-        if len(X) == 0:
-            raise ValueError("cannot fit scaler on empty data")
-        self.min_ = X.min(axis=0)
-        span = X.max(axis=0) - self.min_
-        self.range_ = np.where(span > 0, span, 1.0)
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        if self.min_ is None:
-            raise RuntimeError("scaler is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        if X.shape[-1] != self.min_.shape[0]:
-            raise ValueError(f"expected {self.min_.shape[0]} features, got {X.shape[-1]}")
-        return (X - self.min_) / self.range_
 
     def fit_transform(self, X) -> np.ndarray:
         return self.fit(X).transform(X)

@@ -191,29 +191,3 @@ class DecisionTreeRegressor(Estimator):
             return 1 + max(walk(node.left), walk(node.right))
 
         return walk(self.root_)
-
-    def feature_importances(self) -> np.ndarray:
-        """Impurity-based importances: weighted variance reduction per feature.
-
-        Each split contributes ``n_node * (impurity - weighted child
-        impurity)`` to its feature; totals are normalized to sum to 1
-        (all-zero when the tree is a single leaf).
-        """
-        self._require_fitted()
-        importances = np.zeros(self.n_features_)
-
-        def walk(node: TreeNode) -> None:
-            if node.is_leaf:
-                return
-            child_impurity = (
-                node.left.n_samples * node.left.impurity
-                + node.right.n_samples * node.right.impurity
-            ) / node.n_samples
-            gain = node.n_samples * (node.impurity - child_impurity)
-            importances[node.feature] += max(gain, 0.0)
-            walk(node.left)
-            walk(node.right)
-
-        walk(self.root_)
-        total = importances.sum()
-        return importances / total if total > 0 else importances

@@ -22,18 +22,14 @@ __all__ = ["save_model_bytes", "load_model_bytes"]
 _CONFIG_KEY = "__config__"
 
 
-def save_model_bytes(model: Module, config: dict | None = None, compress: bool = False) -> bytes:
-    """Serialize a model's parameters (+ config) into npz bytes.
-
-    ``compress=True`` uses deflate (``np.savez_compressed``) — smaller
-    blobs for the HTTP model store at some CPU cost on publish.
-    """
+def save_model_bytes(model: Module, config: dict | None = None) -> bytes:
+    """Serialize a model's parameters (+ config) into uncompressed npz bytes."""
     buffer = io.BytesIO()
     arrays = {name: data for name, data in model.state_dict().items()}
     if _CONFIG_KEY in arrays:
         raise ValueError(f"parameter name {_CONFIG_KEY!r} is reserved")
     arrays[_CONFIG_KEY] = np.frombuffer(json.dumps(config or {}).encode("utf-8"), dtype=np.uint8)
-    (np.savez_compressed if compress else np.savez)(buffer, **arrays)
+    np.savez(buffer, **arrays)
     return buffer.getvalue()
 
 

@@ -104,8 +104,8 @@ class Trainer:
     The loss is always :func:`~repro.nn.losses.mse_loss`; the caller
     builds the optimizer (Adam in this repo) over the parameters to train.
 
-    ``evaluate`` and ``predict`` route through the tape-free inference
-    engine (:mod:`repro.nn.inference`) whenever the model's type has a
+    ``evaluate`` routes through the tape-free inference engine
+    (:mod:`repro.nn.inference`) whenever the model's type has a
     registered compile rule, falling back to the autograd forward under
     ``no_grad`` otherwise.
 
@@ -209,20 +209,6 @@ class Trainer:
                 total += loss.item() * len(batch_targets)
         return total / n
 
-    def predict(self, inputs: Batch) -> np.ndarray:
-        """Model predictions as a numpy array, in eval mode."""
-        n = _check_sizes(inputs, None)
-        self.model.eval()
-        engine = self._compile()
-        if engine is not None:
-            return engine.predict(inputs, batch_size=self.batch_size)
-        outputs: list[np.ndarray] = []
-        with no_grad():
-            for start in range(0, n, self.batch_size):
-                batch = {key: value[start : start + self.batch_size] for key, value in inputs.items()}
-                outputs.append(self.model(**batch).numpy())
-        return np.concatenate(outputs, axis=0)
-
 
 #: Batches per gather in ``Trainer.fit``. Gathering the whole epoch at once
 #: would copy the full training set every epoch (tens of MiB on the
@@ -247,14 +233,14 @@ def _shuffled_batches(inputs: Batch, targets: np.ndarray, order: np.ndarray, bat
             yield {key: value[start:stop] for key, value in rows.items()}, rows_targets[start:stop]
 
 
-def _check_sizes(inputs: Batch, targets: np.ndarray | None) -> int:
+def _check_sizes(inputs: Batch, targets: np.ndarray) -> int:
     if not inputs:
         raise ValueError("inputs must contain at least one array")
     sizes = {key: len(value) for key, value in inputs.items()}
     n = next(iter(sizes.values()))
     if any(size != n for size in sizes.values()):
         raise ValueError(f"input arrays disagree on length: {sizes}")
-    if targets is not None and len(targets) != n:
+    if len(targets) != n:
         raise ValueError(f"targets length {len(targets)} != inputs length {n}")
     if n == 0:
         raise ValueError("cannot train/evaluate on empty data")

@@ -35,13 +35,12 @@ from .metrics import (
     MetricSample,
     MetricsRegistry,
 )
-from .observability import OBS, Observability, get_observability
+from .observability import Observability, get_observability
 from .spans import Span, SpanTracker
 
 __all__ = [
     "Observability",
     "get_observability",
-    "OBS",
     "MetricsRegistry",
     "Counter",
     "Gauge",

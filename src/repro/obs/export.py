@@ -24,6 +24,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tsdb imports obs)
 
 __all__ = ["render_prometheus", "TSDBExporter"]
 
+#: the self-metric namespace a TSDB scrape keeps.
+SCRAPE_PREFIX = "repro_"
+
 
 def _escape_label_value(value: str) -> str:
     return value.replace("\\", "\\\\").replace("\n", "\\n").replace('"', '\\"')
@@ -69,8 +72,8 @@ class TSDBExporter:
     ``_sum`` / ``_count`` series) at the given timestamp. The TSDB
     enforces strictly increasing timestamps per series, so scrapes must
     advance the clock; :meth:`tick` does that automatically on a fixed
-    ``interval``. Pass ``prefix`` to restrict the scrape to the repo's
-    self-metric namespace (the default keeps everything ``repro_*``).
+    ``interval``. Only the repo's self-metric namespace
+    (:data:`SCRAPE_PREFIX`, ``repro_*``) is scraped.
     """
 
     def __init__(
@@ -78,8 +81,6 @@ class TSDBExporter:
         registry: MetricsRegistry,
         tsdb: "TimeSeriesDB | None" = None,
         interval: float = 15.0,
-        prefix: str = "repro_",
-        extra_labels: dict[str, str] | None = None,
     ):
         if interval <= 0:
             raise ValueError("scrape interval must be positive")
@@ -90,8 +91,6 @@ class TSDBExporter:
         self.registry = registry
         self.tsdb = tsdb
         self.interval = float(interval)
-        self.prefix = prefix
-        self.extra_labels = dict(extra_labels or {})
         self.last_scrape: float | None = None
         self._now = 0.0
 
@@ -109,12 +108,10 @@ class TSDBExporter:
             )
         written = 0
         for metric in self.registry.collect():
-            if not metric.name.startswith(self.prefix):
+            if not metric.name.startswith(SCRAPE_PREFIX):
                 continue
             for sample in metric.samples():
-                self.tsdb.write(
-                    sample.name, {**sample.labels, **self.extra_labels}, at, sample.value
-                )
+                self.tsdb.write(sample.name, sample.labels, at, sample.value)
                 written += 1
         self.last_scrape = at
         self._now = max(self._now, at)

@@ -1,7 +1,7 @@
 """The process-global :class:`Observability` object.
 
 Every instrumented module resolves its metric handles from one shared
-instance (:func:`get_observability`, or the :data:`OBS` alias) so that a
+instance (:func:`get_observability`) so that a
 single scrape sees the whole system: collector ingestion, TSDB traffic,
 pipeline latencies, campaign alarms, inference-engine cache behaviour.
 
@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, DEFAULT_BUCKETS
 from .spans import Span, SpanTracker
 
-__all__ = ["Observability", "get_observability", "OBS"]
+__all__ = ["Observability", "get_observability"]
 
 
 class Observability:
@@ -84,8 +84,6 @@ class Observability:
 
 #: The process-global instance every instrumented module shares.
 _GLOBAL = Observability()
-
-OBS = _GLOBAL
 
 
 def get_observability() -> Observability:

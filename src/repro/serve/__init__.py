@@ -11,8 +11,9 @@ a production deployment of the paper's system would actually run:
   multi-process scoring tier with heartbeat crash/stall detection,
   deterministic in-flight re-dispatch, and rolling model rollouts.
 - :class:`ServeClient` — the single client facade (``predict`` /
-  ``predict_many`` / ``scrape`` / ``alarms`` / ``health``), all typed
-  requests in, typed responses out.
+  ``predict_many`` / ``scrape`` / ``health``), all typed requests in,
+  typed responses out. Engineers read raised alarms from the service's
+  :class:`~repro.workflow.AlarmStore` (``service.alarm_store.fetch()``).
 - :mod:`~repro.serve.loadgen` — seeded bursty load generation for the
   serving benchmarks and the ``repro serve`` CLI demo.
 
@@ -26,8 +27,6 @@ rule keeps outside imports out.
 """
 
 from .api import (
-    AlarmQuery,
-    AlarmQueryResponse,
     HealthReport,
     PredictRequest,
     PredictResponse,
@@ -49,8 +48,6 @@ __all__ = [
     "PredictResponse",
     "ScrapeRequest",
     "ScrapeResponse",
-    "AlarmQuery",
-    "AlarmQueryResponse",
     "ServiceOverloaded",
     "WorkerState",
     "LoadProfile",

@@ -4,14 +4,14 @@ The single-loop service executes every coalesced forward on the event
 loop; one hung forward (or one crash) takes the whole service down. This
 module shards that work across N worker *processes*, each owning a warm
 model replica (deserialized once from :class:`~repro.workflow.ModelStore`
-blobs in the parent, inherited or unpickled by the worker, compiled
-there), under a supervisor that holds three guarantees:
+blobs in the parent, inherited by the forked worker, compiled there),
+under a supervisor that holds three guarantees:
 
 1. **No acknowledged request is ever lost.** The parent keeps every
    dispatched batch until its result message arrives; when a worker
    crashes or stalls, its in-flight batch is re-enqueued at the *front*
    of the backlog and redispatched under a fresh batch id (bounded by
-   ``max_dispatch_attempts``, after which the batch's futures fail
+   :data:`MAX_DISPATCH_ATTEMPTS`, after which the batch's futures fail
    loudly — failed, never silently dropped).
 2. **Determinism survives the process boundary.** Workers run only the
    pure half of the pipeline
@@ -87,6 +87,10 @@ from ...workflow.prediction_pipeline import PredictionPipeline
 from ..api import ServeConfig, WorkerState
 
 __all__ = ["WorkerSupervisor"]
+
+#: dispatch attempts per batch before its requests are failed (each
+#: worker crash/stall consumes one attempt for the batch it carried).
+MAX_DISPATCH_ATTEMPTS = 5
 
 #: model versions the parent and every worker keep. During a rolling
 #: publish an updated worker must still hold the version the rest of the
@@ -225,7 +229,7 @@ def _worker_main(conn, init: dict) -> None:
     deserialized them; a forked worker inherits them) and a
     store-less :class:`PredictionPipeline` used purely for
     ``score_with_isolation`` — it never touches a ModelStore, AlarmStore,
-    or TSDB, which is what keeps it byte-neutral and spawn-safe.
+    or TSDB, which is what keeps it byte-neutral.
     """
     pipeline = PredictionPipeline(
         None,  # type: ignore[arg-type] - scoring never touches the store
@@ -350,7 +354,8 @@ class WorkerSupervisor:
         self._gamma = gamma
         self._abs_threshold = abs_threshold
         self._chaos = chaos
-        self._ctx = multiprocessing.get_context(config.worker_start_method)
+        # fork: workers inherit the models the parent deserialized
+        self._ctx = multiprocessing.get_context("fork")
         self._workers: dict[int, _Worker] = {}
         self._backlog: deque[_Dispatch] = deque()
         self._next_batch_id = 0
@@ -571,7 +576,7 @@ class WorkerSupervisor:
             worker.publish_ack.set_result(-1)
         if dispatch is not None:
             dispatch.attempts += 1
-            if dispatch.attempts >= self.config.max_dispatch_attempts:
+            if dispatch.attempts >= MAX_DISPATCH_ATTEMPTS:
                 if not dispatch.future.done():
                     dispatch.future.set_exception(
                         RuntimeError(

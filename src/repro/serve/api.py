@@ -9,8 +9,6 @@ Every piece of traffic a live deployment fields maps to one request type:
 - :class:`ScrapeRequest` — ingest one execution's telemetry through the
   collector into the workload TSDB; answered with a
   :class:`ScrapeResponse` carrying the EM ``record_id``.
-- :class:`AlarmQuery` — the testing engineer's read path over the alarm
-  store; answered with an :class:`AlarmQueryResponse`.
 
 Requests are immutable and carry a caller-chosen ``request_id`` tag that
 is echoed back verbatim, so concurrent clients can correlate responses
@@ -30,7 +28,6 @@ from ..core.anomaly import GaussianErrorModel
 from ..data.chains import TestExecution
 from ..data.environment import Environment
 from ..resilience import TransientError
-from ..workflow.alarms import AlarmRecord
 from ..workflow.prediction_pipeline import PipelineRun, SkippedExecution
 
 __all__ = [
@@ -39,8 +36,6 @@ __all__ = [
     "PredictResponse",
     "ScrapeRequest",
     "ScrapeResponse",
-    "AlarmQuery",
-    "AlarmQueryResponse",
     "ServeConfig",
     "ServiceOverloaded",
     "WorkerState",
@@ -84,19 +79,11 @@ class ServeConfig:
     #: worker processes behind the supervisor; ``0`` executes batches on
     #: the event loop exactly as the single-loop service always has.
     n_workers: int = 0
-    #: multiprocessing start method for supervised workers ("fork" is
-    #: cheap on Linux and lets workers inherit the models the parent
-    #: deserialized; under "spawn" they arrive pickled, so the code is
-    #: spawn-safe).
-    worker_start_method: str = "fork"
     #: supervisor tick interval (seconds, wall clock) between liveness
     #: checks, and how long a worker may sit on one dispatched batch (or
     #: fail to answer pings while idle) before it is declared hung.
     heartbeat_interval: float = 0.05
     worker_stall_timeout: float = 2.0
-    #: dispatch attempts per batch before its requests are failed (each
-    #: worker crash/stall consumes one attempt for the batch it carried).
-    max_dispatch_attempts: int = 5
     #: degradation ladder: per-environment last-good answers kept for
     #: serving (stamped ``degraded=True``) while the TSDB breaker is open
     #: or every worker is restarting. ``0`` disables the ladder.
@@ -115,16 +102,10 @@ class ServeConfig:
             raise ValueError("breaker_recovery must be positive")
         if self.n_workers < 0:
             raise ValueError("n_workers must be >= 0")
-        if self.worker_start_method not in ("fork", "spawn", "forkserver"):
-            raise ValueError(
-                "worker_start_method must be one of 'fork', 'spawn', 'forkserver'"
-            )
         if self.heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
         if self.worker_stall_timeout <= 0:
             raise ValueError("worker_stall_timeout must be positive")
-        if self.max_dispatch_attempts < 1:
-            raise ValueError("max_dispatch_attempts must be >= 1")
         if self.last_good_capacity < 0:
             raise ValueError("last_good_capacity must be >= 0")
 
@@ -280,22 +261,3 @@ class ScrapeResponse:
     record_id: str | None = None
     detail: str = ""
     retry_after: float = 0.0
-
-
-@dataclass(frozen=True)
-class AlarmQuery:
-    """Query the alarm store (step 4's engineer-facing read path)."""
-
-    environment: object | None = None
-    testbed: str | None = None
-    build: str | None = None
-    unacknowledged_only: bool = False
-    request_id: str = ""
-
-
-@dataclass(frozen=True)
-class AlarmQueryResponse:
-    """Matching alarms, in id order."""
-
-    request_id: str
-    alarms: tuple[AlarmRecord, ...] = field(default_factory=tuple)

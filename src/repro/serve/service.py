@@ -71,8 +71,6 @@ from ._internal.admission import AdmissionController, PendingRequest
 from ._internal.batcher import MicroBatcher, SequencedMerger
 from ._internal.supervisor import WorkerSupervisor
 from .api import (
-    AlarmQuery,
-    AlarmQueryResponse,
     HealthReport,
     PredictRequest,
     PredictResponse,
@@ -620,20 +618,6 @@ class Env2VecService:
                 request_id=request.request_id, status="ok", record_id=record_id
             )
 
-    # -- alarm path ----------------------------------------------------
-
-    def query_alarms(self, query: AlarmQuery) -> AlarmQueryResponse:
-        """Engineer-facing read path over the alarm store (step 4)."""
-        with _H_LATENCY.labels(kind="alarms").time():
-            records = self.alarm_store.fetch(
-                testbed=query.testbed,
-                build=query.build,
-                environment=query.environment,
-                unacknowledged_only=query.unacknowledged_only,
-            )
-            _M_REQUESTS.labels(kind="alarms", status="ok").inc()
-            return AlarmQueryResponse(request_id=query.request_id, alarms=tuple(records))
-
 
 class ServeClient:
     """The one public handle for traffic against an :class:`Env2VecService`.
@@ -673,10 +657,6 @@ class ServeClient:
     async def scrape(self, request: ScrapeRequest) -> ScrapeResponse:
         """Ingest one execution's telemetry (breaker-gated)."""
         return self._service.scrape(request)
-
-    async def alarms(self, query: AlarmQuery) -> AlarmQueryResponse:
-        """Query raised alarms."""
-        return self._service.query_alarms(query)
 
     async def health(self) -> HealthReport:
         """Readiness + liveness probe."""

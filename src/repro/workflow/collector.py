@@ -45,6 +45,10 @@ SAMPLE_INTERVAL_SECONDS = 15 * 60
 #: Metric name under which resource utilization (the target) is stored.
 RU_METRIC = "cpu_usage"
 
+#: Largest fraction of an execution's samples read-back will impute;
+#: past it the execution is quarantined.
+MAX_MISSING_FRACTION = 0.5
+
 _OBS = get_observability()
 _M_SAMPLES = _OBS.counter(
     "repro_samples_ingested_total",
@@ -86,9 +90,10 @@ class MetricCollector:
     """Replays test executions into a TSDB with EM labels attached.
 
     ``max_gap`` bounds the longest consecutive gap (in samples) that
-    read-back will impute; ``max_missing_fraction`` bounds the total
+    read-back will impute; :data:`MAX_MISSING_FRACTION` bounds the total
     fraction of missing samples. Past either bound the execution is
-    quarantined rather than reconstructed from guesswork.
+    quarantined rather than reconstructed from guesswork. Every TSDB
+    write goes through one ``Retry(max_attempts=5)`` policy.
     """
 
     def __init__(
@@ -99,25 +104,20 @@ class MetricCollector:
         feature_names: list[str] | None = None,
         interval: float = SAMPLE_INTERVAL_SECONDS,
         chaos: ChaosProfile | None = None,
-        retry: Retry | None = None,
         max_gap: int = 5,
-        max_missing_fraction: float = 0.5,
     ):
         if interval <= 0:
             raise ValueError("interval must be positive")
         if max_gap < 1:
             raise ValueError("max_gap must be >= 1")
-        if not 0.0 < max_missing_fraction < 1.0:
-            raise ValueError("max_missing_fraction must be in (0, 1)")
         self.chaos = chaos
         self.tsdb = chaos.flaky(tsdb) if chaos is not None else tsdb
         self.registry = registry
         self.discovery = discovery
         self.feature_names = feature_names
         self.interval = interval
-        self.retry = retry if retry is not None else Retry(max_attempts=5, name="tsdb-write")
+        self.retry = Retry(max_attempts=5, name="tsdb-write")
         self.max_gap = max_gap
-        self.max_missing_fraction = max_missing_fraction
         self._next_port = 9100
         # Expected sample grid per collected execution:
         # (start_time, n, complete). ``complete`` records that sanitization
@@ -205,7 +205,7 @@ class MetricCollector:
         For executions this collector ingested, the stored samples are
         aligned against the expected grid; short gaps are imputed by
         linear interpolation, and executions whose gaps exceed ``max_gap``
-        consecutive samples (or ``max_missing_fraction`` overall) raise
+        consecutive samples (or :data:`MAX_MISSING_FRACTION` overall) raise
         :class:`~repro.resilience.ExecutionQuarantined`.
         """
         tsdb = self.tsdb
@@ -263,11 +263,11 @@ class MetricCollector:
                     "gap_too_long",
                     f"{record_id}: longest gap is {longest} samples (max_gap={self.max_gap})",
                 )
-            if n_missing / n > self.max_missing_fraction:
+            if n_missing / n > MAX_MISSING_FRACTION:
                 raise ExecutionQuarantined(
                     "too_many_gaps",
                     f"{record_id}: {n_missing}/{n} samples missing "
-                    f"(max_missing_fraction={self.max_missing_fraction})",
+                    f"(MAX_MISSING_FRACTION={MAX_MISSING_FRACTION})",
                 )
             grid = np.arange(n, dtype=np.float64)
             present = ~missing

@@ -33,6 +33,9 @@ from .model_store import ModelStore, ModelVersion
 
 __all__ = ["TrainingPipeline", "TrainingResult"]
 
+#: share of a full fit's windows held out (seeded) for early stopping.
+VAL_FRACTION = 0.1
+
 _OBS = get_observability()
 _H_RUN = _OBS.histogram(
     "repro_training_run_seconds",
@@ -79,15 +82,11 @@ class TrainingPipeline:
         self,
         store: ModelStore,
         n_lags: int = 3,
-        val_fraction: float = 0.1,
         model_params: dict | None = None,
         seed: int = 0,
     ):
-        if not 0.0 <= val_fraction < 1.0:
-            raise ValueError("val_fraction must be in [0, 1)")
         self.store = store
         self.n_lags = n_lags
-        self.val_fraction = val_fraction
         self.model_params = dict(model_params or {})
         self.seed = seed
 
@@ -110,7 +109,7 @@ class TrainingPipeline:
             model = Env2VecRegressor(n_lags=self.n_lags, seed=self.seed, **self.model_params)
             return model.fit(environments, X, history, y, val=val)
 
-        return self._run("full", usable, len(records) - len(usable), fit, self.val_fraction)
+        return self._run("full", usable, len(records) - len(usable), fit, VAL_FRACTION)
 
     def fine_tune(
         self,

@@ -101,55 +101,6 @@ class TestEveryEncoderTrains:
         )
 
 
-def test_legacy_blob_alias_keys_still_load():
-    """from_bytes resolves pre-registry hyper dicts (use_attention/recurrent_unit)."""
-    import io
-    import json
-
-    import numpy as np_
-
-    envs, X, history, y = _training_data(n=60)
-    model = Env2VecRegressor(encoder="attention", **FAST).fit(envs, X, history, y)
-    blob = model.to_bytes()
-
-    # rewrite the config to the legacy schema
-    with np_.load(io.BytesIO(blob)) as archive:
-        arrays = {key: archive[key] for key in archive.files}
-    config = json.loads(arrays["__config__"].tobytes().decode("utf-8"))
-    hyper = config["hyper"]
-    del hyper["encoder"]
-    hyper["use_attention"] = True
-    hyper["recurrent_unit"] = "gru"
-    arrays["__config__"] = np_.frombuffer(
-        json.dumps(config).encode("utf-8"), dtype=np_.uint8
-    )
-    buffer = io.BytesIO()
-    np_.savez(buffer, **arrays)
-
-    restored = Env2VecRegressor.from_bytes(buffer.getvalue())
-    assert restored.encoder == "attention"
-    np_.testing.assert_array_equal(
-        restored.predict(envs[:8], X[:8], history[:8]),
-        model.predict(envs[:8], X[:8], history[:8]),
-    )
-
-
-@pytest.mark.parametrize(
-    ("hyper", "name"),
-    [
-        ({}, "gru"),
-        ({"recurrent_unit": "lstm"}, "lstm"),
-        ({"use_attention": True}, "attention"),
-        ({"recurrent_unit": "lstm", "use_attention": True}, "lstm_attention"),
-        ({"recurrent_unit": "stacked"}, "stacked"),
-    ],
-)
-def test_legacy_hyper_keys_map_to_encoder_names(hyper, name):
-    from repro.core.model import _legacy_encoder_name
-
-    assert _legacy_encoder_name(hyper) == name
-
-
 @pytest.mark.parametrize("name", ["gru", "lstm", "bidirectional"])
 def test_rfnn_regressor_encoder_choice(name):
     rng = np.random.default_rng(1)

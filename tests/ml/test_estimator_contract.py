@@ -12,7 +12,6 @@ import pytest
 from repro.ml import (
     SVR,
     DecisionTreeRegressor,
-    Lasso,
     LinearRegression,
     RandomForestRegressor,
     Ridge,
@@ -31,7 +30,6 @@ ESTIMATORS = [
     (lambda: Ridge(alpha=0.5), {}),
     (lambda: LinearRegression(), {}),
     (lambda: RidgeTS(alpha=0.5, n_lags=2), {"history": HISTORY}),
-    (lambda: Lasso(alpha=0.01, max_iter=200), {}),
     (lambda: DecisionTreeRegressor(max_depth=4, random_state=0), {}),
     (lambda: RandomForestRegressor(n_estimators=5, max_depth=4, random_state=0), {}),
     (lambda: SVR(alpha=1.0, kernel="rbf", max_iter=20), {}),

@@ -9,7 +9,6 @@ from repro.ml import (
     PCA,
     SVR,
     LabelEncoder,
-    MinMaxScaler,
     StandardScaler,
 )
 
@@ -125,17 +124,9 @@ class TestScalers:
         Z = StandardScaler().fit_transform(X)
         np.testing.assert_allclose(Z[:, 1], 0.0)
 
-    def test_minmax_scaler_range(self):
-        X = RNG.standard_normal((100, 3)) * 10
-        Z = MinMaxScaler().fit_transform(X)
-        np.testing.assert_allclose(Z.min(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(Z.max(axis=0), 1.0, atol=1e-12)
-
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             StandardScaler().transform(np.zeros((2, 2)))
-        with pytest.raises(RuntimeError):
-            MinMaxScaler().transform(np.zeros((2, 2)))
 
     def test_feature_count_mismatch(self):
         scaler = StandardScaler().fit(RNG.standard_normal((10, 3)))

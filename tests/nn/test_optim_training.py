@@ -127,15 +127,6 @@ class TestTrainer:
         with pytest.raises(ValueError):
             trainer.fit({"x": x}, y)
 
-    def test_predict_matches_manual_forward(self):
-        x, y = _toy_regression(50)
-        model = Regressor(3, np.random.default_rng(1))
-        trainer = Trainer(model, Adam(model.parameters()), batch_size=16)
-        preds = trainer.predict({"x": x})
-        assert preds.shape == (50,)
-        model.eval()
-        np.testing.assert_allclose(preds, model(x).numpy(), atol=1e-12)
-
     def test_mismatched_lengths_rejected(self):
         model = Regressor(3, np.random.default_rng(1))
         trainer = Trainer(model, Adam(model.parameters()))

@@ -86,14 +86,6 @@ class TestTSDBExporter:
         assert exporter.tick() == 30.0
         assert exporter.last_scrape == 30.0
 
-    def test_extra_labels_are_stamped_on_every_series(self, registry):
-        exporter = TSDBExporter(
-            registry, tsdb=TimeSeriesDB(name="obs-test"), extra_labels={"job": "repro"}
-        )
-        exporter.scrape(at=1.0)
-        series = exporter.tsdb.query_one("repro_requests_total")
-        assert series.labels == {"job": "repro"}
-
     def test_invalid_interval_rejected(self, registry):
         with pytest.raises(ValueError, match="interval"):
             TSDBExporter(registry, tsdb=TimeSeriesDB(name="obs-test"), interval=0.0)

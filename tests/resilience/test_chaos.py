@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.obs import OBS
+from repro.obs import get_observability
 from repro.resilience import (
     ChaosProfile,
     DeadLetterRecord,
@@ -11,6 +11,8 @@ from repro.resilience import (
     FlakyTSDB,
     TransientTSDBError,
 )
+
+_OBS = get_observability()
 
 
 def _stream(n=200, n_series=4, seed=0):
@@ -54,13 +56,13 @@ class TestChaosProfile:
         assert 0.1 < dropped / len(timestamps) < 0.3
 
     def test_corrupt_scrape_injects_every_kind(self):
-        OBS.reset()
+        _OBS.reset()
         profile = ChaosProfile(
             seed=5, drop_rate=0.1, duplicate_rate=0.1, reorder_rate=0.1, nan_rate=0.1
         )
         timestamps, rows = _stream(n=500)
         out_t, out_rows = profile.corrupt_scrape("k", timestamps, rows)
-        injected = OBS.counter("repro_chaos_injected_total", labels=("kind",))
+        injected = _OBS.counter("repro_chaos_injected_total", labels=("kind",))
         for kind in ("drop", "duplicate", "reorder", "nan"):
             assert injected.labels(kind=kind).value > 0, kind
         assert np.isnan(out_rows).any()
@@ -172,9 +174,9 @@ class TestDeadLetterStore:
             store.add("key", "")
 
     def test_metrics_emitted_but_not_on_restore(self):
-        OBS.reset()
-        counter = OBS.counter("repro_resilience_dead_letters_total", labels=("reason",))
-        size = OBS.gauge("repro_resilience_dead_letter_size")
+        _OBS.reset()
+        counter = _OBS.counter("repro_resilience_dead_letters_total", labels=("reason",))
+        size = _OBS.gauge("repro_resilience_dead_letter_size")
         store = DeadLetterStore()
         store.add("a", "outage")
         assert counter.labels(reason="outage").value == 1

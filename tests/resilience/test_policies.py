@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import OBS
+from repro.obs import get_observability
 from repro.resilience import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -15,6 +15,8 @@ from repro.resilience import (
     TransientError,
     TransientTSDBError,
 )
+
+_OBS = get_observability()
 
 
 class Flaky:
@@ -96,13 +98,13 @@ class TestRetry:
         assert all(5.0 <= d <= 10.0 for d in delays_a)
 
     def test_retry_metrics_emitted(self):
-        OBS.reset()
+        _OBS.reset()
         retry = Retry(max_attempts=3, base_delay=1.0, jitter=0.0, name="t-metrics")
         with pytest.raises(RetryExhausted):
             retry.call(Flaky(99))
-        retries = OBS.counter("repro_resilience_retries_total", labels=("policy",))
-        giveups = OBS.counter("repro_resilience_giveups_total", labels=("policy",))
-        backoff = OBS.counter("repro_resilience_backoff_seconds_total", labels=("policy",))
+        retries = _OBS.counter("repro_resilience_retries_total", labels=("policy",))
+        giveups = _OBS.counter("repro_resilience_giveups_total", labels=("policy",))
+        backoff = _OBS.counter("repro_resilience_backoff_seconds_total", labels=("policy",))
         assert retries.labels(policy="t-metrics").value == 2
         assert giveups.labels(policy="t-metrics").value == 1
         assert backoff.labels(policy="t-metrics").value == pytest.approx(3.0)
@@ -172,14 +174,14 @@ class TestCircuitBreaker:
             breaker.allow()
 
     def test_breaker_metrics_emitted(self):
-        OBS.reset()
+        _OBS.reset()
         breaker = CircuitBreaker(failure_threshold=1, recovery_time=30.0, name="b-metrics")
         self._trip(breaker, 1)
         with pytest.raises(CircuitOpen):
             breaker.allow()
-        state = OBS.gauge("repro_resilience_breaker_state", labels=("breaker",))
-        rejected = OBS.counter("repro_resilience_breaker_rejected_total", labels=("breaker",))
-        transitions = OBS.counter(
+        state = _OBS.gauge("repro_resilience_breaker_state", labels=("breaker",))
+        rejected = _OBS.counter("repro_resilience_breaker_rejected_total", labels=("breaker",))
+        transitions = _OBS.counter(
             "repro_resilience_breaker_transitions_total", labels=("breaker", "to")
         )
         assert state.labels(breaker="b-metrics").value == 2.0  # open

@@ -19,6 +19,7 @@ from repro.data import TelecomConfig, generate_telecom
 from repro.obs import get_observability
 from repro.resilience import ChaosProfile
 from repro.serve import Env2VecService, PredictRequest, ServeConfig
+from repro.serve._internal.supervisor import MAX_DISPATCH_ATTEMPTS
 from repro.workflow import (
     AlarmStore,
     ModelStore,
@@ -191,8 +192,8 @@ class TestChaosRecovery:
         store = ModelStore()
         _train(store, dataset)
         execution = dataset.chains[0].current
-        # kill_rate=1.0: every dispatch dies; with 2 attempts the batch
-        # must fail with a clear error, never hang or vanish.
+        # kill_rate=1.0: every dispatch dies; after MAX_DISPATCH_ATTEMPTS
+        # the batch must fail with a clear error, never hang or vanish.
         chaos = ChaosProfile(seed=1, worker_kill_rate=1.0)
 
         async def scenario():
@@ -203,12 +204,13 @@ class TestChaosRecovery:
                     n_workers=1,
                     heartbeat_interval=0.02,
                     worker_stall_timeout=0.5,
-                    max_dispatch_attempts=2,
                 ),
                 chaos=chaos,
             )
             async with service:
-                with pytest.raises(RuntimeError, match="dispatch"):
+                with pytest.raises(
+                    RuntimeError, match=f"after {MAX_DISPATCH_ATTEMPTS} dispatch attempts"
+                ):
                     await service.client().predict(
                         PredictRequest(execution=execution, request_id="doomed")
                     )

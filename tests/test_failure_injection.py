@@ -17,7 +17,7 @@ from repro.core import (
     GaussianErrorModel,
 )
 from repro.data import Environment, Frame, TelecomConfig, build_windows, generate_telecom
-from repro.ml import PCA, Lasso, Ridge, StandardScaler
+from repro.ml import PCA, Ridge, StandardScaler
 from repro.nn import Adam, Dense, Tensor, Trainer
 from repro.workflow import AlarmStore, ModelStore, TimeSeriesDB
 
@@ -38,12 +38,6 @@ class TestNaNPropagation:
         y[0] = np.inf
         with pytest.raises(ValueError, match="NaN|infinite"):
             Ridge().fit(np.ones((10, 2)), y)
-
-    def test_lasso_rejects_nan(self):
-        X = np.ones((20, 2))
-        X[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            Lasso().fit(X, np.ones(20))
 
     def test_error_model_rejects_nan(self):
         with pytest.raises(ValueError):

@@ -15,8 +15,8 @@ be missing.
 
 A third gate keeps deleted code deleted: every public definition in
 ``src`` must be referenced by name from ``src``, ``examples`` or
-``benchmarks`` (tests do not count), or carry a reasoned entry in
-:data:`UNCALLED_EXCEPTIONS`.
+``benchmarks`` (tests do not count, nor does the definition's own body),
+or carry a reasoned entry in :data:`UNCALLED_EXCEPTIONS`.
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ CALLER_ROOTS = ("src", "examples", "benchmarks")
 #: Public src definitions kept without a production reference, each with
 #: the reason it stays.
 UNCALLED_EXCEPTIONS = {
-    "AlarmStore.acknowledge": "AlarmQuery.unacknowledged_only reads the column it sets",
+    "AlarmStore.acknowledge": "campaign_summary's triage count reads the column it sets",
     "SimulatedClock.advance": "the test control of the policies' injectable clock",
     "Analyzer.analyze_source": "the single-file entry the analyzer's rule tests drive",
     "run_encoder_topology_table": "EXPERIMENTS' 'Encoder zoo vs. topology' table",
@@ -264,49 +264,92 @@ def _is_exempt(node: ast.AST) -> bool:
     return False
 
 
+def _reference_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+        return node.value
+    return None
+
+
+def _scopes(where: str, tree: ast.Module):
+    """Yield ``(statement, owners)`` for the module's statements, where
+    ``owners`` are the keys of the top-level definition and top-level-class
+    method the statement sits in: a reference inside them is self-reference."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node, ()
+            continue
+        outer = f"{where}:{node.lineno}"
+        if not isinstance(node, ast.ClassDef):
+            yield node, (outer,)
+            continue
+        # the class header (bases, decorators, keywords) belongs to the class
+        for header in (*node.bases, *node.keywords, *node.decorator_list):
+            yield header, (outer,)
+        for member in node.body:
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield member, (outer, f"{where}:{member.lineno}")
+            else:
+                yield member, (outer,)
+
+
 def uncalled_public_definitions(root: Path) -> list[str]:
     """Public top-level functions/classes and top-level-class methods under
-    ``root/src`` whose name no file under :data:`CALLER_ROOTS` references.
+    ``root/src`` whose name no file under :data:`CALLER_ROOTS` references
+    from outside the definition itself.
 
     A reference is a ``Name``, an ``Attribute``, an ``ImportFrom`` name or
     an identifier string constant. ``__init__.py`` files and ``__all__``
-    lists are skipped: re-exporting a name does not call it.
+    lists are skipped: re-exporting a name does not call it. A reference
+    inside the definition's own body, its string annotations included
+    (``-> "Cls"``), does not count: recursion is not a caller.
     """
-    referenced: set[str] = set()
-    definitions: list[tuple[str, str]] = []
+    # name -> the owner keys of each place that references it
+    referenced: dict[str, set[tuple[str, ...]]] = {}
+    definitions: list[tuple[str, str, str]] = []
     for caller_root in CALLER_ROOTS:
         for path in sorted((root / caller_root).rglob("*.py")):
             if path.name == "__init__.py":
                 continue
             tree = ast.parse(path.read_text(), filename=str(path))
             exported = _all_nodes(tree)
-            for node in ast.walk(tree):
-                if id(node) in exported:
-                    continue
-                if isinstance(node, ast.Name):
-                    referenced.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    referenced.add(node.attr)
-                elif isinstance(node, ast.ImportFrom):
-                    referenced.update(alias.name for alias in node.names)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    if node.value.isidentifier():
-                        referenced.add(node.value)
+            where = path.relative_to(root).as_posix()
+            for statement, owners in _scopes(where, tree):
+                for node in ast.walk(statement):
+                    if id(node) in exported:
+                        continue
+                    if isinstance(node, ast.ImportFrom):
+                        for alias in node.names:
+                            referenced.setdefault(alias.name, set()).add(owners)
+                        continue
+                    name = _reference_name(node)
+                    if name is not None:
+                        referenced.setdefault(name, set()).add(owners)
             if caller_root != "src":
                 continue
-            where = path.relative_to(root).as_posix()
             for node in tree.body:
                 if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     continue
                 if not _is_exempt(node):
-                    definitions.append((node.name, f"{where}:{node.lineno} {node.name}"))
+                    definitions.append(
+                        (node.name, f"{where}:{node.lineno}", f"{where}:{node.lineno} {node.name}")
+                    )
                 methods = node.body if isinstance(node, ast.ClassDef) else ()
                 for method in methods:
                     if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_exempt(method):
-                        definitions.append(
-                            (method.name, f"{where}:{method.lineno} {node.name}.{method.name}")
-                        )
-    return [label for name, label in definitions if name not in referenced]
+                        definitions.append((
+                            method.name,
+                            f"{where}:{method.lineno}",
+                            f"{where}:{method.lineno} {node.name}.{method.name}",
+                        ))
+    return [
+        label
+        for name, key, label in definitions
+        if not any(key not in owners for owners in referenced.get(name, ()))
+    ]
 
 
 def test_no_uncalled_public_definitions():
@@ -325,7 +368,9 @@ def test_no_uncalled_public_definitions():
 
 def test_uncalled_definition_guard_can_fail(tmp_path):
     """The collector reports an uncalled method; a benchmark reference clears
-    it, and an ``__all__`` entry alone does not."""
+    it, and an ``__all__`` entry alone does not. A class whose only
+    reference is its own ``-> "Cls"`` annotation is reported too, until an
+    example calls it."""
     package = tmp_path / "src" / "pkg"
     package.mkdir(parents=True)
     (tmp_path / "examples").mkdir()
@@ -337,9 +382,19 @@ def test_uncalled_definition_guard_can_fail(tmp_path):
         "    def spin(self):\n"
         "        return 1\n\n"
         "def build():\n"
-        "    return Widget()\n"
+        "    return Widget()\n\n"
+        "class Gadget:\n"
+        "    def tune(self) -> \"Gadget\":\n"
+        "        return self\n"
     )
     (tmp_path / "examples" / "demo.py").write_text("from pkg.mod import build\nbuild()\n")
+    assert uncalled_public_definitions(tmp_path) == [
+        "src/pkg/mod.py:4 Widget.spin",
+        "src/pkg/mod.py:10 Gadget",
+        "src/pkg/mod.py:11 Gadget.tune",
+    ]
+
+    (tmp_path / "examples" / "tune.py").write_text("from pkg.mod import Gadget\nGadget().tune()\n")
     assert uncalled_public_definitions(tmp_path) == ["src/pkg/mod.py:4 Widget.spin"]
 
     (tmp_path / "benchmarks" / "bench_spin.py").write_text(

@@ -41,7 +41,7 @@ SERVE_API = {
     "Env2VecService", "ServeClient", "ServeConfig",
     # request/response types
     "PredictRequest", "PredictResponse", "ScrapeRequest", "ScrapeResponse",
-    "AlarmQuery", "AlarmQueryResponse", "ServiceOverloaded",
+    "ServiceOverloaded",
     # health / supervision surface
     "HealthReport", "WorkerState",
     # load generation
@@ -63,7 +63,7 @@ RESILIENCE_API = {
 }
 
 OBS_API = {
-    "Observability", "get_observability", "OBS",
+    "Observability", "get_observability",
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "HistogramTimer",
     "MetricSample",
     "DEFAULT_BUCKETS", "LATENCY_BUCKETS",

@@ -16,9 +16,11 @@ import pytest
 
 from repro.core import Alarm, AlarmScore, score_alarms
 from repro.data import TelecomConfig, generate_telecom
-from repro.obs import OBS
+from repro.obs import get_observability
 from repro.resilience import ChaosProfile
 from repro.workflow import TestingCampaign, promql_query
+
+_OBS = get_observability()
 
 pytestmark = pytest.mark.chaos
 
@@ -67,7 +69,7 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def clean(dataset):
-    OBS.reset()
+    _OBS.reset()
     campaign = TestingCampaign(model_params=dict(MODEL_PARAMS), gamma=GAMMA)
     reports = campaign.run(dataset)
     return campaign, reports
@@ -77,7 +79,7 @@ def clean(dataset):
 def chaotic(dataset, clean):
     # Reset after the clean run so every counter asserted below reflects
     # the chaotic campaign alone (cached metric handles stay valid).
-    OBS.reset()
+    _OBS.reset()
     campaign = TestingCampaign(model_params=dict(MODEL_PARAMS), gamma=GAMMA, chaos=CHAOS)
     reports = campaign.run(dataset)
     return campaign, reports
@@ -104,7 +106,7 @@ def _campaign_f1(campaign, dataset) -> tuple[float, AlarmScore]:
 
 
 def _counter(name, **labels):
-    metric = OBS.counter(name, labels=tuple(labels) if labels else ())
+    metric = _OBS.counter(name, labels=tuple(labels) if labels else ())
     return (metric.labels(**labels) if labels else metric).value
 
 

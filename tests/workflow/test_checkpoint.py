@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data import Environment, TelecomConfig, generate_telecom
-from repro.obs import OBS
+from repro.obs import get_observability
 from repro.workflow import (
     CampaignState,
     ModelStore,
@@ -18,12 +18,14 @@ from repro.workflow import (
     save_checkpoint,
 )
 
+_OBS = get_observability()
+
 MODEL_PARAMS = {"max_epochs": 8, "batch_size": 256}
 
 
 @pytest.fixture(scope="module")
 def dataset():
-    OBS.reset()
+    _OBS.reset()
     return generate_telecom(
         TelecomConfig(
             n_chains=8,
@@ -236,7 +238,7 @@ class TestCampaignResume:
                 killed.run(dataset)
         assert checkpoint_days(ckpt) == [0]
 
-        runs = OBS.counter("repro_training_runs_total", labels=("kind",))
+        runs = _OBS.counter("repro_training_runs_total", labels=("kind",))
         before = {kind: runs.labels(kind=kind).value for kind in ("full", "warm")}
         resumed = TestingCampaign(
             model_store=ModelStore(path=tmp_path / "models"),

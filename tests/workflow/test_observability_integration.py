@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 from repro.data import TelecomConfig, generate_telecom
-from repro.obs import OBS, render_prometheus
+from repro.obs import get_observability, render_prometheus
 from repro.workflow import TestingCampaign, observability_summary, promql_query
+
+_OBS = get_observability()
 
 
 @pytest.fixture(scope="module")
 def campaign():
-    OBS.reset()
+    _OBS.reset()
     dataset = generate_telecom(
         TelecomConfig(
             n_chains=8,
@@ -80,7 +82,7 @@ class TestCampaignSelfMetrics:
         assert masked.value == len(campaign.masked_environments)
 
     def test_recent_span_tree_records_the_day_pipeline(self, campaign):
-        root = OBS.recent_spans[-1]
+        root = _OBS.recent_spans[-1]
         assert root.name == "campaign.day"
         names = {span.name for _, span in root.walk()}
         assert {"campaign.retrain", "train.fit"} <= names
@@ -100,19 +102,19 @@ class TestCampaignSelfMetrics:
             campaign.observability_tsdb
 
     def test_prometheus_exposition_of_live_registry(self, campaign):
-        text = render_prometheus(OBS.registry)
+        text = render_prometheus(_OBS.registry)
         assert "# TYPE repro_campaign_days_total counter" in text
         assert "# TYPE repro_span_duration_seconds histogram" in text
 
     def test_exposition_counts_are_coherent(self, campaign):
         # The registry's current counter equals the TSDB's last scrape value.
         tsdb = campaign.observability_tsdb
-        live = OBS.registry.get("repro_campaign_days_total").value
+        live = _OBS.registry.get("repro_campaign_days_total").value
         scraped = tsdb.query_one("repro_campaign_days_total").values[-1]
         assert live == scraped
 
     def test_predictions_counter_tracks_monitoring_volume(self, campaign):
-        counter = OBS.registry.get("repro_predictions_total")
+        counter = _OBS.registry.get("repro_predictions_total")
         assert counter.value > 0
         assert counter.value == float(int(counter.value))
 

@@ -6,9 +6,11 @@ import pytest
 from repro.core import Alarm, AlarmScore, Env2VecRegressor, score_alarms
 from repro.data import TelecomConfig, generate_telecom
 from repro.data.windows import build_windows
-from repro.obs import OBS
+from repro.obs import get_observability
 from repro.resilience import ChaosProfile
 from repro.workflow import DriftMonitor, TestingCampaign, orchestrator
+
+_OBS = get_observability()
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +123,7 @@ def _days(dataset):
 
 def _run_days(campaign, days):
     """Run ``days`` one by one; also the kind of fit each day published."""
-    runs = OBS.counter("repro_training_runs_total", labels=("kind",))
+    runs = _OBS.counter("repro_training_runs_total", labels=("kind",))
     reports, kinds = [], []
     for day, executions in enumerate(days):
         before = {kind: runs.labels(kind=kind).value for kind in ("full", "warm")}
@@ -265,7 +267,7 @@ class TestWarmDivergence:
         serving = campaign.latest_model
         state = (serving.to_bytes(), campaign.model_store.latest_version)
         reports, kinds = [], []
-        runs = OBS.counter("repro_training_runs_total", labels=("kind",))
+        runs = _OBS.counter("repro_training_runs_total", labels=("kind",))
         for day in (1, 2):
             before = {kind: runs.labels(kind=kind).value for kind in ("full", "warm")}
             reports.append(campaign.run_day(day, days[day]))

@@ -125,10 +125,6 @@ class TestTrainingPipeline:
         with pytest.raises(ValueError):
             pipeline.train(records, masked_environments={env for env, _, _ in records})
 
-    def test_invalid_val_fraction(self):
-        with pytest.raises(ValueError):
-            TrainingPipeline(ModelStore(), val_fraction=1.0)
-
     def _warm(self, dataset, trained, seed, day, masked=()):
         """One warm run over the history pool, its last 5 executions new."""
         _, result = trained
