@@ -240,7 +240,10 @@ def _serve_main(argv: list[str]) -> int:
     parser.add_argument("--seed", type=int, default=7, help="corpus + arrival seed")
     parser.add_argument("--max-batch", type=int, default=32, help="micro-batch size cap")
     parser.add_argument(
-        "--max-wait", type=float, default=0.002, help="micro-batch linger seconds"
+        "--max-wait",
+        type=float,
+        default=0.002,
+        help="most seconds a micro-batch keeps topping up while requests arrive",
     )
     parser.add_argument("--depth", type=int, default=256, help="admission queue depth bound")
     parser.add_argument(

@@ -28,6 +28,9 @@ from ..nn.tensor import Tensor, apply_op
 
 __all__ = ["EnvironmentVocabulary", "EnvironmentEmbeddings"]
 
+#: Scale of the noise added to ``<unk>`` when a grown table gets new rows.
+GROWN_ROW_NOISE = 0.01
+
 
 class EnvironmentVocabulary:
     """Per-field label encoders over a training set of environments."""
@@ -240,14 +243,15 @@ class EnvironmentEmbeddings(Module):
         """
         return [self.tables[field].weight.data for field in self.vocabulary.fields]
 
-    def grow_tables(self, added: dict[str, list[str]], noise: float = 0.01) -> None:
+    def grow_tables(self, added: dict[str, list[str]]) -> None:
         """Expand the lookup tables after a vocabulary extension.
 
         For each field with ``m`` new values, ``m`` rows are inserted just
         before the unknown row (which stays last, matching the extended
         encoder's id layout). New rows start from the trained ``<unk>``
-        embedding plus small noise — the best prior for a value we know
-        nothing about — and then specialize during incremental retraining.
+        embedding plus :data:`GROWN_ROW_NOISE`-scaled noise — the best
+        prior for a value we know nothing about — and then specialize
+        during incremental retraining.
         """
         for field, new_values in added.items():
             if not new_values:
@@ -255,7 +259,7 @@ class EnvironmentEmbeddings(Module):
             table = self.tables[field]
             weights = table.weight.data
             unk_row = weights[-1]
-            fresh = unk_row + noise * self._rng.standard_normal(
+            fresh = unk_row + GROWN_ROW_NOISE * self._rng.standard_normal(
                 (len(new_values), self.embedding_dim)
             )
             table.weight.data = np.vstack([weights[:-1], fresh, unk_row[None, :]])

@@ -21,6 +21,10 @@ __all__ = ["FAULT_KINDS", "InjectedFault", "apply_fault", "inject_faults"]
 #: Supported fault kinds and how they perturb the CPU series.
 FAULT_KINDS = ("level_shift", "spike", "drift", "noise_burst")
 
+#: Injected fault intervals span this many timesteps, inclusive.
+MIN_FAULT_LENGTH = 5
+MAX_FAULT_LENGTH = 25
+
 
 @dataclass(frozen=True)
 class InjectedFault:
@@ -89,24 +93,22 @@ def inject_faults(
     n_impactful: int,
     n_harmless: int,
     magnitude_range: tuple[float, float] = (8.0, 25.0),
-    min_length: int = 5,
-    max_length: int = 25,
 ) -> tuple[np.ndarray, list[InjectedFault]]:
     """Inject a mix of impactful and harmless faults into one CPU series.
 
     Returns the perturbed series and the fault records (impactful first).
     Fault intervals may overlap, as in the paper's test scenarios.
     """
-    if min_length < 1 or max_length < min_length:
-        raise ValueError("need 1 <= min_length <= max_length")
     n = len(cpu)
-    if n <= max_length:
-        raise ValueError(f"series of length {n} too short for faults up to {max_length}")
+    if n <= MAX_FAULT_LENGTH:
+        raise ValueError(
+            f"series of length {n} too short for faults up to {MAX_FAULT_LENGTH}"
+        )
     faults: list[InjectedFault] = []
     out = np.asarray(cpu, dtype=np.float64).copy()
     for impactful, count in ((True, n_impactful), (False, n_harmless)):
         for _ in range(count):
-            length = int(rng.integers(min_length, max_length + 1))
+            length = int(rng.integers(MIN_FAULT_LENGTH, MAX_FAULT_LENGTH + 1))
             start = int(rng.integers(0, n - length))
             kind = FAULT_KINDS[rng.integers(0, len(FAULT_KINDS))]
             magnitude = float(rng.uniform(*magnitude_range))

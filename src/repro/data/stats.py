@@ -79,15 +79,15 @@ class CorpusStats:
         return "\n".join(lines)
 
 
-def corpus_stats(dataset: TelecomDataset, training_only: bool = True) -> CorpusStats:
-    """Compute coverage statistics over a corpus.
+def corpus_stats(dataset: TelecomDataset) -> CorpusStats:
+    """Compute coverage statistics over a corpus's training pool.
 
-    With ``training_only`` (the default) only historical executions count —
-    the paper's training pool; otherwise current builds are included.
+    Only historical executions count — the paper's training pool; the
+    current builds under test are left out.
     """
     executions = []
     for chain in dataset.chains:
-        executions.extend(chain.history if training_only else chain.executions)
+        executions.extend(chain.history)
     if not executions:
         raise ValueError("corpus has no executions to analyse")
 

@@ -124,17 +124,14 @@ def _train(
 
 def cf_group_holdout(
     dataset: TelecomDataset,
-    groups: dict[str, list[str]] | None = None,
     n_lags: int = DEFAULT_N_LAGS,
     fast: bool = True,
     seed: int = 0,
 ) -> HoldoutResult:
-    """Retrain with each CF group removed; report current-build MAE deltas."""
-    groups = groups if groups is not None else DEFAULT_CF_GROUPS
-    if not groups:
-        raise ValueError("need at least one CF group")
+    """Retrain with each of :data:`DEFAULT_CF_GROUPS` removed; report
+    current-build MAE deltas."""
     names = dataset.feature_names
-    for group, columns in groups.items():
+    for group, columns in DEFAULT_CF_GROUPS.items():
         unknown = set(columns) - set(names)
         if unknown:
             raise ValueError(f"group {group!r} references unknown features {sorted(unknown)}")
@@ -143,7 +140,7 @@ def cf_group_holdout(
     baseline_mae = _current_build_mae(baseline, dataset, n_lags)
 
     holdout_mae = {}
-    for group, columns in groups.items():
+    for group, columns in DEFAULT_CF_GROUPS.items():
         keep = np.array([i for i, name in enumerate(names) if name not in columns])
         model = _train(dataset, n_lags, fast, seed, keep_columns=keep)
         holdout_mae[group] = _current_build_mae(model, dataset, n_lags, keep_columns=keep)

@@ -32,10 +32,9 @@ class PairedTTestResult:
         )
 
 
-def paired_t_test(
-    scores_a, scores_b, significance: float = PAPER_SIGNIFICANCE
-) -> PairedTTestResult:
-    """Two-sided paired t-test between matched score samples.
+def paired_t_test(scores_a, scores_b) -> PairedTTestResult:
+    """Two-sided paired t-test between matched score samples, judged at
+    the paper's :data:`PAPER_SIGNIFICANCE`.
 
     A significant result with a negative ``mean_difference`` means method A
     scored lower (better, for error metrics) than method B.
@@ -46,12 +45,10 @@ def paired_t_test(
         raise ValueError("need two aligned 1-d score vectors")
     if len(scores_a) < 2:
         raise ValueError("need at least 2 paired samples")
-    if not 0 < significance < 1:
-        raise ValueError("significance must be in (0, 1)")
     statistic, p_value = stats.ttest_rel(scores_a, scores_b)
     return PairedTTestResult(
         statistic=float(statistic),
         p_value=float(p_value),
-        significant=bool(p_value < significance),
+        significant=bool(p_value < PAPER_SIGNIFICANCE),
         mean_difference=float(np.mean(scores_a - scores_b)),
     )

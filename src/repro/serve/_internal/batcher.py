@@ -3,11 +3,17 @@
 The batcher is a single background task that repeatedly (1) waits for
 the admission queue to become non-empty, (2) greedily drains whatever is
 already queued up to ``max_batch`` — shedding any request whose deadline
-already expired, (3) lingers up to ``max_wait`` seconds topping the
-batch up as more requests arrive (clamped so lingering never outlives
-the earliest queued deadline), then (4) hands the batch to the service's
-execute callback, which runs the coalesced forward and resolves each
-request's future in admission order.
+already expired, (3) tops the batch up while requests keep arriving:
+it yields one event-loop iteration and drains what came in, stopping at
+the first iteration that adds nothing, at a full batch, after
+``max_wait`` seconds, or at the earliest deadline held or queued, then
+(4) hands the batch to the service's execute callback, which runs the
+coalesced forward and resolves each request's future in admission order.
+
+The top-up never sleeps on a clock. Under load a commit wakes the
+closed-loop clients and they resubmit within the next loop iteration,
+so saturated batches still fill; at light load an idle executor gets a
+lone request on the next iteration instead of after ``max_wait``.
 
 The execute callback comes in two shapes. A plain callable runs
 synchronously on the loop (the single-process service). A coroutine
@@ -134,29 +140,26 @@ class MicroBatcher:
                 )
 
     async def _collect(self) -> list[PendingRequest]:
-        """Assemble one batch: greedy drain, then linger up to max_wait."""
+        """Assemble one batch: greedy drain, then top up while requests arrive."""
         await self._admission.wait_nonempty()
         loop = asyncio.get_running_loop()
         batch = self._admission.drain(self.max_batch, now=loop.time())
         if self.max_wait > 0 and len(batch) < self.max_batch:
             deadline = loop.time() + self.max_wait
-            # Lingering for a fuller batch must not expire what we hold:
-            # cap the linger at the earliest deadline in hand or queued.
+            # Topping up must not expire what we hold: stop at the
+            # earliest deadline in hand or queued.
             held = [p.deadline for p in batch if p.deadline is not None]
             queued = self._admission.earliest_deadline()
             for bound in (*held, *(() if queued is None else (queued,))):
                 deadline = min(deadline, bound)
-            while len(batch) < self.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    await asyncio.wait_for(self._admission.wait_nonempty(), remaining)
-                except asyncio.TimeoutError:
-                    break
-                batch.extend(
-                    self._admission.drain(self.max_batch - len(batch), now=loop.time())
+            while len(batch) < self.max_batch and loop.time() < deadline:
+                await asyncio.sleep(0)
+                arrived = self._admission.drain(
+                    self.max_batch - len(batch), now=loop.time()
                 )
+                if not arrived:
+                    break
+                batch.extend(arrived)
         return batch
 
     async def _dispatch(self, batch: list[PendingRequest]) -> None:

@@ -62,8 +62,11 @@ class ServeConfig:
     ``max_batch``/``max_wait`` trade latency for throughput: the
     micro-batcher coalesces up to ``max_batch`` queued predictions into
     one :meth:`~repro.workflow.PredictionPipeline.execute` call (one
-    coalesced forward), lingering at most ``max_wait`` seconds for the
-    batch to fill (``0`` coalesces only what is already queued).
+    coalesced forward). After draining what is queued it keeps topping
+    the batch up one event-loop iteration at a time while requests keep
+    arriving, for at most ``max_wait`` seconds; it never sleeps on a
+    timer, so an idle service scores a lone request at once (``0``
+    coalesces only what is already queued).
     ``max_queue_depth`` bounds admission; past it, requests are rejected
     with :class:`ServiceOverloaded` instead of growing the queue without
     bound.

@@ -9,9 +9,11 @@ alarm) into a long-running asyncio service with one typed request API:
   ``deadline_seconds`` budget are shed with
   :class:`~repro.resilience.DeadlineExceeded` once it lapses in queue,
 - **micro-batching** — a background drain loop coalesces queued predict
-  requests across chains into one batched forward (``max_batch`` /
-  ``max_wait`` knobs), which is safe because every compiled kernel is
-  row-wise: the numbers are byte-identical to batch
+  requests across chains into one batched forward, topping a batch up
+  only while requests keep arriving (at most ``max_batch`` requests and
+  ``max_wait`` seconds; it never idles on a timer), which is safe
+  because every compiled kernel is row-wise: the numbers are
+  byte-identical to batch
   :meth:`~repro.workflow.PredictionPipeline.execute` no matter how
   traffic happens to batch,
 - **execution** — on the event loop (``n_workers=0``), or sharded across

@@ -35,7 +35,7 @@ from ..data.chains import TestExecution
 from ..obs import get_observability
 from ..resilience import ChaosProfile, ExecutionQuarantined, Retry
 from .discovery import EMRegistry, ServiceDiscovery
-from .tsdb import TimeSeriesDB
+from .tsdb import SeriesNotFound, TimeSeriesDB
 
 __all__ = ["MetricCollector", "RU_METRIC", "SAMPLE_INTERVAL_SECONDS"]
 
@@ -202,32 +202,23 @@ class MetricCollector:
 
         This is what the prediction pipeline does in step 3: read the
         monitoring data of the running testbed back out of Prometheus.
-        For executions this collector ingested, the stored samples are
-        aligned against the expected grid; short gaps are imputed by
-        linear interpolation, and executions whose gaps exceed ``max_gap``
-        consecutive samples (or :data:`MAX_MISSING_FRACTION` overall) raise
-        :class:`~repro.resilience.ExecutionQuarantined`.
+        The stored samples are aligned against the expected grid; short
+        gaps are imputed by linear interpolation, and executions whose
+        gaps exceed ``max_gap`` consecutive samples (or
+        :data:`MAX_MISSING_FRACTION` overall) raise
+        :class:`~repro.resilience.ExecutionQuarantined`. A record id this
+        collector never ingested raises
+        :class:`~repro.workflow.tsdb.SeriesNotFound`.
         """
+        expected = self._expected.get(record_id)
+        if expected is None:
+            raise SeriesNotFound(f"{record_id}: not collected by this collector")
+        start, n, complete = expected
         tsdb = self.tsdb
         labels = {"env": record_id}
         names = self.feature_names or sorted(
             metric for metric in tsdb.metrics() if metric != RU_METRIC
         )
-        expected = self._expected.get(record_id)
-        if expected is None:
-            # Legacy exact path: series ingested by other means must align.
-            _, cpu = tsdb.query_one(RU_METRIC, labels).as_arrays()
-            columns = []
-            for name in names:
-                _, values = tsdb.query_one(name, labels).as_arrays()
-                if len(values) != len(cpu):
-                    raise ValueError(
-                        f"metric {name} has {len(values)} samples but RU has {len(cpu)}"
-                    )
-                columns.append(values)
-            return np.stack(columns, axis=1), cpu
-
-        start, n, complete = expected
         if complete:
             # Sanitization delivered every expected row, so the stored
             # series *is* the grid — reconstruct exactly, no alignment.

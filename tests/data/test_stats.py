@@ -40,12 +40,11 @@ class TestCorpusStats:
         )
 
     def test_training_only_excludes_currents(self, dataset):
-        training = corpus_stats(dataset, training_only=True)
-        everything = corpus_stats(dataset, training_only=False)
-        assert everything.n_executions > training.n_executions
+        training = corpus_stats(dataset)
+        assert training.n_executions < sum(len(chain) for chain in dataset.chains)
         # All injected problems live in current builds.
+        assert dataset.focus_indices
         assert training.n_problem_executions == 0
-        assert everything.n_problem_executions == len(dataset.focus_indices)
 
     def test_rare_testbed_is_thinnest(self, dataset):
         stats = corpus_stats(dataset)
@@ -100,4 +99,4 @@ class TestCorpusStats:
         )
         # One-execution chains have no history -> empty training pool.
         with pytest.raises(ValueError):
-            corpus_stats(dataset, training_only=True)
+            corpus_stats(dataset)

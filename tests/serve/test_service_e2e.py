@@ -243,6 +243,33 @@ class TestTSDBOutage:
         assert response.skipped.reason == "tsdb_circuit_open"
 
 
+class TestRecordIdRequests:
+    def test_never_collected_record_id_is_a_series_missing_skip(self, dataset):
+        store = ModelStore()
+        _train(store, dataset)
+        collector = MetricCollector(
+            TimeSeriesDB(name="serve-workload"), EMRegistry(), feature_names=FEATURE_NAMES
+        )
+        service = Env2VecService(store, collector=collector)
+        execution = dataset.chains[0].current
+        record_id = service.scrape(ScrapeRequest(execution=execution)).record_id
+
+        async def scenario():
+            async with service:
+                return await service.client().predict_many(
+                    [
+                        PredictRequest(record_id=rid, environment=execution.environment)
+                        for rid in ("em-999999", record_id)
+                    ]
+                )
+
+        missing, collected = asyncio.run(scenario())
+        assert missing.status == "skipped"
+        assert missing.skipped.reason == "series_missing"
+        assert "em-999999" in missing.skipped.detail
+        assert collected.status == "ok"
+
+
 class TestRetrainMidTraffic:
     def test_first_post_retrain_request_pays_no_cold_compile(self, dataset):
         store = ModelStore()

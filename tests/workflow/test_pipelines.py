@@ -15,6 +15,7 @@ from repro.workflow import (
     ModelStore,
     PredictBatch,
     PredictionPipeline,
+    SeriesNotFound,
     ServiceDiscovery,
     TimeSeriesDB,
     TrainingPipeline,
@@ -67,6 +68,17 @@ class TestMetricCollector:
         features, cpu = collector.read_back(record_id)
         np.testing.assert_allclose(features, execution.features)
         np.testing.assert_allclose(cpu, execution.cpu)
+
+    def test_read_back_of_uncollected_record_raises_series_not_found(self, dataset):
+        db = TimeSeriesDB()
+        ingested = MetricCollector(db, EMRegistry(), feature_names=FEATURE_NAMES)
+        record_id = ingested.collect(dataset.chains[0].current)
+        other = MetricCollector(db, EMRegistry(), feature_names=FEATURE_NAMES)
+        # Neither a record id nobody wrote nor series another collector
+        # wrote into the same TSDB can be read back without its grid.
+        for unknown in ("em-999999", record_id):
+            with pytest.raises(SeriesNotFound):
+                other.read_back(unknown)
 
     def test_series_labelled_with_em_record(self, dataset):
         db = TimeSeriesDB()
