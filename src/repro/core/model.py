@@ -47,9 +47,10 @@ from ..nn.inference import (
     snapshot,
 )
 from ..nn.layers import Dense, Dropout, Module
+from ..nn.losses import mse_grad
 from ..nn.optim import Adam
 from ..nn.tensor import Tensor, apply_op, is_grad_enabled, no_grad
-from ..nn.training import EarlyStopping, Trainer, TrainingHistory
+from ..nn.training import EarlyStopping, Trainer, TrainingHistory, run_epochs
 from .embeddings import EnvironmentEmbeddings, EnvironmentVocabulary
 
 __all__ = ["Env2VecModel", "Env2VecRegressor", "PREDICTION_HEADS"]
@@ -137,15 +138,19 @@ class Env2VecModel(Module):
             raise ValueError(f"expected {self.n_features} contextual features, got {cf.shape[1]}")
         if history.shape[1] != self.n_lags:
             raise ValueError(f"expected history window of {self.n_lags}, got {history.shape[1]}")
-        dropout = self.fnn_dropout
-        mask = None
-        if dropout.training and dropout.rate > 0.0 and is_grad_enabled():
-            mask = ops.dropout_mask((len(cf), self.fnn.out_features), dropout.rate, dropout.rng)
+        mask = self._dropout_mask(len(cf)) if is_grad_enabled() else None
         v_ts = self.encoder(Tensor(history[:, :, None]))
         return self._body(cf, mask, v_ts, env)
 
+    def _dropout_mask(self, n: int) -> np.ndarray | None:
+        """The FNN dropout multiplier for ``n`` rows in training mode, else None."""
+        dropout = self.fnn_dropout
+        if dropout.training and dropout.rate > 0.0:
+            return ops.dropout_mask((n, self.fnn.out_features), dropout.rate, dropout.rng)
+        return None
+
     def _body(self, cf: np.ndarray, mask: np.ndarray | None, v_ts: Tensor, env: np.ndarray) -> Tensor:
-        """FNN → dropout → concat → combine → embeddings → head as one tape node.
+        """FNN → dropout → concat → :meth:`_head` as one tape node.
 
         The arithmetic is the per-layer tape's, operation for operation
         (``ops`` kernels, the head's ``(v * C).sum(axis=1)``), so outputs
@@ -153,28 +158,54 @@ class Env2VecModel(Module):
         the backward reads are fresh arrays; its temporaries are
         per-thread scratch, and it never forms the gradient of ``cf``.
         """
-        fnn, combine, embeddings, head = self.fnn, self.combine, self.embeddings, self.head
-        c, ids = embeddings.lookup(env)
+        fnn = self.fnn
         a, fnn_cache = ops.dense_forward(cf, fnn.weight.data, fnn.bias.data, fnn.activation_name)
+        y, head_backward = self._head(_concat_branches(v_ts.data, a, mask), env)
         width = v_ts.shape[1]
-        v_s = np.empty((len(cf), width + a.shape[1]))
-        v_s[:, :width] = v_ts.data
-        if mask is None:
-            v_s[:, width:] = a
+
+        def backward(grad: np.ndarray) -> list:
+            d_v_s, head_grads = head_backward(grad)
+            d_a = d_v_s[:, width:]
+            if mask is not None:
+                (d_a,) = ops.dropout_backward(d_a, {"mask": mask})
+            _, d_w_fnn, d_b_fnn = ops.dense_backward(d_a, fnn_cache, input_grad=False)
+            return [d_v_s[:, :width], d_w_fnn, d_b_fnn, *head_grads]
+
+        return apply_op((v_ts, fnn.weight, fnn.bias, *self.head_side_parameters()), y, backward)
+
+    def head_side_parameters(self) -> list:
+        """Everything after the encoder and FNN, in :meth:`_head`'s gradient
+        order: combine, the embedding tables (field order), the head's own."""
+        combine, embeddings = self.combine, self.embeddings
+        tables = [embeddings.tables[field].weight for field in embeddings.vocabulary.fields]
+        if self.head == "bilinear":
+            head_params = [self.bilinear]
+        elif self.head == "mlp":
+            hidden, out = self.head_hidden, self.head_out
+            head_params = [hidden.weight, hidden.bias, out.weight, out.bias]
         else:
-            np.multiply(a, mask, out=v_s[:, width:])
+            head_params = []
+        return [combine.weight, combine.bias, *tables, *head_params]
+
+    def _head(self, v_s: np.ndarray, env: np.ndarray):
+        """combine → embeddings → head over ``v_s = [v_ts, v_fs]``.
+
+        Returns ``(y, backward)``. ``backward(grad, input_grad=True)``
+        returns ``(d_v_s, grads)``, ``grads`` aligned with
+        :meth:`head_side_parameters`; ``d_v_s`` is None unless
+        ``input_grad``. The ``<unk>`` draw happens here, in the forward.
+        """
+        combine, embeddings, head = self.combine, self.embeddings, self.head
+        c, ids = embeddings.lookup(env)
         v_d, combine_cache = ops.dense_forward(v_s, combine.weight.data, combine.bias.data)
-        head_params: tuple = ()
         if head == "hadamard":
             y = np.multiply(v_d, c, out=ops._scratch("head_product", *c.shape)).sum(axis=1)
         elif head == "bilinear":
-            head_params = (self.bilinear,)
             r = self.bilinear.data
             projected = v_d @ r
             y = np.multiply(projected, c, out=ops._scratch("head_product", *c.shape)).sum(axis=1)
         else:
             hidden, out = self.head_hidden, self.head_out
-            head_params = (hidden.weight, hidden.bias, out.weight, out.bias)
             h, hidden_cache = ops.dense_forward(
                 np.concatenate([v_d, c], axis=1), hidden.weight.data, hidden.bias.data,
                 hidden.activation_name,
@@ -182,7 +213,7 @@ class Env2VecModel(Module):
             o, out_cache = ops.dense_forward(h, out.weight.data, out.bias.data)
             y = o.reshape(-1)
 
-        def backward(grad: np.ndarray) -> list:
+        def backward(grad: np.ndarray, input_grad: bool = True) -> tuple:
             if head == "hadamard":
                 d_v_d, d_c = ops.hadamard_head_backward(grad, v_d, c)
                 head_grads = ()
@@ -194,19 +225,44 @@ class Env2VecModel(Module):
                 d_merged, d_w_hidden, d_b_hidden = ops.dense_backward(d_h, hidden_cache)
                 d_v_d, d_c = d_merged[:, : c.shape[1]], d_merged[:, c.shape[1] :]
                 head_grads = (d_w_hidden, d_b_hidden, d_w_out, d_b_out)
-            d_v_s, d_w_combine, d_b_combine = ops.dense_backward(d_v_d, combine_cache)
-            d_a = d_v_s[:, width:]
-            if mask is not None:
-                (d_a,) = ops.dropout_backward(d_a, {"mask": mask})
-            _, d_w_fnn, d_b_fnn = ops.dense_backward(d_a, fnn_cache, input_grad=False)
-            return [
-                d_v_s[:, :width], d_w_fnn, d_b_fnn, d_w_combine, d_b_combine,
-                *embeddings.table_grads(d_c, ids), *head_grads,
-            ]
+            d_v_s, d_w_combine, d_b_combine = ops.dense_backward(
+                d_v_d, combine_cache, input_grad=input_grad
+            )
+            return d_v_s, [d_w_combine, d_b_combine, *embeddings.table_grads(d_c, ids), *head_grads]
 
-        tables = [embeddings.tables[field].weight for field in embeddings.vocabulary.fields]
-        parents = (v_ts, fnn.weight, fnn.bias, combine.weight, combine.bias, *tables, *head_params)
-        return apply_op(parents, y, backward)
+        return y, backward
+
+    def _frozen_branches(self, cf: np.ndarray, history: np.ndarray):
+        """The FNN activation and the encoder output of every row.
+
+        The compiled plans (bitwise the autograd forward) run in balanced
+        row blocks of at most ``ops._CACHED_ROWS``, each of at least two
+        rows unless ``cf`` has one, into two preallocated arrays: one
+        forward over the whole set would hold the encoder's every
+        intermediate at once.
+        """
+        n = len(cf)
+        fnn, encoder = CompiledDense(self.fnn), compile_plan(self.encoder)
+        a = np.empty((n, self.fnn.out_features))
+        v_ts = np.empty((n, self.encoder.output_dim))
+        blocks = max(1, -(-n // ops._CACHED_ROWS))
+        bounds = [n * i // blocks for i in range(blocks + 1)]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            a[start:stop] = fnn(cf[start:stop])
+            v_ts[start:stop] = encoder(history[start:stop, :, None])
+        return a, v_ts
+
+
+def _concat_branches(v_ts: np.ndarray, a: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """``v_s = [v_ts, a ⊙ mask]`` as one fresh array."""
+    width = v_ts.shape[1]
+    v_s = np.empty((len(a), width + a.shape[1]))
+    v_s[:, :width] = v_ts
+    if mask is None:
+        v_s[:, width:] = a
+    else:
+        np.multiply(a, mask, out=v_s[:, width:])
+    return v_s
 
 
 @register_compiler(Env2VecModel)
@@ -327,7 +383,7 @@ class Env2VecRegressor(Estimator):
         return X, history, y
 
     def _train(self, environments, X, history, y, *, parameters, lr, batch_size, epochs, rng, val=None):
-        """The one training path behind ``fit`` and ``fine_tune``.
+        """``fit``'s training path (``fine_tune`` trains over cached branches).
 
         Scales inputs and targets with the fitted scalers and runs MSE +
         Adam over ``parameters``, early-stopping on ``val`` when given.
@@ -485,17 +541,30 @@ class Env2VecRegressor(Estimator):
         resolved by retraining Env2Vec incrementally with the new data from
         the environment." This grows the vocabulary and embedding tables
         for any new EM values (new rows start at the trained ``<unk>``
-        embedding) and continues optimization on the new examples with a
-        reduced learning rate. Feature/target scaling is kept from the
-        original fit so old and new data remain comparable.
+        embedding) and continues optimization on the new examples.
+        Feature/target scaling is kept from the original fit so old and
+        new data remain comparable. ``lr`` defaults to 0.3 × the fit's
+        rate; the training pipeline's warm days pass the fit's own.
 
-        With ``adapt_embeddings_only`` (the default) only the embedding
-        tables receive updates: the FNN/GRU backbone already models the
-        shared physics, and freezing it prevents a narrow batch of
-        new-environment data from catastrophically shifting predictions for
-        every other environment. Pass ``False`` for a full-parameter update
-        (then the data should include replay examples from old
-        environments).
+        The two feature branches, the sequence encoder and the FNN, stay
+        frozen either way: they already model the shared physics, and
+        freezing them keeps a narrow batch of new-environment data from
+        shifting predictions for every other environment. What trains:
+
+        - ``adapt_embeddings_only=True`` (the default): the embedding
+          tables only;
+        - ``False``: everything after the two branches, i.e. the combine
+          layer, the tables and the head's own parameters (``R`` for the
+          bilinear head, both layers of the ``mlp`` head). The data
+          should then include replay examples from old environments.
+
+        The branch outputs are computed once, by the compiled plans, and
+        each step runs only :meth:`Env2VecModel._head` and its hand-written
+        backward, with no tape. Every step is bitwise the autograd step
+        over the same parameters: the FNN dropout mask is drawn on the
+        cached activation, then the ``<unk>`` masks, as the model's
+        forward draws them; ``history_`` and :class:`TrainingDiverged`
+        follow ``Trainer.fit``.
 
         Every random draw (shuffling, dropout, ``<unk>``-dropout and the
         new rows' noise) comes from one generator seeded by ``seed + 1``,
@@ -508,21 +577,46 @@ class Env2VecRegressor(Estimator):
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
         X, history, y = self._training_arrays(environments, X, history, y)
+        model = self.model
         rng = np.random.default_rng(self.seed + 1)
-        self.model.reseed(rng)
+        model.reseed(rng)
         # Each distinct environment once, in first-occurrence order, which
         # keeps every field's new values (and so their ids) in that order.
         added = self.vocabulary.extend(list(dict.fromkeys(environments)))
-        self.model.embeddings.grow_tables(added)
-        trained = self.model.embeddings if adapt_embeddings_only else self.model
-        self._train(
-            environments, X, history, y,
-            parameters=trained.parameters(),
-            lr=lr if lr is not None else self.lr * 0.3,
-            batch_size=min(self.batch_size, max(1, len(y))),
-            epochs=epochs,
-            rng=rng,
-        )
+        model.embeddings.grow_tables(added)
+        inputs = self._batch(environments, X, history)
+        targets = (y - self._y_mean) / self._y_std
+        cf, scaled_history = inputs["cf"], inputs["history"]
+        a, v_ts = model._frozen_branches(cf, scaled_history)
+        params = model.head_side_parameters()
+        trained = model.embeddings.parameters() if adapt_embeddings_only else params
+        optimizer = Adam(trained, lr=lr if lr is not None else self.lr * 0.3)
+        n = len(targets)
+
+        def step(batch: dict, batch_targets: np.ndarray) -> float:
+            a_rows, v_rows = batch["a"], batch["v_ts"]
+            if len(batch_targets) == 1 < n:
+                # A lone last row: the autograd forward multiplies it by
+                # gemv, whose bytes differ from the blocks' gemm.
+                row = batch["row"]
+                a_rows, v_rows = model._frozen_branches(cf[row], scaled_history[row])
+            mask = model._dropout_mask(len(batch_targets))
+            predicted, backward = model._head(_concat_branches(v_rows, a_rows, mask), batch["env"])
+            loss, grad = mse_grad(predicted, batch_targets)
+            _, grads = backward(grad, input_grad=False)
+            for param, param_grad in zip(params, grads):
+                param.grad = param_grad
+            optimizer.step()
+            return loss
+
+        cached = {"a": a, "v_ts": v_ts, "env": inputs["env"], "row": np.arange(n)}
+        self.history_ = TrainingHistory()
+        for _ in run_epochs(
+            model, step, cached, targets, self.history_,
+            batch_size=min(self.batch_size, max(1, n)), epochs=epochs, rng=rng,
+        ):
+            pass
+        self._engine = None  # weights changed; any compiled engine is stale
         return self
 
     def coverage(self, environment: Environment) -> dict[str, bool]:

@@ -14,6 +14,11 @@ from .layers import Parameter
 
 __all__ = ["Optimizer", "Adam"]
 
+#: Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Optimizer:
     """Base optimizer holding a parameter list."""
@@ -47,20 +52,8 @@ class Adam(Optimizer):
     new values into the slot and keeps the moments.
     """
 
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 0.001,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, parameters: Iterable[Parameter], lr: float = 0.001):
         super().__init__(parameters, lr)
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError("betas must be in [0, 1)")
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._step_count = 0
         self._offsets = np.cumsum([0] + [p.data.size for p in self.parameters]).tolist()
         total = self._offsets[-1]
@@ -90,19 +83,19 @@ class Adam(Optimizer):
             param.data = self._views[k] = view
 
     def _update(self, data, m, v, grad, bias1: float, bias2: float) -> None:
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad
-        v *= self.beta2
-        v += (1.0 - self.beta2) * grad * grad
+        m *= BETA1
+        m += (1.0 - BETA1) * grad
+        v *= BETA2
+        v += (1.0 - BETA2) * grad * grad
         m_hat = m / bias1
         v_hat = v / bias2
-        data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
     def step(self) -> None:
         self._bind()
         self._step_count += 1
-        bias1 = 1.0 - self.beta1**self._step_count
-        bias2 = 1.0 - self.beta2**self._step_count
+        bias1 = 1.0 - BETA1**self._step_count
+        bias2 = 1.0 - BETA2**self._step_count
         grads = [param.grad for param in self.parameters]
         if all(grad is not None for grad in grads):
             np.concatenate([grad.reshape(-1) for grad in grads], out=self._grad)

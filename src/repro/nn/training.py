@@ -9,7 +9,7 @@ the best weights observed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -21,16 +21,18 @@ from .losses import mse_loss
 from .optim import Optimizer
 from .tensor import Tensor, no_grad
 
-__all__ = ["EarlyStopping", "TrainingDiverged", "TrainingHistory", "Trainer"]
+__all__ = ["EarlyStopping", "TrainingDiverged", "TrainingHistory", "Trainer", "run_epochs"]
 
 Batch = Mapping[str, np.ndarray]
 
 _OBS = get_observability()
 _M_EPOCHS = _OBS.counter(
-    "repro_nn_epochs_total", "Optimization epochs completed by Trainer.fit."
+    "repro_nn_epochs_total",
+    "Optimization epochs completed by every training loop (full fits and warm fine-tunes).",
 )
 _M_BATCHES = _OBS.counter(
-    "repro_nn_batches_total", "Mini-batch gradient steps taken by Trainer.fit."
+    "repro_nn_batches_total",
+    "Mini-batch gradient steps taken by every training loop (full fits and warm fine-tunes).",
 )
 
 
@@ -143,34 +145,16 @@ class Trainer:
         val_targets: np.ndarray | None = None,
     ) -> TrainingHistory:
         """Run the training loop; returns the loss history."""
-        n = _check_sizes(inputs, targets)
         has_val = val_inputs is not None and val_targets is not None
         if self.early_stopping is not None and not has_val:
             raise ValueError("early stopping requires validation data")
 
         history = TrainingHistory()
-        targets = np.asarray(targets, dtype=np.float64)
-        for epoch in range(self.max_epochs):
-            order = self.rng.permutation(n)
-            self.model.train()
-            epoch_loss = 0.0
-            for batch, batch_targets in _shuffled_batches(inputs, targets, order, self.batch_size):
-                self.optimizer.zero_grad()
-                predicted = self.model(**batch)
-                loss = mse_loss(predicted, Tensor(batch_targets))
-                loss.backward()
-                self.optimizer.step()
-                epoch_loss += loss.item() * len(batch_targets)
-                _M_BATCHES.inc()
-            train_loss = epoch_loss / n
-            if not np.isfinite(train_loss):
-                raise TrainingDiverged(
-                    f"training loss went non-finite ({train_loss}) at epoch {epoch}",
-                    epoch=epoch,
-                )
-            history.train_loss.append(train_loss)
-            _M_EPOCHS.inc()
-
+        epochs = run_epochs(
+            self.model, self._step, inputs, targets, history,
+            batch_size=self.batch_size, epochs=self.max_epochs, rng=self.rng,
+        )
+        for epoch in epochs:
             if has_val:
                 val_loss = self.evaluate(val_inputs, val_targets)
                 if not np.isfinite(val_loss):
@@ -185,6 +169,14 @@ class Trainer:
         if self.early_stopping is not None:
             self.early_stopping.finalize(self.model)
         return history
+
+    def _step(self, batch: Batch, targets: np.ndarray) -> float:
+        """One autograd MSE + optimizer step; returns the batch's loss."""
+        self.optimizer.zero_grad()
+        loss = mse_loss(self.model(**batch), Tensor(targets))
+        loss.backward()
+        self.optimizer.step()
+        return loss.item()
 
     def _compile(self):
         """Snapshot the current weights into a tape-free engine, if possible."""
@@ -210,7 +202,47 @@ class Trainer:
         return total / n
 
 
-#: Batches per gather in ``Trainer.fit``. Gathering the whole epoch at once
+def run_epochs(
+    model: Module,
+    step: Callable[[Batch, np.ndarray], float],
+    inputs: Batch,
+    targets: np.ndarray,
+    history: TrainingHistory,
+    *,
+    batch_size: int,
+    epochs: int,
+    rng: np.random.Generator,
+) -> Iterator[int]:
+    """Train up to ``epochs`` epochs, yielding each epoch's index once it is done.
+
+    Each epoch draws its row permutation from ``rng``, puts ``model`` in
+    training mode and runs ``step(batch, batch_targets)``, which takes
+    one optimization step and returns the batch's mean loss, over the
+    shuffled mini-batches. The epoch's mean loss is appended to
+    ``history`` and both counters advance; a non-finite one raises
+    :class:`TrainingDiverged` instead. The caller stops early by leaving
+    the loop. ``Trainer.fit`` and the head-side fine-tune share it.
+    """
+    n = _check_sizes(inputs, targets)
+    targets = np.asarray(targets, dtype=np.float64)
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        model.train()
+        epoch_loss = 0.0
+        for batch, batch_targets in _shuffled_batches(inputs, targets, order, batch_size):
+            epoch_loss += step(batch, batch_targets) * len(batch_targets)
+            _M_BATCHES.inc()
+        train_loss = epoch_loss / n
+        if not np.isfinite(train_loss):
+            raise TrainingDiverged(
+                f"training loss went non-finite ({train_loss}) at epoch {epoch}", epoch=epoch
+            )
+        history.train_loss.append(train_loss)
+        _M_EPOCHS.inc()
+        yield epoch
+
+
+#: Batches per gather in ``run_epochs``. Gathering the whole epoch at once
 #: would copy the full training set every epoch (tens of MiB on the
 #: end-to-end corpora, visible in peak RSS); gathering per batch pays a
 #: fancy-index call per input array per batch.

@@ -157,11 +157,6 @@ class AdmissionController:
             self._nonempty.clear()
             await self._nonempty.wait()
 
-    def earliest_deadline(self) -> float | None:
-        """The soonest absolute expiry among queued requests, if any."""
-        deadlines = [p.deadline for p in self._queue if p.deadline is not None]
-        return min(deadlines) if deadlines else None
-
     def _shed_one(self, pending: PendingRequest, now: float) -> None:
         self.shed += 1
         _M_SHED.inc()

@@ -6,7 +6,7 @@ already queued up to ``max_batch`` — shedding any request whose deadline
 already expired, (3) tops the batch up while requests keep arriving:
 it yields one event-loop iteration and drains what came in, stopping at
 the first iteration that adds nothing, at a full batch, after
-``max_wait`` seconds, or at the earliest deadline held or queued, then
+``max_wait`` seconds, or at the earliest deadline it holds, then
 (4) hands the batch to the service's execute callback, which runs the
 coalesced forward and resolves each request's future in admission order.
 
@@ -145,13 +145,11 @@ class MicroBatcher:
         loop = asyncio.get_running_loop()
         batch = self._admission.drain(self.max_batch, now=loop.time())
         if self.max_wait > 0 and len(batch) < self.max_batch:
-            deadline = loop.time() + self.max_wait
             # Topping up must not expire what we hold: stop at the
-            # earliest deadline in hand or queued.
-            held = [p.deadline for p in batch if p.deadline is not None]
-            queued = self._admission.earliest_deadline()
-            for bound in (*held, *(() if queued is None else (queued,))):
-                deadline = min(deadline, bound)
+            # earliest deadline in the batch, arrivals included. (The
+            # queue is empty here: a drain stops short only on an empty
+            # queue.)
+            deadline = _earliest(batch, loop.time() + self.max_wait)
             while len(batch) < self.max_batch and loop.time() < deadline:
                 await asyncio.sleep(0)
                 arrived = self._admission.drain(
@@ -160,6 +158,7 @@ class MicroBatcher:
                 if not arrived:
                     break
                 batch.extend(arrived)
+                deadline = _earliest(arrived, deadline)
         return batch
 
     async def _dispatch(self, batch: list[PendingRequest]) -> None:
@@ -209,6 +208,14 @@ class MicroBatcher:
             # next drain, letting closed-loop clients re-submit and form
             # the next coalesced batch.
             await asyncio.sleep(0)
+
+
+def _earliest(requests: list[PendingRequest], bound: float) -> float:
+    """The soonest of ``bound`` and the requests' deadlines."""
+    for pending in requests:
+        if pending.deadline is not None and pending.deadline < bound:
+            bound = pending.deadline
+    return bound
 
 
 class SequencedMerger:

@@ -12,11 +12,13 @@ Ties the whole Figure 2 loop together over simulated days:
 - the model is retrained and republished daily. A warm day fine-tunes a
   copy of yesterday's model on the day's non-flagged executions plus a
   seeded replay sample of the older pool (paper §4.3: "retraining Env2Vec
-  incrementally with the new data"). A full fit of a fresh model on the
-  whole non-flagged pool runs on the first day, on a day the drift
-  monitor fires, on the day after a diverged fit, once a week, and on a
-  day with no new non-flagged execution. Only a full fit re-standardizes
-  the model's scalers.
+  incrementally with the new data"). It keeps the encoder and FNN fixed
+  and trains the combine layer, the embedding tables and the head over
+  their cached outputs, at the full fit's learning rate. A full fit of a
+  fresh model on the whole non-flagged pool runs on the first day, on a
+  day the drift monitor fires, on the day after a diverged fit, once a
+  week, and on a day with no new non-flagged execution. Only a full fit
+  re-standardizes the model's scalers.
 
 This is the integration surface a team adopting Env2Vec would run; the
 example scripts and integration tests drive it end to end.

@@ -14,8 +14,10 @@ either a full fit of a fresh regressor on the whole pool
 (:meth:`TrainingPipeline.train`) or a warm one (paper §4.3, "retraining
 Env2Vec incrementally with the new data"): a copy of the serving model
 fine-tuned on the newest executions plus a seeded replay sample of the
-older ones (:meth:`TrainingPipeline.fine_tune`). Both publish through the
-same spans and metrics, labelled by kind.
+older ones (:meth:`TrainingPipeline.fine_tune`), which trains only the
+head side (combine layer, embedding tables, head) over the frozen
+encoder and FNN. Both publish through the same spans and metrics,
+labelled by kind.
 """
 
 from __future__ import annotations
@@ -78,6 +80,10 @@ class TrainingResult:
 
 
 class TrainingPipeline:
+    """Daily training runs, published to ``store``: full fits of a fresh
+    regressor (:meth:`train`) and warm head-side fine-tunes of the
+    serving model's copy (:meth:`fine_tune`)."""
+
     def __init__(
         self,
         store: ModelStore,
@@ -124,9 +130,11 @@ class TrainingPipeline:
         ``records[-n_new:]`` are the day's executions, the rest the older
         pool. The copy trains on the day's unmasked executions plus an
         equal-size sample of the older unmasked ones (all of them when
-        fewer), every parameter free, for half the full fit's epochs at
-        ``fine_tune``'s reduced learning rate. Scaling stays as the base
-        model was fitted. The replay sample and every random draw of the
+        fewer), for half the full fit's epochs at the full fit's learning
+        rate. The encoder and FNN stay frozen; the combine layer, the
+        embedding tables and the head train (``fine_tune`` with
+        ``adapt_embeddings_only=False``). Scaling stays as the base model
+        was fitted. The replay sample and every random draw of the
         fine-tune derive from ``(seed, day)``, so a resumed campaign
         repeats the day bit for bit.
         """
@@ -150,6 +158,7 @@ class TrainingPipeline:
             return model.fine_tune(
                 environments, X, history, y,
                 epochs=max(1, model.max_epochs // 2),
+                lr=model.lr,
                 adapt_embeddings_only=False,
             )
 

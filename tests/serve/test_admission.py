@@ -142,7 +142,9 @@ class TestDeadlines:
             admission.submit(_request(2, deadline_seconds=60.0), now=now)
             assert admission.shed_expired(now=now) == 1
             assert admission.depth == 2
-            assert admission.earliest_deadline() == pytest.approx(now + 60.0)
+            survivors = admission.drain(2)
+            assert [p.request.request_id for p in survivors] == ["1", "2"]
+            assert survivors[1].deadline == pytest.approx(now + 60.0)
 
         run(scenario())
 

@@ -10,10 +10,13 @@ response still fill every batch.
 
 import asyncio
 
+import numpy as np
 import pytest
 
-from repro.data import TelecomConfig, generate_telecom
+from repro.data import Environment, TelecomConfig, TestExecution, generate_telecom
 from repro.serve import Env2VecService, PredictRequest, ServeConfig
+from repro.serve._internal.admission import AdmissionController
+from repro.serve._internal.batcher import MicroBatcher
 from repro.workflow import AlarmStore, ModelStore, TrainingPipeline
 
 pytestmark = pytest.mark.serving
@@ -137,3 +140,54 @@ def test_an_idle_iteration_closes_the_batch(served):
 
     responses = _serve(store, 0.05, scenario)
     assert [r.batch_size for r in responses] == [1, 1]
+
+
+def test_an_arrival_deadline_closes_the_held_batch():
+    """A request that joins the batch during the top-up bounds it by its
+    deadline, even while a feeder keeps adding a request every loop
+    iteration. Without the bound the batch is held until the feeder
+    stops, long after the request's deadline."""
+    execution = TestExecution(
+        environment=Environment("tb", "sut", "tc", "b1"),
+        features=np.zeros((10, 3)),
+        cpu=np.zeros(10),
+    )
+    budget, feed_seconds = 0.05, 1.0
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        admission = AdmissionController(max_depth=10**6, default_service_seconds=1e-3)
+        dispatched: dict[str, float] = {}
+
+        def execute(batch):
+            now = loop.time()
+            for pending in batch:
+                dispatched[pending.request.request_id] = now
+                pending.future.set_result("ok")
+
+        batcher = MicroBatcher(admission, max_batch=10**6, max_wait=5.0, execute=execute)
+        batcher.start()
+        await asyncio.sleep(0.01)  # the batcher is idle, waiting for work
+        feeder = PredictRequest(execution=execution)
+        admission.submit(PredictRequest(execution=execution, request_id="first"), now=loop.time())
+        for _ in range(3):  # the top-up is under way
+            await asyncio.sleep(0)
+            admission.submit(feeder, now=loop.time())
+        submitted = loop.time()
+        urgent = admission.submit(
+            PredictRequest(execution=execution, request_id="urgent", deadline_seconds=budget),
+            now=submitted,
+        )
+        while not urgent.done() and loop.time() < submitted + feed_seconds:
+            await asyncio.sleep(0)
+            admission.submit(feeder, now=loop.time())
+        status = await urgent
+        await batcher.stop()
+        return status, dispatched["urgent"] - submitted, dispatched["first"] - submitted
+
+    status, urgent_after, first_after = asyncio.run(scenario())
+    assert status == "ok"
+    # It joined the held batch, and that batch closed at its deadline:
+    # one loop iteration late at most, far from the feeder's second.
+    assert first_after == urgent_after
+    assert budget <= urgent_after < budget + 0.25
