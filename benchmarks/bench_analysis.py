@@ -3,7 +3,7 @@
 The analyzer runs inside tier-1 (tests/analysis/test_repo_clean.py and
 tests/test_lint.py), so its cost is paid on every test session. Phase 1
 is one AST parse + walk per file; phase 2 links every file's summary and
-runs the cross-file rules (REP013-REP016) over the program model. The
+runs the cross-file rules (REP015, REP016) over the program model. The
 incremental cache must make warm scans (nothing changed) much cheaper
 than cold ones, or tier-1 pays the full price twice per session.
 
@@ -116,7 +116,7 @@ def _render(results: dict) -> str:
         f"  phase-2 link time      {results['link_seconds']:8.3f} s",
         f"  per file (cold)        {results['us_per_file']:8.0f} us",
         f"  findings (pre-baseline){results['findings_pre_baseline']:6d}",
-        "  per-rule src/ scan (REP001-012: full pass; REP013-016: rule run only):",
+        "  per-rule src/ scan (per-file rules: full pass; REP015-016: rule run only):",
     ]
     for rule_id, ms in sorted(results["per_rule_src_scan_ms"].items()):
         lines.append(f"    {rule_id}  {ms:8.1f} ms")

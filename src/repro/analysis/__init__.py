@@ -1,22 +1,22 @@
 """repro.analysis — the project's whole-program analyzer (audit-as-code).
 
 PR 4's byte-identical parallel campaigns stay byte-identical only while
-nobody reintroduces the bug classes that audit removed by hand: bare
-``+=`` on shared counters, writable cache-row aliases, wall-clock reads
-on the simulated campaign clock, unseeded RNGs. This package encodes
+nobody reintroduces the bug classes that audit removed by hand:
+writable cache-row aliases, wall-clock reads on the simulated campaign
+clock, unseeded RNGs, and (since each process runs one thread) threads
+started outside the serve supervisor. This package encodes
 those audits as AST rules that run in tier-1, with inline
 ``# repro: noqa[REP00x]`` suppressions (checked for staleness) and a
 committed, justification-carrying baseline for the survivors.
 
 The analyzer runs in two phases. Phase 1 walks each file once,
-dispatching the per-file rules (REP001-REP012) and distilling a
-:class:`~repro.analysis.summaries.ModuleSummary` of its concurrency and
-determinism surface. Phase 2 links every summary into a
-:class:`~repro.analysis.program.ProgramModel` — class families, call
-graph, canonical lock identities — and runs the cross-file rules:
-REP013 lock-discipline inference, REP014 lock-ordering cycle detection,
-REP015 process-escape checking, REP016 interprocedural determinism
-taint. Phase 1 replays from a content-hash incremental cache
+dispatching the per-file rules (REP001, REP002, REP004, REP006,
+REP007 and REP009-REP012) and distilling a
+:class:`~repro.analysis.summaries.ModuleSummary` of its process-dispatch
+and determinism surface. Phase 2 links every summary into a
+:class:`~repro.analysis.program.ProgramModel` — class families and call
+graph — and runs the cross-file rules: REP015 process-escape checking
+and REP016 interprocedural determinism taint. Phase 1 replays from a content-hash incremental cache
 (:mod:`repro.analysis.cache`); phase 2 always re-links.
 
 Entry points::

@@ -35,8 +35,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.analysis",
         description="Two-phase whole-program analyzer enforcing determinism, "
-        "thread-safety and aliasing discipline (per-file rules REP001-REP012 "
-        "plus cross-file rules REP013-REP016).",
+        "process-boundary and aliasing discipline (per-file rules REP001, "
+        "REP002, REP004, REP006, REP007 and REP009-REP012, plus cross-file "
+        "rules REP015 and REP016).",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"], help="files/directories to scan (default: src)"

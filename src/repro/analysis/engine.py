@@ -3,9 +3,8 @@
 The engine is deliberately small: one :func:`ast.parse` per file, one
 depth-first walk, and per-node dispatch to the rules that registered an
 interest in that node type. Rules see a :class:`FileContext` carrying the
-ancestor stack (for lock-enclosure and scope questions), the module's
-import surface, and cheap per-function symbol tables — everything the
-project-specific rules in :mod:`repro.analysis.rules` need without a
+ancestor stack (for enclosing-function and loop questions) and the
+module's import surface — everything the project-specific rules in :mod:`repro.analysis.rules` need without a
 second pass.
 
 Suppressions are inline comments of the form ``# repro: noqa[REP004]``
@@ -127,8 +126,6 @@ class FileContext:
         #: ancestor stack maintained by the walker; stack[-1] is the parent
         #: of the node currently being dispatched.
         self.stack: list[ast.AST] = []
-        self._function_locals: dict[int, frozenset[str]] = {}
-        self._module_globals: frozenset[str] | None = None
 
     # -- source access -----------------------------------------------------
     def line_text(self, lineno: int) -> str:
@@ -137,69 +134,11 @@ class FileContext:
         return ""
 
     # -- scope questions ---------------------------------------------------
-    @property
-    def module_globals(self) -> frozenset[str]:
-        """Names bound at module scope (assignments, defs, imports)."""
-        if self._module_globals is None:
-            self._module_globals = frozenset(_bound_names(self.tree.body))
-        return self._module_globals
-
     def enclosing_function(self) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
         for node in reversed(self.stack):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 return node
         return None
-
-    def enclosing_class(self) -> ast.ClassDef | None:
-        for node in reversed(self.stack):
-            if isinstance(node, ast.ClassDef):
-                return node
-        return None
-
-    def function_locals(self, func: ast.FunctionDef | ast.AsyncFunctionDef) -> frozenset[str]:
-        """Names the function binds locally (params + assignments),
-        excluding names it declares ``global``/``nonlocal``."""
-        cached = self._function_locals.get(id(func))
-        if cached is None:
-            args = func.args
-            names: set[str] = {
-                a.arg
-                for a in (
-                    *args.posonlyargs, *args.args, *args.kwonlyargs,
-                    *([args.vararg] if args.vararg else []),
-                    *([args.kwarg] if args.kwarg else []),
-                )
-            }
-            names |= _bound_names(func.body)
-            names -= _scope_global_decls(func.body)
-            cached = frozenset(names)
-            self._function_locals[id(func)] = cached
-        return cached
-
-    def resolves_to_module_global(self, name: str) -> bool:
-        """Does ``name``, read in the current scope, hit module state?"""
-        if name not in self.module_globals:
-            return False
-        for node in reversed(self.stack):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                # function_locals already excludes `global`-declared names,
-                # so a miss here means the name falls through to module scope.
-                return name not in self.function_locals(node)
-        return True  # read at module scope itself
-
-    def inside_lock_with(self) -> bool:
-        """Is the current node lexically inside ``with <something lock-ish>``?
-
-        'Lock-ish' means the context expression's source mentions ``lock``
-        (``with self._lock:``, ``with _VALUE_LOCK:``, ``with pool.lock():``)
-        — a naming convention this repo already follows everywhere.
-        """
-        for node in self.stack:
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    if "lock" in ast.unparse(item.context_expr).lower():
-                        return True
-        return False
 
 
 def _module_imports(tree: ast.Module) -> set[str]:
@@ -211,76 +150,6 @@ def _module_imports(tree: ast.Module) -> set[str]:
                 names.add(alias.name.split(".")[0])
         elif isinstance(node, ast.ImportFrom) and node.module:
             names.add(node.module.split(".")[0])
-    return names
-
-
-def _bound_names(body: Iterable[ast.stmt]) -> set[str]:
-    """Names bound by a statement list's own scope (not nested functions)."""
-    names: set[str] = set()
-
-    def collect_target(target: ast.expr) -> None:
-        if isinstance(target, ast.Name):
-            names.add(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                collect_target(element)
-        elif isinstance(target, ast.Starred):
-            collect_target(target.value)
-
-    def visit(stmts: Iterable[ast.stmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names.add(stmt.name)
-                continue  # nested scope: its assignments are not ours
-            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                for alias in stmt.names:
-                    if alias.name == "*":
-                        continue
-                    names.add(alias.asname or alias.name.split(".")[0])
-                continue
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    collect_target(target)
-            elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-                collect_target(stmt.target)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                collect_target(stmt.target)
-            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                for item in stmt.items:
-                    if item.optional_vars is not None:
-                        collect_target(item.optional_vars)
-            # recurse into compound statements' bodies (same scope)
-            for attr in ("body", "orelse", "finalbody"):
-                child = getattr(stmt, attr, None)
-                if child:
-                    visit(child)
-            for handler in getattr(stmt, "handlers", []) or []:
-                if handler.name:
-                    names.add(handler.name)
-                visit(handler.body)
-
-    visit(body)
-    return names
-
-
-def _scope_global_decls(body: Iterable[ast.stmt]) -> set[str]:
-    """Names declared ``global``/``nonlocal`` in this scope (not nested defs)."""
-    names: set[str] = set()
-
-    def visit(stmts: Iterable[ast.stmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if isinstance(stmt, (ast.Global, ast.Nonlocal)):
-                names.update(stmt.names)
-            for attr in ("body", "orelse", "finalbody"):
-                child = getattr(stmt, attr, None)
-                if child:
-                    visit(child)
-            for handler in getattr(stmt, "handlers", []) or []:
-                visit(handler.body)
-
-    visit(body)
     return names
 
 

@@ -2,33 +2,22 @@
 
 :class:`ProgramModel` stitches the per-file :class:`ModuleSummary`
 records from :mod:`repro.analysis.summaries` into a repo-wide view — a
-module index, a class-inheritance merge (union-find over base edges), a
-call graph resolved through each module's import map, and canonical lock
-identities (``repro.obs.metrics._Metric._lock``) that make the same lock
-recognizable from every file that touches it.
+module index, a class-inheritance merge (union-find over base edges),
+and a call graph resolved through each module's import map.
 
-Four rules run over the linked model:
+Two rules run over the linked model:
 
-- **REP013** lock-discipline inference: an attribute written under a
-  ``self`` lock in one method is part of that lock's protocol; reading or
-  writing it bare anywhere in the class family is a data race (or at
-  best a torn read) — the whole-program generalization of REP003.
-- **REP014** lock-ordering cycles: build the may-hold-while-acquiring
-  graph (direct nested ``with`` plus calls made under a lock into
-  functions that transitively acquire), canonicalize lock identities,
-  and flag strongly-connected components — the classic deadlock shape —
-  with a file/line anchor on every edge.
 - **REP015** process-escape: a callable shipped to another process
   (``Process(target=...)``, ``ProcessPoolExecutor``, ``multiprocessing.Pool``)
-  must not reach parent-only resources (stores, TSDB handles, locks);
-  the child would get a pickled divergent copy or an unpicklable crash.
+  must not reach parent-only resources (stores, TSDB handles); the
+  child would get a pickled divergent copy or an unpicklable crash.
 - **REP016** determinism taint: a seed parameter that stops flowing —
   dropped before an RNG-constructing callee whose own seed then
   defaults, or accepted but never read — silently decouples a "seeded"
   call from the RNG it was supposed to determinize.
 
 Cross-file findings carry ``related`` anchors (path, line, note) for
-every edge of a cycle or hop of an escape path; the engine fills their
+every hop of an escape path or seed definition; the engine fills their
 snippets from the sources it already read, so they fingerprint and
 baseline exactly like single-file findings.
 """
@@ -40,17 +29,15 @@ from typing import Iterable, Iterator
 from .engine import Finding
 from .summaries import (
     RESOURCE_CLASSES,
+    RESOURCE_PARAM_NAMES,
     ClassSummary,
     FunctionSummary,
-    LockRef,
     ModuleSummary,
 )
 
 __all__ = [
     "CrossFileRule",
     "ProgramModel",
-    "LockDiscipline",
-    "LockOrderCycles",
     "ProcessEscape",
     "DeterminismTaint",
     "ALL_CROSS_RULES",
@@ -58,21 +45,7 @@ __all__ = [
     "CROSS_RULE_IDS",
 ]
 
-#: Methods where bare attribute access is construction, not a race: the
-#: object is not yet (or no longer) shared when they run.
-_INIT_EXEMPT = frozenset({
-    "__init__", "__new__", "__post_init__", "__del__",
-    "__getstate__", "__setstate__", "__reduce__", "__copy__", "__deepcopy__",
-})
-
-_LOCK_CTOR_NONREENTRANT = frozenset({"Lock"})
-
 _ESCAPE_MAX_DEPTH = 5
-
-
-def _is_init_exempt(method_qualname: str) -> bool:
-    leaf = method_qualname.split(".")[-1]
-    return leaf in _INIT_EXEMPT or leaf.startswith("_init")
 
 
 class CrossFileRule:
@@ -110,13 +83,12 @@ class ProgramModel:
             for fn in summary.functions:
                 self.functions[(module, fn.qualname)] = fn
         self._family = self._link_families()
-        self._canon_cache: dict[tuple, str] = {}
         self._call_cache: dict[tuple[str, str, str], tuple] = {}
 
     # -- inheritance merge -------------------------------------------------
     def _link_families(self) -> dict[tuple[str, str], frozenset]:
         """Union-find over base-class edges: classes sharing an
-        inheritance chain share one attribute namespace for REP013."""
+        inheritance chain share one method and attribute namespace."""
         parent: dict[tuple[str, str], tuple[str, str]] = {
             key: key for key in self.classes
         }
@@ -169,59 +141,11 @@ class ProgramModel:
         """All (module, class) keys sharing an inheritance chain."""
         return self._family.get((module, cls), frozenset({(module, cls)}))
 
-    def family_lock_attrs(self, module: str, cls: str) -> frozenset:
-        attrs: set[str] = set()
-        for key in self.family(module, cls):
-            attrs.update(self.classes[key].lock_attrs)
-        return frozenset(attrs)
-
     def family_resource_attrs(self, module: str, cls: str) -> dict[str, str]:
         merged: dict[str, str] = {}
         for key in sorted(self.family(module, cls)):
             merged.update(self.classes[key].resource_attrs)
         return merged
-
-    # -- lock canonicalization ---------------------------------------------
-    def canonical_lock(self, module: str, ref: LockRef) -> str | None:
-        """A repo-wide identity for a lock reference, or None if the
-        reference cannot be pinned to a single program object."""
-        key = (module, ref.name, ref.via_self, ref.cls)
-        cached = self._canon_cache.get(key)
-        if cached is not None:
-            return cached or None
-        canon = self._canonical_lock(module, ref)
-        self._canon_cache[key] = canon or ""
-        return canon
-
-    def _canonical_lock(self, module: str, ref: LockRef) -> str | None:
-        if ref.via_self:
-            if not ref.cls:
-                return None
-            # attach the attr to the family member that defines it, so
-            # `self._lock` in a subclass and the base name the same lock.
-            defining = sorted(
-                key for key in self.family(module, ref.cls)
-                if ref.name in self.classes[key].lock_attrs
-            )
-            owner = defining[0] if defining else (module, ref.cls)
-            return f"{owner[0]}.{owner[1]}.{ref.name}"
-        parts = ref.name.split(".")
-        imports = self.modules[module].import_map if module in self.modules else {}
-        if len(parts) == 1:
-            target = imports.get(ref.name)
-            return target if target and "." in target else f"{module}.{ref.name}"
-        root = imports.get(parts[0], f"{module}.{parts[0]}")
-        return ".".join([root, *parts[1:]])
-
-    def lock_ctor(self, canonical: str) -> str | None:
-        """Constructor name of a canonical ``module.Class.attr`` lock,
-        when the defining class recorded one (reentrancy question)."""
-        owner, attr = canonical.rsplit(".", 1)
-        if "." not in owner:
-            return None
-        cls_module, cls_name = owner.rsplit(".", 1)
-        cls = self.classes.get((cls_module, cls_name))
-        return cls.ctor_attrs.get(attr) if cls is not None else None
 
     # -- call resolution ---------------------------------------------------
     def resolve_call(self, module: str, caller: str, callee: str) -> tuple:
@@ -291,290 +215,6 @@ class ProgramModel:
 
 
 # ---------------------------------------------------------------------------
-# REP013 — lock-discipline inference
-# ---------------------------------------------------------------------------
-
-
-class LockDiscipline(CrossFileRule):
-    id = "REP013"
-    title = (
-        "attribute written under a lock in one method must not be "
-        "accessed bare elsewhere in the class family"
-    )
-
-    def run(self, program: ProgramModel) -> Iterator[Finding]:
-        seen_families: set[frozenset] = set()
-        for key in sorted(program.classes):
-            family = program.family(*key)
-            if family in seen_families:
-                continue
-            seen_families.add(family)
-            yield from self._check_family(program, family)
-
-    def _check_family(self, program: ProgramModel, family: frozenset) -> Iterator[Finding]:
-        lock_attrs: set[str] = set()
-        for member in family:
-            lock_attrs.update(program.classes[member].lock_attrs)
-        # attr -> (canonical lock, path, line, method) of one guarded write
-        guarded: dict[str, tuple[str, str, int, str]] = {}
-        for member in sorted(family):
-            module, _ = member
-            cls = program.classes[member]
-            for access in cls.accesses:
-                if access.kind != "write" or not access.locks:
-                    continue
-                if _is_init_exempt(access.method) or access.attr in lock_attrs:
-                    continue
-                if access.attr in guarded:
-                    continue
-                canon = program.canonical_lock(module, access.locks[-1])
-                guarded[access.attr] = (
-                    canon or access.locks[-1].name,
-                    program.path_of(module), access.line, access.method,
-                )
-        if not guarded:
-            return
-        for member in sorted(family):
-            module, _ = member
-            cls = program.classes[member]
-            path = program.path_of(module)
-            flagged: set[tuple[str, int]] = set()
-            for access in cls.accesses:
-                if access.attr not in guarded or access.locks:
-                    continue
-                if _is_init_exempt(access.method):
-                    continue
-                if (access.attr, access.line) in flagged:
-                    continue
-                flagged.add((access.attr, access.line))
-                lock, gpath, gline, gmethod = guarded[access.attr]
-                yield Finding(
-                    rule=self.id,
-                    path=path,
-                    line=access.line,
-                    message=(
-                        f"'{access.attr}' is written under {lock} "
-                        f"(in {gmethod}) but {'written' if access.kind == 'write' else 'read'} "
-                        f"here without holding it"
-                    ),
-                    snippet="",
-                    related=((gpath, gline, f"guarded write in {gmethod}"),),
-                )
-
-
-# ---------------------------------------------------------------------------
-# REP014 — lock-ordering cycle detection
-# ---------------------------------------------------------------------------
-
-
-class LockOrderCycles(CrossFileRule):
-    id = "REP014"
-    title = "may-hold-while-acquiring cycle across the repo (potential deadlock)"
-
-    def run(self, program: ProgramModel) -> Iterator[Finding]:
-        edges = self._build_edges(program)
-        yield from self._self_loops(program, edges)
-        yield from self._cycles(program, edges)
-
-    # -- graph construction ------------------------------------------------
-    def _build_edges(self, program: ProgramModel):
-        """canonical-lock digraph: edge A->B with evidence anchors means
-        B may be acquired while A is held."""
-        # locks each function acquires directly, with anchors
-        direct: dict[tuple, set] = {}
-        for module in sorted(program.modules):
-            summary = program.modules[module]
-            for site in summary.lock_sites:
-                canon = program.canonical_lock(module, site.lock)
-                if canon is None:
-                    continue
-                direct.setdefault((module, site.function), set()).add(
-                    (canon, summary.path, site.line)
-                )
-        # transitive closure over the resolved call graph
-        trans = {key: set(value) for key, value in direct.items()}
-        changed = True
-        rounds = 0
-        while changed and rounds < 20:
-            changed = False
-            rounds += 1
-            for (module, qualname), fn in program.functions.items():
-                bucket = trans.setdefault((module, qualname), set())
-                before = len(bucket)
-                for call in fn.calls:
-                    for target in program.resolve_call(module, qualname, call.callee):
-                        bucket |= trans.get(target, set())
-                if len(bucket) != before:
-                    changed = True
-
-        edges: dict[tuple[str, str], list] = {}
-
-        def add_edge(held: str, acquired: str, anchors, receiver_self: bool) -> None:
-            entry = edges.setdefault((held, acquired), [])
-            entry.append((anchors, receiver_self))
-
-        for module in sorted(program.modules):
-            summary = program.modules[module]
-            path = summary.path
-            for acq in summary.acquires:
-                held = program.canonical_lock(module, acq.held)
-                acquired = program.canonical_lock(module, acq.acquired)
-                if held is None or acquired is None:
-                    continue
-                add_edge(
-                    held, acquired,
-                    ((path, acq.line,
-                      f"{acquired} acquired while holding {held} in {acq.function}"),),
-                    receiver_self=False,
-                )
-            for call in summary.held_calls:
-                held = program.canonical_lock(module, call.held)
-                if held is None:
-                    continue
-                receiver_self = call.callee.startswith("self.")
-                for target in program.resolve_call(module, call.function, call.callee):
-                    for canon, tpath, tline in sorted(trans.get(target, set())):
-                        add_edge(
-                            held, canon,
-                            ((path, call.line,
-                              f"{call.callee}() called in {call.function} "
-                              f"while holding {held}"),
-                             (tpath, tline, f"{canon} acquired inside the callee")),
-                            receiver_self=receiver_self,
-                        )
-        return edges
-
-    # -- self-loops --------------------------------------------------------
-    def _self_loops(self, program: ProgramModel, edges) -> Iterator[Finding]:
-        for (held, acquired), entries in sorted(edges.items()):
-            if held != acquired:
-                continue
-            ctor = program.lock_ctor(held)
-            if ctor is not None and ctor not in _LOCK_CTOR_NONREENTRANT:
-                continue  # RLock/Condition: re-acquisition is legal
-            for anchors, receiver_self in entries:
-                # canonical ids merge instances; only a `self.`-rooted
-                # path guarantees both acquisitions hit the same object.
-                if len(anchors) > 1 and not receiver_self:
-                    continue
-                first = anchors[0]
-                yield Finding(
-                    rule=self.id,
-                    path=first[0],
-                    line=first[1],
-                    message=(
-                        f"{held} may be re-acquired while already held "
-                        f"(non-reentrant Lock: self-deadlock)"
-                    ),
-                    snippet="",
-                    related=tuple(anchors[1:]),
-                )
-                break  # one finding per lock
-
-    # -- cycles ------------------------------------------------------------
-    def _cycles(self, program: ProgramModel, edges) -> Iterator[Finding]:
-        graph: dict[str, set[str]] = {}
-        for held, acquired in edges:
-            if held != acquired:
-                graph.setdefault(held, set()).add(acquired)
-                graph.setdefault(acquired, set())
-        for component in _tarjan_sccs(graph):
-            if len(component) < 2:
-                continue
-            cycle = _reconstruct_cycle(graph, component)
-            if cycle is None:
-                continue
-            anchors: list[tuple[str, int, str]] = []
-            for a, b in zip(cycle, cycle[1:]):
-                entry = sorted(edges[(a, b)])[0]
-                anchors.extend(entry[0])
-            first = anchors[0]
-            order = " -> ".join(cycle)
-            yield Finding(
-                rule=self.id,
-                path=first[0],
-                line=first[1],
-                message=f"lock-ordering cycle (potential deadlock): {order}",
-                snippet="",
-                related=tuple(anchors[1:]),
-            )
-
-
-def _tarjan_sccs(graph: dict[str, set[str]]) -> list[list[str]]:
-    """Strongly connected components, iterative, deterministic order."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[list[str]] = []
-    counter = [0]
-
-    for root in sorted(graph):
-        if root in index:
-            continue
-        work = [(root, iter(sorted(graph[root])))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, children = work[-1]
-            advanced = False
-            for child in children:
-                if child not in index:
-                    index[child] = low[child] = counter[0]
-                    counter[0] += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(sorted(graph[child]))))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component: list[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(sorted(component))
-    return sccs
-
-
-def _reconstruct_cycle(graph: dict[str, set[str]], component: list[str]) -> list[str] | None:
-    """A concrete cycle through an SCC, as [a, b, ..., a]."""
-    members = set(component)
-    start = component[0]
-    # DFS within the component back to start
-    seen = {start}
-    path = [start]
-
-    def dfs(node: str) -> bool:
-        for child in sorted(graph.get(node, ())):
-            if child == start and len(path) > 1:
-                return True
-            if child in members and child not in seen:
-                seen.add(child)
-                path.append(child)
-                if dfs(child):
-                    return True
-                path.pop()
-        return False
-
-    if dfs(start):
-        return [*path, start]
-    return None
-
-
-# ---------------------------------------------------------------------------
 # REP015 — process-escape checking
 # ---------------------------------------------------------------------------
 
@@ -583,15 +223,13 @@ class ProcessEscape(CrossFileRule):
     id = "REP015"
     title = (
         "callable shipped to a worker process reaches a parent-only "
-        "resource (store / TSDB handle / lock)"
+        "resource (store / TSDB handle)"
     )
 
     def run(self, program: ProgramModel) -> Iterator[Finding]:
         for module in sorted(program.modules):
             summary = program.modules[module]
             for dispatch in summary.dispatches:
-                if dispatch.boundary == "thread":
-                    continue
                 targets = self._dispatch_targets(program, module, dispatch)
                 for target in targets:
                     escape = self._find_escape(program, target)
@@ -604,8 +242,7 @@ class ProcessEscape(CrossFileRule):
                         line=dispatch.line,
                         message=(
                             f"'{dispatch.callee}' dispatched via {dispatch.api} "
-                            f"to a {'worker process' if dispatch.boundary == 'process' else 'possibly-process pool'} "
-                            f"reaches parent-only resource: {what}"
+                            f"to a worker process reaches parent-only resource: {what}"
                         ),
                         snippet="",
                         related=tuple(anchors),
@@ -657,7 +294,6 @@ class ProcessEscape(CrossFileRule):
         cls = fn.cls or fn.qualname.split(".")[0]
         if (module, cls) in program.classes:
             resources = program.family_resource_attrs(module, cls)
-            locks = program.family_lock_attrs(module, cls)
             for attr, line in fn.self_attr_reads:
                 kind = resources.get(attr)
                 if kind is not None:
@@ -666,18 +302,12 @@ class ProcessEscape(CrossFileRule):
                         f"instance resource self.{attr} ({label})", line,
                         f"reads self.{attr} bound to {label}",
                     )
-                if attr in locks:
-                    return (
-                        f"parent lock self.{attr}", line,
-                        f"reads parent-process lock self.{attr}",
-                    )
         # 3. closure capture: a nested function reading a name the
         # enclosing function bound to a resource constructor / parameter
         if ".<locals>." in fn.qualname:
             outer_qual = fn.qualname.rsplit(".<locals>.", 1)[0]
             outer = program.functions.get((module, outer_qual))
             if outer is not None:
-                from .summaries import RESOURCE_PARAM_NAMES
                 for name, line in fn.reads:
                     ctor = outer.local_ctors.get(name)
                     if ctor in RESOURCE_CLASSES:
@@ -689,11 +319,6 @@ class ProcessEscape(CrossFileRule):
                         return (
                             f"closure-captured resource parameter '{name}'", line,
                             f"closure reads resource parameter '{name}' of {outer_qual}",
-                        )
-                    if ctor is not None and "lock" in name.lower():
-                        return (
-                            f"closure-captured lock '{name}'", line,
-                            f"closure reads lock '{name}' from {outer_qual}",
                         )
         return None
 
@@ -818,7 +443,7 @@ class DeterminismTaint(CrossFileRule):
             )
 
 
-ALL_CROSS_RULES = (LockDiscipline, LockOrderCycles, ProcessEscape, DeterminismTaint)
+ALL_CROSS_RULES = (ProcessEscape, DeterminismTaint)
 
 CROSS_RULE_IDS = frozenset(rule.id for rule in ALL_CROSS_RULES)
 

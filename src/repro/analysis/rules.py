@@ -1,4 +1,4 @@
-"""The project rule catalog: eleven checks distilled from real bugs.
+"""The project rule catalog: nine checks distilled from real bugs.
 
 Every rule here encodes an invariant this repo has already paid for once:
 
@@ -7,12 +7,8 @@ Every rule here encodes an invariant this repo has already paid for once:
 - REP002 — the sim-clock discipline that keeps scrapes, checkpoints and
   model metadata reproducible (wall-clock reads leaked into model-store
   and alarm timestamps);
-- REP003 — the PR 4 metrics race (``self._value += x`` on shared leaves,
-  lost increments under concurrent scoring threads);
 - REP004 — the ``EmbeddingRowCache`` aliasing bug (a cached row handed
   out writable corrupted every later prediction);
-- REP005 — ``lock.acquire()`` without ``with`` leaks the lock on any
-  exception between acquire and release;
 - REP006 — ``==`` on floats (byte-identical guarantees compare exact
   values only where the code path is exactly reproducible);
 - REP007 — swallowed exceptions in the resilience ladder (a silent
@@ -23,11 +19,13 @@ Every rule here encodes an invariant this repo has already paid for once:
 - REP010 — the serve boundary (``repro.serve._internal`` holds the
   admission/batcher/warm-pool machinery; outside imports would freeze a
   surface that is deliberately free to change);
-- REP011 — the process-management boundary (``os.kill``/``signal``
+- REP011 — the process-and-thread boundary (``os.kill``/``signal``
   handlers/raw ``multiprocessing.Process`` wiring and
   ``ProcessPoolExecutor`` belong only to ``serve._internal.supervisor``,
   the one owner of worker processes, whose epoch bookkeeping and restart
-  guarantees they would otherwise bypass);
+  guarantees they would otherwise bypass; so do ``threading`` and every
+  other way to run code on a second thread, since every process runs
+  its code on one thread and nothing outside the supervisor locks);
 - REP012 — the PR 9 batch-inference regression (per-timestep
   ``np.hstack`` and bare ``@`` matmuls inside the fused GRU/LSTM
   timestep loops allocated fresh arrays every step, capping batch-256
@@ -50,11 +48,11 @@ from .engine import FileContext, Rule, RuleRegistry
 
 __all__ = ["DEFAULT_REGISTRY", "default_registry", "ALL_RULES", "RULESET_VERSION"]
 
-#: Monotonic version of the full rule catalog (per-file REP001-REP012
+#: Monotonic version of the full rule catalog (the per-file rules here
 #: plus the cross-file rules in :mod:`repro.analysis.program`). The
 #: incremental cache embeds it in every entry, so bumping it on any rule
 #: semantics change invalidates stale cached scans wholesale.
-RULESET_VERSION = 5
+RULESET_VERSION = 6
 
 #: Packages under src/repro/ that run on the simulated campaign clock.
 _SIM_CLOCK_PACKAGES = frozenset({"core", "workflow", "resilience"})
@@ -182,50 +180,6 @@ class WallClockRule(Rule):
             )
 
 
-class UnlockedSharedStateRule(Rule):
-    """REP003: ``+=`` on shared (module/class-level) state needs a lock."""
-
-    id = "REP003"
-    title = "unlocked augmented assignment on shared state"
-    node_types = (ast.AugAssign,)
-
-    def applies(self, ctx: FileContext) -> bool:
-        return not ctx.is_test
-
-    def visit(self, node: ast.AugAssign, ctx: FileContext) -> Iterator[tuple[int, str]]:
-        if ctx.enclosing_function() is None:
-            return  # module import / class body runs single-threaded
-        target = node.target
-        shared: str | None = None
-        if isinstance(target, ast.Name):
-            if ctx.resolves_to_module_global(target.id):
-                shared = f"module-level name {target.id!r}"
-        else:
-            root = _root_name(target)
-            if root is None:
-                return
-            if root == "cls":
-                shared = "class-level state via 'cls'"
-            elif root == "self":
-                return  # instance state: REP003 tracks shared containers
-            elif ctx.resolves_to_module_global(root):
-                shared = f"state reached through module-level name {root!r}"
-            else:
-                enclosing_class = ctx.enclosing_class()
-                if enclosing_class is not None and root == enclosing_class.name:
-                    shared = f"class attribute of {root!r}"
-        if shared is None:
-            return
-        if ctx.inside_lock_with():
-            return
-        yield (
-            node.lineno,
-            f"augmented assignment on {shared} without an enclosing "
-            "'with <lock>:' — a concurrent writer loses increments "
-            "(the PR 4 metrics race)",
-        )
-
-
 class AliasedCacheReturnRule(Rule):
     """REP004: getters must not hand out writable cached arrays."""
 
@@ -260,23 +214,6 @@ class AliasedCacheReturnRule(Rule):
             "return a .copy(), freeze it (setflags(write=False)), or "
             "suppress with a justification (the EmbeddingRowCache aliasing bug)",
         )
-
-
-class RawLockAcquireRule(Rule):
-    """REP005: locks are taken with ``with``, never bare ``acquire()``."""
-
-    id = "REP005"
-    title = "lock.acquire() outside a context manager"
-    node_types = (ast.Call,)
-
-    def visit(self, node: ast.Call, ctx: FileContext) -> Iterator[tuple[int, str]]:
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "acquire":
-            yield (
-                node.lineno,
-                ".acquire() without a context manager leaks the lock on any "
-                "exception before release — use 'with lock:' instead",
-            )
 
 
 def _is_inf_call(node: ast.expr) -> bool:
@@ -498,10 +435,15 @@ _PROCESS_SIGNAL_CALLS = frozenset(
 _PROCESS_MP_NAMES = frozenset({"Process", "Pipe", "get_context"})
 #: Process pools: worker processes with no heartbeat and no restart.
 _PROCESS_POOL_NAMES = frozenset({"ProcessPoolExecutor"})
+#: Modules that start threads, and the names that run a callable on a
+#: worker thread (``concurrent.futures``, ``asyncio.to_thread``, an event
+#: loop's ``run_in_executor``).
+_THREAD_MODULES = frozenset({"threading", "_thread"})
+_THREAD_NAMES = frozenset({"ThreadPoolExecutor", "to_thread", "run_in_executor"})
 
 
 class ProcessManagementBoundaryRule(Rule):
-    """REP011: raw process management lives only in the serve supervisor.
+    """REP011: process and thread management live only in the serve supervisor.
 
     Killing processes, installing signal handlers, hand-rolled
     ``multiprocessing.Process``/``Pipe`` wiring, and process pools are
@@ -509,15 +451,25 @@ class ProcessManagementBoundaryRule(Rule):
     an ``os.kill`` outside the supervisor bypasses epoch bookkeeping
     (stale-message storms), a stray signal handler races the heartbeat
     loop, and an unsupervised ``Process`` or ``ProcessPoolExecutor`` is a
-    worker nobody restarts. One file owns them:
-    ``serve/_internal/supervisor.py``.
+    worker nobody restarts. Threads are held to the same file: every
+    process runs its code on one thread, so metrics, caches, scratch and
+    the grad mode are plain state with no locks, and a second thread
+    (``threading``, ``_thread``, ``ThreadPoolExecutor``,
+    ``asyncio.to_thread``, ``run_in_executor``) would race all of them.
+    One file owns them: ``serve/_internal/supervisor.py``, whose only
+    thread reaps a killed worker.
     """
 
     id = "REP011"
-    title = "process-management API outside the serve supervisor"
-    node_types = (ast.Call, ast.ImportFrom)
+    title = "process or thread management outside the serve supervisor"
+    node_types = (ast.Call, ast.Import, ast.ImportFrom)
 
     _SANCTIONED_SUFFIX = ("serve", "_internal", "supervisor.py")
+    _THREAD_MESSAGE = (
+        "outside serve._internal.supervisor — every process runs its code "
+        "on one thread, so nothing else locks its state; a second thread "
+        "would race metrics, caches and scratch"
+    )
 
     def applies(self, ctx: FileContext) -> bool:
         if ctx.is_test or ctx.is_benchmark:
@@ -525,10 +477,20 @@ class ProcessManagementBoundaryRule(Rule):
         return Path(ctx.path).parts[-3:] != self._SANCTIONED_SUFFIX
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[tuple[int, str]]:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] in _THREAD_MODULES:
+                    yield (node.lineno, f"import of {alias.name} {self._THREAD_MESSAGE}")
+            return
         if isinstance(node, ast.ImportFrom):
             root = node.module.split(".")[0] if node.module else None
             for alias in node.names:
-                if (root == "multiprocessing" and alias.name in _PROCESS_MP_NAMES) or (
+                if root in _THREAD_MODULES or alias.name in _THREAD_NAMES:
+                    yield (
+                        node.lineno,
+                        f"import of {node.module}.{alias.name} {self._THREAD_MESSAGE}",
+                    )
+                elif (root == "multiprocessing" and alias.name in _PROCESS_MP_NAMES) or (
                     root == "concurrent" and alias.name in _PROCESS_POOL_NAMES
                 ):
                     yield (
@@ -539,17 +501,21 @@ class ProcessManagementBoundaryRule(Rule):
                         "supervisor is the only owner of processes",
                     )
             return
+        if isinstance(node.func, ast.Attribute) and node.func.attr in _THREAD_NAMES:
+            # matched on the attribute alone, since a receiver such as
+            # `asyncio.get_running_loop()` has no plain dotted chain
+            yield (node.lineno, f"{node.func.attr}() {self._THREAD_MESSAGE}")
+            return
         chain = _attr_chain(node.func)
         if len(chain) < 2:
             return
         root, attr = chain[0], chain[-1]
-        flagged = (
+        if (
             (root == "os" and attr in _PROCESS_OS_CALLS)
             or (root == "signal" and attr in _PROCESS_SIGNAL_CALLS)
             or (root == "multiprocessing" and attr in _PROCESS_MP_NAMES)
             or attr in _PROCESS_POOL_NAMES
-        )
-        if flagged:
+        ):
             yield (
                 node.lineno,
                 f"{'.'.join(chain)}() outside serve._internal.supervisor — "
@@ -654,7 +620,7 @@ class SequenceRunnerAllocationRule(Rule):
                 node.lineno,
                 f"np.{attr}() in a sequence-runner timestep loop — it "
                 "allocates a fresh array every timestep; hoist the buffer "
-                "out of the loop (per-thread workspace) and fill it in place",
+                "out of the loop (a workspace buffer) and fill it in place",
             )
         elif attr == "matmul" and len(node.args) < 3 and not any(
             keyword.arg == "out" for keyword in node.keywords
@@ -670,9 +636,7 @@ class SequenceRunnerAllocationRule(Rule):
 ALL_RULES: tuple[type[Rule], ...] = (
     UnseededRNGRule,
     WallClockRule,
-    UnlockedSharedStateRule,
     AliasedCacheReturnRule,
-    RawLockAcquireRule,
     FloatEqualityRule,
     SwallowedExceptionRule,
     EncoderImportBoundaryRule,

@@ -1,20 +1,18 @@
 """Phase 1 of the whole-program analyzer: per-file summaries.
 
-The single-file rules (REP001-REP012) see one AST at a time; the
-cross-file rules (REP013-REP016 in :mod:`repro.analysis.program`) need a
-repo-wide view — which attributes a class family guards with which lock,
-which locks are held while which functions are called, which callables
-cross a process boundary, where seed parameters stop flowing. Shipping
+The single-file rules see one AST at a time; the cross-file rules
+(REP015 and REP016 in :mod:`repro.analysis.program`) need a repo-wide
+view — which callables cross a process boundary and what they reach,
+where seed parameters stop flowing. Shipping
 whole ASTs to a linker would make incremental scans impossible, so phase
 1 distills each file into a :class:`ModuleSummary`: a small, JSON-
 serializable record of exactly the facts the linker consumes. The
 summary is a pure function of the file's source text, which is what lets
 the incremental cache key it by content hash.
 
-Everything here is deliberately syntactic (no type inference): lock
-expressions are recognized by the repo's naming convention (the source
-text mentions ``lock``), resource classes by a fixed name set, seeds by
-parameter-name convention. Where that over-approximates, the usual
+Everything here is deliberately syntactic (no type inference): resource
+classes are recognized by a fixed name set, seeds by parameter-name
+convention. Where that over-approximates, the usual
 escape hatches apply (inline ``# repro: noqa[...]``, baseline entries).
 """
 
@@ -25,11 +23,6 @@ from dataclasses import dataclass, fields
 
 __all__ = [
     "SUMMARY_SCHEMA_VERSION",
-    "LockRef",
-    "AttrAccess",
-    "AcquireEdge",
-    "LockSite",
-    "HeldCall",
     "CallSite",
     "DispatchSite",
     "FunctionSummary",
@@ -44,7 +37,7 @@ __all__ = [
 
 #: Bump when the summary shape or extraction semantics change: cached
 #: summaries from older versions must not feed the linker.
-SUMMARY_SCHEMA_VERSION = 1
+SUMMARY_SCHEMA_VERSION = 2
 
 #: Classes that hold parent-process-only state (open files, subscriber
 #: hooks, pipes to children). An instance reachable from a callable that
@@ -65,17 +58,6 @@ RESOURCE_CLASSES = frozenset({
 RESOURCE_PARAM_NAMES = frozenset({
     "store", "model_store", "alarm_store", "tsdb", "database",
     "collector", "dead_letters", "dead_letter_store",
-})
-
-#: Constructor names whose result is a lock-like synchronization object.
-_LOCK_CTORS = frozenset({"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"})
-
-#: Method names that mutate their receiver in place: a call through
-#: ``self.attr.<mutator>()`` counts as a *write* to the attribute.
-_MUTATOR_METHODS = frozenset({
-    "append", "appendleft", "extend", "insert", "remove", "pop", "popleft",
-    "popitem", "clear", "update", "setdefault", "add", "discard",
-    "move_to_end", "sort", "reverse",
 })
 
 _RNG_CTORS = frozenset({"default_rng", "RandomState", "ensure_rng", "Generator", "SeedSequence"})
@@ -133,115 +115,6 @@ def _as_dict(obj) -> dict:
 
 
 @dataclass(frozen=True)
-class LockRef:
-    """One lock expression, pre-canonicalization.
-
-    ``via_self`` locks are attributes of the enclosing instance
-    (``with self._lock:``) and carry the enclosing class; bare names are
-    module-level (or imported) locks resolved by the linker. ``is_async``
-    marks ``async with`` — asyncio locks serialize coroutines, they do not
-    fence memory, so REP013 ignores them while REP014 keeps them (a cycle
-    of asyncio locks deadlocks the event loop just as hard).
-    """
-
-    name: str
-    via_self: bool = False
-    cls: str = ""
-    is_async: bool = False
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "via_self": self.via_self,
-                "cls": self.cls, "is_async": self.is_async}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LockRef":
-        return cls(data["name"], data["via_self"], data["cls"], data["is_async"])
-
-
-@dataclass(frozen=True)
-class AttrAccess:
-    """One ``self.<attr>`` touch inside a method, with the locks held."""
-
-    attr: str
-    kind: str  # "read" | "write"
-    locks: tuple  # tuple[LockRef, ...] — sync locks lexically held
-    method: str
-    line: int
-
-    def to_dict(self) -> dict:
-        return {"attr": self.attr, "kind": self.kind,
-                "locks": [lock.to_dict() for lock in self.locks],
-                "method": self.method, "line": self.line}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AttrAccess":
-        return cls(data["attr"], data["kind"],
-                   tuple(LockRef.from_dict(d) for d in data["locks"]),
-                   data["method"], data["line"])
-
-
-@dataclass(frozen=True)
-class AcquireEdge:
-    """``with A: ... with B:`` — B acquired while A is held (one file)."""
-
-    held: LockRef
-    acquired: LockRef
-    function: str
-    line: int  # where the inner acquire happens
-
-    def to_dict(self) -> dict:
-        return {"held": self.held.to_dict(), "acquired": self.acquired.to_dict(),
-                "function": self.function, "line": self.line}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AcquireEdge":
-        return cls(LockRef.from_dict(data["held"]), LockRef.from_dict(data["acquired"]),
-                   data["function"], data["line"])
-
-
-@dataclass(frozen=True)
-class LockSite:
-    """One lock acquisition (``with L:``) regardless of nesting.
-
-    :class:`AcquireEdge` only exists when another lock is already held;
-    the interprocedural half of REP014 also needs the plain fact "calling
-    ``f`` acquires ``L``", which this records per function.
-    """
-
-    lock: LockRef
-    function: str
-    line: int
-
-    def to_dict(self) -> dict:
-        return {"lock": self.lock.to_dict(), "function": self.function,
-                "line": self.line}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LockSite":
-        return cls(LockRef.from_dict(data["lock"]), data["function"], data["line"])
-
-
-@dataclass(frozen=True)
-class HeldCall:
-    """A call made while a lock is held — the interprocedural half of
-    the may-hold-while-acquiring graph."""
-
-    held: LockRef
-    callee: str  # dotted callee as written ("self.m", "mod.f", "f")
-    function: str
-    line: int
-
-    def to_dict(self) -> dict:
-        return {"held": self.held.to_dict(), "callee": self.callee,
-                "function": self.function, "line": self.line}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HeldCall":
-        return cls(LockRef.from_dict(data["held"]), data["callee"],
-                   data["function"], data["line"])
-
-
-@dataclass(frozen=True)
 class CallSite:
     """One call edge out of a function, with seed-argument bookkeeping."""
 
@@ -268,30 +141,21 @@ class CallSite:
 
 @dataclass(frozen=True)
 class DispatchSite:
-    """A callable handed to a worker-dispatch API.
-
-    ``boundary`` records how hard the process boundary is:
-
-    - ``"process"`` — another process (``Process(target=...)``,
-      ``ProcessPoolExecutor``, ``multiprocessing.Pool``);
-    - ``"thread"`` — thread-only, out of REP015 scope (kept for the
-      summary's completeness).
-    """
+    """A callable handed to another process (``Process(target=...)``,
+    ``ProcessPoolExecutor``, ``multiprocessing.Pool``)."""
 
     api: str  # "Process(target=)" | "submit" | "map" | ...
     callee: str
-    boundary: str
     function: str
     line: int
 
     def to_dict(self) -> dict:
-        return {"api": self.api, "callee": self.callee, "boundary": self.boundary,
+        return {"api": self.api, "callee": self.callee,
                 "function": self.function, "line": self.line}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DispatchSite":
-        return cls(data["api"], data["callee"], data["boundary"],
-                   data["function"], data["line"])
+        return cls(data["api"], data["callee"], data["function"], data["line"])
 
 
 @dataclass(frozen=True)
@@ -336,29 +200,23 @@ class FunctionSummary:
 
 @dataclass(frozen=True)
 class ClassSummary:
-    """Attribute model of one class: locks, resources, guarded accesses."""
+    """Attribute model of one class: resources and constructed attributes."""
 
     name: str
     bases: tuple  # base names as written ("_Metric", "base.Module")
     line: int
-    lock_attrs: tuple  # attrs assigned a Lock()/RLock()/... anywhere
     resource_attrs: dict  # attr -> kind ("ModelStore", "param:store", ...)
     ctor_attrs: dict  # attr -> constructor last-name (dispatch receivers)
-    accesses: tuple  # tuple[AttrAccess, ...]
 
     def to_dict(self) -> dict:
-        data = _as_dict(self)
-        data["accesses"] = [a.to_dict() for a in self.accesses]
-        return data
+        return _as_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClassSummary":
         return cls(
             name=data["name"], bases=tuple(data["bases"]), line=data["line"],
-            lock_attrs=tuple(data["lock_attrs"]),
             resource_attrs=dict(data["resource_attrs"]),
             ctor_attrs=dict(data["ctor_attrs"]),
-            accesses=tuple(AttrAccess.from_dict(a) for a in data["accesses"]),
         )
 
 
@@ -372,9 +230,6 @@ class ModuleSummary:
     resource_globals: dict  # module-level name -> resource class name
     functions: tuple  # tuple[FunctionSummary, ...]
     classes: tuple  # tuple[ClassSummary, ...]
-    acquires: tuple  # tuple[AcquireEdge, ...]
-    lock_sites: tuple  # tuple[LockSite, ...]
-    held_calls: tuple  # tuple[HeldCall, ...]
     dispatches: tuple  # tuple[DispatchSite, ...]
 
     def to_dict(self) -> dict:
@@ -384,9 +239,6 @@ class ModuleSummary:
             "resource_globals": dict(self.resource_globals),
             "functions": [f.to_dict() for f in self.functions],
             "classes": [c.to_dict() for c in self.classes],
-            "acquires": [a.to_dict() for a in self.acquires],
-            "lock_sites": [s.to_dict() for s in self.lock_sites],
-            "held_calls": [h.to_dict() for h in self.held_calls],
             "dispatches": [d.to_dict() for d in self.dispatches],
         }
 
@@ -398,9 +250,6 @@ class ModuleSummary:
             resource_globals=dict(data["resource_globals"]),
             functions=tuple(FunctionSummary.from_dict(f) for f in data["functions"]),
             classes=tuple(ClassSummary.from_dict(c) for c in data["classes"]),
-            acquires=tuple(AcquireEdge.from_dict(a) for a in data["acquires"]),
-            lock_sites=tuple(LockSite.from_dict(s) for s in data["lock_sites"]),
-            held_calls=tuple(HeldCall.from_dict(h) for h in data["held_calls"]),
             dispatches=tuple(DispatchSite.from_dict(d) for d in data["dispatches"]),
         )
 
@@ -430,34 +279,6 @@ def _ctor_name(value: ast.expr) -> str | None:
     if chain is None:
         return None
     return chain.split(".")[-1]
-
-
-def _lock_ref(item: ast.withitem, cls: str, is_async: bool) -> LockRef | None:
-    """A :class:`LockRef` for one ``with`` item, when it looks lock-ish."""
-    expr = item.context_expr
-    # unwrap `lock.acquire_timeout()`-style calls down to the receiver
-    text = ast.unparse(expr).lower()
-    if "lock" not in text and "sem" not in text and "cond" not in text:
-        return None
-    if "lock" not in text:
-        # only the explicit lock convention participates; semaphores and
-        # conditions without 'lock' in the name stay out of scope.
-        return None
-    dotted = _dotted(expr)
-    if dotted is None and isinstance(expr, ast.Call):
-        dotted = _dotted(expr.func)
-    if dotted is None:
-        return None
-    parts = dotted.split(".")
-    if parts[0] == "self" and len(parts) == 2:
-        return LockRef(name=parts[1], via_self=True, cls=cls, is_async=is_async)
-    if len(parts) == 1:
-        return LockRef(name=parts[0], via_self=False, cls="", is_async=is_async)
-    if len(parts) == 2 and parts[0] not in ("self", "cls"):
-        # module-attr lock (`locks.GLOBAL`) — keep the dotted spelling;
-        # the linker resolves the root through the import map.
-        return LockRef(name=dotted, via_self=False, cls="", is_async=is_async)
-    return None
 
 
 _STUB_NODES = (ast.Pass, ast.Raise)
@@ -536,10 +357,6 @@ class _Extractor(ast.NodeVisitor):
         self.class_stack: list[dict] = []
         self.classes: list[ClassSummary] = []
         self.func_stack: list[_FunctionState] = []
-        self.lock_stack: list[LockRef] = []
-        self.acquires: list[AcquireEdge] = []
-        self.lock_sites: list[LockSite] = []
-        self.held_calls: list[HeldCall] = []
         self.dispatches: list[DispatchSite] = []
 
     # -- helpers -----------------------------------------------------------
@@ -557,13 +374,6 @@ class _Extractor(ast.NodeVisitor):
         if self.class_stack:
             return f"{self.class_stack[-1]['name']}.{name}"
         return name
-
-    def _sync_locks(self) -> tuple[LockRef, ...]:
-        return tuple(lock for lock in self.lock_stack if not lock.is_async)
-
-    def _resolve_local(self, name: str) -> str:
-        """Absolute dotted target of a local name, or the name itself."""
-        return self.import_map.get(name, name)
 
     # -- imports -----------------------------------------------------------
     def visit_Import(self, node: ast.Import) -> None:
@@ -594,20 +404,16 @@ class _Extractor(ast.NodeVisitor):
             "name": node.name,
             "bases": tuple(b for b in (_dotted(base) for base in node.bases) if b),
             "line": node.lineno,
-            "lock_attrs": set(),
             "resource_attrs": {},
             "ctor_attrs": {},
-            "accesses": [],
         }
         self.class_stack.append(state)
         self.generic_visit(node)
         self.class_stack.pop()
         self.classes.append(ClassSummary(
             name=state["name"], bases=state["bases"], line=state["line"],
-            lock_attrs=tuple(sorted(state["lock_attrs"])),
             resource_attrs=dict(state["resource_attrs"]),
             ctor_attrs=dict(state["ctor_attrs"]),
-            accesses=tuple(dict.fromkeys(state["accesses"])),
         ))
 
     def _enter_function(self, node, name: str) -> None:
@@ -615,9 +421,7 @@ class _Extractor(ast.NodeVisitor):
         cls = self.class_stack[-1]["name"] if self.class_stack and not self.func_stack else ""
         state = _FunctionState(qualname, cls, node)
         self.func_stack.append(state)
-        saved_locks, self.lock_stack = self.lock_stack, []
         self.generic_visit(node)
-        self.lock_stack = saved_locks
         self.func_stack.pop()
         self.functions.append(state.finish(node.lineno))
 
@@ -630,46 +434,7 @@ class _Extractor(ast.NodeVisitor):
     def visit_Lambda(self, node: ast.Lambda) -> None:
         self._enter_function(node, f"<lambda:{node.lineno}>")
 
-    # -- with (locks) ------------------------------------------------------
-    def _visit_with(self, node, is_async: bool) -> None:
-        cls = self.class_stack[-1]["name"] if self.class_stack else ""
-        refs = []
-        for item in node.items:
-            ref = _lock_ref(item, cls, is_async)
-            if ref is not None:
-                refs.append(ref)
-        function = self._fn.qualname if self._fn else "<module>"
-        for ref in refs:
-            self.lock_sites.append(LockSite(lock=ref, function=function, line=node.lineno))
-            for held in self.lock_stack:
-                self.acquires.append(AcquireEdge(
-                    held=held, acquired=ref, function=function, line=node.lineno))
-            self.lock_stack.append(ref)
-        for item in node.items:
-            self.visit(item.context_expr)
-            if item.optional_vars is not None:
-                self.visit(item.optional_vars)
-        for stmt in node.body:
-            self.visit(stmt)
-        for _ in refs:
-            self.lock_stack.pop()
-
-    def visit_With(self, node: ast.With) -> None:
-        self._visit_with(node, is_async=False)
-
-    def visit_AsyncWith(self, node: ast.AsyncWith) -> None:
-        self._visit_with(node, is_async=True)
-
     # -- assignments -------------------------------------------------------
-    def _record_self_write(self, attr: str, line: int) -> None:
-        fn = self._fn
-        cls = self._cls
-        if cls is None or fn is None:
-            return
-        cls["accesses"].append(AttrAccess(
-            attr=attr, kind="write", locks=self._sync_locks(),
-            method=fn.qualname, line=line))
-
     def visit_Assign(self, node: ast.Assign) -> None:
         value_ctor = _ctor_name(node.value)
         for target in node.targets:
@@ -679,9 +444,6 @@ class _Extractor(ast.NodeVisitor):
             parts = dotted.split(".")
             if parts[0] == "self" and len(parts) == 2 and self._cls is not None:
                 attr = parts[1]
-                self._record_self_write(attr, node.lineno)
-                if value_ctor in _LOCK_CTORS or (value_ctor and "lock" in attr.lower()):
-                    self._cls["lock_attrs"].add(attr)
                 if value_ctor in RESOURCE_CLASSES:
                     self._cls["resource_attrs"][attr] = value_ctor
                 elif (
@@ -710,39 +472,18 @@ class _Extractor(ast.NodeVisitor):
             self.visit_Assign(fake)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        dotted = _dotted(node.target)
-        if dotted is not None:
-            parts = dotted.split(".")
-            if parts[0] == "self" and len(parts) >= 2:
-                self._record_self_write(parts[1], node.lineno)
         self.visit(node.value)
         self._visit_store_target(node.target)
 
     def _visit_store_target(self, target: ast.expr) -> None:
-        # visit subscript/attribute chains inside store targets so reads
-        # feeding the store (`self._cache[key] = v` reads `key`) register,
-        # without double-recording the written attribute itself.
+        # visit subscript chains inside store targets so reads feeding the
+        # store (`self._cache[key] = v` reads `key`) register.
         if isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 self._visit_store_target(element)
         elif isinstance(target, ast.Subscript):
-            # write through a subscript: the base attribute is mutated
-            dotted = _dotted(target.value)
-            if dotted is not None:
-                parts = dotted.split(".")
-                if parts[0] == "self" and len(parts) >= 2:
-                    self._record_self_write(parts[1], target.lineno)
             self.visit(target.value)
             self.visit(target.slice)
-
-    def visit_Delete(self, node: ast.Delete) -> None:
-        for target in node.targets:
-            dotted = _dotted(target.value if isinstance(target, ast.Subscript) else target)
-            if dotted is not None:
-                parts = dotted.split(".")
-                if parts[0] == "self" and len(parts) >= 2:
-                    self._record_self_write(parts[1], node.lineno)
-        self.generic_visit(node)
 
     # -- reads -------------------------------------------------------------
     def visit_Name(self, node: ast.Name) -> None:
@@ -757,13 +498,8 @@ class _Extractor(ast.NodeVisitor):
         if dotted is not None:
             parts = dotted.split(".")
             if parts[0] == "self" and len(parts) >= 2 and isinstance(node.ctx, ast.Load):
-                fn, cls = self._fn, self._cls
-                if fn is not None:
-                    fn.self_attr_reads.append((parts[1], node.lineno))
-                if cls is not None and fn is not None and len(parts) == 2:
-                    cls["accesses"].append(AttrAccess(
-                        attr=parts[1], kind="read", locks=self._sync_locks(),
-                        method=fn.qualname, line=node.lineno))
+                if self._fn is not None:
+                    self._fn.self_attr_reads.append((parts[1], node.lineno))
         self.generic_visit(node)
 
     # -- calls -------------------------------------------------------------
@@ -771,14 +507,8 @@ class _Extractor(ast.NodeVisitor):
         fn = self._fn
         callee = _dotted(node.func)
         if callee is not None:
-            last = callee.split(".")[-1]
             parts = callee.split(".")
-            # mutator method through self.attr: a write to the attr
-            if (
-                len(parts) == 3 and parts[0] == "self" and last in _MUTATOR_METHODS
-                and self._cls is not None and fn is not None
-            ):
-                self._record_self_write(parts[1], node.lineno)
+            last = parts[-1]
             if fn is not None:
                 if last in _RNG_CTORS:
                     fn.constructs_rng = True
@@ -804,14 +534,6 @@ class _Extractor(ast.NodeVisitor):
                         seed_kwargs=seed_kwargs,
                         caller_seeds_passed=caller_seeds,
                     ))
-                for held in self.lock_stack:
-                    self.held_calls.append(HeldCall(
-                        held=held, callee=callee, function=fn.qualname,
-                        line=node.lineno))
-            elif self.lock_stack:
-                self.held_calls.append(HeldCall(
-                    held=self.lock_stack[-1], callee=callee,
-                    function="<module>", line=node.lineno))
             self._maybe_dispatch(node, callee)
         self.generic_visit(node)
 
@@ -842,36 +564,24 @@ class _Extractor(ast.NodeVisitor):
                     if target:
                         self.dispatches.append(DispatchSite(
                             api="Process(target=)", callee=target,
-                            boundary="process", function=function,
-                            line=node.lineno))
+                            function=function, line=node.lineno))
             return
         if last in _DISPATCH_METHODS and len(parts) >= 2 and node.args:
             target = callee_of(node.args[0])
-            if not target:
-                return
-            receiver = ".".join(parts[:-1])
-            boundary = self._receiver_boundary(receiver)
-            if boundary is None:
+            if not target or not self._is_process_pool(".".join(parts[:-1])):
                 return
             self.dispatches.append(DispatchSite(
-                api=last, callee=target, boundary=boundary,
-                function=function, line=node.lineno))
+                api=last, callee=target, function=function, line=node.lineno))
 
-    def _receiver_boundary(self, receiver: str) -> str | None:
-        """How hard a process boundary the dispatch receiver is."""
+    def _is_process_pool(self, receiver: str) -> bool:
+        """Was the dispatch receiver constructed as a process pool?"""
         parts = receiver.split(".")
         ctor: str | None = None
         if parts[0] == "self" and len(parts) == 2 and self._cls is not None:
             ctor = self._cls["ctor_attrs"].get(parts[1])
         elif len(parts) == 1 and self._fn is not None:
             ctor = self._fn.local_ctors.get(parts[0])
-        if ctor is None:
-            return None
-        if ctor in ("ProcessPoolExecutor", "Pool"):
-            return "process"
-        if ctor == "ThreadPoolExecutor":
-            return "thread"
-        return None
+        return ctor in ("ProcessPoolExecutor", "Pool")
 
 
 def summarize_module(tree: ast.Module, path: str, module: str | None = None) -> ModuleSummary:
@@ -885,8 +595,5 @@ def summarize_module(tree: ast.Module, path: str, module: str | None = None) -> 
         resource_globals=extractor.resource_globals,
         functions=tuple(extractor.functions),
         classes=tuple(extractor.classes),
-        acquires=tuple(extractor.acquires),
-        lock_sites=tuple(extractor.lock_sites),
-        held_calls=tuple(extractor.held_calls),
         dispatches=tuple(extractor.dispatches),
     )

@@ -156,7 +156,7 @@ class Env2VecModel(Module):
         (``ops`` kernels, the head's ``(v * C).sum(axis=1)``), so outputs
         and gradients are bitwise those of one node per layer. Activations
         the backward reads are fresh arrays; its temporaries are
-        per-thread scratch, and it never forms the gradient of ``cf``.
+        scratch, and it never forms the gradient of ``cf``.
         """
         fnn = self.fnn
         a, fnn_cache = ops.dense_forward(cf, fnn.weight.data, fnn.bias.data, fnn.activation_name)

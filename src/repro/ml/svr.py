@@ -28,12 +28,15 @@ PAPER_SVR_ALPHAS = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 PAPER_SVR_KERNELS = ("linear", "poly", "rbf")
 PAPER_SVR_EPSILONS = tuple(round(0.1 * i, 1) for i in range(1, 11))
 
+#: Degree of the ``"poly"`` kernel (scikit-learn's default).
+POLY_DEGREE = 3
 
-def _kernel_matrix(kernel: str, A: np.ndarray, B: np.ndarray, gamma: float, degree: int) -> np.ndarray:
+
+def _kernel_matrix(kernel: str, A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     if kernel == "linear":
         return A @ B.T
     if kernel == "poly":
-        return (gamma * (A @ B.T) + 1.0) ** degree
+        return (gamma * (A @ B.T) + 1.0) ** POLY_DEGREE
     if kernel == "rbf":
         sq = (
             np.sum(A**2, axis=1)[:, None]
@@ -72,7 +75,6 @@ class SVR(Estimator):
         kernel: str = "rbf",
         epsilon: float = 0.1,
         gamma: float | str = "scale",
-        degree: int = 3,
         max_iter: int = 200,
         smoothing: float = 1e-3,
     ):
@@ -86,7 +88,6 @@ class SVR(Estimator):
         self.kernel = kernel
         self.epsilon = epsilon
         self.gamma = gamma
-        self.degree = degree
         self.max_iter = max_iter
         self.smoothing = smoothing
         self.beta_: np.ndarray | None = None
@@ -103,7 +104,7 @@ class SVR(Estimator):
         X, y = check_X_y(X, y)
         self._X_train = X
         self._gamma = self._resolve_gamma(X)
-        K = _kernel_matrix(self.kernel, X, X, self._gamma, self.degree)
+        K = _kernel_matrix(self.kernel, X, X, self._gamma)
         n = len(y)
         mu = self.smoothing
 
@@ -136,5 +137,5 @@ class SVR(Estimator):
         X = check_X(X)
         if X.shape[1] != self._X_train.shape[1]:
             raise ValueError(f"expected {self._X_train.shape[1]} features, got {X.shape[1]}")
-        K = _kernel_matrix(self.kernel, X, self._X_train, self._gamma, self.degree)
+        K = _kernel_matrix(self.kernel, X, self._X_train, self._gamma)
         return K @ self.beta_ + self.intercept_

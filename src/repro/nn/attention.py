@@ -19,8 +19,6 @@ Selected with ``encoder="attention"`` (or ``"lstm_attention"``) on
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from . import init as initializers
@@ -55,12 +53,7 @@ class AdditiveAttention(Module):
         self.context = Parameter(
             initializers.glorot_uniform((attention_size, 1), rng), name="context"
         )
-        # Last-forward weights are kept *per thread*: threads may share one
-        # model, and a single mutable buffer would let thread A read the
-        # weights of thread B's batch.
-        # A plain dict keyed by thread id (assignment is atomic under the
-        # GIL) rather than threading.local so the module stays deepcopy-able.
-        self._weights_by_thread: dict[int, np.ndarray] = {}
+        self._last_weights: np.ndarray | None = None
 
     def forward(self, sequence: Tensor) -> Tensor:
         out, _ = self.attend(sequence)
@@ -69,9 +62,8 @@ class AdditiveAttention(Module):
     def attend(self, sequence: Tensor) -> tuple[Tensor, np.ndarray]:
         """Forward pass returning ``(pooled, weights)``.
 
-        The returned ``(batch, timesteps)`` weights belong to *this* call —
-        the race-free way to inspect attention; :attr:`last_weights` is the
-        convenience accessor for single-threaded analysis code.
+        The returned ``(batch, timesteps)`` weights belong to *this* call;
+        :attr:`last_weights` holds the most recent call's.
         """
         if sequence.ndim != 3 or sequence.shape[2] != self.hidden_size:
             raise ValueError(
@@ -82,7 +74,7 @@ class AdditiveAttention(Module):
             sequence.data, self.projection.data, self.context.data
         )
         weights = cache["weights"].copy()
-        self._weights_by_thread[threading.get_ident()] = weights
+        self._last_weights = weights
         pooled = apply_op(
             (sequence, self.projection, self.context),
             out,
@@ -92,12 +84,11 @@ class AdditiveAttention(Module):
 
     @property
     def last_weights(self) -> np.ndarray:
-        """Attention weights from this thread's most recent forward (analysis).
+        """Attention weights from the most recent forward (analysis).
 
-        Each thread sees only its own forwards; for an explicit per-call
-        handle (immune even to reentrant use) call :meth:`attend`.
+        For a per-call handle, which a later forward cannot replace, call
+        :meth:`attend`.
         """
-        weights = self._weights_by_thread.get(threading.get_ident())
-        if weights is None:
-            raise RuntimeError("attention has not been applied yet (in this thread)")
-        return weights
+        if self._last_weights is None:
+            raise RuntimeError("attention has not been applied yet")
+        return self._last_weights

@@ -29,7 +29,6 @@ refuses rather than silently using the parent's plan.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import OrderedDict
 from typing import Callable, Mapping
@@ -206,9 +205,8 @@ class EmbeddingRowCache:
     returned row would otherwise silently corrupt every future prediction
     for that environment. Mutation attempts raise ``ValueError`` instead.
     The single-row fast path returns a read-only view; the multi-row path
-    fancy-indexes into a fresh (writable) batch. Lookups are guarded by a
-    per-cache lock so threads (e.g. the serve loop and a caller's own
-    thread) can share one compiled engine.
+    fancy-indexes into a fresh (writable) batch. The cache is plain
+    instance state: each process runs its engine on one thread.
     """
 
     def __init__(self, tables: list[np.ndarray], maxsize: int = 4096):
@@ -220,7 +218,6 @@ class EmbeddingRowCache:
         self.hits = 0
         self.misses = 0
         self._cache: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()
-        self._lock = threading.Lock()
         # Mixed-radix multipliers: one int64 composite key per id row, so
         # the batch path can dedup with a single vectorized np.unique
         # instead of hashing every row through a python loop.
@@ -231,28 +228,26 @@ class EmbeddingRowCache:
         self._radix = radix
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._cache)
+        return len(self._cache)
 
     def _row(self, key: tuple[int, ...]) -> np.ndarray:
-        """One read-only cached row; takes the cache lock per lookup."""
+        """One read-only cached row."""
         if key and min(key) < 0:
             # numpy would silently wrap a negative index, so it must
             # never reach the gather.
             raise IndexError(f"negative environment id in {key}")
-        with self._lock:
-            row = self._cache.get(key)
-            if row is not None:
-                self.hits += 1
-                self._cache.move_to_end(key)
-                return row
-            self.misses += 1
-            row = np.concatenate([table[i] for table, i in zip(self.tables, key)])
-            row.setflags(write=False)
-            self._cache[key] = row
-            if len(self._cache) > self.maxsize:
-                self._cache.popitem(last=False)
+        row = self._cache.get(key)
+        if row is not None:
+            self.hits += 1
+            self._cache.move_to_end(key)
             return row
+        self.misses += 1
+        row = np.concatenate([table[i] for table, i in zip(self.tables, key)])
+        row.setflags(write=False)
+        self._cache[key] = row
+        if len(self._cache) > self.maxsize:
+            self._cache.popitem(last=False)
+        return row
 
     def rows(self, ids: np.ndarray) -> np.ndarray:
         """``(n, n_fields)`` id matrix -> ``(n, dim)`` concatenated rows.

@@ -8,7 +8,6 @@ embedding tables.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -42,7 +41,7 @@ def ensure_rng(rng: np.random.Generator | None) -> np.random.Generator:
     return np.random.default_rng(DEFAULT_SEED)
 
 
-class _InitMode(threading.local):
+class _InitMode:
     deferred = False
 
 
@@ -56,7 +55,8 @@ def deferred_init():
     Deserialization builds a model only to immediately overwrite every
     parameter via ``load_state_dict``; drawing Glorot/orthogonal weights
     (the latter costs a QR decomposition per recurrent kernel) for throwaway
-    arrays is pure waste. Thread-local, like the autograd grad mode.
+    arrays is pure waste. A process-wide switch, like the autograd grad
+    mode.
     """
     prev = _INIT_MODE.deferred
     _INIT_MODE.deferred = True

@@ -25,7 +25,6 @@ the very one the compiled runners execute.
 
 from __future__ import annotations
 
-import threading
 
 import numpy as np
 
@@ -148,7 +147,7 @@ def activation_delta(
     """Gradient w.r.t. ``pre`` given the gradient w.r.t. ``out``.
 
     Written into ``delta`` when given; sigmoid and tanh then take their
-    one temporary from per-thread scratch. ``linear`` returns ``grad``.
+    one temporary from scratch. ``linear`` returns ``grad``.
     """
     if name == "linear":
         return grad
@@ -196,7 +195,7 @@ def dense_backward(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Returns ``(d_x, d_weight, d_bias)``; ``d_x`` is None unless ``input_grad``.
 
-    For a batch, the activation's delta is per-thread scratch; every
+    For a batch, the activation's delta is scratch; every
     returned gradient is fresh.
     """
     x, weight = cache["x"], cache["weight"]
@@ -329,7 +328,7 @@ def hadamard_head(v_d: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def hadamard_head_backward(grad: np.ndarray, v_d: np.ndarray, c: np.ndarray):
-    """``(d_v_d, d_c)``, both per-thread scratch (see :func:`_scratch`)."""
+    """``(d_v_d, d_c)``, both scratch (see :func:`_scratch`)."""
     g = grad[:, None]
     return (
         np.multiply(g, c, out=_scratch("head_dv", *c.shape)),
@@ -346,7 +345,7 @@ def bilinear_head(v_d: np.ndarray, r: np.ndarray, c: np.ndarray) -> tuple[np.nda
 def bilinear_head_backward(
     grad: np.ndarray, v_d: np.ndarray, r: np.ndarray, c: np.ndarray, projected: np.ndarray
 ):
-    """``(d_v_d, d_r, d_c)``; ``d_v_d`` and ``d_c`` are per-thread scratch."""
+    """``(d_v_d, d_r, d_c)``; ``d_v_d`` and ``d_c`` are scratch."""
     g = grad[:, None]
     d_projected = np.multiply(g, c, out=_scratch("head_dp", *c.shape))
     return (
@@ -360,41 +359,37 @@ def bilinear_head_backward(
 # Recurrent sequences: one kernel pair per cell type, shared by training
 # (a single tape node per layer) and the compiled inference runners
 # ---------------------------------------------------------------------------
-# Per-thread scratch for the compiled runners. At small batch sizes they
-# are dispatch-bound: allocating the input rows, projection, gate and
-# state buffers, and slicing every timestep's views out of them, costs as
-# much as the math. So a run over at most ``_CACHED_ROWS`` rows
-# (timesteps × batch) keeps all of that, views included, per thread and
-# per shape; a larger run allocates afresh, which its math dwarfs.
-# Scratch carries no state between calls (every element is written
-# before it is read). Thread-locality is what keeps a compiled engine
-# shareable: two worker threads driving one engine never see each
-# other's scratch. The one aliasing rule this imposes: anything a runner
-# *returns* must be a fresh array — otherwise a caller running two
-# sequences back to back (e.g. the bidirectional encoder) would watch its
-# first result mutate. The newest ``_WORKSPACE_KEYS`` shapes are kept:
-# a campaign scores executions of many lengths, and keeping 64 shapes
-# cost it ~9 MiB of peak RSS for no measurable speed.
-_SCRATCH = threading.local()
+# Process-wide scratch for the compiled runners. At small batch sizes
+# they are dispatch-bound: allocating the input rows, projection, gate
+# and state buffers, and slicing every timestep's views out of them,
+# costs as much as the math. So a run over at most ``_CACHED_ROWS`` rows
+# (timesteps × batch) keeps all of that, views included, per shape; a
+# larger run allocates afresh, which its math dwarfs. Scratch carries no
+# state between calls (every element is written before it is read), and
+# each process runs its kernels on one thread. The one aliasing rule this
+# imposes: anything a runner *returns* must be a fresh array — otherwise
+# a caller running two sequences back to back (e.g. the bidirectional
+# encoder) would watch its first result mutate. The newest
+# ``_WORKSPACE_KEYS`` shapes are kept: a campaign scores executions of
+# many lengths, and keeping 64 shapes cost it ~9 MiB of peak RSS for no
+# measurable speed.
+_SCRATCH: dict[tuple, object] = {}
 _WORKSPACE_KEYS = 16
 _CACHED_ROWS = 1024
 
 
 def _workspace(key: tuple, builder):
-    spaces = getattr(_SCRATCH, "spaces", None)
-    if spaces is None:
-        spaces = _SCRATCH.spaces = {}
-    ws = spaces.get(key)
+    ws = _SCRATCH.get(key)
     if ws is None:
-        if len(spaces) >= _WORKSPACE_KEYS:
-            del spaces[next(iter(spaces))]  # oldest first
-        ws = spaces[key] = builder()
+        if len(_SCRATCH) >= _WORKSPACE_KEYS:
+            del _SCRATCH[next(iter(_SCRATCH))]  # oldest first
+        ws = _SCRATCH[key] = builder()
     return ws
 
 
 def _scratch(name: str, *shape: int) -> np.ndarray:
-    """A per-thread float64 training temporary, valid until the next
-    request for ``name`` on this thread. The training kernels draw their
+    """A float64 training temporary, valid until the next request for
+    ``name`` with the same shape. The training kernels draw their
     projection and backward temporaries from here: fresh arrays of these
     sizes cost ~20 % more encoder time (EXPERIMENTS.md, "Training step"),
     while the saved activations, which outlive the call, are plain
@@ -616,7 +611,7 @@ def gru_sequence_backward(
     zero_start = cache["zero_start"]
     z, r = zr[:, 0], zr[:, 1]
     # dh -> dcand_pre (f_c), dh -> dz_pre (f_z) and dcand_pre -> dr_pre
-    # (f_r), for all timesteps, in per-thread scratch.
+    # (f_r), for all timesteps, in scratch.
     shape = (timesteps, batch, hidden)
     one_minus_z = np.subtract(1.0, z, out=_scratch("gru_1mz", *shape))
     f_c = one_minus_z
@@ -696,7 +691,7 @@ def gru_sequence(
     """Run a fused GRU over ``(batch, timesteps, input)`` without a tape.
 
     This is :func:`_gru_sequence_steps`, the recurrence training uses,
-    over per-thread scratch (see DESIGN.md §6) in the promoted dtype of
+    over scratch (see DESIGN.md §6) in the promoted dtype of
     the input and the weights: float64 outputs are bitwise equal to the
     autograd forward, and float32 operands run the same recurrence in
     single precision. Returned arrays are always fresh.
@@ -832,7 +827,7 @@ def lstm_sequence_backward(
     zero_start = cache["zero_start"]
     i, f, o, g = gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3]
     shape = (timesteps, batch, hidden)
-    # Per-element factors for all timesteps, in per-thread scratch:
+    # Per-element factors for all timesteps, in scratch:
     # dh -> do_pre, dh -> dc, and dc -> di_pre / df_pre / dg_pre.
     q_o = np.subtract(1.0, o, out=_scratch("lstm_qo", *shape))
     q_o *= o

@@ -20,7 +20,6 @@ All gradients are validated against central finite differences in
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,15 +27,8 @@ import numpy as np
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "apply_op"]
 
 
-class _GradMode(threading.local):
-    """Per-thread graph-recording switch.
-
-    Inference servers run predictions from worker threads; a module-level
-    boolean would let one thread's ``no_grad`` block silently disable
-    gradient recording in a concurrently training thread. Each thread
-    starts with recording enabled (the class attribute default) and only
-    ever mutates its own view.
-    """
+class _GradMode:
+    """The process's graph-recording switch (each process runs one thread)."""
 
     enabled = True
 

@@ -15,18 +15,15 @@ instrumentation is off — one attribute load and one branch, no allocation.
 Metric handles are meant to be resolved once (module/instance scope) and
 reused, not looked up per call.
 
-Every hot-path mutation is atomic: each leaf (a label-less family, or one
-child of a labelled family) owns a lock taken around its value update, so
-concurrent ``inc``/``set``/``observe`` from several threads (the serve
-event loop, a campaign, a caller's own threads) never lose increments. The disabled path stays
-lock-free (the enabled check returns before the lock), and the registry
-lock still only guards family/child registration.
+Metrics are plain process state with no locks: every process runs its
+code on one thread (the serve tier scales across processes, each with
+its own registry), and the analyzer's REP011 confines thread use to the
+serve supervisor's reaper.
 """
 
 from __future__ import annotations
 
 import re
-import threading
 from bisect import bisect_left
 from time import perf_counter
 from typing import Iterator
@@ -96,10 +93,6 @@ class _Metric:
         self.label_names = tuple(label_names)
         self._enabled = enabled if enabled is not None else _Enabled()
         self._children: dict[tuple[str, ...], "_Metric"] = {}
-        self._lock = threading.Lock()
-        # Per-leaf lock guarding value updates; children get their own in
-        # _make_child so siblings never contend with each other.
-        self._value_lock = threading.Lock()
         if not self.label_names:
             # A label-less family is its own single child: inc()/set()/
             # observe() work directly on it.
@@ -112,16 +105,9 @@ class _Metric:
                 f"{self.name} takes labels {self.label_names}; got {tuple(sorted(labels))}"
             )
         key = tuple(str(labels[name]) for name in self.label_names)
-        # Double-checked locking: the bare read is the fast path; a miss
-        # re-checks under the lock before inserting, and dict reads of a
-        # fully-constructed child are safe under CPython's atomic getitem.
-        child = self._children.get(key)  # repro: noqa[REP013]
+        child = self._children.get(key)
         if child is None:
-            with self._lock:
-                child = self._children.get(key)
-                if child is None:
-                    child = self._make_child()
-                    self._children[key] = child
+            child = self._children[key] = self._make_child()
         return child
 
     def _make_child(self):
@@ -131,8 +117,6 @@ class _Metric:
         child.label_names = ()
         child._enabled = self._enabled
         child._children = {(): child}
-        child._lock = self._lock
-        child._value_lock = threading.Lock()
         child._init_value()
         return child
 
@@ -149,9 +133,7 @@ class _Metric:
         if not self.label_names:
             yield {}, self
             return
-        with self._lock:
-            items = sorted(self._children.items())
-        for key, child in items:
+        for key, child in sorted(self._children.items()):
             yield dict(zip(self.label_names, key)), child
 
     def samples(self) -> Iterator[MetricSample]:
@@ -165,8 +147,7 @@ class _Metric:
     def reset(self) -> None:
         """Zero every child's value (registrations and children survive)."""
         for _, child in self._iter_children():
-            with child._value_lock:
-                child._init_value()
+            child._init_value()
 
 
 class Counter(_Metric):
@@ -190,19 +171,15 @@ class Counter(_Metric):
             self._require_leaf()
         if amount < 0:
             raise ValueError(f"counters only go up; got inc({amount})")
-        with self._value_lock:
-            self._value += amount
+        self._value += amount
 
     @property
     def value(self) -> float:
         self._require_leaf()
-        with self._value_lock:
-            return self._value
+        return self._value
 
     def _value_samples(self, labels: dict[str, str]) -> Iterator[MetricSample]:
-        with self._value_lock:
-            value = self._value
-        yield MetricSample(self.name, labels, value)
+        yield MetricSample(self.name, labels, self._value)
 
 
 class Gauge(_Metric):
@@ -224,16 +201,14 @@ class Gauge(_Metric):
             return
         if self.label_names:
             self._require_leaf()
-        with self._value_lock:
-            self._value = float(value)
+        self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
         if not self._enabled.on:
             return
         if self.label_names:
             self._require_leaf()
-        with self._value_lock:
-            self._value += amount
+        self._value += amount
 
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
@@ -241,13 +216,10 @@ class Gauge(_Metric):
     @property
     def value(self) -> float:
         self._require_leaf()
-        with self._value_lock:
-            return self._value
+        return self._value
 
     def _value_samples(self, labels: dict[str, str]) -> Iterator[MetricSample]:
-        with self._value_lock:
-            value = self._value
-        yield MetricSample(self.name, labels, value)
+        yield MetricSample(self.name, labels, self._value)
 
 
 def format_le(bound: float) -> str:
@@ -332,37 +304,32 @@ class Histogram(_Metric):
             self._require_leaf()
         value = float(value)
         bucket = bisect_left(self.bounds, value)
-        with self._value_lock:
-            self._counts[bucket] += 1
-            self._sum += value
-            self._count += 1
+        self._counts[bucket] += 1
+        self._sum += value
+        self._count += 1
 
     def time(self) -> HistogramTimer:
         """A context manager observing the wrapped block's wall duration."""
         self._require_leaf()
         return HistogramTimer(self)
 
-    def _snapshot(self) -> tuple[list[int], float, int]:
-        """One consistent (counts, sum, count) view under a single lock
-        hold — read paths must never see a sum torn from its buckets,
-        and must never nest two ``_value_lock`` acquisitions."""
-        with self._value_lock:
-            return list(self._counts), self._sum, self._count
-
     @property
     def count(self) -> int:
         self._require_leaf()
-        return self._snapshot()[2]
+        return self._count
 
     @property
     def sum(self) -> float:
         self._require_leaf()
-        return self._snapshot()[1]
+        return self._sum
 
     def _value_samples(self, labels: dict[str, str]) -> Iterator[MetricSample]:
-        counts, total_sum, total_count = self._snapshot()
+        # Read every field before the first yield: a consumer may observe
+        # into this histogram while it walks the samples, and the buckets,
+        # sum and count must still come from one state.
+        total_sum, total_count = self._sum, self._count
         cumulative, running = [], 0
-        for count in counts:
+        for count in self._counts:
             running += count
             cumulative.append(running)
         for bound, count in zip(self.bounds + (float("inf"),), cumulative):
@@ -385,7 +352,6 @@ class MetricsRegistry:
     def __init__(self, enabled: bool = True):
         self._enabled = _Enabled(enabled)
         self._metrics: dict[str, _Metric] = {}
-        self._lock = threading.Lock()
 
     # -- enable/disable ----------------------------------------------------
     @property
@@ -405,25 +371,24 @@ class MetricsRegistry:
     # -- registration ------------------------------------------------------
     def _register(self, cls, name: str, help: str, label_names: tuple[str, ...], **kw):
         label_names = tuple(label_names)
-        with self._lock:
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if type(existing) is not cls or existing.label_names != label_names:
-                    raise ValueError(
-                        f"metric {name!r} already registered as "
-                        f"{existing.kind}{existing.label_names}; cannot re-register as "
-                        f"{cls.kind}{label_names}"
-                    )
-                if kw.get("buckets") is not None and existing.bounds != tuple(
-                    float(b) for b in kw["buckets"] if b != float("inf")
-                ):
-                    raise ValueError(f"metric {name!r} already registered with different buckets")
-                return existing
-            metric = cls(name, help, label_names, enabled=self._enabled, **{
-                k: v for k, v in kw.items() if v is not None
-            })
-            self._metrics[name] = metric
-            return metric
+        existing = self._metrics.get(name)
+        if existing is not None:
+            if type(existing) is not cls or existing.label_names != label_names:
+                raise ValueError(
+                    f"metric {name!r} already registered as "
+                    f"{existing.kind}{existing.label_names}; cannot re-register as "
+                    f"{cls.kind}{label_names}"
+                )
+            if kw.get("buckets") is not None and existing.bounds != tuple(
+                float(b) for b in kw["buckets"] if b != float("inf")
+            ):
+                raise ValueError(f"metric {name!r} already registered with different buckets")
+            return existing
+        metric = cls(name, help, label_names, enabled=self._enabled, **{
+            k: v for k, v in kw.items() if v is not None
+        })
+        self._metrics[name] = metric
+        return metric
 
     def counter(self, name: str, help: str = "", labels: tuple[str, ...] = ()) -> Counter:
         return self._register(Counter, name, help, labels)
@@ -437,21 +402,17 @@ class MetricsRegistry:
 
     # -- introspection -----------------------------------------------------
     def get(self, name: str) -> _Metric:
-        with self._lock:
-            try:
-                return self._metrics[name]
-            except KeyError:
-                raise KeyError(f"no metric registered under {name!r}") from None
+        try:
+            return self._metrics[name]
+        except KeyError:
+            raise KeyError(f"no metric registered under {name!r}") from None
 
     def names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._metrics)
+        return sorted(self._metrics)
 
     def collect(self) -> Iterator[_Metric]:
         """Families in registration order (stable exposition layout)."""
-        with self._lock:
-            families = list(self._metrics.values())
-        yield from families
+        yield from list(self._metrics.values())
 
     def samples(self) -> Iterator[MetricSample]:
         for metric in self.collect():

@@ -13,11 +13,10 @@ owning registry is disabled, :meth:`SpanTracker.span` returns a shared
 no-op context manager — no Span object, no contextvar write, no clock
 read.
 
-Threads get *per-thread span roots* for free: a fresh thread sees the
-contextvar's ``None`` default, so the first span it opens has no parent
-and lands in ``roots`` as its own tree (it does not nest under the
-spawning thread's open span). The ``roots`` ring is a ``deque`` whose
-appends are atomic under CPython, so concurrent threads never corrupt it.
+The active span is a contextvar rather than a module global because
+asyncio tasks interleave on one event loop: each task runs in its own
+copy of the context, so a span one task opens never becomes the parent
+of a span another task opens while the first is suspended.
 """
 
 from __future__ import annotations

@@ -56,6 +56,14 @@ __all__ = [
     "BREAKER_HALF_OPEN",
 ]
 
+#: Backoff shape of every :class:`Retry`: attempt ``k + 1`` waits
+#: ``min(MAX_DELAY, BASE_DELAY * MULTIPLIER ** (k - 1))`` seconds, less a
+#: seeded random share of up to ``JITTER`` of that.
+BASE_DELAY = 0.5
+MAX_DELAY = 60.0
+MULTIPLIER = 2.0
+JITTER = 0.5
+
 _OBS = get_observability()
 _M_RETRIES = _OBS.counter(
     "repro_resilience_retries_total",
@@ -125,7 +133,8 @@ class SimulatedClock(Clock):
 class Retry:
     """Bounded retry with exponential backoff and decorrelated jitter.
 
-    Only exceptions matching ``retry_on`` (default: :class:`TransientError`)
+    The backoff shape is the module's :data:`BASE_DELAY`,
+    :data:`MAX_DELAY`, :data:`MULTIPLIER` and :data:`JITTER`. Only exceptions matching ``retry_on`` (default: :class:`TransientError`)
     are retried; anything else propagates immediately. When the budget is
     exhausted :meth:`call` raises :class:`RetryExhausted` from the last
     failure.
@@ -134,10 +143,6 @@ class Retry:
     def __init__(
         self,
         max_attempts: int = 4,
-        base_delay: float = 0.5,
-        max_delay: float = 60.0,
-        multiplier: float = 2.0,
-        jitter: float = 0.5,
         retry_on: tuple[type[BaseException], ...] = (TransientError,),
         clock: Clock | None = None,
         seed: int = 0,
@@ -145,17 +150,7 @@ class Retry:
     ):
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if base_delay < 0 or max_delay < base_delay:
-            raise ValueError("need 0 <= base_delay <= max_delay")
-        if multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if not 0.0 <= jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
         self.max_attempts = max_attempts
-        self.base_delay = base_delay
-        self.max_delay = max_delay
-        self.multiplier = multiplier
-        self.jitter = jitter
         self.retry_on = retry_on
         self.clock = clock if clock is not None else SimulatedClock()
         self.name = name
@@ -166,10 +161,8 @@ class Retry:
 
     def delay_for(self, attempt: int) -> float:
         """Backoff before attempt ``attempt + 1`` (attempts count from 1)."""
-        raw = min(self.max_delay, self.base_delay * self.multiplier ** (attempt - 1))
-        if self.jitter:
-            raw *= 1.0 - self.jitter * float(self._rng.random())
-        return raw
+        raw = min(MAX_DELAY, BASE_DELAY * MULTIPLIER ** (attempt - 1))
+        return raw * (1.0 - JITTER * float(self._rng.random()))
 
     def call(self, fn: Callable, *args, **kwargs):
         """Invoke ``fn`` under this policy, returning its result.

@@ -227,8 +227,7 @@ class SequencedMerger:
     and returns every ``(seq, item)`` pair that is now releasable — a
     contiguous run starting at the next unreleased sequence number.
 
-    Single-threaded by design (it lives on an event loop); callers that
-    share one across threads must lock around ``put``.
+    Single-threaded by design: it lives on an event loop.
     """
 
     def __init__(self, start: int = 0):

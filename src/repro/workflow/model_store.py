@@ -123,7 +123,7 @@ class ModelStore:
         """Invoke ``callback(record)`` after every successful publish.
 
         Returns an idempotent unsubscribe function. Callbacks run
-        synchronously on the publisher's thread, in subscription order.
+        synchronously inside ``publish``, in subscription order.
         """
         self._subscribers.append(callback)
 

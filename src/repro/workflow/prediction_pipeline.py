@@ -193,8 +193,8 @@ class PredictionPipeline:
         corrupt blob with no prior good model propagates the error, and
         :class:`LookupError` means nothing has been published yet.
         """
-        # One read of the slot: a publish hook may replace it from the
-        # publisher's thread, and a model must not pair with another version.
+        # One read of the slot: a publish hook may replace it, and a model
+        # must not pair with another version.
         cached = self._model_cache
         if cached is not None and cached[0] == self.store.latest_version:
             _M_CACHE_HITS.inc()

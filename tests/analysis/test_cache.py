@@ -19,25 +19,33 @@ DIRTY = textwrap.dedent(
     """
 )
 
+#: A REP016 finding that spans two files: ``run`` drops its seed before
+#: calling the RNG-constructing ``make_rng`` defined in the other module.
 CROSS_POSITIVE = {
-    "proj/store.py": textwrap.dedent(
+    "proj/rngs.py": textwrap.dedent(
         """
-        import threading
+        import numpy as np
 
-        class Store:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self._items = {}
+        def make_rng(seed=0):
+            return np.random.default_rng(seed)
+        """
+    ),
+    "proj/run.py": textwrap.dedent(
+        """
+        from proj.rngs import make_rng
 
-            def put(self, key, value):
-                with self._lock:
-                    self._items[key] = value
-
-            def snapshot(self):
-                return dict(self._items)
+        def run(seed):
+            rng = make_rng()
+            return rng, seed
         """
     ),
 }
+
+
+def assert_cross_file_finding(result):
+    (finding,) = [f for f in result.findings if f.rule == "REP016"]
+    assert finding.path == "proj/run.py"
+    assert finding.related[0][0] == "proj/rngs.py"
 
 
 def write_tree(tmp_path, files):
@@ -59,14 +67,14 @@ def test_warm_scan_replays_every_file_and_preserves_findings(tmp_path):
     cold = scan(tmp_path, cache)
     assert cold.n_cache_hits == 0
     warm = scan(tmp_path, cache)
-    assert warm.n_cache_hits == warm.n_files == 1
+    assert warm.n_cache_hits == warm.n_files == 2
 
     # cross-file findings are re-linked from cached summaries, not lost
     def key(result):
         return [(f.rule, f.path, f.line, f.message, f.related) for f in result.findings]
 
     assert key(warm) == key(cold)
-    assert any(f.rule == "REP013" for f in warm.findings)
+    assert_cross_file_finding(warm)
 
 
 def test_edited_file_misses_while_untouched_files_hit(tmp_path):
@@ -77,8 +85,8 @@ def test_edited_file_misses_while_untouched_files_hit(tmp_path):
 
     (tmp_path / "proj" / "other.py").write_text("X = 2\n")
     warm = scan(tmp_path, cache)
-    assert warm.n_files == 2
-    assert warm.n_cache_hits == 1  # store.py replayed, other.py re-scanned
+    assert warm.n_files == 3
+    assert warm.n_cache_hits == 2  # rngs.py and run.py replayed, other.py re-scanned
 
 
 def test_ruleset_version_bump_invalidates_everything(tmp_path):
@@ -99,18 +107,18 @@ def test_corrupt_cache_entry_is_a_miss_not_an_error(tmp_path):
         entry.write_text("{not json")
     warm = scan(tmp_path, cache)
     assert warm.n_cache_hits == 0
-    assert any(f.rule == "REP013" for f in warm.findings)
+    assert_cross_file_finding(warm)
 
 
 def test_cache_format_version_is_embedded(tmp_path):
     write_tree(tmp_path, CROSS_POSITIVE)
     cache = AnalysisCache(tmp_path / ".cache", ruleset_version=RULESET_VERSION)
     scan(tmp_path, cache)
-    (entry,) = list((tmp_path / ".cache").glob("*.json"))
-    payload = json.loads(entry.read_text())
-    assert payload["cache_version"] == CACHE_FORMAT_VERSION
-    assert payload["ruleset_version"] == RULESET_VERSION
-    assert payload["path"].endswith("store.py")
+    payloads = [json.loads(entry.read_text()) for entry in (tmp_path / ".cache").glob("*.json")]
+    assert sorted(payload["path"] for payload in payloads) == sorted(CROSS_POSITIVE)
+    for payload in payloads:
+        assert payload["cache_version"] == CACHE_FORMAT_VERSION
+        assert payload["ruleset_version"] == RULESET_VERSION
 
 
 def test_cli_no_cache_skips_cache_dir(tmp_path, monkeypatch, capsys):
@@ -141,18 +149,26 @@ def test_cli_warm_scan_reports_cache_hits(tmp_path, monkeypatch, capsys):
 
 
 def test_module_summary_round_trips_through_json(tmp_path):
-    source = CROSS_POSITIVE["proj/store.py"] + textwrap.dedent(
+    source = CROSS_POSITIVE["proj/rngs.py"] + textwrap.dedent(
         """
+        from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import Process
 
-        GLOBAL_STORE = None
+        GLOBAL_STORE = ModelStore()
+
+        class Boss:
+            def __init__(self, store):
+                self._store = store
+                self._pool = ProcessPoolExecutor(2)
+
+            def fan_out(self, items):
+                return self._pool.map(len, items)
 
         def start(seed, store):
             def worker():
                 return store.get("m")
             proc = Process(target=worker)
-            with GLOBAL_LOCK:
-                proc.start()
+            proc.start()
         """
     )
     summary = summarize_module(ast.parse(source), "proj/store.py")

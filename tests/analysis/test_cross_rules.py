@@ -1,10 +1,10 @@
-"""Cross-file rules REP013-REP016: positive/negative fixture pairs.
+"""Cross-file rules REP015 and REP016: positive/negative fixture pairs.
 
 Each fixture is a real tree of files on disk (phase 2 only runs in
 ``analyze_paths``), scanned with the baseline disabled so assertions see
-raw findings. The deadlock fixture spans three modules and the
-process-escape fixture mimics the supervisor's dispatch shape
-(``Process(target=...)`` with a closure over parent-side state).
+raw findings. The process-escape fixture mimics the supervisor's
+dispatch shape (``Process(target=...)`` with a closure over parent-side
+state).
 """
 
 import textwrap
@@ -24,265 +24,6 @@ def scan_tree(tmp_path, files: dict[str, str]):
 
 def by_rule(result, rule):
     return [f for f in result.findings if f.rule == rule]
-
-
-# -- REP013: lock-discipline inference ---------------------------------------
-
-GUARDED_WRITER = """
-    import threading
-
-    class Store:
-        def __init__(self):
-            self._lock = threading.Lock()
-            self._items = {}
-
-        def put(self, key, value):
-            with self._lock:
-                self._items[key] = value
-"""
-
-
-def test_rep013_flags_bare_read_in_same_class(tmp_path):
-    result = scan_tree(tmp_path, {
-        "proj/store.py": GUARDED_WRITER + """
-
-        def snapshot(self):
-            return dict(self._items)
-        """,
-    })
-    findings = by_rule(result, "REP013")
-    assert len(findings) == 1
-    finding = findings[0]
-    assert finding.path == "proj/store.py"
-    assert "_items" in finding.message
-    assert "_lock" in finding.message
-    # the guarded-write site rides along as a related anchor
-    assert finding.related and finding.related[0][0] == "proj/store.py"
-
-
-def test_rep013_flags_bare_access_in_subclass_across_files(tmp_path):
-    result = scan_tree(tmp_path, {
-        "proj/store.py": GUARDED_WRITER,
-        "proj/fancy.py": """
-        from proj.store import Store
-
-        class FancyStore(Store):
-            def peek(self, key):
-                return self._items.get(key)
-        """,
-    })
-    findings = by_rule(result, "REP013")
-    assert len(findings) == 1
-    assert findings[0].path == "proj/fancy.py"
-    assert "_items" in findings[0].message
-
-
-def test_rep013_negative_all_accesses_locked(tmp_path):
-    result = scan_tree(tmp_path, {
-        "proj/store.py": GUARDED_WRITER + """
-
-        def snapshot(self):
-            with self._lock:
-                return dict(self._items)
-        """,
-    })
-    assert by_rule(result, "REP013") == []
-
-
-def test_rep013_init_and_lock_attrs_are_exempt(tmp_path):
-    # __init__ construction and the lock attribute itself never count as
-    # bare accesses, and noqa on the flagged line suppresses cleanly.
-    result = scan_tree(tmp_path, {
-        "proj/store.py": GUARDED_WRITER + """
-
-        def snapshot(self):
-            return dict(self._items)  # repro: noqa[REP013]
-        """,
-    })
-    assert by_rule(result, "REP013") == []
-    assert by_rule(result, "REP000") == []  # the pragma was used, not dead
-
-
-def test_rep013_unused_cross_rule_pragma_is_reported(tmp_path):
-    result = scan_tree(tmp_path, {
-        "proj/clean.py": """
-        def fine():
-            return 1  # repro: noqa[REP013]
-        """,
-    })
-    (finding,) = by_rule(result, "REP000")
-    assert "REP013" in finding.message
-
-
-# -- REP014: lock-ordering cycles --------------------------------------------
-
-CYCLE_FILES = {
-    "proj/a.py": """
-    import threading
-    from proj import b
-
-    LOCK_A = threading.Lock()
-
-    def fa():
-        with LOCK_A:
-            with b.LOCK_B:
-                return 1
-    """,
-    "proj/b.py": """
-    import threading
-    from proj import c
-
-    LOCK_B = threading.Lock()
-
-    def fb():
-        with LOCK_B:
-            with c.LOCK_C:
-                return 1
-    """,
-    "proj/c.py": """
-    import threading
-    from proj import a
-
-    LOCK_C = threading.Lock()
-
-    def fc():
-        with LOCK_C:
-            with a.LOCK_A:
-                return 1
-    """,
-}
-
-
-def test_rep014_detects_three_module_cycle_with_anchors_on_every_edge(tmp_path):
-    result = scan_tree(tmp_path, CYCLE_FILES)
-    findings = by_rule(result, "REP014")
-    assert findings, "cycle across proj/a.py, proj/b.py, proj/c.py not detected"
-    cycles = [f for f in findings if "cycle" in f.message]
-    assert cycles
-    finding = cycles[0]
-    for lock in ("proj.a.LOCK_A", "proj.b.LOCK_B", "proj.c.LOCK_C"):
-        assert lock in finding.message
-    # every edge of the cycle is anchored: the finding's own location
-    # plus related anchors must cover all three files with real lines
-    anchored = {(finding.path, finding.line)} | {
-        (path, line) for path, line, _ in finding.related
-    }
-    anchored_files = {path for path, _ in anchored}
-    assert anchored_files == {"proj/a.py", "proj/b.py", "proj/c.py"}
-    assert all(line > 0 for _, line in anchored)
-
-
-def test_rep014_cycle_through_calls_made_under_a_lock(tmp_path):
-    # the interprocedural half: fa holds LOCK_A while *calling* into b,
-    # whose callee chain transitively acquires LOCK_A again
-    result = scan_tree(tmp_path, {
-        "proj/a.py": """
-        import threading
-        from proj import b
-
-        LOCK_A = threading.Lock()
-
-        def fa():
-            with LOCK_A:
-                b.fb()
-
-        def fa2():
-            with LOCK_A:
-                return 1
-        """,
-        "proj/b.py": """
-        import threading
-        from proj import a
-
-        LOCK_B = threading.Lock()
-
-        def fb():
-            with LOCK_B:
-                a.fa2()
-        """,
-    })
-    cycles = [f for f in by_rule(result, "REP014") if "cycle" in f.message]
-    assert cycles
-    finding = cycles[0]
-    assert "proj.a.LOCK_A" in finding.message
-    assert "proj.b.LOCK_B" in finding.message
-    # call-site and callee-acquire anchors both present
-    notes = " | ".join(note for _, _, note in finding.related)
-    assert "called in" in notes or "called in" in finding.message or finding.related
-
-
-def test_rep014_negative_consistent_lock_order(tmp_path):
-    result = scan_tree(tmp_path, {
-        "proj/a.py": """
-        import threading
-        from proj import b
-
-        LOCK_A = threading.Lock()
-
-        def fa():
-            with LOCK_A:
-                b.fb()
-        """,
-        "proj/b.py": """
-        import threading
-
-        LOCK_B = threading.Lock()
-
-        def fb():
-            with LOCK_B:
-                return 1
-        """,
-    })
-    assert by_rule(result, "REP014") == []
-
-
-def test_rep014_self_deadlock_through_self_call(tmp_path):
-    result = scan_tree(tmp_path, {
-        "proj/cache.py": """
-        import threading
-
-        class Cache:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self._data = {}
-
-            def get_or_build(self, key):
-                with self._lock:
-                    return self.build(key)
-
-            def build(self, key):
-                with self._lock:
-                    self._data[key] = key
-                    return key
-        """,
-    })
-    findings = [f for f in by_rule(result, "REP014") if "re-acquired" in f.message]
-    assert len(findings) == 1
-    assert "_lock" in findings[0].message
-    assert findings[0].related  # the inner acquire site is anchored
-
-
-def test_rep014_negative_rlock_reentry_is_legal(tmp_path):
-    result = scan_tree(tmp_path, {
-        "proj/cache.py": """
-        import threading
-
-        class Cache:
-            def __init__(self):
-                self._lock = threading.RLock()
-                self._data = {}
-
-            def get_or_build(self, key):
-                with self._lock:
-                    return self.build(key)
-
-            def build(self, key):
-                with self._lock:
-                    self._data[key] = key
-                    return key
-        """,
-    })
-    assert [f for f in by_rule(result, "REP014") if "re-acquired" in f.message] == []
 
 
 # -- REP015: process-escape checking -----------------------------------------
@@ -439,3 +180,25 @@ def test_rep016_negative_seed_used_and_underscore_exempt(tmp_path):
         """,
     })
     assert by_rule(result, "REP016") == []
+
+
+# -- inline pragmas on cross-file findings ------------------------------------
+
+
+def test_cross_rule_pragma_suppresses_and_a_dead_one_is_reported(tmp_path):
+    result = scan_tree(tmp_path, {
+        "proj/init.py": """
+        import numpy as np
+
+        def zeros(shape, rng=None):  # repro: noqa[REP016]
+            return np.zeros(shape)
+        """,
+        "proj/clean.py": """
+        def fine():
+            return 1  # repro: noqa[REP016]
+        """,
+    })
+    assert by_rule(result, "REP016") == []
+    (finding,) = by_rule(result, "REP000")
+    assert finding.path == "proj/clean.py"
+    assert "REP016" in finding.message

@@ -4,8 +4,8 @@
 findings, zero parse errors, and zero *expired* entries (a fixed finding
 must take its baseline entry with it, or the entry silently licenses a
 regression). Every baseline entry must carry a written justification.
-The scan runs both phases: per-file rules REP001-REP012 and the linked
-cross-file rules REP013-REP016.
+The scan runs both phases: the per-file rules and the linked cross-file
+rules REP015 and REP016.
 """
 
 import json
@@ -20,8 +20,8 @@ BASELINE_PATH = REPO_ROOT / "analysis_baseline.json"
 def _scan():
     analyzer = Analyzer(default_registry())
     # the default analyzer must carry the cross-file phase: the gate is
-    # only a gate if REP013-REP016 actually run here
-    assert {"REP013", "REP014", "REP015", "REP016"} == {
+    # only a gate if REP015 and REP016 actually run here
+    assert {"REP015", "REP016"} == {
         rule.id for rule in analyzer.cross_rules
     }
     return analyzer.analyze_paths([REPO_ROOT / "src"], root=REPO_ROOT)

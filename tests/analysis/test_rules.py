@@ -1,13 +1,15 @@
-"""Per-rule positive/negative snippets for the REP001-REP012 catalog.
+"""Per-rule positive/negative snippets for the per-file rule catalog.
 
 Each rule gets at least one snippet it must flag and one it must not.
 Snippets are scanned under fake repo-relative paths so the package/test
 scoping (`applies`) is exercised exactly as it is in a real scan.
 """
 
+import json
 import textwrap
 
 from repro.analysis import Analyzer, default_registry
+from repro.analysis.cli import main as analysis_main
 
 WORKFLOW = "src/repro/workflow/mod.py"
 RESILIENCE = "src/repro/resilience/mod.py"
@@ -148,74 +150,6 @@ def test_rep002_ignores_simulated_clock_calls():
     assert findings == []
 
 
-# -- REP003: unlocked shared-state augmented assignment ---------------------
-
-def test_rep003_flags_unlocked_module_global_augassign():
-    findings = scan(
-        """
-        COUNTER = 0
-
-        def bump():
-            global COUNTER
-            COUNTER += 1
-        """,
-        path=WORKFLOW,
-    )
-    assert rules_of(findings) == {"REP003"}
-
-
-def test_rep003_flags_container_reached_through_module_global():
-    findings = scan(
-        """
-        TOTALS = {}
-
-        def bump(key):
-            TOTALS[key] += 1
-        """,
-        path=WORKFLOW,
-    )
-    assert rules_of(findings) == {"REP003"}
-
-
-def test_rep003_allows_lock_protected_and_local_state():
-    findings = scan(
-        """
-        import threading
-
-        _LOCK = threading.Lock()
-        COUNTER = 0
-
-        def bump():
-            global COUNTER
-            with _LOCK:
-                COUNTER += 1
-
-        def local_only():
-            count = 0
-            count += 1
-            return count
-
-        class Leaf:
-            def inc(self):
-                self._value += 1
-        """,
-        path=WORKFLOW,
-    )
-    assert findings == []
-
-
-def test_rep003_ignores_module_level_augassign():
-    # module bodies execute once, single-threaded, at import
-    findings = scan(
-        """
-        TOTAL = 0
-        TOTAL += 1
-        """,
-        path=WORKFLOW,
-    )
-    assert findings == []
-
-
 # -- REP004: aliased cache returns ------------------------------------------
 
 def test_rep004_flags_getter_returning_instance_attribute():
@@ -261,35 +195,6 @@ def test_rep004_out_of_scope_without_numpy():
                 return self._records
         """,
         path=WORKFLOW,
-    )
-    assert findings == []
-
-
-# -- REP005: bare lock.acquire() --------------------------------------------
-
-def test_rep005_flags_bare_acquire():
-    findings = scan(
-        """
-        def critical(lock):
-            lock.acquire()
-            try:
-                pass
-            finally:
-                lock.release()
-        """,
-        path=NN,
-    )
-    assert rules_of(findings) == {"REP005"}
-
-
-def test_rep005_allows_with_statement():
-    findings = scan(
-        """
-        def critical(lock):
-            with lock:
-                pass
-        """,
-        path=NN,
     )
     assert findings == []
 
@@ -524,7 +429,7 @@ def test_rep011_flags_multiprocessing_primitive_imports():
     assert [f.rule for f in findings] == ["REP011", "REP011", "REP011"]
 
 
-def test_rep011_flags_process_pools_but_not_thread_pools():
+def test_rep011_flags_process_and_thread_pools():
     findings = scan(
         """
         import concurrent.futures
@@ -538,8 +443,69 @@ def test_rep011_flags_process_pools_but_not_thread_pools():
         """,
         path=WORKFLOW,
     )
-    assert [(f.rule, f.line) for f in findings] == [("REP011", 3), ("REP011", 8)]
+    assert [(f.rule, f.line) for f in findings] == [
+        ("REP011", 3), ("REP011", 3), ("REP011", 8),
+    ]
     assert "only owner of processes" in findings[0].message
+    assert "one thread" in findings[1].message
+
+
+#: Every spelling that runs code on a second thread, one per line.
+THREAD_SPELLINGS = """
+    import threading
+    import _thread
+    from threading import Thread
+    from _thread import start_new_thread
+    from concurrent.futures import ThreadPoolExecutor
+    from asyncio import to_thread
+    import asyncio
+    import concurrent.futures
+
+    async def offload(fn, loop):
+        await loop.run_in_executor(None, fn)
+        await asyncio.get_running_loop().run_in_executor(None, fn)
+        await asyncio.to_thread(fn)
+        return concurrent.futures.ThreadPoolExecutor(2)
+    """
+
+
+def test_rep011_flags_every_thread_spelling_outside_supervisor():
+    findings = scan(THREAD_SPELLINGS, path="proj/pkg/mod.py")
+    assert [(f.rule, f.line) for f in findings] == [
+        ("REP011", line) for line in (2, 3, 4, 5, 6, 7, 12, 13, 14, 15)
+    ]
+    assert all("one thread" in f.message for f in findings)
+
+
+def test_sarif_reports_threads_under_rep011_and_no_lock_rule(tmp_path, monkeypatch, capsys):
+    # what the retired lock rules flagged (a bare acquire, an unlocked
+    # module-global +=) is no finding; the thread itself is REP011's
+    target = tmp_path / "proj" / "pkg" / "mod.py"
+    target.parent.mkdir(parents=True)
+    target.write_text(textwrap.dedent(
+        """
+        import threading
+
+        COUNTER = 0
+
+        def bump(lock):
+            global COUNTER
+            lock.acquire()
+            COUNTER += 1
+            lock.release()
+        """
+    ))
+    monkeypatch.chdir(tmp_path)
+    assert analysis_main(["proj", "--baseline", "none", "--no-cache", "--format", "sarif"]) == 1
+    (run,) = json.loads(capsys.readouterr().out)["runs"]
+    assert run["tool"]["driver"]["rules"] == [{"id": "REP011"}]
+    assert [r["ruleId"] for r in run["results"]] == ["REP011"]
+
+
+def test_rep011_threads_silent_in_supervisor_tests_and_benchmarks():
+    assert scan(THREAD_SPELLINGS, path="proj/serve/_internal/supervisor.py") == []
+    assert scan(THREAD_SPELLINGS, path="tests/test_mod.py") == []
+    assert scan(THREAD_SPELLINGS, path="benchmarks/bench_mod.py") == []
 
 
 def test_rep011_allows_benign_os_and_signal_use():

@@ -11,6 +11,7 @@ from repro.ml import (
     LabelEncoder,
     StandardScaler,
 )
+from repro.ml.svr import POLY_DEGREE, _kernel_matrix
 
 RNG = np.random.default_rng(31)
 
@@ -36,8 +37,13 @@ class TestSVR:
         rng = np.random.default_rng(2)
         X = rng.standard_normal((60, 2))
         y = X[:, 0] ** 2
-        model = SVR(alpha=0.01, kernel="poly", degree=2, gamma=1.0).fit(X, y)
+        model = SVR(alpha=0.01, kernel="poly", gamma=1.0).fit(X, y)
         assert np.isfinite(model.predict(X)).all()
+        # the kernel is the degree-POLY_DEGREE polynomial (gamma = 1)
+        np.testing.assert_allclose(
+            _kernel_matrix("poly", X[:3], X[:3], 1.0),
+            (X[:3] @ X[:3].T + 1.0) ** POLY_DEGREE,
+        )
 
     def test_epsilon_tube_tolerates_small_errors(self):
         # With a wide tube, residuals within epsilon carry no loss, so the

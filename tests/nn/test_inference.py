@@ -1,7 +1,5 @@
 """Tape-free inference engine: compile rules, parity, and the row cache."""
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -282,26 +280,7 @@ class _FlatDense(Dense):
         return super().forward(Tensor(x)).reshape(-1)
 
 
-class TestThreadLocalGradMode:
-    def test_no_grad_does_not_leak_across_threads(self):
-        inside = threading.Event()
-        release = threading.Event()
-        seen_in_other_thread = []
-
-        def worker():
-            inside.wait(timeout=5)
-            seen_in_other_thread.append(is_grad_enabled())
-            release.set()
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        with no_grad():
-            inside.set()
-            assert release.wait(timeout=5)
-            assert not is_grad_enabled()
-        thread.join(timeout=5)
-        assert seen_in_other_thread == [True]
-
+class TestGradMode:
     def test_grad_mode_restored_after_exception(self):
         with pytest.raises(RuntimeError):
             with no_grad():

@@ -206,74 +206,3 @@ class TestRegistry:
 
     def test_histogram_instance_check(self, registry):
         assert isinstance(registry.histogram("repro_h_seconds"), Histogram)
-
-
-class TestThreadSafety:
-    """Regression: hot-path updates used bare ``+=`` on shared floats, so
-    concurrent increments could interleave read-modify-write and lose
-    counts. Every update now holds the metric's per-leaf value lock."""
-
-    N_THREADS = 8
-    N_OPS = 2000
-
-    def _hammer(self, work):
-        import threading
-
-        barrier = threading.Barrier(self.N_THREADS)
-
-        def run():
-            barrier.wait()  # maximize interleaving
-            for _ in range(self.N_OPS):
-                work()
-
-        threads = [threading.Thread(target=run) for _ in range(self.N_THREADS)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-    def test_counter_increments_are_exact(self, registry):
-        counter = registry.counter("repro_hammer_total")
-        self._hammer(lambda: counter.inc())
-        assert counter.value == float(self.N_THREADS * self.N_OPS)
-
-    def test_labelled_counter_children_are_exact(self, registry):
-        counter = registry.counter("repro_hammer_labelled_total", labels=("worker",))
-        children = [counter.labels(worker=str(i)) for i in range(self.N_THREADS)]
-        import threading
-
-        barrier = threading.Barrier(self.N_THREADS)
-
-        def run(child):
-            barrier.wait()
-            for _ in range(self.N_OPS):
-                child.inc()
-
-        threads = [
-            threading.Thread(target=run, args=(child,)) for child in children
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        for child in children:
-            assert child.value == float(self.N_OPS)
-
-    def test_gauge_inc_dec_balance_to_zero(self, registry):
-        gauge = registry.gauge("repro_hammer_live")
-
-        def work():
-            gauge.inc(3)
-            gauge.dec(3)
-
-        self._hammer(work)
-        assert gauge.value == 0.0
-
-    def test_histogram_counts_and_sum_are_exact(self, registry):
-        histogram = registry.histogram("repro_hammer_seconds", buckets=(1.0, 2.0))
-        self._hammer(lambda: histogram.observe(1.5))
-        expected = self.N_THREADS * self.N_OPS
-        assert histogram.count == expected
-        assert histogram.sum == pytest.approx(1.5 * expected)
-        # every observation landed in the (1.0, 2.0] bucket, none lost
-        assert _bucket_counts(histogram) == [0, expected, expected]

@@ -1,5 +1,6 @@
 """Unit tests for the resilience policy toolkit (retry/breaker)."""
 
+import numpy as np
 import pytest
 
 from repro.obs import get_observability
@@ -15,6 +16,7 @@ from repro.resilience import (
     TransientError,
     TransientTSDBError,
 )
+from repro.resilience.policies import BASE_DELAY, JITTER, MAX_DELAY, MULTIPLIER
 
 _OBS = get_observability()
 
@@ -70,36 +72,35 @@ class TestRetry:
 
     def test_backoff_consumes_simulated_time_only(self):
         clock = SimulatedClock()
-        retry = Retry(
-            max_attempts=4, base_delay=1.0, multiplier=2.0, jitter=0.0,
-            clock=clock, name="t-backoff",
-        )
+        retry = Retry(max_attempts=4, clock=clock, name="t-backoff")
         with pytest.raises(RetryExhausted):
             retry.call(Flaky(99))
-        # 3 backoffs: 1 + 2 + 4 simulated seconds, zero wall-clock.
-        assert clock.now() == pytest.approx(7.0)
+        # 3 backoffs of at most 0.5 + 1 + 2 simulated seconds, each less a
+        # jitter share of up to JITTER, and zero wall-clock.
+        full = sum(BASE_DELAY * MULTIPLIER**k for k in range(3))
+        assert (1.0 - JITTER) * full <= clock.now() <= full
 
     def test_backoff_bounded_by_max_delay(self):
-        retry = Retry(
-            max_attempts=10, base_delay=1.0, max_delay=5.0, multiplier=3.0,
-            jitter=0.0, name="t-cap",
-        )
-        assert retry.delay_for(1) == 1.0
-        assert retry.delay_for(2) == 3.0
-        assert retry.delay_for(3) == 5.0  # capped: 9 -> max_delay
-        assert retry.delay_for(9) == 5.0
+        retry = Retry(max_attempts=20, seed=3, name="t-cap")
+        draws = np.random.default_rng(3).random(12)
+        for attempt, draw in zip(range(1, 13), draws):
+            raw = min(MAX_DELAY, BASE_DELAY * MULTIPLIER ** (attempt - 1))
+            assert retry.delay_for(attempt) == raw * (1.0 - JITTER * draw)
+        assert raw == MAX_DELAY  # attempt 9 onwards is capped (0.5 * 2**8 > 60)
 
     def test_jitter_is_seeded_and_deterministic(self):
-        a = Retry(base_delay=10.0, jitter=0.5, seed=7, name="t-jit-a")
-        b = Retry(base_delay=10.0, jitter=0.5, seed=7, name="t-jit-b")
+        a = Retry(seed=7, name="t-jit-a")
+        b = Retry(seed=7, name="t-jit-b")
         delays_a = [a.delay_for(1) for _ in range(5)]
         delays_b = [b.delay_for(1) for _ in range(5)]
         assert delays_a == delays_b
-        assert all(5.0 <= d <= 10.0 for d in delays_a)
+        assert all((1.0 - JITTER) * BASE_DELAY <= d <= BASE_DELAY for d in delays_a)
+        assert len(set(delays_a)) == 5
 
     def test_retry_metrics_emitted(self):
         _OBS.reset()
-        retry = Retry(max_attempts=3, base_delay=1.0, jitter=0.0, name="t-metrics")
+        clock = SimulatedClock()
+        retry = Retry(max_attempts=3, clock=clock, name="t-metrics")
         with pytest.raises(RetryExhausted):
             retry.call(Flaky(99))
         retries = _OBS.counter("repro_resilience_retries_total", labels=("policy",))
@@ -107,17 +108,12 @@ class TestRetry:
         backoff = _OBS.counter("repro_resilience_backoff_seconds_total", labels=("policy",))
         assert retries.labels(policy="t-metrics").value == 2
         assert giveups.labels(policy="t-metrics").value == 1
-        assert backoff.labels(policy="t-metrics").value == pytest.approx(3.0)
+        assert backoff.labels(policy="t-metrics").value == pytest.approx(clock.now())
+        assert clock.now() > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             Retry(max_attempts=0)
-        with pytest.raises(ValueError):
-            Retry(base_delay=5.0, max_delay=1.0)
-        with pytest.raises(ValueError):
-            Retry(multiplier=0.5)
-        with pytest.raises(ValueError):
-            Retry(jitter=1.5)
 
 
 class TestCircuitBreaker:

@@ -200,9 +200,13 @@ def test_repro_analysis_catalog_includes_cross_file_rules():
         text=True,
     )
     assert result.returncode == 0
-    for rule_id in ("REP013", "REP014", "REP015", "REP016"):
+    for rule_id in ("REP015", "REP016"):
         assert rule_id in result.stdout, f"{rule_id} missing from --list-rules"
     assert "[cross-file]" in result.stdout
+    # the lock rules are retired: each process runs one thread, and REP011
+    # keeps threads in the serve supervisor
+    for rule_id in ("REP003", "REP005", "REP013", "REP014"):
+        assert rule_id not in result.stdout, f"{rule_id} still in --list-rules"
 
 
 def test_repro_analysis_sarif_output_is_valid():
