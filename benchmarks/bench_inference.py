@@ -35,7 +35,7 @@ from conftest import emit
 from repro.core.model import Env2VecRegressor
 from repro.data import Environment
 from repro.nn import ops
-from repro.nn.inference import CompiledDense, EmbeddingRowCache
+from repro.nn.inference import CompiledDense
 from repro.obs import get_observability, span
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -118,7 +118,7 @@ def _stage_spans(n_features: int):
     patches = [
         (ops, "gru_sequence", _in_span(ops.gru_sequence, "encoder")),
         (CompiledDense, "__call__", dense),
-        (EmbeddingRowCache, "rows", _in_span(EmbeddingRowCache.rows, "env_rows")),
+        (ops, "stacked_embedding_forward", _in_span(ops.stacked_embedding_forward, "env_rows")),
         (ops, "hadamard_head", _in_span(ops.hadamard_head, "head")),
     ]
     originals = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
@@ -185,7 +185,6 @@ def run_inference_bench(n_stream: int = 300) -> dict:
             "speedup": autograd_s / f64_s,
         }
     results["per_op_batch256"] = _profile_batch(engine, big_batch)
-    results["env_cache"] = {"hits": engine.env_cache.hits, "misses": engine.env_cache.misses}
     return results
 
 
@@ -204,8 +203,6 @@ def _render(results: dict) -> str:
         f"{op}={row['us_per_call']:.0f}" for op, row in results["per_op_batch256"].items()
     )
     lines.append(f"  per-op @256 (us/call): {cells}")
-    cache = results["env_cache"]
-    lines.append(f"  embedding row cache: {cache['hits']} hits / {cache['misses']} misses")
     return "\n".join(lines)
 
 

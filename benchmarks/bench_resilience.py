@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import alternate, emit
+from conftest import alternate, emit, spin
 from repro.data import TelecomConfig, generate_telecom
 from repro.obs import get_observability
 from repro.resilience import CircuitBreaker, Retry
@@ -170,13 +170,6 @@ def _policy_micro(repeats: int = 20000) -> dict:
     }
 
 
-def _spin(seconds: float) -> None:
-    """Busy-wait ``seconds``: an injected CPU cost, not a sleep."""
-    end = time.perf_counter() + seconds
-    while time.perf_counter() < end:
-        pass
-
-
 def _block_ratios(baseline, clean, blocks: int, block_rounds: int) -> list[float]:
     """clean/baseline seconds of each interleaved block."""
     ratios = []
@@ -208,7 +201,7 @@ def run_resilience_bench(
     def clean():
         _clean_round(executions, names)
         if injected_s:
-            _spin(injected_s)
+            spin(injected_s)
 
     clean()
     ratios = _block_ratios(baseline, clean, blocks, block_rounds)

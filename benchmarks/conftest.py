@@ -15,6 +15,7 @@ from __future__ import annotations
 import importlib
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,13 @@ def alternate(labels, round_: int) -> list:
     """Alternate which tree goes first from one round to the next."""
     labels = list(labels)
     return labels if round_ % 2 == 0 else labels[::-1]
+
+
+def spin(seconds: float) -> None:
+    """Busy-wait ``seconds``: an injected CPU cost, not a sleep."""
+    end = time.perf_counter() + seconds
+    while time.perf_counter() < end:
+        pass
 
 
 def emit(name: str, text: str) -> None:

@@ -200,25 +200,32 @@ class ContextualAnomalyDetector:
         row by row. A single-row call pays the same dispatch cost as
         :meth:`detect`; the win is for coalescing callers (the
         ``repro.serve`` micro-batcher, ``PredictionPipeline.execute``),
-        which amortize it across the whole group.
+        which amortize it across the whole group. The common served batch,
+        equal-length rows that all calibrate on themselves, is one group
+        without any grouping work.
         """
         if len(predicted_rows) != len(observed_rows):
             raise ValueError("predicted_rows and observed_rows must align")
+        lengths = [len(predicted) for predicted in predicted_rows]
+        if lengths != [len(observed) for observed in observed_rows]:
+            raise ValueError("predicted and observed must align")
+        if error_models is not None and len(error_models) != len(predicted_rows):
+            raise ValueError("error_models must align with the rows")
+        if (
+            lengths
+            and lengths[0] >= 2
+            and lengths.count(lengths[0]) == len(lengths)
+            and (error_models is None or all(model is None for model in error_models))
+        ):
+            return self._detect_group(predicted_rows, observed_rows, None)
         if error_models is None:
             error_models = [None] * len(predicted_rows)
-        if len(error_models) != len(predicted_rows):
-            raise ValueError("error_models must align with the rows")
 
         groups: dict[int, list[int]] = {}
         per_row: list[int] = []
-        for index, (predicted, observed, model) in enumerate(
-            zip(predicted_rows, observed_rows, error_models)
-        ):
-            # Equal lengths here; a group's stacked shapes are compared below.
-            if len(predicted) != len(observed):
-                raise ValueError("predicted and observed must align")
+        for index, (length, model) in enumerate(zip(lengths, error_models)):
             if model is None or isinstance(model, GaussianErrorModel):
-                groups.setdefault(len(predicted), []).append(index)
+                groups.setdefault(length, []).append(index)
             else:
                 per_row.append(index)
 
@@ -235,47 +242,61 @@ class ContextualAnomalyDetector:
             else:
                 reports[index] = self.detect(predicted, observed, model)
         for indices in groups.values():
-            predicted = np.array([predicted_rows[index] for index in indices], dtype=np.float64)
-            observed = np.array([observed_rows[index] for index in indices], dtype=np.float64)
-            if predicted.shape != observed.shape:
-                raise ValueError("predicted and observed must align")
-            errors = predicted - observed
             models = [error_models[index] for index in indices]
-            mu = np.empty((len(indices), 1))
-            sigma = np.empty((len(indices), 1))
+            group = self._detect_group(
+                [predicted_rows[index] for index in indices],
+                [observed_rows[index] for index in indices],
+                None if all(model is None for model in models) else models,
+            )
+            for index, report in zip(indices, group):
+                reports[index] = report
+        return reports
+
+    def _detect_group(
+        self,
+        predicted_rows: list[np.ndarray],
+        observed_rows: list[np.ndarray],
+        models: list[GaussianErrorModel | None] | None,
+    ) -> list[AnomalyReport]:
+        """:meth:`detect_many` over rows of one length (at least 2).
+
+        ``models`` is ``None`` when every row calibrates on itself, else
+        one Gaussian model or ``None`` per row.
+        """
+        n = len(predicted_rows)
+        predicted = np.concatenate(predicted_rows, dtype=np.float64).reshape(n, -1)
+        observed = np.concatenate(observed_rows, dtype=np.float64).reshape(n, -1)
+        errors = predicted - observed
+        if models is None:
+            mu, sigma = _self_calibration(errors)
+        else:
+            mu = np.empty((n, 1))
+            sigma = np.empty((n, 1))
             calibrate = [slot for slot, model in enumerate(models) if model is None]
             if calibrate:
-                own = errors[calibrate]
-                if not np.isfinite(own).all():
-                    raise ValueError("errors contain NaN or infinite values")
-                mu[calibrate, 0] = own.mean(axis=1)
-                sigma[calibrate, 0] = np.maximum(own.std(axis=1, ddof=1), 1e-9)
-            if len(calibrate) < len(indices):
-                given = [slot for slot, model in enumerate(models) if model is not None]
-                mu[given, 0] = [models[slot].mu for slot in given]
-                sigma[given, 0] = [models[slot].sigma for slot in given]
-            flags = np.abs((errors - mu) / sigma) > self.gamma
-            over_sigma = int(flags.sum())
-            if self.abs_threshold > 0:
-                flags &= np.abs(errors) > self.abs_threshold
-            flagged = int(flags.sum())
-            # Only rows with a flag can raise an alarm.
-            alarms = {
-                slot: merge_flags_into_alarms(flags[slot], errors[slot])
-                for slot in np.flatnonzero(flags.any(axis=1)).tolist()
-            }
-            _M_DETECTIONS.inc(len(indices))
-            _M_DET_ALARMS.inc(sum(map(len, alarms.values())))
-            _M_FLAGS.inc(flagged)
-            _M_FILTERED.inc(over_sigma - flagged)
-            for slot, (index, row_flags, row_errors) in enumerate(zip(indices, flags, errors)):
-                reports[index] = AnomalyReport(
-                    flags=row_flags,
-                    alarms=alarms.get(slot, []),
-                    errors=row_errors,
-                    gamma=self.gamma,
-                )
-        return reports
+                mu[calibrate], sigma[calibrate] = _self_calibration(errors[calibrate])
+            given = [slot for slot, model in enumerate(models) if model is not None]
+            mu[given, 0] = [models[slot].mu for slot in given]
+            sigma[given, 0] = [models[slot].sigma for slot in given]
+        flags = np.abs((errors - mu) / sigma) > self.gamma
+        over_sigma = np.count_nonzero(flags)
+        if self.abs_threshold > 0:
+            flags &= np.abs(errors) > self.abs_threshold
+        flagged = np.count_nonzero(flags)
+        # Only rows with a flag can raise an alarm.
+        alarms = {
+            slot: merge_flags_into_alarms(flags[slot], errors[slot])
+            for slot in np.flatnonzero(flags.any(axis=1)).tolist()
+        } if flagged else {}
+        _M_DETECTIONS.inc(n)
+        _M_DET_ALARMS.inc(sum(map(len, alarms.values())))
+        _M_FLAGS.inc(flagged)
+        _M_FILTERED.inc(over_sigma - flagged)
+        gamma = self.gamma
+        return [
+            AnomalyReport(flags=row_flags, alarms=alarms.get(slot, []), errors=row_errors, gamma=gamma)
+            for slot, (row_flags, row_errors) in enumerate(zip(flags, errors))
+        ]
 
     def detect_self_calibrated(self, predicted: np.ndarray, observed: np.ndarray) -> AnomalyReport:
         """§4.3 unseen-environment mode: calibrate on the execution itself.
@@ -289,6 +310,23 @@ class ContextualAnomalyDetector:
         observed = np.asarray(observed, dtype=np.float64)
         error_model = self.fit_error_model(predicted, observed)
         return self.detect(predicted, observed, error_model)
+
+
+def _self_calibration(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's :meth:`GaussianErrorModel.fit` ``(mu, sigma)``, bitwise,
+    as two ``(rows, 1)`` columns.
+
+    ``mean`` and ``std(ddof=1)`` are computed as the reductions numpy
+    runs for them, without their per-call argument handling.
+    """
+    if not np.isfinite(errors).all():
+        raise ValueError("errors contain NaN or infinite values")
+    steps = errors.shape[1]
+    mu = np.add.reduce(errors, axis=1, keepdims=True) / steps
+    centered = errors - mu
+    np.multiply(centered, centered, out=centered)
+    sigma = np.sqrt(np.add.reduce(centered, axis=1, keepdims=True) / (steps - 1))
+    return mu, np.maximum(sigma, 1e-9, out=sigma)
 
 
 @dataclass

@@ -31,6 +31,10 @@ __all__ = ["EnvironmentVocabulary", "EnvironmentEmbeddings"]
 #: Scale of the noise added to ``<unk>`` when a grown table gets new rows.
 GROWN_ROW_NOISE = 0.01
 
+#: Most environments :meth:`EnvironmentVocabulary.encode` remembers: a
+#: call whose new environments would grow the memo past this empties it.
+ENCODE_MEMO_SIZE = 4096
+
 
 class EnvironmentVocabulary:
     """Per-field label encoders over a training set of environments."""
@@ -40,6 +44,13 @@ class EnvironmentVocabulary:
             raise ValueError("need at least one EM field")
         self.fields = tuple(fields)
         self._encoders: dict[str, LabelEncoder] = {}
+        self._clear_memo()
+
+    def _clear_memo(self) -> None:
+        #: environment -> its row of ``_memo_ids``, whose first
+        #: ``len(_memo)`` rows are the id rows encoded so far
+        self._memo: dict[Environment, int] = {}
+        self._memo_ids = np.empty((ENCODE_MEMO_SIZE, len(self.fields)), dtype=np.int64)
 
     def fit(self, environments: list[Environment]) -> "EnvironmentVocabulary":
         if not environments:
@@ -48,6 +59,7 @@ class EnvironmentVocabulary:
             encoder = LabelEncoder()
             encoder.fit([getattr(env, field) for env in environments])
             self._encoders[field] = encoder
+        self._clear_memo()
         return self
 
     def to_config(self) -> dict:
@@ -73,26 +85,50 @@ class EnvironmentVocabulary:
     def encode(self, environments: list[Environment]) -> np.ndarray:
         """Environments -> (n, n_fields) int64 id matrix.
 
-        Per-window callers pass runs of the same object (every window of
-        an execution shares its EM tuple). A row whose environment *is*
-        the previous row's reuses its slot without hashing; every other
-        row is hashed once to find its distinct value, each distinct
-        value is encoded once, and the rows are gathered back.
+        Every environment encoded is remembered with its id row until
+        the next :meth:`fit` or :meth:`extend` (at most
+        :data:`ENCODE_MEMO_SIZE` of them), so a served batch costs one
+        hash per execution. Per-window callers pass runs of the same
+        object (every window of an execution shares its EM tuple): a row
+        whose environment *is* the previous row's reuses its id row
+        without hashing. A call's new environments are label-encoded
+        together, one transform per field, and the rows are gathered
+        back with one fancy index.
         """
         self._require_fitted()
-        unique: dict[Environment, int] = {}
+        memo = self._memo
+        size = known = len(memo)
+        misses: list[Environment] = []
         slots: list[int] = []
         previous, slot = object(), 0
-        for env in environments:
-            if env is not previous:
-                previous = env
-                slot = unique.setdefault(env, len(unique))
-            slots.append(slot)
-        columns = [
-            self._encoders[field].transform([getattr(env, field) for env in unique])
-            for field in self.fields
-        ]
-        return np.stack(columns, axis=1)[np.array(slots, dtype=np.intp)]
+        ids = self._memo_ids
+        try:
+            for env in environments:
+                if env is not previous:
+                    previous = env
+                    # One hash per run, hit or miss: a miss takes the next row.
+                    slot = memo.setdefault(env, size)
+                    if slot == size:
+                        misses.append(env)
+                        size += 1
+                slots.append(slot)
+            if misses:
+                new = np.array(
+                    [
+                        self._encoders[field].codes([getattr(env, field) for env in misses])
+                        for field in self.fields
+                    ],
+                    dtype=np.int64,
+                ).T
+                if size <= len(ids):
+                    ids[known:size] = new
+                else:
+                    ids = np.concatenate([ids[:known], new])
+                    self._clear_memo()
+        except BaseException:
+            self._clear_memo()  # misses entered the memo before their rows
+            raise
+        return ids[np.array(slots, dtype=np.intp)]
 
     def encode_one(self, environment: Environment) -> np.ndarray:
         return self.encode([environment])[0]
@@ -120,6 +156,8 @@ class EnvironmentVocabulary:
         model for incremental retraining (§4.3).
         """
         self._require_fitted()
+        # A value encoded as <unk> so far may get its own id now.
+        self._clear_memo()
         return {
             field: self._encoders[field].extend(
                 getattr(env, field) for env in environments
@@ -188,30 +226,22 @@ class EnvironmentEmbeddings(Module):
         matter) each field's ids are replaced by that field's unknown id
         with probability ``unknown_dropout``: one ``rng.random(n)`` mask
         per field, in field order. Ids are range-checked after replacement
-        (the first bad field raises ``IndexError``). The effective ids are
-        what :meth:`table_grads` needs for the backward.
+        (the first bad field raises ``IndexError``), and gathered by
+        :func:`repro.nn.ops.stacked_embedding_forward`, the compiled
+        plan's gather too. The effective ids are what :meth:`table_grads`
+        needs for the backward.
         """
         ids = np.asarray(ids, dtype=np.int64)
         fields = self.vocabulary.fields
         if ids.ndim != 2 or ids.shape[1] != len(fields):
             raise ValueError(f"expected ids of shape (n, {len(fields)}); got {ids.shape}")
-        tables = [self.tables[field] for field in fields]
-        bounds = self._row_bounds()
-        sizes = bounds[1:] - bounds[:-1]
+        stacked, offsets, sizes = self.stacked_tables()
         if self.training and self.unknown_dropout > 0.0:
             # One draw of (n_fields, n) is the per-field rng.random(n) calls
             # in field order, value for value.
             masks = self._rng.random((len(fields), len(ids))) < self.unknown_dropout
-            ids = np.where(masks.T, sizes - 1, ids)
-        # Negative ids wrap to huge unsigned values, so one comparison
-        # checks both ends of every table's range.
-        bad = ids.view(np.uint64) >= sizes.astype(np.uint64)
-        if bad.any():
-            i = int(np.argmax(bad.any(axis=0)))
-            tables[i].check_ids(ids[:, i])
-        stacked = np.concatenate([table.weight.data for table in tables])
-        rows, _ = ops.embedding_forward(stacked, ids + bounds[:-1])
-        return rows.reshape(len(ids), self.output_dim), ids
+            ids = np.where(masks.T, sizes.astype(np.int64) - 1, ids)
+        return ops.stacked_embedding_forward(stacked, offsets, sizes, ids), ids
 
     def table_grads(self, grad_c: np.ndarray, ids: np.ndarray) -> list[np.ndarray]:
         """Per-table gradients, in field order, of ``C`` looked up at ``ids``.
@@ -234,14 +264,16 @@ class EnvironmentEmbeddings(Module):
         sizes = [self.tables[field].num_embeddings for field in self.vocabulary.fields]
         return np.array([0, *accumulate(sizes)])
 
-    def table_arrays(self) -> list[np.ndarray]:
-        """Raw per-field weight matrices in ``vocabulary.fields`` order.
-
-        The inference engine snapshots these into an
-        :class:`~repro.nn.inference.EmbeddingRowCache`; keeping the field
-        order here means the cache's concatenation matches eq. 1 exactly.
+    def stacked_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The field tables stacked row-wise in ``vocabulary.fields``
+        order, as one fresh array, with each field's first row in it and
+        its row count (uint64): the arguments of
+        :func:`repro.nn.ops.stacked_embedding_forward`. The compiled plan
+        keeps one such copy as its snapshot of the tables.
         """
-        return [self.tables[field].weight.data for field in self.vocabulary.fields]
+        bounds = self._row_bounds()
+        stacked = np.concatenate([self.tables[field].weight.data for field in self.vocabulary.fields])
+        return stacked, bounds[:-1], np.diff(bounds).astype(np.uint64)
 
     def grow_tables(self, added: dict[str, list[str]]) -> None:
         """Expand the lookup tables after a vocabulary extension.

@@ -39,7 +39,6 @@ from ..nn import ops
 from ..nn.encoders import create_encoder, validate_encoder_name
 from ..nn.inference import (
     CompiledDense,
-    EmbeddingRowCache,
     InferenceModel,
     compile_module,
     compile_plan,
@@ -272,14 +271,17 @@ def _compile_env2vec(model: Env2VecModel):
     Mirrors :meth:`Env2VecModel.forward` in eval mode: dropout and
     unknown-dropout are elided, the time-series branch embeds the
     encoder's own registered plan (fused sequence kernels), and the
-    embedding branch is served from an LRU :class:`EmbeddingRowCache`
-    keyed by the env-id tuple.
+    embedding branch is one range check and one ``take`` over a snapshot
+    of the field tables stacked row-wise
+    (:func:`repro.nn.ops.stacked_embedding_forward`, the gather
+    :meth:`EnvironmentEmbeddings.lookup` trains with).
     """
     fnn = CompiledDense(model.fnn)
     encoder = compile_plan(model.encoder)
     combine = CompiledDense(model.combine)
     head = model.head
-    env_cache = EmbeddingRowCache(model.embeddings.table_arrays())
+    stacked, offsets, sizes = model.embeddings.stacked_tables()
+    n_fields = len(offsets)
     if head == "bilinear":
         bilinear = snapshot(model.bilinear.data)
     elif head == "mlp":
@@ -298,14 +300,16 @@ def _compile_env2vec(model: Env2VecModel):
         v_fs = fnn(cf)
         v_ts = encoder(history[:, :, None])
         v_d = combine(np.concatenate([v_ts, v_fs], axis=1))
-        c = env_cache.rows(env)
+        env = np.asarray(env, dtype=np.int64)
+        if env.ndim != 2 or env.shape[1] != n_fields:
+            raise ValueError(f"expected ids of shape (n, {n_fields}); got {env.shape}")
+        c = ops.stacked_embedding_forward(stacked, offsets, sizes, env)
         if head == "hadamard":
             return ops.hadamard_head(v_d, c)
         if head == "bilinear":
             return ops.bilinear_head(v_d, bilinear, c)[0]
         return head_out(head_hidden(np.concatenate([v_d, c], axis=1))).reshape(-1)
 
-    forward.env_cache = env_cache
     return forward
 
 

@@ -106,10 +106,15 @@ class LabelEncoder:
         return self.unknown_id + 1
 
     def transform(self, values) -> np.ndarray:
+        return np.array(self.codes(values), dtype=np.int64)
+
+    def codes(self, values) -> list[int]:
+        """:meth:`transform` as a list, for callers that build one array
+        from several encoders."""
         if self.classes_ is None:
             raise RuntimeError("encoder is not fitted")
         unknown = self.unknown_id
-        return np.array([self._index.get(str(v), unknown) for v in values], dtype=np.int64)
+        return [self._index.get(str(v), unknown) for v in values]
 
     def fit_transform(self, values) -> np.ndarray:
         return self.fit(values).transform(values)

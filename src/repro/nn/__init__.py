@@ -27,7 +27,6 @@ from .encoders import (
 )
 from .gru import GRU, GRUCell
 from .inference import (
-    EmbeddingRowCache,
     InferenceModel,
     UnsupportedModuleError,
     compile_module,
@@ -50,7 +49,6 @@ __all__ = [
     "apply_op",
     "ops",
     "InferenceModel",
-    "EmbeddingRowCache",
     "UnsupportedModuleError",
     "compile_module",
     "compile_plan",

@@ -30,7 +30,6 @@ refuses rather than silently using the parent's plan.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from typing import Callable, Mapping
 
 import numpy as np
@@ -59,17 +58,10 @@ _H_PREDICT = _OBS.histogram(
     "Per-batch forward latency of compiled inference models.",
     buckets=LATENCY_BUCKETS,
 )
-_M_CACHE_HITS = _OBS.counter(
-    "repro_env_cache_hits_total", "Env-embedding LRU row-cache hits."
-)
-_M_CACHE_MISSES = _OBS.counter(
-    "repro_env_cache_misses_total", "Env-embedding LRU row-cache misses."
-)
 
 __all__ = [
     "UnsupportedModuleError",
     "InferenceModel",
-    "EmbeddingRowCache",
     "CompiledDense",
     "compile_module",
     "compile_plan",
@@ -189,106 +181,6 @@ def compile_attention(module: AdditiveAttention) -> Callable[[np.ndarray], np.nd
     return run_attention
 
 
-class EmbeddingRowCache:
-    """LRU cache of concatenated environment-embedding rows ``C``.
-
-    Environments repeat for every timestep of a test execution (and across
-    executions of the same build chain), so the per-field gathers and the
-    concatenation ``C = [ec^1, ..., ec^k]`` (eq. 1) are recomputed millions
-    of times on identical id tuples. Caching the finished row keyed by the
-    env-id tuple turns the embedding branch of a streaming prediction into
-    one dict hit; with the Hadamard head the whole environment side of
-    eq. 2 then costs a single cached gather + dot per step.
-
-    Cached rows are handed out by reference, so they are marked
-    non-writeable before they enter the cache: a caller mutating a
-    returned row would otherwise silently corrupt every future prediction
-    for that environment. Mutation attempts raise ``ValueError`` instead.
-    The single-row fast path returns a read-only view; the multi-row path
-    fancy-indexes into a fresh (writable) batch. The cache is plain
-    instance state: each process runs its engine on one thread.
-    """
-
-    def __init__(self, tables: list[np.ndarray], maxsize: int = 4096):
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.tables = [snapshot(table) for table in tables]
-        self.dim = int(sum(table.shape[1] for table in self.tables))
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self._cache: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()
-        # Mixed-radix multipliers: one int64 composite key per id row, so
-        # the batch path can dedup with a single vectorized np.unique
-        # instead of hashing every row through a python loop.
-        self._sizes = np.array([table.shape[0] for table in self.tables], dtype=np.int64)
-        radix = np.ones(len(self.tables), dtype=np.int64)
-        for j in range(len(self.tables) - 2, -1, -1):
-            radix[j] = radix[j + 1] * self._sizes[j + 1]
-        self._radix = radix
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def _row(self, key: tuple[int, ...]) -> np.ndarray:
-        """One read-only cached row."""
-        if key and min(key) < 0:
-            # numpy would silently wrap a negative index, so it must
-            # never reach the gather.
-            raise IndexError(f"negative environment id in {key}")
-        row = self._cache.get(key)
-        if row is not None:
-            self.hits += 1
-            self._cache.move_to_end(key)
-            return row
-        self.misses += 1
-        row = np.concatenate([table[i] for table, i in zip(self.tables, key)])
-        row.setflags(write=False)
-        self._cache[key] = row
-        if len(self._cache) > self.maxsize:
-            self._cache.popitem(last=False)
-        return row
-
-    def rows(self, ids: np.ndarray) -> np.ndarray:
-        """``(n, n_fields)`` id matrix -> ``(n, dim)`` concatenated rows.
-
-        The batch path is vectorized over the whole batch: each row is
-        collapsed to one mixed-radix int64 composite key, a single
-        ``np.unique`` dedups them, and only the distinct keys touch the
-        LRU (same hit/miss accounting as row-at-a-time lookup — one
-        touch per distinct environment per batch). A 256-row batch of
-        repeating environments costs one ``np.unique`` plus a handful of
-        dict operations instead of 256; the common serve/campaign case of
-        a single-environment batch skips even the sort. Out-of-range ids
-        raise ``IndexError``: a multi-row batch is range-checked as a
-        whole before any key is built, since under the composite keys an
-        out-of-range row could alias a valid one (``(0, 5)`` and
-        ``(1, 1)`` share a key when the second table has four rows).
-        """
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim != 2 or ids.shape[1] != len(self.tables):
-            raise ValueError(f"expected ids of shape (n, {len(self.tables)}); got {ids.shape}")
-        if len(ids) == 0:
-            return np.empty((0, self.dim), dtype=self.tables[0].dtype)
-        if len(ids) == 1:  # streaming fast path: one tuple hash
-            return self._row(tuple(ids[0].tolist()))[None, :]
-        if bool((ids < 0).any()) or bool((ids >= self._sizes).any()):
-            raise IndexError(
-                f"environment id out of range for table sizes {self._sizes.tolist()}"
-            )
-        if ids[0, 0] == ids[-1, 0] and bool((ids == ids[0]).all()):
-            # Single-environment batch (one execution's windows, serve
-            # micro-batches of one chain): one LRU touch, one broadcast
-            # copy — no composite keys, no sort.
-            out = np.empty((len(ids), self.dim), dtype=self.tables[0].dtype)
-            np.copyto(out, self._row(tuple(ids[0].tolist())))
-            return out
-        keys = ids @ self._radix
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        gathered = [self._row(tuple(ids[i].tolist())) for i in first]
-        return np.asarray(gathered)[inverse]
-
-
 _COMPILERS: dict[type, Callable[[object], Callable[..., np.ndarray]]] = {}
 
 
@@ -296,8 +188,7 @@ def register_compiler(cls: type):
     """Register a compile rule: ``fn(module) -> forward_fn``.
 
     ``forward_fn`` takes the same keyword arrays as the module's ``forward``
-    and returns a numpy array. Attributes set on ``forward_fn`` (e.g. an
-    ``env_cache``) are surfaced on the :class:`InferenceModel`.
+    and returns a numpy array.
     """
 
     def decorator(fn):
@@ -321,13 +212,10 @@ class InferenceModel:
     def __init__(self, forward_fn: Callable[..., np.ndarray], source):
         self._forward = forward_fn
         self._source = source
-        #: the Env2Vec engine's embedding-row cache, if the plan has one
-        self.env_cache: EmbeddingRowCache | None = getattr(forward_fn, "env_cache", None)
-        # The row cache counts its own hits/misses as plain ints (the per-
-        # lookup path stays untouched); the engine publishes the deltas to
-        # the global counters after each instrumented forward.
-        self._cache_hits_seen = 0
-        self._cache_misses_seen = 0
+        #: ``None``: no compiled plan caches embedding rows (the Env2Vec
+        #: plan gathers them on every forward). Readable for tracing
+        #: tools that report a row cache's hits when a plan has one.
+        self.env_cache = None
 
     def __call__(self, **inputs) -> np.ndarray:
         if not _ENABLED.on:
@@ -335,18 +223,6 @@ class InferenceModel:
         start = _clock()
         out = self._forward(**inputs)
         _H_PREDICT.observe(_clock() - start)
-        cache = self.env_cache
-        if cache is not None:
-            # Sync only non-zero deltas: a warm streaming loop advances just
-            # the hit count, so this is usually one inc, not two.
-            hits = cache.hits
-            if hits != self._cache_hits_seen:
-                _M_CACHE_HITS.inc(hits - self._cache_hits_seen)
-                self._cache_hits_seen = hits
-            misses = cache.misses
-            if misses != self._cache_misses_seen:
-                _M_CACHE_MISSES.inc(misses - self._cache_misses_seen)
-                self._cache_misses_seen = misses
         return out
 
     def predict(self, inputs: Mapping[str, np.ndarray], batch_size: int | None = None) -> np.ndarray:

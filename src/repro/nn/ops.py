@@ -36,6 +36,7 @@ __all__ = [
     "dense_backward",
     "embedding_forward",
     "embedding_backward",
+    "stacked_embedding_forward",
     "dropout_mask",
     "dropout_forward",
     "dropout_backward",
@@ -216,6 +217,36 @@ def embedding_forward(table: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, d
     """Row gather ``out[i] = table[ids[i]]``."""
     ids = np.asarray(ids, dtype=np.int64)
     return table[ids], {"shape": table.shape, "ids": ids}
+
+
+def stacked_embedding_forward(
+    stacked: np.ndarray, offsets: np.ndarray, sizes: np.ndarray, ids: np.ndarray
+) -> np.ndarray:
+    """Each row's per-field embeddings, concatenated: ``(n, k)`` ids -> ``(n, k * dim)``.
+
+    ``stacked`` holds the ``k`` field tables row-wise, field ``j``'s
+    ``sizes[j]`` rows (``sizes`` is uint64) starting at ``offsets[j]``.
+    ``ids`` is int64. Negative ids wrap to huge unsigned values, so one
+    comparison checks both ends of every field's range: an id past its
+    own table raises ``IndexError`` instead of reading the next field's
+    rows. One ``take`` then gathers every field of every row.
+    """
+    if len(ids) == 1:
+        # Batch-1 streaming: checking python ints is cheaper than the
+        # vectorized check's numpy calls. A bad id falls through to it.
+        row = ids.tolist()[0]
+        if all(0 <= i < size for i, size in zip(row, sizes.tolist())):
+            flat = [i + offset for i, offset in zip(row, offsets.tolist())]
+            return stacked.take(flat, axis=0).reshape(1, -1)
+    bad = ids.view(np.uint64) >= sizes
+    if np.count_nonzero(bad):  # a C call; ``bad.any()`` costs ~1 µs more
+        field = int(np.argmax(bad.any(axis=0)))
+        column = ids[:, field]
+        raise IndexError(
+            f"embedding ids of field {field} out of range [0, {sizes[field]}): "
+            f"min={column.min()}, max={column.max()}"
+        )
+    return stacked.take(ids + offsets, axis=0).reshape(len(ids), ids.shape[1] * stacked.shape[1])
 
 
 def embedding_backward(grad: np.ndarray, cache: dict) -> tuple[np.ndarray]:

@@ -131,8 +131,6 @@ _FORWARDED_COUNTERS = tuple(
         "repro_detector_filtered_timesteps_total",
         "repro_prediction_row_failures_total",
         "repro_predictions_total",
-        "repro_env_cache_hits_total",
-        "repro_env_cache_misses_total",
     )
 )
 

@@ -89,34 +89,40 @@ class AlarmStore:
         end_step: int,
         peak_deviation: float,
         gamma: float,
-        created_at: float | None = None,
     ) -> int:
-        """Insert one alarm; returns its id.
+        """Insert one alarm; returns its id (see :meth:`push_many`)."""
+        (alarm_id,) = self.push_many([(environment, start_step, end_step, peak_deviation, gamma)])
+        return alarm_id
 
-        ``created_at`` defaults to a logical per-store sequence number
-        (1, 2, 3, ...). A wall-clock default here (REP002) leaked real
-        time into campaign reports and broke same-seed byte-identity;
-        callers that need real timestamps pass them explicitly.
+    def push_many(self, alarms: list[tuple[Environment, int, int, float, float]]) -> list[int]:
+        """Insert ``(environment, start_step, end_step, peak_deviation,
+        gamma)`` alarms in order, in one transaction; returns their ids.
+
+        Each alarm's ``created_at`` is a logical per-store sequence number
+        (1, 2, 3, ...). A wall-clock stamp here (REP002) leaked real time
+        into campaign reports and broke same-seed byte-identity. Every
+        alarm is checked before any is stored, so a bad one stores none.
+        The first INSERT holds the database's write lock until the
+        commit, so the rows get consecutive ids ending at
+        ``last_insert_rowid()``: the ids of one :meth:`push` per alarm.
         """
-        if not 0 <= start_step < end_step:
-            raise ValueError("need 0 <= start_step < end_step")
-        cursor = self._conn.execute(
+        for _, start_step, end_step, _, _ in alarms:
+            if not 0 <= start_step < end_step:
+                raise ValueError("need 0 <= start_step < end_step")
+        if not alarms:
+            return []
+        self._conn.executemany(
             "INSERT INTO alarms (testbed, sut, testcase, build, start_step, end_step,"
             " peak_deviation, gamma, created_at) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                environment.testbed,
-                environment.sut,
-                environment.testcase,
-                environment.build,
-                start_step,
-                end_step,
-                float(peak_deviation),
-                float(gamma),
-                created_at if created_at is not None else self._next_logical_time(),
-            ),
+            [
+                (*environment.as_tuple(), start_step, end_step, float(peak_deviation),
+                 float(gamma), self._next_logical_time())
+                for environment, start_step, end_step, peak_deviation, gamma in alarms
+            ],
         )
+        (last,) = self._conn.execute("SELECT last_insert_rowid()").fetchone()
         self._conn.commit()
-        return int(cursor.lastrowid)
+        return list(range(last - len(alarms) + 1, last + 1))
 
     def acknowledge(self, alarm_id: int) -> None:
         cursor = self._conn.execute(
@@ -159,11 +165,16 @@ class AlarmStore:
     def count(self) -> int:
         return int(self._conn.execute("SELECT COUNT(*) FROM alarms").fetchone()[0])
 
-    def should_terminate(self, environment: Environment, threshold: int = 3) -> bool:
+    def should_terminate(
+        self, environment: Environment, threshold: int = 3, pending: int = 0
+    ) -> bool:
         """Automated action hook: terminate a test early after N alarms.
 
         §3 step 4: "Such alarms can also trigger automated actions, such as
-        early termination of the test case execution."
+        early termination of the test case execution." ``pending`` counts
+        this environment's alarms that are about to be pushed but are not
+        stored yet, so a batch that stores its alarms at the end sees the
+        counts of pushing them one by one.
         """
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
@@ -172,7 +183,7 @@ class AlarmStore:
             " AND build = ?",
             environment.as_tuple(),
         ).fetchone()
-        return int(row[0]) >= threshold
+        return int(row[0]) + pending >= threshold
 
     @staticmethod
     def _to_record(row: tuple) -> AlarmRecord:

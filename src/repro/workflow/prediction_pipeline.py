@@ -17,6 +17,7 @@ import numpy as np
 from ..core.anomaly import AnomalyReport, ContextualAnomalyDetector, GaussianErrorModel
 from ..core.model import Env2VecRegressor
 from ..data.chains import BuildChain, TestExecution
+from ..data.environment import Environment
 from ..data.frame import Frame
 from ..data.windows import build_windows, build_windows_multi
 from ..obs import get_observability
@@ -392,44 +393,43 @@ class PredictionPipeline:
         only here, so alarm ids, store contents, and every returned
         :class:`PipelineRun` come out exactly as a sequential loop would
         produce them — regardless of which serve worker process scored
-        which row, or in what order scoring finished. The run counters
-        move once per batch, by the batch's totals.
+        which row, or in what order scoring finished. The batch's alarms
+        are stored in one transaction at the end; each termination check
+        counts its environment's alarms from earlier in the batch as
+        pending, so it sees what it would after pushing one by one. The
+        run counters move once per batch, by the batch's totals.
         """
-        runs: list[PipelineRun] = []
         offset = n_lags
-        n_windows = n_alarms = 0
-        for execution, (report, pred, observed) in zip(executions, scored):
-            alarm_ids = [
-                self.alarms.push(
-                    environment=execution.environment,
-                    start_step=alarm.start + offset,
-                    end_step=alarm.end + offset,
-                    peak_deviation=alarm.peak_deviation,
-                    gamma=report.gamma,
-                )
+        threshold = self.termination_threshold
+        pending: list[tuple] = []
+        batch_counts: dict[Environment, int] = {}
+        terminated: list[bool] = []
+        for execution, (report, _, _) in zip(executions, scored):
+            environment = execution.environment
+            pending.extend(
+                (environment, alarm.start + offset, alarm.end + offset, alarm.peak_deviation, report.gamma)
                 for alarm in report.alarms
-            ]
-            terminated = (
-                self.termination_threshold is not None
-                and self.alarms.should_terminate(
-                    execution.environment, threshold=self.termination_threshold
-                )
             )
-            n_windows += len(observed)
-            n_alarms += len(alarm_ids)
-            runs.append(
-                PipelineRun(
-                    report=report,
-                    predictions=pred,
-                    observations=observed,
-                    model_version=model_version,
-                    alarm_ids=alarm_ids,
-                    terminated_early=terminated,
-                )
+            count = batch_counts[environment] = batch_counts.get(environment, 0) + len(report.alarms)
+            terminated.append(
+                threshold is not None
+                and self.alarms.should_terminate(environment, threshold=threshold, pending=count)
             )
+        alarm_ids = iter(self.alarms.push_many(pending))
+        runs = [
+            PipelineRun(
+                report=report,
+                predictions=pred,
+                observations=observed,
+                model_version=model_version,
+                alarm_ids=[next(alarm_ids) for _ in report.alarms],
+                terminated_early=stop,
+            )
+            for (report, pred, observed), stop in zip(scored, terminated)
+        ]
         _M_RUNS.inc(len(runs))
-        _M_WINDOWS.inc(n_windows)
-        _M_ALARMS.inc(n_alarms)
+        _M_WINDOWS.inc(sum(len(run.observations) for run in runs))
+        _M_ALARMS.inc(len(pending))
         return runs
 
     def report(self, execution: TestExecution, run: PipelineRun, width: int = 72) -> str:

@@ -258,6 +258,18 @@ class TestDetectMany:
             assert got_report.gamma == want_report.gamma
         assert got_counts == want_counts
 
+    @DERANDOMIZED
+    @given(rows=detection_rows(self_calibrated=True))
+    def test_self_calibrated_group_equals_per_row_detection(self, rows):
+        """The served batch's shape takes the group path without grouping."""
+        detector = ContextualAnomalyDetector(gamma=1.0)
+        got = self._grouped(detector, rows)
+        want = self._per_row(detector, rows)
+        for got_report, want_report in zip(got, want, strict=True):
+            assert got_report.flags.tobytes() == want_report.flags.tobytes()
+            assert got_report.errors.tobytes() == want_report.errors.tobytes()
+            assert got_report.alarms == want_report.alarms
+
     def test_patterns_reach_their_alarms(self):
         # One batch with every pattern the strategy draws, checked by hand:
         # nothing flagged, every step flagged, and alarms on either edge.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+import repro.core.embeddings as embeddings_module
 from repro.core import EnvironmentEmbeddings, EnvironmentVocabulary
 from repro.data import Environment
 from repro.ml.preprocessing import LabelEncoder
@@ -106,6 +107,55 @@ class TestEncodeIdentityShortcut:
         ids = vocab.encode([])
         assert ids.shape == (0, 4)
         assert ids.dtype == np.int64
+
+
+class TestEncodeMemo:
+    """``encode`` remembers each environment's id row until the next
+    ``fit`` or ``extend``; the ids must match a fresh vocabulary's."""
+
+    @DERANDOMIZED
+    @given(environments=environment_runs(environment_pool(_envs())))
+    def test_unknown_values_get_their_ids_after_extend(self, environments):
+        vocab = EnvironmentVocabulary().fit(_envs())
+        vocab.encode(environments)  # remembers <unk> ids for unseen values
+        # New in every field, and first: no value keeps its old <unk> id.
+        vocab.extend([Environment("Testbed_00", "SUT_0", "Testcase_0", "Build_0"), *environments])
+        fresh = EnvironmentVocabulary.from_config(vocab.to_config())
+        assert vocab.encode(environments).tobytes() == fresh.encode(environments).tobytes()
+        assert vocab.encode(environments).tobytes() == _naive_encode(vocab, environments).tobytes()
+
+    def test_unknown_value_before_and_after_extend(self):
+        vocab = EnvironmentVocabulary().fit(_envs())
+        first = Environment("Testbed_01", "SUT_A", "Testcase_Load", "Build_S98")
+        second = Environment("Testbed_01", "SUT_A", "Testcase_Load", "Build_S99")
+        unknown = vocab.vocabulary_sizes()["build"] - 1
+        assert vocab.encode([first, second])[:, 3].tolist() == [unknown, unknown]
+        vocab.extend([second, first])  # first gets unknown + 1, not the old <unk> id
+        classes = vocab.to_config()["classes"]["build"]
+        assert [classes[i] for i in vocab.encode([first, second])[:, 3]] == ["Build_S98", "Build_S99"]
+
+    def test_fit_forgets_the_old_ids(self):
+        vocab = EnvironmentVocabulary().fit(_envs())
+        env = _envs()[2]
+        vocab.encode([env])
+        vocab.fit([env])
+        assert vocab.encode([env]).tolist() == [[0, 0, 0, 0]]
+
+    def test_memo_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(embeddings_module, "ENCODE_MEMO_SIZE", 3)
+        vocab = EnvironmentVocabulary().fit(_envs())
+        pool = environment_pool(_envs())
+        for start in range(len(pool)):
+            batch = pool[start:] + pool[:start]
+            assert vocab.encode(batch).tobytes() == _naive_encode(vocab, batch).tobytes()
+            assert len(vocab._memo) <= 3
+
+    def test_a_failed_call_leaves_no_half_remembered_environment(self):
+        vocab = EnvironmentVocabulary().fit(_envs())
+        new = Environment("Testbed_01", "SUT_A", "Testcase_Load", "Build_S99")
+        with pytest.raises(TypeError):
+            vocab.encode([new, ["unhashable"]])
+        assert vocab.encode([new]).tobytes() == _naive_encode(vocab, [new]).tobytes()
 
 
 class TestEnvironmentEmbeddings:

@@ -105,15 +105,17 @@ class TestCompiledPredictPath:
             atol=1e-10,
         )
 
-    def test_streaming_prediction_hits_row_cache(self):
+    def test_streaming_prediction_matches_batch(self):
+        """One row at a time, each environment's id row coming from the
+        vocabulary's memo after its first call, equals one batched call."""
         regressor = _fit()
-        engine = regressor.compile()
         environments, X, history, _ = _task(n=40)
-        for i in range(len(X)):
+        streamed = np.concatenate([
             regressor.predict(environments[i : i + 1], X[i : i + 1], history[i : i + 1])
-        assert engine.env_cache is not None
-        assert engine.env_cache.misses == len(ENVS)
-        assert engine.env_cache.hits == len(X) - len(ENVS)
+            for i in range(len(X))
+        ])
+        assert len(regressor.vocabulary._memo) == len(ENVS)
+        assert streamed.tobytes() == regressor.predict(environments, X, history).tobytes()
 
 
 class TestFitDeterminism:

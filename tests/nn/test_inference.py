@@ -1,4 +1,4 @@
-"""Tape-free inference engine: compile rules, parity, and the row cache."""
+"""Tape-free inference engine: compile rules and parity."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.nn import (
     Adam,
     Dense,
     Dropout,
-    EmbeddingRowCache,
     Sequential,
     Tensor,
     Trainer,
@@ -102,90 +101,6 @@ class TestCompiledRecurrent:
         with no_grad():
             reference = layer(Tensor(x)).numpy()
         np.testing.assert_allclose(run(x), reference, atol=1e-12)
-
-
-class TestEmbeddingRowCache:
-    def _tables(self):
-        return [RNG.standard_normal((4, 3)), RNG.standard_normal((5, 2))]
-
-    def test_rows_concatenate_in_order(self):
-        tables = self._tables()
-        cache = EmbeddingRowCache(tables)
-        ids = np.array([[1, 2], [3, 0]])
-        expected = np.stack(
-            [np.concatenate([tables[0][1], tables[1][2]]), np.concatenate([tables[0][3], tables[1][0]])]
-        )
-        np.testing.assert_allclose(cache.rows(ids), expected)
-        assert cache.dim == 5
-
-    def test_hit_and_miss_accounting(self):
-        cache = EmbeddingRowCache(self._tables())
-        cache.rows(np.array([[0, 0]]))
-        cache.rows(np.array([[0, 0]]))
-        cache.rows(np.array([[1, 1]]))
-        assert cache.misses == 2
-        assert cache.hits == 1
-
-    def test_batched_path_counts_unique_tuples_once(self):
-        cache = EmbeddingRowCache(self._tables())
-        ids = np.array([[0, 0], [1, 1], [0, 0], [0, 0]])
-        cache.rows(ids)
-        assert cache.misses == 2  # two unique tuples, batched through np.unique
-
-    def test_lru_eviction(self):
-        cache = EmbeddingRowCache(self._tables(), maxsize=2)
-        cache.rows(np.array([[0, 0]]))
-        cache.rows(np.array([[1, 1]]))
-        cache.rows(np.array([[0, 0]]))  # refresh (0,0): now (1,1) is LRU
-        cache.rows(np.array([[2, 2]]))  # evicts (1,1)
-        assert len(cache) == 2
-        misses = cache.misses
-        cache.rows(np.array([[1, 1]]))  # was evicted -> miss again
-        assert cache.misses == misses + 1
-        assert len(cache) == 2
-
-    def test_shape_validation(self):
-        cache = EmbeddingRowCache(self._tables())
-        with pytest.raises(ValueError, match="shape"):
-            cache.rows(np.array([[0, 0, 0]]))
-
-    @pytest.mark.parametrize("bad_first", [True, False])
-    def test_out_of_range_rows_raise_in_any_order(self, bad_first):
-        """Regression: the multi-row path keyed rows by a mixed-radix
-        composite before checking ranges, so with table sizes (4, 5) the
-        out-of-range row [0, 6] shared key 6 with [1, 1] and was served
-        its embedding whenever [1, 1] came first."""
-        cache = EmbeddingRowCache(self._tables())
-        rows = [[0, 6], [1, 1]] if bad_first else [[1, 1], [0, 6]]
-        assert (np.array(rows) @ cache._radix).tolist() == [6, 6]  # aliased keys
-        with pytest.raises(IndexError):
-            cache.rows(np.array(rows))
-        with pytest.raises(IndexError):
-            cache.rows(np.array([[1, 1], [-1, 2]]))
-
-    def test_rejects_zero_maxsize(self):
-        with pytest.raises(ValueError):
-            EmbeddingRowCache(self._tables(), maxsize=0)
-
-    def test_cached_rows_are_read_only(self):
-        """Regression: rows() used to hand out writable references into the
-        cache, so a caller's in-place edit silently corrupted every future
-        prediction for that environment."""
-        cache = EmbeddingRowCache(self._tables())
-        row = cache.rows(np.array([[1, 2]]))
-        assert not row.flags.writeable
-        with pytest.raises(ValueError):
-            row[0, 0] = 99.0
-        # The cached value is untouched and still served.
-        np.testing.assert_array_equal(row, cache.rows(np.array([[1, 2]])))
-
-    def test_multi_row_batches_are_writable_copies(self):
-        cache = EmbeddingRowCache(self._tables())
-        batch = cache.rows(np.array([[0, 0], [1, 1]]))
-        expected_first = batch[0].copy()
-        assert batch.flags.writeable  # fancy-indexed fresh array
-        batch[0, 0] = expected_first[0] + 42.0  # must not poison the cache
-        np.testing.assert_array_equal(cache.rows(np.array([[0, 0]]))[0], expected_first)
 
 
 class TestEnginePredict:

@@ -34,10 +34,9 @@ pytestmark = pytest.mark.serving
 N_LAGS = 3
 
 #: Counters that count forwards or fetches, not rows, so batching moves
-#: them by design: the serve layer's own (``repro_serve_*``), model
-#: fetches (once per served batch, once per ``execute`` call) and
-#: embedding-row cache lookups (distinct environments per forward).
-_PER_CALL_PREFIXES = ("repro_serve_", "repro_model_cache_", "repro_env_cache_")
+#: them by design: the serve layer's own (``repro_serve_*``) and model
+#: fetches (once per served batch, once per ``execute`` call).
+_PER_CALL_PREFIXES = ("repro_serve_", "repro_model_cache_")
 
 _REQUEST_IDS = itertools.count()
 

@@ -26,18 +26,25 @@ from repro.data import Environment, TestExecution
 __all__ = [
     "CHUNK_BOUNDARY_TOTALS",
     "DERANDOMIZED",
+    "ID_MATRIX_ROWS",
     "MAX_BATCH",
     "MAX_BATCH_SIZES",
     "detection_rows",
     "environment_pool",
     "execution_batches",
     "environment_runs",
+    "id_matrices",
+    "out_of_range_ids",
     "scoring_rows",
     "window_series",
 ]
 
 #: Window totals around the compiled forward's 1024-row chunk.
 CHUNK_BOUNDARY_TOTALS = (1, 1023, 1024, 1025, 2049)
+
+#: Id-matrix row counts: one row, and either side of the compiled
+#: forward's 1024-row chunk.
+ID_MATRIX_ROWS = (1, 1023, 1024, 1025)
 
 #: The serve micro-batch bound the e2e benchmark runs at, and batch
 #: sizes at its boundaries: one row, one short, exactly full, one over.
@@ -81,6 +88,39 @@ def environment_runs(draw, pool: list[Environment], max_runs: int = 6) -> list[E
         environment = _copy(pool[index]) if copied else pool[index]
         environments.extend([environment] * length)
     return environments
+
+
+@st.composite
+def id_matrices(draw, sizes: tuple[int, ...], rows: tuple[int, ...] = ID_MATRIX_ROWS) -> np.ndarray:
+    """An ``(n, len(sizes))`` int64 environment-id matrix, field ``j``'s
+    ids in ``[0, sizes[j])`` and ``sizes[j] - 1`` its ``<unk>`` id.
+
+    Rows come in runs of a few distinct environments, as a batch of
+    executions repeats each one over its windows: known environments,
+    fully ``<unk>`` rows, and mixed rows with some fields ``<unk>``.
+    """
+    n = draw(st.sampled_from(rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes_array = np.array(sizes)
+    known = rng.integers(0, np.maximum(sizes_array - 1, 1), (4, len(sizes)))
+    unknown = sizes_array - 1
+    mixed = np.where(rng.random((2, len(sizes))) < 0.5, unknown, known[:2])
+    distinct = np.vstack([known, unknown[None, :], mixed])
+    runs = rng.integers(0, len(distinct), max(1, n // 64 + 1))
+    return np.repeat(distinct[runs], -(-n // len(runs)), axis=0)[:n].astype(np.int64)
+
+
+@st.composite
+def out_of_range_ids(draw, sizes: tuple[int, ...]) -> np.ndarray:
+    """A small valid id matrix with one id out of its field's range:
+    negative, or at or past the end, where an unchecked gather over the
+    tables stacked row-wise would read the next field's rows."""
+    ids = draw(id_matrices(sizes, rows=(1, 2, 5)))
+    row = draw(st.integers(0, len(ids) - 1))
+    field = draw(st.integers(0, len(sizes) - 1))
+    size = sizes[field]
+    ids[row, field] = draw(st.integers(-size - 3, -1) | st.integers(size, size + 3))
+    return ids
 
 
 @st.composite
@@ -223,7 +263,9 @@ DETECTION_PATTERNS = ("clear", "all_flagged", "first_step", "last_step", "noisy"
 
 
 @st.composite
-def detection_rows(draw, *, max_rows: int = MAX_BATCH + 1) -> list[tuple]:
+def detection_rows(
+    draw, *, max_rows: int = MAX_BATCH + 1, self_calibrated: bool = False
+) -> list[tuple]:
     """``(predicted, observed, error_model, pattern)`` rows for the detector.
 
     Rows fall into a few length groups (so grouped detection stacks
@@ -232,10 +274,15 @@ def detection_rows(draw, *, max_rows: int = MAX_BATCH + 1) -> list[tuple]:
     far off under a tight Gaussian model, a spike on the first or the
     last step, or plain noise. About half the rows are self-calibrated
     (``error_model=None``); rows with fewer than two steps always carry
-    a Gaussian model, since self-calibration needs two samples.
+    a Gaussian model, since self-calibration needs two samples. With
+    ``self_calibrated``, the served batch's shape: every row has the same
+    length, at least two steps, and no error model.
     """
     n_rows = draw(st.integers(1, max_rows))
-    lengths = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3))
+    if self_calibrated:
+        lengths = [draw(st.integers(2, 9))]
+    else:
+        lengths = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = []
     for _ in range(n_rows):
@@ -243,7 +290,7 @@ def detection_rows(draw, *, max_rows: int = MAX_BATCH + 1) -> list[tuple]:
         pattern = DETECTION_PATTERNS[int(rng.integers(len(DETECTION_PATTERNS)))]
         observed = rng.uniform(10.0, 90.0, steps)
         error_model = None
-        if steps < 2 or pattern == "all_flagged" or rng.random() < 0.5:
+        if not self_calibrated and (steps < 2 or pattern == "all_flagged" or rng.random() < 0.5):
             error_model = GaussianErrorModel(
                 mu=float(rng.normal(0.0, 1.0)), sigma=float(rng.uniform(0.5, 3.0))
             )

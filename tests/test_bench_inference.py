@@ -22,8 +22,9 @@ def test_small_run_renders_every_row():
     for shape in ("batch1_streaming", "batch256_throughput"):
         assert SHAPE_KEYS <= results[shape].keys()
         assert results[shape]["speedup"] > 0
+    assert set(results["per_op_batch256"]) == set(bench_inference.STAGES)
     assert all("us_per_call" in row for row in results["per_op_batch256"].values())
-    assert {"hits", "misses"} <= results["env_cache"].keys()
+    assert "env_cache" not in results
     text = bench_inference._render(results)
     assert "batch1_streaming" in text and "batch256_throughput" in text
-    assert "per-op @256" in text and "embedding row cache" in text
+    assert "per-op @256" in text and "env_rows=" in text

@@ -49,6 +49,37 @@ class TestAlarmStore:
             with pytest.raises(ValueError):
                 store.push(_env(), -1, 5, 1.0, 2.0)
 
+    def test_push_many_equals_one_push_each(self):
+        alarms = [
+            (_env(), 3, 9, 4.5, 2.0),
+            (_env(testbed="Testbed_02"), 0, 1, 7.25, 1.5),
+            (_env(), 10, 12, 6.0, 2.0),
+        ]
+        with AlarmStore() as one_by_one, AlarmStore() as batched:
+            for store in (one_by_one, batched):
+                store.push(_env(build="Build_S00"), 1, 2, 1.0, 2.0)
+            ids = [one_by_one.push(*alarm) for alarm in alarms]
+            assert batched.push_many(alarms) == ids
+            assert batched.fetch() == one_by_one.fetch()
+            assert batched.push_many([]) == []
+            assert batched.push(_env(), 0, 5, 1.0, 2.0) == one_by_one.push(_env(), 0, 5, 1.0, 2.0)
+            assert batched.fetch() == one_by_one.fetch()
+
+    def test_push_many_stores_nothing_when_one_alarm_is_bad(self):
+        with AlarmStore() as store:
+            with pytest.raises(ValueError):
+                store.push_many([(_env(), 0, 5, 1.0, 2.0), (_env(), 5, 5, 1.0, 2.0)])
+            assert store.count() == 0
+            assert store.push(_env(), 0, 5, 1.0, 2.0) == 1
+            assert store.fetch()[0].created_at == 1.0
+
+    def test_should_terminate_counts_pending_alarms(self):
+        with AlarmStore() as store:
+            env = _env()
+            store.push(env, 0, 5, 1.0, 2.0)
+            assert not store.should_terminate(env, threshold=3, pending=1)
+            assert store.should_terminate(env, threshold=3, pending=2)
+
     def test_should_terminate(self):
         with AlarmStore() as store:
             env = _env()
