@@ -22,17 +22,33 @@ the timed rounds, the plan's stages are wrapped from outside in
 :func:`repro.obs.span` and read back from ``repro_span_duration_seconds``,
 so the floors always time unpatched code. Results go to
 ``benchmarks/results/BENCH_inference.json``.
+
+The autograd forward is no fixed yardstick: each faster autograd step
+shrinks the speedups, so the batch-1 3× floor now fails on every tree.
+With ``--baseline-src <other checkout>/src`` the engine is gated
+against the other tree's engine instead (:func:`compare_engines`),
+both imported into one process (the other as ``repro_baseline``) and
+trained alike: over :data:`ENGINE_BLOCKS` short interleaved blocks per
+shape, the order alternating block by block, the batch-1 median ratio
+of this tree's time to the other's must stay under
+:data:`ENGINE_CEILING` (batch 256 is reported without a gate).
+``--inject-cost 0.03`` busy-waits 3 % of a baseline call in every call
+of this tree's engine, to show that the gate fails on such a cost. The
+comparison goes to ``benchmarks/results/BENCH_inference_engine.json``
+(not with an injected cost), and the run exits 1 when the gate fails.
 """
 
+import argparse
+import importlib
 import json
+import statistics
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from conftest import emit
-from repro.core.model import Env2VecRegressor
+from conftest import alternate, emit, import_tree, spin
 from repro.data import Environment
 from repro.nn import ops
 from repro.nn.inference import CompiledDense
@@ -52,21 +68,118 @@ ROUNDS = 7
 #: Span names of the compiled plan's stages in the per-op table.
 STAGES = ("fnn", "encoder", "combine", "env_rows", "head")
 
+#: The engine gate: at batch 1, this tree's engine over the baseline
+#: tree's, as the median ratio of interleaved blocks, stays under this.
+#: Batch 256 is reported beside it without a gate: its ratio moved
+#: between 0.97 and 1.05 from run to run on two identical engines, more
+#: than the 3 % cost a gate must catch.
+ENGINE_CEILING = 1.02
+ENGINE_GATED = ("batch1_streaming",)
+#: Interleaved blocks per shape, and calls per block and tree.
+ENGINE_BLOCKS = 401
+ENGINE_BLOCK_CALLS = {"batch1_streaming": 50, "batch256_throughput": 5}
 
-def _trained_regressor(seed: int = 0) -> Env2VecRegressor:
+
+def _trained_regressor(seed: int = 0, pkg: str = "repro"):
+    core = importlib.import_module(pkg + ".core")
+    data = importlib.import_module(pkg + ".data")
     rng = np.random.default_rng(seed)
     environments = [
-        Environment(f"Testbed_{i % 5:02d}", f"SUT_{i % 3}", f"Testcase_{i % 4}", f"Build_{i % 6}")
+        data.Environment(f"Testbed_{i % 5:02d}", f"SUT_{i % 3}", f"Testcase_{i % 4}", f"Build_{i % 6}")
         for i in range(240)
     ]
     X = rng.standard_normal((240, 6))
     history = rng.standard_normal((240, 3))
     y = X @ rng.standard_normal(6) + 0.5 * history.sum(axis=1)
-    regressor = Env2VecRegressor(
+    regressor = core.Env2VecRegressor(
         n_lags=3, embedding_dim=10, fnn_hidden=64, gru_hidden=16,
         max_epochs=2, batch_size=64, seed=seed,
     )
     return regressor.fit(environments, X, history, y)
+
+
+def _engine_batches(pkg: str) -> tuple:
+    """One tree's compiled engine and its batch-1 and batch-256 inputs."""
+    regressor = _trained_regressor(pkg=pkg)
+    environment = importlib.import_module(pkg + ".data").Environment("Testbed_00", "SUT_0", "Testcase_0", "Build_0")
+    rng = np.random.default_rng(1)
+    batches = {
+        shape: regressor._batch([environment] * n, rng.standard_normal((n, 6)), rng.standard_normal((n, 3)))
+        for shape, n in (("batch1_streaming", 1), ("batch256_throughput", 256))
+    }
+    return regressor.compile(), batches
+
+
+def compare_engines(
+    baseline_src: str, blocks: int = ENGINE_BLOCKS, inject_cost: float = 0.0
+) -> dict:
+    """This tree's engine against ``baseline_src``'s, in one process.
+
+    Both trees train the same regressor and must answer every batch with
+    the same bytes. Each block runs ``ENGINE_BLOCK_CALLS[shape]`` calls
+    of one engine and then of the other, the order alternating, and
+    yields one ratio (this tree's time over the baseline's). With
+    ``inject_cost`` every call of this tree's engine busy-waits that
+    share of a baseline call, sized from the warm-up blocks.
+    """
+    pkgs = {"baseline": import_tree(baseline_src), "change": "repro"}
+    trees = {label: _engine_batches(pkg) for label, pkg in pkgs.items()}
+    result = {"ceiling": ENGINE_CEILING, "blocks": blocks, "inject_cost": inject_cost}
+    for shape, calls in ENGINE_BLOCK_CALLS.items():
+        outputs = [engine(**batches[shape]) for engine, batches in trees.values()]
+        if outputs[0].tobytes() != outputs[1].tobytes():
+            raise AssertionError(f"the two engines answer {shape} with different bytes")
+
+        def block(label: str, extra_s: float = 0.0) -> float:
+            engine, batches = trees[label]
+            batch = batches[shape]
+            start = time.perf_counter()
+            for _ in range(calls):
+                engine(**batch)
+                if extra_s:
+                    spin(extra_s)
+            return time.perf_counter() - start
+
+        baseline_s = statistics.median(block("baseline") for _ in range(21)) / calls
+        extra = {"baseline": 0.0, "change": inject_cost * baseline_s}
+        for label in pkgs:
+            block(label, extra[label])  # warm-up
+        ratios, per_call = [], {label: [] for label in pkgs}
+        for index in range(blocks):
+            seconds = {label: block(label, extra[label]) for label in alternate(pkgs, index)}
+            ratios.append(seconds["change"] / seconds["baseline"])
+            for label, value in seconds.items():
+                per_call[label].append(1e6 * value / calls)
+        q1, median, q3 = statistics.quantiles(ratios, n=4)
+        result[shape] = {
+            "calls_per_block": calls,
+            "baseline_us_per_call": statistics.median(per_call["baseline"]),
+            "change_us_per_call": statistics.median(per_call["change"]),
+            "injected_us_per_call": 1e6 * extra["change"],
+            "ratio": median,
+            "ratio_q1": q1,
+            "ratio_q3": q3,
+            "gated": shape in ENGINE_GATED,
+            "pass": median < ENGINE_CEILING,
+        }
+    return result
+
+
+def _render_engines(result: dict) -> str:
+    lines = [
+        f"Engine gate — this tree over the baseline tree, median of {result['blocks']} "
+        f"interleaved blocks (ceiling {result['ceiling']:.2f})"
+    ]
+    for shape in ENGINE_BLOCK_CALLS:
+        row = result[shape]
+        lines.append(
+            f"  {shape:<22} baseline={row['baseline_us_per_call']:8.1f}us  "
+            f"change={row['change_us_per_call']:8.1f}us  ratio {row['ratio']:.4f} "
+            f"[{row['ratio_q1']:.4f}, {row['ratio_q3']:.4f}]  "
+            f"{('pass' if row['pass'] else 'FAIL') if row['gated'] else 'no gate'}"
+            + (f"  ({row['injected_us_per_call']:.2f}us injected per call)" if row["injected_us_per_call"] else "")
+        )
+    return "\n".join(lines)
 
 
 def _time_contenders(fns: list, repeats: int, rounds: int = ROUNDS) -> list[float]:
@@ -224,9 +337,30 @@ def test_bench_inference(benchmark):
     _check_floors(results)
 
 
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--baseline-src", help="gate the engine against this checkout's src/")
+    parser.add_argument(
+        "--inject-cost", type=float, default=0.0,
+        help="busy-wait this share of a baseline call in every call of this tree's engine",
+    )
+    args = parser.parse_args(argv)
+    if not args.baseline_src:
+        bench_results = run_inference_bench()
+        print(_render(bench_results))
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / "BENCH_inference.json").write_text(json.dumps(bench_results, indent=2) + "\n")
+        _check_floors(bench_results)
+        return 0
+    result = compare_engines(args.baseline_src, inject_cost=args.inject_cost)
+    print(_render_engines(result))
+    failed = [shape for shape in ENGINE_GATED if not result[shape]["pass"]]
+    print(f"gate (< {ENGINE_CEILING:.2f}): {'FAIL: ' + ', '.join(failed) if failed else 'pass'}")
+    if not args.inject_cost:
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / "BENCH_inference_engine.json").write_text(json.dumps(result, indent=2) + "\n")
+    return 1 if failed else 0
+
+
 if __name__ == "__main__":
-    bench_results = run_inference_bench()
-    print(_render(bench_results))
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_inference.json").write_text(json.dumps(bench_results, indent=2) + "\n")
-    _check_floors(bench_results)
+    raise SystemExit(main())

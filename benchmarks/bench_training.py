@@ -26,6 +26,16 @@ wrapping each tape node's backward closure with a timer; the node's
 layer is the forward segment that created it. The ``tape`` row is the
 whole ``loss.backward()`` minus those closures.
 
+- **a warm campaign day, stage by stage**: the end-to-end campaign
+  (the same corpus, seed 1, collector on, 10 epochs) run day by day,
+  with each warm day's wall split into collect, calibrate, score,
+  branch rows, fine-tune steps, copy, publish, exporter and compile by
+  wrapping those calls from outside (each stage's own time: a stage
+  nested in another is taken out of it). What no stage covers is
+  reported as ``other``; the stages must cover the day's wall within
+  :data:`STAGE_COVERAGE`. The e2e tracer wraps ``Trainer.fit`` only,
+  so this table is where a warm fine-tune's time shows.
+
 With ``--baseline-src`` the harness also measures another checkout's
 ``src`` tree in the same process, imported as the package
 ``repro_baseline``. The two trees alternate step by step and fit by fit,
@@ -79,6 +89,31 @@ CORPUS = dict(
 #: Floors this change is held to (parent / change). The GRU encoder's
 #: forward + backward is reported as a diagnostic, without a floor.
 FLOORS = {"step": 1.12}
+
+#: Campaigns per tree for the warm-day stage table (days 1-4 of each).
+STAGE_CAMPAIGNS = 12
+#: Share of a warm day's wall the named stages must cover.
+STAGE_COVERAGE = 0.9
+#: (stage, module, attribute) wrapped for the warm-day table. A name a
+#: tree does not define is skipped on it: ``_frozen_branches`` is the
+#: branch pass of trees that recompute the rows inside every fine-tune,
+#: ``copy`` that of trees which copy the serving model in memory.
+STAGE_TARGETS = (
+    ("collect", "workflow.orchestrator", "TestingCampaign._collect_day"),
+    ("calibrate", "workflow.prediction_pipeline", "PredictionPipeline.history_error_model"),
+    ("score", "workflow.prediction_pipeline", "PredictionPipeline.execute"),
+    ("branch rows", "workflow.prediction_pipeline", "PredictionPipeline.branch_rows"),
+    ("branch rows", "workflow.training_pipeline", "TrainingPipeline._branch_rows"),
+    ("branch rows", "core.model", "Env2VecModel._frozen_branches"),
+    ("fine-tune steps", "core.model", "Env2VecRegressor.fine_tune"),
+    ("copy", "core.model", "Env2VecRegressor.copy"),
+    ("copy", "core.model", "Env2VecRegressor.from_bytes"),
+    ("copy", "core.model", "Env2VecRegressor.to_bytes"),
+    ("publish", "workflow.model_store", "ModelStore.publish"),
+    ("exporter", "obs.export", "TSDBExporter.tick"),
+    ("compile", "core.model", "Env2VecRegressor.compile"),
+)
+STAGES = tuple(dict.fromkeys(stage for stage, _, _ in STAGE_TARGETS))
 
 def _training_set(pkg: str):
     data = importlib.import_module(pkg + ".data")
@@ -254,10 +289,112 @@ def step_breakdown(pkgs: dict[str, str], repeats: int = STEP_REPEATS) -> dict[st
     }
 
 
-def measure(pkgs: dict[str, str]) -> dict:
-    step, epochs = step_breakdown(pkgs), epoch_seconds(pkgs)
+class _StageClock:
+    """Each stage's own milliseconds: time in a nested stage is its, not
+    its caller's."""
+
+    def __init__(self):
+        self.ms = dict.fromkeys(STAGES, 0.0)
+        self._stack: list = []
+
+    def wrap(self, stage: str, fn):
+        def timed(*args, **kwargs):
+            # A blob made for the publish is the publish's, not the copy's.
+            name = "publish" if fn.__name__ == "to_bytes" and sys._getframe(1).f_code.co_name == "_run" else stage
+            frame = [time.perf_counter(), 0.0]
+            self._stack.append(frame)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self._stack.pop()
+                elapsed = time.perf_counter() - frame[0]
+                self.ms[name] += 1e3 * (elapsed - frame[1])
+                if self._stack:
+                    self._stack[-1][1] += elapsed
+
+        return timed
+
+
+def _patch_stages(pkg: str, clock: _StageClock) -> list:
+    patches = []
+    for stage, module, attribute in STAGE_TARGETS:
+        owner_name, leaf = attribute.split(".")
+        owner = getattr(importlib.import_module(f"{pkg}.{module}"), owner_name)
+        raw = owner.__dict__.get(leaf)
+        if raw is None:
+            continue
+        if isinstance(raw, (classmethod, staticmethod)):
+            wrapped = type(raw)(clock.wrap(stage, raw.__func__))
+        else:
+            wrapped = clock.wrap(stage, raw)
+        setattr(owner, leaf, wrapped)
+        patches.append((owner, leaf, raw))
+    return patches
+
+
+class _CampaignSession:
+    """One tree's e2e-shaped campaigns, their warm days split by stage."""
+
+    def __init__(self, pkg: str):
+        self.pkg = pkg
+        data = importlib.import_module(pkg + ".data")
+        dataset = data.generate_telecom(data.TelecomConfig(**CORPUS))
+        n_days = max(len(chain) for chain in dataset.chains)
+        self.days = [[c.executions[d] for c in dataset.chains if d < len(c)] for d in range(n_days)]
+        self.workflow = importlib.import_module(pkg + ".workflow")
+
+    def sample(self) -> dict[str, float]:
+        """One campaign: milliseconds per warm day, by stage and in all."""
+        params = {"max_epochs": 10, "batch_size": BATCH, "patience": 10}
+        campaign = self.workflow.TestingCampaign(use_collector=True, model_params=params)
+        campaign.run_day(0, self.days[0])
+        clock = _StageClock()
+        patches = _patch_stages(self.pkg, clock)
+        warm, wall = 0, 0.0
+        try:
+            for day in range(1, len(self.days)):
+                start = time.perf_counter()
+                report = campaign.run_day(day, self.days[day])
+                wall += time.perf_counter() - start
+                warm += not report.drift_detected
+        finally:
+            for owner, leaf, raw in reversed(patches):
+                setattr(owner, leaf, raw)
+        if warm != len(self.days) - 1:
+            raise RuntimeError("a full fit ran on a day the stage table assumes warm")
+        sample = {stage: ms / warm for stage, ms in clock.ms.items()}
+        sample["day"] = 1e3 * wall / warm
+        sample["other"] = sample["day"] - sum(clock.ms.values()) / warm
+        return sample
+
+
+def warm_day_stages(pkgs: dict[str, str], campaigns: int = STAGE_CAMPAIGNS) -> dict[str, dict]:
+    """Median milliseconds per warm campaign day, by stage, for each tree,
+    the trees' campaigns alternating."""
+    sessions = {label: _CampaignSession(pkg) for label, pkg in pkgs.items()}
+    samples: dict[str, list] = {label: [] for label in sessions}
+    for round_ in range(campaigns + 1):
+        for label in alternate(sessions, round_):
+            samples[label].append(sessions[label].sample())
+    # The first campaign warms caches and allocator pools.
     return {
-        **{label: {"step": step[label], "epochs": epochs[label]} for label in pkgs},
+        label: {key: statistics.median(s[key] for s in runs[1:]) for key in runs[0]}
+        for label, runs in samples.items()
+    }
+
+
+def stage_coverage(stages: dict[str, float]) -> float:
+    """Share of the warm day's wall the named stages cover."""
+    return 1.0 - stages["other"] / stages["day"]
+
+
+def measure(pkgs: dict[str, str]) -> dict:
+    step, epochs, days = step_breakdown(pkgs), epoch_seconds(pkgs), warm_day_stages(pkgs)
+    return {
+        **{
+            label: {"step": step[label], "epochs": epochs[label], "warm_day": days[label]}
+            for label in pkgs
+        },
         "environment": {
             "cores": os.cpu_count(),
             "numpy": np.__version__,
@@ -281,10 +418,12 @@ def compare(baseline_src: str) -> dict:
             name: baseline["epochs"][name]["epoch_s"] / change["epochs"][name]["epoch_s"]
             for name in change["epochs"]
         },
+        "warm_day": baseline["warm_day"]["day"] / change["warm_day"]["day"],
     }
     result["config"] = {
         "batch": BATCH, "n_lags": N_LAGS, "hidden": HIDDEN, "rounds": ROUNDS,
         "epochs": EPOCHS, "step_repeats": STEP_REPEATS, "corpus": CORPUS,
+        "stage_campaigns": STAGE_CAMPAIGNS, "stage_coverage": STAGE_COVERAGE,
     }
     result["floors"] = FLOORS
     return result
@@ -320,16 +459,35 @@ def render(result: dict) -> str:
             f"  {name:<16}{base['epochs'][name]['epoch_s']:10.3f}{row['epoch_s']:10.3f}"
             f"{speed['epoch_s'][name]:9.2f}x"
         )
+    lines += [
+        "",
+        f"  a warm campaign day (e2e campaign, seed {CORPUS['seed']}, days 1-4), ms, "
+        f"median of {result['config']['stage_campaigns']} campaigns",
+        f"  {'stage':<16}{'parent':>10}{'change':>10}",
+    ]
+    for stage in (*STAGES, "other", "day"):
+        lines.append(f"  {stage:<16}{base['warm_day'][stage]:10.2f}{change['warm_day'][stage]:10.2f}")
+    lines.append(
+        f"  stages cover {stage_coverage(base['warm_day']):.1%} (parent) and "
+        f"{stage_coverage(change['warm_day']):.1%} (change) of the day; "
+        f"warm day speedup {speed['warm_day']:.2f}x"
+    )
     return "\n".join(lines)
 
 
 def below_floors(result: dict) -> list[str]:
-    """The floors a comparison misses, as readable lines (empty when all hold)."""
-    return [
+    """The floors a comparison misses, and a stage table that does not
+    cover its day, as readable lines (empty when all hold)."""
+    failures = [
         f"{name} speedup {result['speedup'][name]:.2f}x is below its {floor}x floor"
         for name, floor in FLOORS.items()
         if result["speedup"][name] < floor
     ]
+    for label in ("baseline", "change"):
+        coverage = stage_coverage(result[label]["warm_day"])
+        if coverage < STAGE_COVERAGE:
+            failures.append(f"{label} warm-day stages cover {coverage:.1%} of the day")
+    return failures
 
 
 def test_bench_training_harness():
@@ -337,6 +495,13 @@ def test_bench_training_harness():
     step = step_breakdown({"change": "repro"}, repeats=3)["change"]
     assert step["step_ms"] > 0
     assert all(step[f"{layer}.forward_ms"] >= 0 for layer in LAYERS if layer != "tape")
+
+
+def test_warm_day_stage_table():
+    """Smoke run of the warm-day stage table on this tree."""
+    stages = warm_day_stages({"change": "repro"}, campaigns=1)["change"]
+    assert stages["day"] > 0 and stages["fine-tune steps"] > 0
+    assert stage_coverage(stages) >= STAGE_COVERAGE
 
 
 def main(argv=None) -> int:

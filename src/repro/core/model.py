@@ -42,6 +42,7 @@ from ..nn.inference import (
     InferenceModel,
     compile_module,
     compile_plan,
+    predict_in_chunks,
     register_compiler,
     snapshot,
 )
@@ -159,8 +160,11 @@ class Env2VecModel(Module):
         """
         fnn = self.fnn
         a, fnn_cache = ops.dense_forward(cf, fnn.weight.data, fnn.bias.data, fnn.activation_name)
-        y, head_backward = self._head(_concat_branches(v_ts.data, a, mask), env)
         width = v_ts.shape[1]
+        v_s = np.concatenate([v_ts.data, a], axis=1)
+        if mask is not None:
+            v_s[:, width:] *= mask
+        y, head_backward = self._head(v_s, env)
 
         def backward(grad: np.ndarray) -> list:
             d_v_s, head_grads = head_backward(grad)
@@ -186,16 +190,25 @@ class Env2VecModel(Module):
             head_params = []
         return [combine.weight, combine.bias, *tables, *head_params]
 
-    def _head(self, v_s: np.ndarray, env: np.ndarray):
+    def _head(self, v_s: np.ndarray, env: np.ndarray, tables: tuple | None = None):
         """combine → embeddings → head over ``v_s = [v_ts, v_fs]``.
 
         Returns ``(y, backward)``. ``backward(grad, input_grad=True)``
         returns ``(d_v_s, grads)``, ``grads`` aligned with
         :meth:`head_side_parameters`; ``d_v_s`` is None unless
         ``input_grad``. The ``<unk>`` draw happens here, in the forward.
+        ``tables`` is the embeddings' stacked-tables triple when the
+        caller holds it (see :meth:`EnvironmentEmbeddings.lookup`).
+
+        A fused training step passes ``backward`` an ``out`` of four
+        destinations: the combine weight's and bias's gradient arrays,
+        one flat array for every table's, and a list with one array per
+        head parameter. A None combine pair skips the combine layer's
+        backward (a tables-only step). The gradients are written there,
+        with the same bits, and ``grads`` is None.
         """
         combine, embeddings, head = self.combine, self.embeddings, self.head
-        c, ids = embeddings.lookup(env)
+        c, ids = embeddings.lookup(env, tables)
         v_d, combine_cache = ops.dense_forward(v_s, combine.weight.data, combine.bias.data)
         if head == "hadamard":
             y = np.multiply(v_d, c, out=ops._scratch("head_product", *c.shape)).sum(axis=1)
@@ -212,7 +225,7 @@ class Env2VecModel(Module):
             o, out_cache = ops.dense_forward(h, out.weight.data, out.bias.data)
             y = o.reshape(-1)
 
-        def backward(grad: np.ndarray, input_grad: bool = True) -> tuple:
+        def backward(grad: np.ndarray, input_grad: bool = True, out: tuple | None = None) -> tuple:
             if head == "hadamard":
                 d_v_d, d_c = ops.hadamard_head_backward(grad, v_d, c)
                 head_grads = ()
@@ -224,60 +237,47 @@ class Env2VecModel(Module):
                 d_merged, d_w_hidden, d_b_hidden = ops.dense_backward(d_h, hidden_cache)
                 d_v_d, d_c = d_merged[:, : c.shape[1]], d_merged[:, c.shape[1] :]
                 head_grads = (d_w_hidden, d_b_hidden, d_w_out, d_b_out)
-            d_v_s, d_w_combine, d_b_combine = ops.dense_backward(
-                d_v_d, combine_cache, input_grad=input_grad
-            )
-            return d_v_s, [d_w_combine, d_b_combine, *embeddings.table_grads(d_c, ids), *head_grads]
+            if out is None:
+                d_v_s, d_w_combine, d_b_combine = ops.dense_backward(
+                    d_v_d, combine_cache, input_grad=input_grad
+                )
+                return d_v_s, [d_w_combine, d_b_combine, *embeddings.table_grads(d_c, ids), *head_grads]
+            w_out, b_out, tables_out, head_out = out
+            if w_out is not None:
+                ops.dense_backward(d_v_d, combine_cache, input_grad=False, out=(w_out, b_out))
+                for destination, head_grad in zip(head_out, head_grads):
+                    destination[...] = head_grad
+            embeddings.table_grads(d_c, ids, out=tables_out)
+            return None, None
 
         return y, backward
 
-    def _frozen_branches(self, cf: np.ndarray, history: np.ndarray):
-        """The FNN activation and the encoder output of every row.
 
-        The compiled plans (bitwise the autograd forward) run in balanced
-        row blocks of at most ``ops._CACHED_ROWS``, each of at least two
-        rows unless ``cf`` has one, into two preallocated arrays: one
-        forward over the whole set would hold the encoder's every
-        intermediate at once.
-        """
-        n = len(cf)
-        fnn, encoder = CompiledDense(self.fnn), compile_plan(self.encoder)
-        a = np.empty((n, self.fnn.out_features))
-        v_ts = np.empty((n, self.encoder.output_dim))
-        blocks = max(1, -(-n // ops._CACHED_ROWS))
-        bounds = [n * i // blocks for i in range(blocks + 1)]
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            a[start:stop] = fnn(cf[start:stop])
-            v_ts[start:stop] = encoder(history[start:stop, :, None])
-        return a, v_ts
-
-
-def _concat_branches(v_ts: np.ndarray, a: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """``v_s = [v_ts, a ⊙ mask]`` as one fresh array."""
-    width = v_ts.shape[1]
-    v_s = np.empty((len(a), width + a.shape[1]))
-    v_s[:, :width] = v_ts
-    if mask is None:
-        v_s[:, width:] = a
-    else:
-        np.multiply(a, mask, out=v_s[:, width:])
-    return v_s
-
-
-@register_compiler(Env2VecModel)
-def _compile_env2vec(model: Env2VecModel):
-    """Compile rule for the full Env2Vec architecture.
-
-    Mirrors :meth:`Env2VecModel.forward` in eval mode: dropout and
-    unknown-dropout are elided, the time-series branch embeds the
-    encoder's own registered plan (fused sequence kernels), and the
-    embedding branch is one range check and one ``take`` over a snapshot
-    of the field tables stacked row-wise
-    (:func:`repro.nn.ops.stacked_embedding_forward`, the gather
-    :meth:`EnvironmentEmbeddings.lookup` trains with).
-    """
+def _compile_branches(model: Env2VecModel):
+    """The compiled branch half: ``branches(cf, history) → v_s``, the
+    rows ``[v_ts, v_fs]`` of the encoder and the FNN, as a fresh array."""
     fnn = CompiledDense(model.fnn)
     encoder = compile_plan(model.encoder)
+    n_features, n_lags = model.n_features, model.n_lags
+    dtype = fnn.weight.dtype
+
+    def branches(cf: np.ndarray, history: np.ndarray) -> np.ndarray:
+        cf = np.asarray(cf, dtype=dtype)
+        history = np.asarray(history, dtype=dtype)
+        if cf.shape[1] != n_features:
+            raise ValueError(f"expected {n_features} contextual features, got {cf.shape[1]}")
+        if history.shape[1] != n_lags:
+            raise ValueError(f"expected history window of {n_lags}, got {history.shape[1]}")
+        v_fs = fnn(cf)
+        v_ts = encoder(history[:, :, None])
+        return np.concatenate([v_ts, v_fs], axis=1)
+
+    return branches
+
+
+def _compile_head(model: Env2VecModel):
+    """The compiled head half: ``head(v_s, env) → y``, combine layer,
+    embedding gather and prediction head over branch rows."""
     combine = CompiledDense(model.combine)
     head = model.head
     stacked, offsets, sizes = model.embeddings.stacked_tables()
@@ -287,19 +287,9 @@ def _compile_env2vec(model: Env2VecModel):
     elif head == "mlp":
         head_hidden = CompiledDense(model.head_hidden)
         head_out = CompiledDense(model.head_out)
-    n_features, n_lags = model.n_features, model.n_lags
-    dtype = fnn.weight.dtype
 
-    def forward(cf: np.ndarray, history: np.ndarray, env: np.ndarray) -> np.ndarray:
-        cf = np.asarray(cf, dtype=dtype)
-        history = np.asarray(history, dtype=dtype)
-        if cf.shape[1] != n_features:
-            raise ValueError(f"expected {n_features} contextual features, got {cf.shape[1]}")
-        if history.shape[1] != n_lags:
-            raise ValueError(f"expected history window of {n_lags}, got {history.shape[1]}")
-        v_fs = fnn(cf)
-        v_ts = encoder(history[:, :, None])
-        v_d = combine(np.concatenate([v_ts, v_fs], axis=1))
+    def run_head(v_s: np.ndarray, env: np.ndarray) -> np.ndarray:
+        v_d = combine(v_s)
         env = np.asarray(env, dtype=np.int64)
         if env.ndim != 2 or env.shape[1] != n_fields:
             raise ValueError(f"expected ids of shape (n, {n_fields}); got {env.shape}")
@@ -310,6 +300,32 @@ def _compile_env2vec(model: Env2VecModel):
             return ops.bilinear_head(v_d, bilinear, c)[0]
         return head_out(head_hidden(np.concatenate([v_d, c], axis=1))).reshape(-1)
 
+    return run_head
+
+
+@register_compiler(Env2VecModel)
+def _compile_env2vec(model: Env2VecModel):
+    """Compile rule for the full Env2Vec architecture: one plan, two halves.
+
+    Mirrors :meth:`Env2VecModel.forward` in eval mode as
+    ``head(branches(cf, history), env)``, and exposes both halves as the
+    plan's ``branches`` and ``head`` attributes. Dropout and
+    unknown-dropout are elided; ``branches`` runs the FNN and the
+    encoder's own registered plan (fused sequence kernels) into the rows
+    ``v_s``; ``head`` runs the combine layer, the embedding branch (one
+    range check and one ``take`` over a snapshot of the field tables
+    stacked row-wise, :func:`repro.nn.ops.stacked_embedding_forward`,
+    the gather :meth:`EnvironmentEmbeddings.lookup` trains with) and the
+    head. While the encoder, the FNN and the scalers stay as they are,
+    a row's ``v_s`` does too, so a caller may keep it and run only the
+    head.
+    """
+    branches, head = _compile_branches(model), _compile_head(model)
+
+    def forward(cf: np.ndarray, history: np.ndarray, env: np.ndarray) -> np.ndarray:
+        return head(branches(cf, history), env)
+
+    forward.branches, forward.head = branches, head
     return forward
 
 
@@ -456,10 +472,13 @@ class Env2VecRegressor(Estimator):
     def compile(self) -> InferenceModel:
         """Snapshot the fitted model into a tape-free inference engine.
 
-        The engine computes in the weights' float64 and its outputs are
-        bitwise equal to the autograd forward in eval mode. It is cached
-        and reused by :meth:`predict` until the next ``fit``/``fine_tune``
-        invalidates it.
+        The engine computes in the weights' float64. Through the ``mlp``
+        head its outputs are bitwise equal to the autograd forward in
+        eval mode; the ``hadamard`` and ``bilinear`` heads sum with
+        ``einsum`` where autograd sums ``(v * C).sum(axis=1)``, and
+        differ from it by up to about 2e-17. It is cached and reused by
+        :meth:`predict` until the next ``fit``/``fine_tune`` invalidates
+        it.
         """
         if self.model is None:
             raise RuntimeError("model is not fitted; call fit() first")
@@ -523,6 +542,35 @@ class Env2VecRegressor(Estimator):
         _M_PREDICTIONS.inc(len(scaled))
         return scaled * self._y_std + self._y_mean
 
+    def branch_rows(self, X: np.ndarray, history: np.ndarray) -> np.ndarray:
+        """Every window's frozen-branch row ``[v_ts, v_fs]``.
+
+        The scaled inputs run through the compiled plan's branch half in
+        :meth:`_predict_encoded`'s chunks, a lone row as two copies, so
+        each row has the bytes it gets inside any batch. The rows stay
+        valid while the encoder, the FNN and the scalers do: through
+        warm fine-tunes, until the next ``fit``.
+        """
+        X, history = self._scale_inputs(X, history)
+        return predict_in_chunks(
+            self.ensure_compiled().plan.branches, {"cf": X, "history": history}, ops._CACHED_ROWS
+        )
+
+    def head_predict(self, env_ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """:meth:`_predict_encoded` from :meth:`branch_rows` output.
+
+        Only the compiled plan's head half runs, in the same chunks and
+        with the same lone-row rule, so the predictions are bitwise
+        those of the whole forward over the rows' windows.
+        """
+        if len(env_ids) != len(rows):
+            raise ValueError("environments and branch rows must be aligned")
+        scaled = predict_in_chunks(
+            self.ensure_compiled().plan.head, {"v_s": rows, "env": env_ids}, ops._CACHED_ROWS
+        )
+        _M_PREDICTIONS.inc(len(scaled))
+        return scaled * self._y_std + self._y_mean
+
     def embed_environments(self, environments: list[Environment]) -> np.ndarray:
         """Concatenated learned embeddings (for Figure 6-style analysis)."""
         if self.model is None:
@@ -538,6 +586,7 @@ class Env2VecRegressor(Estimator):
         epochs: int = 10,
         lr: float | None = None,
         adapt_embeddings_only: bool = True,
+        branch_rows: np.ndarray | None = None,
     ) -> "Env2VecRegressor":
         """Incrementally retrain on new data without starting over.
 
@@ -562,13 +611,19 @@ class Env2VecRegressor(Estimator):
           bilinear head, both layers of the ``mlp`` head). The data
           should then include replay examples from old environments.
 
-        The branch outputs are computed once, by the compiled plans, and
-        each step runs only :meth:`Env2VecModel._head` and its hand-written
-        backward, with no tape. Every step is bitwise the autograd step
-        over the same parameters: the FNN dropout mask is drawn on the
-        cached activation, then the ``<unk>`` masks, as the model's
-        forward draws them; ``history_`` and :class:`TrainingDiverged`
-        follow ``Trainer.fit``.
+        The branch rows ``[v_ts, v_fs]`` are constants, computed once by
+        the compiled plan's branch half, or passed in as ``branch_rows``
+        when the caller kept them (:meth:`branch_rows` of this model or
+        of one with the same encoder, FNN and scalers). Each step then
+        runs only :meth:`Env2VecModel._head` and its hand-written
+        backward, with no tape: the FNN dropout mask multiplies the
+        gathered batch's ``v_fs`` in place, the tables are read from a
+        view of the optimizer's flat parameter buffer, and the gradients
+        are written into its flat gradient buffer. Every step is bitwise
+        the autograd step over the same parameters: the dropout mask is
+        drawn before the ``<unk>`` masks, as the model's forward draws
+        them; ``history_`` and :class:`TrainingDiverged` follow
+        ``Trainer.fit``.
 
         Every random draw (shuffling, dropout, ``<unk>``-dropout and the
         new rows' noise) comes from one generator seeded by ``seed + 1``,
@@ -581,39 +636,57 @@ class Env2VecRegressor(Estimator):
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
         X, history, y = self._training_arrays(environments, X, history, y)
+        if branch_rows is not None and len(branch_rows) != len(y):
+            raise ValueError("branch_rows must align with the windows")
         model = self.model
         rng = np.random.default_rng(self.seed + 1)
         model.reseed(rng)
         # Each distinct environment once, in first-occurrence order, which
         # keeps every field's new values (and so their ids) in that order.
         added = self.vocabulary.extend(list(dict.fromkeys(environments)))
-        model.embeddings.grow_tables(added)
+        embeddings = model.embeddings
+        embeddings.grow_tables(added)
         inputs = self._batch(environments, X, history)
         targets = (y - self._y_mean) / self._y_std
         cf, scaled_history = inputs["cf"], inputs["history"]
-        a, v_ts = model._frozen_branches(cf, scaled_history)
+        branches = _compile_branches(model)
+        if branch_rows is None:
+            branch_rows = predict_in_chunks(
+                branches, {"cf": cf, "history": scaled_history}, ops._CACHED_ROWS
+            )
         params = model.head_side_parameters()
-        trained = model.embeddings.parameters() if adapt_embeddings_only else params
+        tables = params[2 : 2 + len(embeddings.vocabulary.fields)]
+        trained = tables if adapt_embeddings_only else params
         optimizer = Adam(trained, lr=lr if lr is not None else self.lr * 0.3)
+        first = 0 if adapt_embeddings_only else 2
+        stacked, table_grads = optimizer.flat_slots(first, first + len(tables))
+        live_tables = embeddings.stacked_tables(stacked.reshape(-1, embeddings.embedding_dim))
+        slots = optimizer.grad_views
+        out = (
+            (None, None, table_grads, [])
+            if adapt_embeddings_only
+            else (slots[0], slots[1], table_grads, slots[2 + len(tables) :])
+        )
+        width = model.encoder.output_dim
         n = len(targets)
 
         def step(batch: dict, batch_targets: np.ndarray) -> float:
-            a_rows, v_rows = batch["a"], batch["v_ts"]
-            if len(batch_targets) == 1 < n:
-                # A lone last row: the autograd forward multiplies it by
-                # gemv, whose bytes differ from the blocks' gemm.
+            v_s = batch["v_s"]  # a gathered copy: the mask may scale it in place
+            if len(batch_targets) == 1:
+                # A lone row: the autograd forward multiplies it by gemv,
+                # whose bytes differ from the blocks' gemm.
                 row = batch["row"]
-                a_rows, v_rows = model._frozen_branches(cf[row], scaled_history[row])
+                v_s = branches(cf[row], scaled_history[row])
             mask = model._dropout_mask(len(batch_targets))
-            predicted, backward = model._head(_concat_branches(v_rows, a_rows, mask), batch["env"])
+            if mask is not None:
+                v_s[:, width:] *= mask
+            predicted, backward = model._head(v_s, batch["env"], live_tables)
             loss, grad = mse_grad(predicted, batch_targets)
-            _, grads = backward(grad, input_grad=False)
-            for param, param_grad in zip(params, grads):
-                param.grad = param_grad
-            optimizer.step()
+            backward(grad, input_grad=False, out=out)
+            optimizer.apply()
             return loss
 
-        cached = {"a": a, "v_ts": v_ts, "env": inputs["env"], "row": np.arange(n)}
+        cached = {"v_s": branch_rows, "env": inputs["env"], "row": np.arange(n)}
         self.history_ = TrainingHistory()
         for _ in run_epochs(
             model, step, cached, targets, self.history_,
@@ -641,7 +714,11 @@ class Env2VecRegressor(Estimator):
             raise RuntimeError("model is not fitted; call fit() first")
         from ..nn.serialize import save_model_bytes
 
-        config = {
+        return save_model_bytes(self.model, self._config())
+
+    def _config(self) -> dict:
+        """Everything but the weights, as :meth:`to_bytes` stores it."""
+        return {
             "hyper": {
                 "n_lags": self.n_lags,
                 "embedding_dim": self.embedding_dim,
@@ -659,21 +736,39 @@ class Env2VecRegressor(Estimator):
             "y_mean": self._y_mean,
             "y_std": self._y_std,
         }
-        return save_model_bytes(self.model, config)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Env2VecRegressor":
         """Reconstruct a fitted regressor from :meth:`to_bytes` output.
 
-        Construction runs under :func:`repro.nn.init.deferred_init`: every
-        parameter is about to be overwritten by ``load_state_dict``, so the
-        usual Glorot/orthogonal draws (a QR decomposition per recurrent
-        kernel) would be thrown away. The deserialized regressor predicts
-        through the compiled inference path directly — no Trainer needed.
+        The deserialized regressor predicts through the compiled
+        inference path directly — no Trainer needed.
         """
         from ..nn.serialize import load_model_bytes
 
-        state, config = load_model_bytes(blob)
+        return cls._restore(*load_model_bytes(blob))
+
+    def copy(self) -> "Env2VecRegressor":
+        """A fitted copy sharing no mutable state with this regressor.
+
+        It equals ``from_bytes(to_bytes())`` without the npz round trip:
+        the same architecture, weights, vocabulary and scalers, and the
+        constructor defaults for the training parameters. The training
+        pipeline's warm days fine-tune such a copy of the serving model.
+        """
+        if self.model is None:
+            raise RuntimeError("model is not fitted; call fit() first")
+        return self._restore(self.model.state_dict(), self._config())
+
+    @classmethod
+    def _restore(cls, state: dict, config: dict) -> "Env2VecRegressor":
+        """A fitted regressor from a state dict and :meth:`_config`.
+
+        Construction runs under :func:`repro.nn.init.deferred_init`: every
+        parameter is about to be overwritten by ``load_state_dict``, so the
+        usual Glorot/orthogonal draws (a QR decomposition per recurrent
+        kernel) would be thrown away.
+        """
         hyper = config["hyper"]
         regressor = cls(
             n_lags=hyper["n_lags"],

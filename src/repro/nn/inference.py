@@ -67,6 +67,7 @@ __all__ = [
     "compile_plan",
     "compile_recurrent",
     "compile_attention",
+    "predict_in_chunks",
     "register_compiler",
     "snapshot",
 ]
@@ -225,43 +226,28 @@ class InferenceModel:
         _H_PREDICT.observe(_clock() - start)
         return out
 
+    @property
+    def plan(self) -> Callable[..., np.ndarray]:
+        """The compiled forward this engine wraps. A plan may expose its
+        parts: the Env2Vec plan's ``branches`` and ``head`` halves."""
+        return self._forward
+
     def predict(self, inputs: Mapping[str, np.ndarray], batch_size: int | None = None) -> np.ndarray:
-        """Vectorized prediction, optionally chunked to bound peak memory.
-
-        A lone row, whether a one-row call or a one-row last chunk, runs
-        as two copies of itself: numpy computes a one-row matmul with
-        gemv, whose summation order differs from the gemm every larger
-        batch uses, so only a two-row forward gives the row the bytes it
-        gets inside any batch. Zero-row inputs are answered by one
-        zero-row forward (every compiled kernel is shape-polymorphic down
-        to ``n == 0``), so a chunked call never reaches
-        ``np.concatenate([])``. An empty *mapping* is a caller bug and
-        raises ``ValueError``.
-        """
-        if not inputs:
-            raise ValueError("inputs must contain at least one named array")
-        n = len(next(iter(inputs.values())))
-        if batch_size is None or n <= batch_size:
-            return self._forward_rows(inputs)
-        outputs = [
-            self._forward_rows({key: value[start : start + batch_size] for key, value in inputs.items()})
-            for start in range(0, n, batch_size)
-        ]
-        return np.concatenate(outputs, axis=0)
-
-    def _forward_rows(self, inputs: Mapping[str, np.ndarray]) -> np.ndarray:
-        if len(next(iter(inputs.values()))) != 1:
-            return self(**inputs)
-        return self(**{key: np.concatenate([value, value]) for key, value in inputs.items()})[:1]
+        """Vectorized prediction, optionally chunked to bound peak memory
+        (:func:`predict_in_chunks` over this engine's forward)."""
+        return predict_in_chunks(self, inputs, batch_size)
 
     def assert_close(self, inputs: Mapping[str, np.ndarray], atol: float = 1e-10) -> float:
         """Check parity against the source module's autograd forward.
 
         Runs the original module in eval mode under ``no_grad`` and compares
         elementwise. Returns the max absolute difference; raises
-        ``AssertionError`` beyond ``atol``. The compiled plan replays the
-        autograd op order, so the default ``1e-10`` holds with room to
-        spare (the served outputs are bitwise equal).
+        ``AssertionError`` beyond ``atol``. The compiled plans replay the
+        autograd op order, so most are bitwise equal to it; the Env2Vec
+        ``hadamard`` and ``bilinear`` heads are not, because they sum
+        with ``einsum`` where autograd sums ``(v * C).sum(axis=1)``, and
+        differ by up to about 2e-17. The default ``1e-10`` holds with
+        room to spare.
         """
         compiled = np.asarray(self._forward(**inputs), dtype=np.float64)
         was_training = getattr(self._source, "training", False)
@@ -279,6 +265,39 @@ class InferenceModel:
                 f"max |Δ| = {max_err:.3e} > atol = {atol:.1e}"
             )
         return max_err
+
+
+def predict_in_chunks(
+    forward: Callable[..., np.ndarray], inputs: Mapping[str, np.ndarray], batch_size: int | None = None
+) -> np.ndarray:
+    """``forward(**inputs)`` in chunks of at most ``batch_size`` rows.
+
+    A lone row, whether a one-row call or a one-row last chunk, runs
+    as two copies of itself: numpy computes a one-row matmul with
+    gemv, whose summation order differs from the gemm every larger
+    batch uses, so only a two-row forward gives the row the bytes it
+    gets inside any batch. Zero-row inputs are answered by one
+    zero-row forward (every compiled kernel is shape-polymorphic down
+    to ``n == 0``), so a chunked call never reaches
+    ``np.concatenate([])``. An empty *mapping* is a caller bug and
+    raises ``ValueError``.
+    """
+    if not inputs:
+        raise ValueError("inputs must contain at least one named array")
+    n = len(next(iter(inputs.values())))
+    if batch_size is None or n <= batch_size:
+        return _forward_rows(forward, inputs)
+    outputs = [
+        _forward_rows(forward, {key: value[start : start + batch_size] for key, value in inputs.items()})
+        for start in range(0, n, batch_size)
+    ]
+    return np.concatenate(outputs, axis=0)
+
+
+def _forward_rows(forward: Callable[..., np.ndarray], inputs: Mapping[str, np.ndarray]) -> np.ndarray:
+    if len(next(iter(inputs.values()))) != 1:
+        return forward(**inputs)
+    return forward(**{key: np.concatenate([value, value]) for key, value in inputs.items()})[:1]
 
 
 def compile_plan(module) -> Callable[..., np.ndarray]:

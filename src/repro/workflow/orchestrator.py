@@ -14,11 +14,13 @@ Ties the whole Figure 2 loop together over simulated days:
   seeded replay sample of the older pool (paper §4.3: "retraining Env2Vec
   incrementally with the new data"). It keeps the encoder and FNN fixed
   and trains the combine layer, the embedding tables and the head over
-  their cached outputs, at the full fit's learning rate. A full fit of a
-  fresh model on the whole non-flagged pool runs on the first day, on a
-  day the drift monitor fires, on the day after a diverged fit, once a
-  week, and on a day with no new non-flagged execution. Only a full fit
-  re-standardizes the model's scalers.
+  their cached outputs, at the full fit's learning rate. Those outputs,
+  each execution's branch rows, are computed once per execution while
+  the body stays the same, and calibration and scoring reuse them too.
+  A full fit of a fresh model on the whole non-flagged pool runs on the
+  first day, on a day the drift monitor fires, on the day after a
+  diverged fit, once a week, and on a day with no new non-flagged
+  execution. Only a full fit re-standardizes the model's scalers.
 
 This is the integration surface a team adopting Env2Vec would run; the
 example scripts and integration tests drive it end to end.
@@ -49,7 +51,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.anomaly import GaussianErrorModel
 from ..core.model import Env2VecRegressor
 from ..data.chains import TestExecution
 from ..data.environment import Environment
@@ -163,6 +164,50 @@ def _env_key(environment: Environment) -> str:
     return "/".join(environment.as_tuple())
 
 
+class _BranchRows:
+    """Executions' frozen-branch rows ``[v_ts, v_fs]`` under the serving body.
+
+    A warm day keeps the encoder, the FNN and the scalers, so rows
+    computed once (while scoring an execution, or calibrating on it)
+    serve every later day's calibration and warm fine-tune, until a full
+    fit brings a new body and :meth:`clear` drops them. Id rows are never
+    kept: a vocabulary extension moves the ``<unk>`` ids.
+
+    Rows are keyed by the identity of an execution's ``features`` and
+    ``cpu`` arrays, which the pool shares with the ingested executions.
+    The store holds the arrays, so a key cannot be reused while it is
+    stored. An execution whose arrays were replaced (a restored
+    checkpoint, the chaos poison) misses and is computed anew.
+    """
+
+    def __init__(self) -> None:
+        self._rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    @staticmethod
+    def _key(features: np.ndarray, cpu: np.ndarray) -> tuple[int, int]:
+        return id(features), id(cpu)
+
+    def clear(self) -> None:
+        self._rows.clear()
+
+    def get(self, features: np.ndarray, cpu: np.ndarray) -> np.ndarray | None:
+        entry = self._rows.get(self._key(features, cpu))
+        return None if entry is None else entry[2]
+
+    def fill(self, model: Env2VecRegressor, executions: list[TestExecution]) -> list[np.ndarray]:
+        """Every execution's rows, computing the missing ones in one pass."""
+        missing = {
+            key: execution
+            for execution in executions
+            if (key := self._key(execution.features, execution.cpu)) not in self._rows
+        }
+        if missing:
+            computed = PredictionPipeline.branch_rows(model, list(missing.values()))
+            for (key, execution), rows in zip(missing.items(), computed):
+                self._rows[key] = (execution.features, execution.cpu, rows)
+        return [self._rows[self._key(e.features, e.cpu)][2] for e in executions]
+
+
 @dataclass
 class TestingCampaign:
     """Runs a testing corpus day by day through the full workflow."""
@@ -232,6 +277,7 @@ class TestingCampaign:
             self.model_store, self.alarm_store, self.gamma, self.abs_threshold
         )
         self._model: Env2VecRegressor | None = None
+        self._rows = _BranchRows()
         # Day of the last full fit; None when the next retrain must be a
         # full fit (no model yet, or the last fit diverged).
         self._last_full_day: int | None = None
@@ -266,28 +312,42 @@ class TestingCampaign:
         Each chain is calibrated once on its ingested, unmasked history.
         That is exact: ingestion happens after monitoring, and masking
         only ever adds today's environments, which no history holds yet.
+        Calibration and scoring run the head half over branch rows: the
+        stored ones, and one branch pass for the rest (today's
+        executions, and history the serving body has not seen).
         """
         long_executions = [e for e in executions if e.n_timesteps > self.n_lags + 1]
-        error_models: dict[tuple, GaussianErrorModel | None] = {}
+        histories: dict[tuple, list[TestExecution]] = {}
         for execution in long_executions:
             chain_key = execution.environment.chain_key
-            if chain_key not in error_models:
-                history = [
+            if chain_key not in histories:
+                histories[chain_key] = [
                     previous
                     for previous in self._ingested.get(chain_key, [])
                     if previous.environment not in self._masked
                     and previous.n_timesteps > self.n_lags + 1
                 ]
-                error_models[chain_key] = self._predictor.history_error_model(
-                    self._model, history
-                )
+        rows = iter(
+            self._rows.fill(
+                self._model, [e for history in histories.values() for e in history] + long_executions
+            )
+        )
+        error_models = {
+            chain_key: self._predictor.history_error_model(
+                self._model, history, [next(rows) for _ in history]
+            )
+            for chain_key, history in histories.items()
+        }
         batch = PredictBatch(
             long_executions,
             [error_models[e.environment.chain_key] for e in long_executions],
         )
         runs = iter(
             self._predictor.execute(
-                batch, model=self._model, model_version=self.model_store.latest_version
+                batch,
+                model=self._model,
+                model_version=self.model_store.latest_version,
+                branch_rows=list(rows),
             )
         )
         return [
@@ -380,13 +440,15 @@ class TestingCampaign:
                 result = self._pipeline.train(records, masked_environments=self._masked)
             else:
                 result = self._pipeline.fine_tune(
-                    self._model.to_bytes(), records, n_new, day, masked_environments=self._masked
+                    self._model, records, n_new, day, masked_environments=self._masked,
+                    branch_rows=[self._rows.get(features, cpu) for _, features, cpu in records],
                 )
         except TrainingDiverged:
             self._last_full_day = None
             return self.model_store.latest_version, True
         if full:
             self._last_full_day = day
+            self._rows.clear()  # a new body and new scalers
         self._model = result.model
         # Compile once per retrain: tomorrow's monitoring (many predict
         # calls across chains) runs on the tape-free engine.
@@ -514,6 +576,7 @@ class TestingCampaign:
         """Load a snapshot into this campaign; returns the restored reports."""
         self._pool = list(state.pool)
         self._masked = set(state.masked)
+        self._rows.clear()  # rebuilt lazily from the restored arrays
         self._ingested = {}
         for environment, features, cpu in self._pool:
             # Fault labels are not checkpointed; restored executions only

@@ -229,7 +229,9 @@ class PredictionPipeline:
 
     @staticmethod
     def history_error_model(
-        model: Env2VecRegressor, executions: list[TestExecution]
+        model: Env2VecRegressor,
+        executions: list[TestExecution],
+        branch_rows: list[np.ndarray] | None = None,
     ) -> GaussianErrorModel | None:
         """Fit the normal-error Gaussian over ``executions``; pure.
 
@@ -238,11 +240,31 @@ class PredictionPipeline:
         row-wise); errors concatenate in input order. ``None`` when there
         is nothing to calibrate on. Callers filter what counts as history
         (masked environments, executions too short to window).
+        ``branch_rows``, when the caller kept them (:meth:`branch_rows`),
+        align with ``executions`` and only the head half runs.
         """
         if not executions:
             return None
-        predicted, observed = PredictionPipeline._predict_rows(model, executions)
+        predicted, observed = PredictionPipeline._predict_rows(model, executions, branch_rows)
         return GaussianErrorModel.fit(np.concatenate(predicted) - np.concatenate(observed))
+
+    @staticmethod
+    def branch_rows(model: Env2VecRegressor, executions: list[TestExecution]) -> list[np.ndarray]:
+        """Each execution's frozen-branch rows ``[v_ts, v_fs]``, one per window.
+
+        One :func:`build_windows_multi` gather and one pass of the
+        compiled branch half (:meth:`Env2VecRegressor.branch_rows`) over
+        the whole list, split back per execution in input order. The
+        rows stay valid while ``model``'s encoder, FNN and scalers do,
+        so a caller may keep them and score or calibrate through the
+        head half alone.
+        """
+        X, history, _, series_ids = build_windows_multi(
+            [(execution.features, execution.cpu) for execution in executions], model.n_lags
+        )
+        rows = model.branch_rows(X, history)
+        bounds = np.cumsum(np.bincount(series_ids, minlength=len(executions))).tolist()
+        return [rows[start:end] for start, end in zip([0, *bounds[:-1]], bounds)]
 
     def execute(
         self,
@@ -250,6 +272,7 @@ class PredictionPipeline:
         *,
         model: Env2VecRegressor | None = None,
         model_version: int | None = None,
+        branch_rows: list[np.ndarray] | None = None,
     ) -> list[PipelineRun]:
         """Monitor a :class:`PredictBatch` sharing one model version.
 
@@ -267,7 +290,9 @@ class PredictionPipeline:
         campaign's freshly trained model); by default the latest
         published version is fetched through the version-keyed cache.
         Executions must be long enough to window
-        (``n_timesteps > n_lags + 1``).
+        (``n_timesteps > n_lags + 1``). ``branch_rows`` are the
+        executions' rows from :meth:`branch_rows` under ``model``, when
+        the caller kept them; scoring then runs only the head half.
         """
         executions = list(batch.executions)
         if not executions:
@@ -281,7 +306,7 @@ class PredictionPipeline:
                 model, model_version = self.latest_model()
             model.ensure_compiled()
             scored = self.score_executions(
-                model, executions, list(batch.aligned_error_models())
+                model, executions, list(batch.aligned_error_models()), branch_rows
             )
             return self.fan_in(
                 executions, scored, model_version=model_version, n_lags=model.n_lags
@@ -292,6 +317,7 @@ class PredictionPipeline:
         model: Env2VecRegressor,
         executions: list[TestExecution],
         error_models: list[GaussianErrorModel | None] | None = None,
+        branch_rows: list[np.ndarray] | None = None,
     ) -> list[tuple[AnomalyReport, np.ndarray, np.ndarray]]:
         """Pure scoring: windows, one coalesced forward, grouped detection.
 
@@ -301,15 +327,18 @@ class PredictionPipeline:
         order. Returns one ``(report, predictions, observations)`` triple
         per execution, in input order. The coalesced forward is bitwise
         identical to per-execution predicts because every compiled kernel
-        is row-wise.
+        is row-wise. With ``branch_rows`` (see :meth:`execute`) only the
+        head half runs, over them.
         """
-        predicted_rows, observed_rows = self._predict_rows(model, executions)
+        predicted_rows, observed_rows = self._predict_rows(model, executions, branch_rows)
         reports = self.detector.detect_many(predicted_rows, observed_rows, error_models)
         return list(zip(reports, predicted_rows, observed_rows))
 
     @staticmethod
     def _predict_rows(
-        model: Env2VecRegressor, executions: list[TestExecution]
+        model: Env2VecRegressor,
+        executions: list[TestExecution],
+        branch_rows: list[np.ndarray] | None = None,
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Window every execution, run one coalesced forward, split back.
 
@@ -321,22 +350,27 @@ class PredictionPipeline:
         each execution alone. Observations are views of each execution's
         own ``cpu`` (float64 by construction), so a run that outlives its
         batch, such as the serve layer's last-good answer, keeps no
-        batch-sized array alive beyond its predictions.
+        batch-sized array alive beyond its predictions. Given
+        ``branch_rows``, nothing is windowed: the head half runs over
+        the rows.
         """
         n_lags = model.n_lags
-        X, history, _, series_ids = build_windows_multi(
-            [(execution.features, execution.cpu) for execution in executions], n_lags
+        if branch_rows is None:
+            X, history, _, series_ids = build_windows_multi(
+                [(execution.features, execution.cpu) for execution in executions], n_lags
+            )
+            counts = np.bincount(series_ids, minlength=len(executions))
+        else:
+            counts = [len(rows) for rows in branch_rows]
+        env_ids = np.repeat(
+            model.vocabulary.encode([execution.environment for execution in executions]),
+            counts,
+            axis=0,
         )
-        counts = np.bincount(series_ids, minlength=len(executions))
-        predicted = model._predict_encoded(
-            np.repeat(
-                model.vocabulary.encode([execution.environment for execution in executions]),
-                counts,
-                axis=0,
-            ),
-            X,
-            history,
-        )
+        if branch_rows is None:
+            predicted = model._predict_encoded(env_ids, X, history)
+        else:
+            predicted = model.head_predict(env_ids, np.concatenate(branch_rows))
         bounds = np.cumsum(counts).tolist()
         return (
             [predicted[start:end] for start, end in zip([0, *bounds[:-1]], bounds)],

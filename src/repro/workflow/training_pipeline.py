@@ -12,11 +12,12 @@ environments, windows the series, trains a single
 artifact to a :class:`~repro.workflow.model_store.ModelStore`. A run is
 either a full fit of a fresh regressor on the whole pool
 (:meth:`TrainingPipeline.train`) or a warm one (paper §4.3, "retraining
-Env2Vec incrementally with the new data"): a copy of the serving model
-fine-tuned on the newest executions plus a seeded replay sample of the
-older ones (:meth:`TrainingPipeline.fine_tune`), which trains only the
-head side (combine layer, embedding tables, head) over the frozen
-encoder and FNN. Both publish through the same spans and metrics,
+Env2Vec incrementally with the new data"): an in-memory copy of the
+serving model fine-tuned on the newest executions plus a seeded replay
+sample of the older ones (:meth:`TrainingPipeline.fine_tune`), which
+trains only the head side (combine layer, embedding tables, head) over
+the frozen encoder and FNN, reusing their rows where the caller kept
+them. Both publish through the same spans and metrics,
 labelled by kind.
 """
 
@@ -119,13 +120,14 @@ class TrainingPipeline:
 
     def fine_tune(
         self,
-        base_blob: bytes,
+        base: Env2VecRegressor,
         records: list[TrainingRecord],
         n_new: int,
         day: int,
         masked_environments: set[Environment] | None = None,
+        branch_rows: list[np.ndarray | None] | None = None,
     ) -> TrainingResult:
-        """Warm run: fine-tune a copy of ``base_blob``'s model and publish it.
+        """Warm run: fine-tune a copy of the ``base`` model and publish it.
 
         ``records[-n_new:]`` are the day's executions, the rest the older
         pool. The copy trains on the day's unmasked executions plus an
@@ -137,33 +139,57 @@ class TrainingPipeline:
         was fitted. The replay sample and every random draw of the
         fine-tune derive from ``(seed, day)``, so a resumed campaign
         repeats the day bit for bit.
+
+        ``branch_rows`` aligns with ``records``: a record's frozen-branch
+        rows under ``base`` when the caller kept them
+        (:meth:`PredictionPipeline.branch_rows`), else None. The rows of
+        the records without them are computed from their own windows in
+        one pass.
         """
         masked = masked_environments or set()
         split = len(records) - n_new
-        old = [record for record in records[:split] if record[0] not in masked]
-        new = [record for record in records[split:] if record[0] not in masked]
+        old = [i for i in range(split) if records[i][0] not in masked]
+        new = [i for i in range(split, len(records)) if records[i][0] not in masked]
         if not new:
             raise ValueError("no new training data left after masking")
         rng = np.random.default_rng((self.seed, day))
         seed = int(rng.integers(2**32))
         replay = np.sort(rng.choice(len(old), size=min(len(new), len(old)), replace=False))
+        chosen = [old[i] for i in replay] + new
+        usable = [records[i] for i in chosen]
+        kept = [None] * len(chosen) if branch_rows is None else [branch_rows[i] for i in chosen]
 
         def fit(environments, X, history, y, val):
-            # A copy, so the serving model is never mutated. from_bytes
-            # restores the architecture and weights only; the training
-            # parameters are the pipeline's. No validation split (val is
-            # None): the fine-tune runs its fixed epoch budget.
-            model = Env2VecRegressor.from_bytes(base_blob)
+            # A copy, so the serving model is never mutated. It carries
+            # the architecture and weights only; the training parameters
+            # are the pipeline's. No validation split (val is None): the
+            # fine-tune runs its fixed epoch budget.
+            model = base.copy()
             model.set_params(**self.model_params, seed=seed)
             return model.fine_tune(
                 environments, X, history, y,
                 epochs=max(1, model.max_epochs // 2),
                 lr=model.lr,
                 adapt_embeddings_only=False,
+                branch_rows=self._branch_rows(base, usable, kept, X, history),
             )
 
-        usable = [old[i] for i in replay] + new
         return self._run("warm", usable, len(records) - len(old) - len(new), fit, 0.0)
+
+    def _branch_rows(self, base, usable, kept, X, history) -> np.ndarray:
+        """Every window's branch rows: the ``kept`` ones where given, the
+        rest from ``usable``'s windows ``X``/``history`` by ``base``."""
+        counts = [len(cpu) - self.n_lags for _, _, cpu in usable]
+        bounds = np.cumsum([0, *counts]).tolist()
+        missing = [k for k, rows in enumerate(kept) if rows is None]
+        if missing:
+            windows = np.concatenate([np.arange(bounds[k], bounds[k + 1]) for k in missing])
+            computed = base.branch_rows(X[windows], history[windows])
+            kept = list(kept)
+            start = 0
+            for k in missing:
+                kept[k], start = computed[start : start + counts[k]], start + counts[k]
+        return np.concatenate(kept)
 
     def _run(
         self, kind: str, usable: list[TrainingRecord], n_masked: int, fit, val_fraction: float

@@ -1,7 +1,8 @@
 """Smoke test: ``benchmarks/bench_inference.py`` runs and renders.
 
 A tiny run with no floors checked, so a change to the result's shape
-breaks here rather than only when the benchmark is next run by hand.
+breaks here rather than only when the benchmark is next run by hand;
+the engine gate runs this tree against itself with a few blocks.
 """
 
 import sys
@@ -28,3 +29,23 @@ def test_small_run_renders_every_row():
     text = bench_inference._render(results)
     assert "batch1_streaming" in text and "batch256_throughput" in text
     assert "per-op @256" in text and "env_rows=" in text
+
+
+def test_engine_gate_against_a_tree_renders_every_shape():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = bench_inference.compare_engines(src, blocks=5)
+    for shape in bench_inference.ENGINE_BLOCK_CALLS:
+        row = result[shape]
+        assert row["ratio_q1"] <= row["ratio"] <= row["ratio_q3"]
+        assert row["gated"] == (shape in bench_inference.ENGINE_GATED)
+        assert row["injected_us_per_call"] == 0.0
+    assert bench_inference.ENGINE_GATED == ("batch1_streaming",)
+    text = bench_inference._render_engines(result)
+    assert "batch1_streaming" in text and "no gate" in text
+
+
+def test_an_injected_cost_is_sized_from_the_baseline_call():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    row = bench_inference.compare_engines(src, blocks=5, inject_cost=0.5)["batch1_streaming"]
+    assert row["injected_us_per_call"] > 0
+    assert row["ratio"] > 1.1

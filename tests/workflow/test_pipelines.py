@@ -146,7 +146,7 @@ class TestTrainingPipeline:
         )
         base = result.model.to_bytes()
         records = dataset.history_training_series()
-        warm = pipeline.fine_tune(base, records, 5, day, masked_environments=set(masked))
+        warm = pipeline.fine_tune(result.model, records, 5, day, masked_environments=set(masked))
         assert result.model.to_bytes() == base  # the base model is not touched
         return warm, store.fetch_latest()[0], records
 
