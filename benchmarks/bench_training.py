@@ -31,7 +31,8 @@ whole ``loss.backward()`` minus those closures.
   with each warm day's wall split into collect, calibrate, score,
   branch rows, fine-tune steps, copy, publish, exporter and compile by
   wrapping those calls from outside (each stage's own time: a stage
-  nested in another is taken out of it). What no stage covers is
+  nested in another is taken out of it; every call inside the
+  ``train.publish`` span is the publish's). What no stage covers is
   reported as ``other``; the stages must cover the day's wall within
   :data:`STAGE_COVERAGE`. The e2e tracer wraps ``Trainer.fit`` only,
   so this table is where a warm fine-tune's time shows.
@@ -59,6 +60,7 @@ import os
 import statistics
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +116,9 @@ STAGE_TARGETS = (
     ("compile", "core.model", "Env2VecRegressor.compile"),
 )
 STAGES = tuple(dict.fromkeys(stage for stage, _, _ in STAGE_TARGETS))
+#: The span around a training run's publish: the blob it serializes and
+#: the store write. ``to_bytes`` outside it is the warm copy's.
+PUBLISH_SPAN = "train.publish"
 
 def _training_set(pkg: str):
     data = importlib.import_module(pkg + ".data")
@@ -295,24 +300,32 @@ class _StageClock:
 
     def __init__(self):
         self.ms = dict.fromkeys(STAGES, 0.0)
+        #: ``train.publish`` spans entered.
+        self.publishes = 0
         self._stack: list = []
 
     def wrap(self, stage: str, fn):
         def timed(*args, **kwargs):
-            # A blob made for the publish is the publish's, not the copy's.
-            name = "publish" if fn.__name__ == "to_bytes" and sys._getframe(1).f_code.co_name == "_run" else stage
-            frame = [time.perf_counter(), 0.0]
-            self._stack.append(frame)
-            try:
+            with self.timing(stage):
                 return fn(*args, **kwargs)
-            finally:
-                self._stack.pop()
-                elapsed = time.perf_counter() - frame[0]
-                self.ms[name] += 1e3 * (elapsed - frame[1])
-                if self._stack:
-                    self._stack[-1][1] += elapsed
 
         return timed
+
+    @contextmanager
+    def timing(self, stage: str):
+        # A call inside the publish (the blob, the store write) is the publish's.
+        if self._stack and self._stack[-1][2] == "publish":
+            stage = "publish"
+        frame = [time.perf_counter(), 0.0, stage]
+        self._stack.append(frame)
+        try:
+            yield
+        finally:
+            self._stack.pop()
+            elapsed = time.perf_counter() - frame[0]
+            self.ms[stage] += 1e3 * (elapsed - frame[1])
+            if self._stack:
+                self._stack[-1][1] += elapsed
 
 
 def _patch_stages(pkg: str, clock: _StageClock) -> list:
@@ -329,6 +342,21 @@ def _patch_stages(pkg: str, clock: _StageClock) -> list:
             wrapped = clock.wrap(stage, raw)
         setattr(owner, leaf, wrapped)
         patches.append((owner, leaf, raw))
+    observability = importlib.import_module(f"{pkg}.obs.observability").Observability
+    raw_span = observability.__dict__["span"]
+
+    @contextmanager
+    def publish_span(inner):
+        clock.publishes += 1
+        with inner as span, clock.timing("publish"):
+            yield span
+
+    def span(obs, name: str):
+        inner = raw_span(obs, name)
+        return publish_span(inner) if name == PUBLISH_SPAN else inner
+
+    observability.span = span
+    patches.append((observability, "span", raw_span))
     return patches
 
 
@@ -362,6 +390,8 @@ class _CampaignSession:
                 setattr(owner, leaf, raw)
         if warm != len(self.days) - 1:
             raise RuntimeError("a full fit ran on a day the stage table assumes warm")
+        if clock.publishes != warm:
+            raise RuntimeError(f"{clock.publishes} {PUBLISH_SPAN} spans in {warm} warm days")
         sample = {stage: ms / warm for stage, ms in clock.ms.items()}
         sample["day"] = 1e3 * wall / warm
         sample["other"] = sample["day"] - sum(clock.ms.values()) / warm

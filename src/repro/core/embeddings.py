@@ -219,7 +219,7 @@ class EnvironmentEmbeddings(Module):
         tables = [self.tables[field].weight for field in self.vocabulary.fields]
         return apply_op(tables, c, lambda grad: self.table_grads(grad, effective))
 
-    def lookup(self, ids: np.ndarray, tables: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def lookup(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``C`` for an ``(n, n_fields)`` id matrix, and the effective ids.
 
         In training mode with ``unknown_dropout > 0`` (grad mode does not
@@ -229,14 +229,13 @@ class EnvironmentEmbeddings(Module):
         (the first bad field raises ``IndexError``), and gathered by
         :func:`repro.nn.ops.stacked_embedding_forward`, the compiled
         plan's gather too. The effective ids are what :meth:`table_grads`
-        needs for the backward. ``tables`` is :meth:`stacked_tables`'s
-        triple when the caller already holds it, else it is built here.
+        needs for the backward.
         """
         ids = np.asarray(ids, dtype=np.int64)
         fields = self.vocabulary.fields
         if ids.ndim != 2 or ids.shape[1] != len(fields):
             raise ValueError(f"expected ids of shape (n, {len(fields)}); got {ids.shape}")
-        stacked, offsets, sizes = tables if tables is not None else self.stacked_tables()
+        stacked, offsets, sizes = self.stacked_tables()
         if self.training and self.unknown_dropout > 0.0:
             # One draw of (n_fields, n) is the per-field rng.random(n) calls
             # in field order, value for value.
@@ -244,26 +243,19 @@ class EnvironmentEmbeddings(Module):
             ids = np.where(masks.T, sizes.astype(np.int64) - 1, ids)
         return ops.stacked_embedding_forward(stacked, offsets, sizes, ids), ids
 
-    def table_grads(
-        self, grad_c: np.ndarray, ids: np.ndarray, out: np.ndarray | None = None
-    ) -> list[np.ndarray]:
+    def table_grads(self, grad_c: np.ndarray, ids: np.ndarray) -> list[np.ndarray]:
         """Per-table gradients, in field order, of ``C`` looked up at ``ids``.
 
         One :func:`repro.nn.ops.embedding_backward` over the tables stacked
         row-wise: each ``(row, column)`` bin still sums its contributions in
         batch order, so every table's gradient equals a per-field scatter
-        bit for bit. With ``out``, a flat array as long as every table
-        together, the stacked gradient is written there and the returned
-        gradients are views of it.
+        bit for bit.
         """
         bounds = self._row_bounds()
         (full,) = ops.embedding_backward(
             grad_c.reshape(-1, self.embedding_dim),
             {"shape": (bounds[-1], self.embedding_dim), "ids": (ids + bounds[:-1]).reshape(-1)},
         )
-        if out is not None:
-            out[...] = full.reshape(-1)
-            full = out.reshape(full.shape)
         return [full[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
 
     def _row_bounds(self) -> np.ndarray:
@@ -272,19 +264,15 @@ class EnvironmentEmbeddings(Module):
         sizes = [self.tables[field].num_embeddings for field in self.vocabulary.fields]
         return np.array([0, *accumulate(sizes)])
 
-    def stacked_tables(self, stacked: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def stacked_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The field tables stacked row-wise in ``vocabulary.fields``
         order, as one fresh array, with each field's first row in it and
         its row count (uint64): the arguments of
         :func:`repro.nn.ops.stacked_embedding_forward`. The compiled plan
-        keeps one such copy as its snapshot of the tables. A caller that
-        already holds the tables stacked (the warm fine-tune reads them
-        from its optimizer's flat buffer) passes that array as
-        ``stacked`` and it is returned instead of a copy.
+        keeps one such copy as its snapshot of the tables.
         """
         bounds = self._row_bounds()
-        if stacked is None:
-            stacked = np.concatenate([self.tables[field].weight.data for field in self.vocabulary.fields])
+        stacked = np.concatenate([self.tables[field].weight.data for field in self.vocabulary.fields])
         return stacked, bounds[:-1], np.diff(bounds).astype(np.uint64)
 
     def grow_tables(self, added: dict[str, list[str]]) -> None:

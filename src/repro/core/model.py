@@ -190,25 +190,16 @@ class Env2VecModel(Module):
             head_params = []
         return [combine.weight, combine.bias, *tables, *head_params]
 
-    def _head(self, v_s: np.ndarray, env: np.ndarray, tables: tuple | None = None):
+    def _head(self, v_s: np.ndarray, env: np.ndarray):
         """combine → embeddings → head over ``v_s = [v_ts, v_fs]``.
 
         Returns ``(y, backward)``. ``backward(grad, input_grad=True)``
         returns ``(d_v_s, grads)``, ``grads`` aligned with
         :meth:`head_side_parameters`; ``d_v_s`` is None unless
         ``input_grad``. The ``<unk>`` draw happens here, in the forward.
-        ``tables`` is the embeddings' stacked-tables triple when the
-        caller holds it (see :meth:`EnvironmentEmbeddings.lookup`).
-
-        A fused training step passes ``backward`` an ``out`` of four
-        destinations: the combine weight's and bias's gradient arrays,
-        one flat array for every table's, and a list with one array per
-        head parameter. A None combine pair skips the combine layer's
-        backward (a tables-only step). The gradients are written there,
-        with the same bits, and ``grads`` is None.
         """
         combine, embeddings, head = self.combine, self.embeddings, self.head
-        c, ids = embeddings.lookup(env, tables)
+        c, ids = embeddings.lookup(env)
         v_d, combine_cache = ops.dense_forward(v_s, combine.weight.data, combine.bias.data)
         if head == "hadamard":
             y = np.multiply(v_d, c, out=ops._scratch("head_product", *c.shape)).sum(axis=1)
@@ -225,7 +216,7 @@ class Env2VecModel(Module):
             o, out_cache = ops.dense_forward(h, out.weight.data, out.bias.data)
             y = o.reshape(-1)
 
-        def backward(grad: np.ndarray, input_grad: bool = True, out: tuple | None = None) -> tuple:
+        def backward(grad: np.ndarray, input_grad: bool = True) -> tuple:
             if head == "hadamard":
                 d_v_d, d_c = ops.hadamard_head_backward(grad, v_d, c)
                 head_grads = ()
@@ -237,18 +228,10 @@ class Env2VecModel(Module):
                 d_merged, d_w_hidden, d_b_hidden = ops.dense_backward(d_h, hidden_cache)
                 d_v_d, d_c = d_merged[:, : c.shape[1]], d_merged[:, c.shape[1] :]
                 head_grads = (d_w_hidden, d_b_hidden, d_w_out, d_b_out)
-            if out is None:
-                d_v_s, d_w_combine, d_b_combine = ops.dense_backward(
-                    d_v_d, combine_cache, input_grad=input_grad
-                )
-                return d_v_s, [d_w_combine, d_b_combine, *embeddings.table_grads(d_c, ids), *head_grads]
-            w_out, b_out, tables_out, head_out = out
-            if w_out is not None:
-                ops.dense_backward(d_v_d, combine_cache, input_grad=False, out=(w_out, b_out))
-                for destination, head_grad in zip(head_out, head_grads):
-                    destination[...] = head_grad
-            embeddings.table_grads(d_c, ids, out=tables_out)
-            return None, None
+            d_v_s, d_w_combine, d_b_combine = ops.dense_backward(
+                d_v_d, combine_cache, input_grad=input_grad
+            )
+            return d_v_s, [d_w_combine, d_b_combine, *embeddings.table_grads(d_c, ids), *head_grads]
 
         return y, backward
 
@@ -552,9 +535,7 @@ class Env2VecRegressor(Estimator):
         warm fine-tunes, until the next ``fit``.
         """
         X, history = self._scale_inputs(X, history)
-        return predict_in_chunks(
-            self.ensure_compiled().plan.branches, {"cf": X, "history": history}, ops._CACHED_ROWS
-        )
+        return self.ensure_compiled().predict({"cf": X, "history": history}, ops._CACHED_ROWS, "branches")
 
     def head_predict(self, env_ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """:meth:`_predict_encoded` from :meth:`branch_rows` output.
@@ -565,9 +546,7 @@ class Env2VecRegressor(Estimator):
         """
         if len(env_ids) != len(rows):
             raise ValueError("environments and branch rows must be aligned")
-        scaled = predict_in_chunks(
-            self.ensure_compiled().plan.head, {"v_s": rows, "env": env_ids}, ops._CACHED_ROWS
-        )
+        scaled = self.ensure_compiled().predict({"v_s": rows, "env": env_ids}, ops._CACHED_ROWS, "head")
         _M_PREDICTIONS.inc(len(scaled))
         return scaled * self._y_std + self._y_mean
 
@@ -616,10 +595,8 @@ class Env2VecRegressor(Estimator):
         when the caller kept them (:meth:`branch_rows` of this model or
         of one with the same encoder, FNN and scalers). Each step then
         runs only :meth:`Env2VecModel._head` and its hand-written
-        backward, with no tape: the FNN dropout mask multiplies the
-        gathered batch's ``v_fs`` in place, the tables are read from a
-        view of the optimizer's flat parameter buffer, and the gradients
-        are written into its flat gradient buffer. Every step is bitwise
+        backward, with no tape; the FNN dropout mask multiplies the
+        gathered batch's ``v_fs`` in place. Every step is bitwise
         the autograd step over the same parameters: the dropout mask is
         drawn before the ``<unk>`` masks, as the model's forward draws
         them; ``history_`` and :class:`TrainingDiverged` follow
@@ -644,8 +621,7 @@ class Env2VecRegressor(Estimator):
         # Each distinct environment once, in first-occurrence order, which
         # keeps every field's new values (and so their ids) in that order.
         added = self.vocabulary.extend(list(dict.fromkeys(environments)))
-        embeddings = model.embeddings
-        embeddings.grow_tables(added)
+        model.embeddings.grow_tables(added)
         inputs = self._batch(environments, X, history)
         targets = (y - self._y_mean) / self._y_std
         cf, scaled_history = inputs["cf"], inputs["history"]
@@ -655,18 +631,8 @@ class Env2VecRegressor(Estimator):
                 branches, {"cf": cf, "history": scaled_history}, ops._CACHED_ROWS
             )
         params = model.head_side_parameters()
-        tables = params[2 : 2 + len(embeddings.vocabulary.fields)]
-        trained = tables if adapt_embeddings_only else params
+        trained = model.embeddings.parameters() if adapt_embeddings_only else params
         optimizer = Adam(trained, lr=lr if lr is not None else self.lr * 0.3)
-        first = 0 if adapt_embeddings_only else 2
-        stacked, table_grads = optimizer.flat_slots(first, first + len(tables))
-        live_tables = embeddings.stacked_tables(stacked.reshape(-1, embeddings.embedding_dim))
-        slots = optimizer.grad_views
-        out = (
-            (None, None, table_grads, [])
-            if adapt_embeddings_only
-            else (slots[0], slots[1], table_grads, slots[2 + len(tables) :])
-        )
         width = model.encoder.output_dim
         n = len(targets)
 
@@ -680,10 +646,12 @@ class Env2VecRegressor(Estimator):
             mask = model._dropout_mask(len(batch_targets))
             if mask is not None:
                 v_s[:, width:] *= mask
-            predicted, backward = model._head(v_s, batch["env"], live_tables)
+            predicted, backward = model._head(v_s, batch["env"])
             loss, grad = mse_grad(predicted, batch_targets)
-            backward(grad, input_grad=False, out=out)
-            optimizer.apply()
+            _, grads = backward(grad, input_grad=False)
+            for param, param_grad in zip(params, grads):
+                param.grad = param_grad
+            optimizer.step()
             return loss
 
         cached = {"v_s": branch_rows, "env": inputs["env"], "row": np.arange(n)}

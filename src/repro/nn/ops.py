@@ -192,13 +192,12 @@ def dense_forward(
 
 
 def dense_backward(
-    grad: np.ndarray, cache: dict, input_grad: bool = True, out: tuple | None = None
+    grad: np.ndarray, cache: dict, input_grad: bool = True
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Returns ``(d_x, d_weight, d_bias)``; ``d_x`` is None unless ``input_grad``.
 
-    For a batch, the activation's delta is scratch; every returned
-    gradient is fresh, unless ``out`` names two arrays for ``d_weight``
-    and ``d_bias`` (a batch only): they are written there, same bits.
+    For a batch, the activation's delta is scratch; every
+    returned gradient is fresh.
     """
     x, weight = cache["x"], cache["weight"]
     if x.ndim == 1:
@@ -208,8 +207,7 @@ def dense_backward(
         cache["act"], grad, cache["pre"], cache["out"], _scratch("dense_delta", *grad.shape)
     )
     d_x = delta @ weight.T if input_grad else None
-    d_weight, d_bias = out if out is not None else (None, None)
-    return d_x, np.matmul(x.T, delta, out=d_weight), np.sum(delta, axis=0, out=d_bias)
+    return d_x, x.T @ delta, delta.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -45,17 +45,11 @@ class Adam(Optimizer):
     Parameters, gradients and both moments live in flat buffers, one
     slot per parameter, and each parameter's ``data`` is a view of its
     slot: a step is one vectorized pass instead of one small pass per
-    parameter, through two preallocated temporaries. Every operation is
-    elementwise, so the result is bitwise the per-parameter update. A
-    parameter whose ``grad`` is None is skipped for that step, moments
-    included. When ``data`` is rebound (``load_state_dict`` assigns
-    fresh arrays), the next step copies the new values into the slot
-    and keeps the moments.
-
-    :meth:`step` copies every ``grad`` into the flat gradient buffer. A
-    fused training step skips that copy: it writes each gradient into
-    ``grad_views`` (or a :meth:`flat_slots` span) itself and calls
-    :meth:`apply`.
+    parameter. Every operation is elementwise, so the result is bitwise
+    the per-parameter update. A parameter whose ``grad`` is None is
+    skipped for that step, moments included. When ``data`` is rebound
+    (``load_state_dict`` assigns fresh arrays), the next step copies the
+    new values into the slot and keeps the moments.
     """
 
     def __init__(self, parameters: Iterable[Parameter], lr: float = 0.001):
@@ -67,22 +61,11 @@ class Adam(Optimizer):
         self._grad = np.empty(total)
         self._m = np.zeros(total)
         self._v = np.zeros(total)
-        self._temporaries = (np.empty(total), np.empty(total))
-        #: Each parameter's slot of the flat gradient buffer, in its shape.
-        self.grad_views = [
-            self._grad[self._slot(k)].reshape(p.data.shape) for k, p in enumerate(self.parameters)
-        ]
         self._views: list[np.ndarray | None] = [None] * len(self.parameters)
         self._bind()
 
     def _slot(self, k: int) -> slice:
         return slice(self._offsets[k], self._offsets[k + 1])
-
-    def flat_slots(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """Flat views of the parameter and gradient buffers over
-        ``parameters[start:stop]``, which lie there back to back."""
-        span = slice(self._offsets[start], self._offsets[stop])
-        return self._data[span], self._grad[span]
 
     def _bind(self) -> None:
         """Make each parameter's ``data`` its slot's view (again, if rebound)."""
@@ -100,42 +83,24 @@ class Adam(Optimizer):
             param.data = self._views[k] = view
 
     def _update(self, data, m, v, grad, bias1: float, bias2: float) -> None:
-        """``m = β1·m + (1-β1)·g``, ``v = β2·v + (1-β2)·g·g`` and
-        ``data -= lr·(m/bias1) / (sqrt(v/bias2) + ε)``, in that operation
-        order, through the two temporaries."""
-        first, second = (buffer[: grad.size] for buffer in self._temporaries)
         m *= BETA1
-        m += np.multiply(grad, 1.0 - BETA1, out=first)
+        m += (1.0 - BETA1) * grad
         v *= BETA2
-        np.multiply(grad, 1.0 - BETA2, out=first)
-        first *= grad
-        v += first
-        np.divide(m, bias1, out=first)
-        first *= self.lr
-        np.divide(v, bias2, out=second)
-        np.sqrt(second, out=second)
-        second += EPS
-        first /= second
-        data -= first
-
-    def _advance(self) -> tuple[float, float]:
-        """Rebind, count the step, and return its bias corrections."""
-        self._bind()
-        self._step_count += 1
-        return 1.0 - BETA1**self._step_count, 1.0 - BETA2**self._step_count
-
-    def apply(self) -> None:
-        """One step over the gradients already written into ``grad_views``."""
-        bias1, bias2 = self._advance()
-        self._update(self._data, self._m, self._v, self._grad, bias1, bias2)
+        v += (1.0 - BETA2) * grad * grad
+        m_hat = m / bias1
+        v_hat = v / bias2
+        data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
     def step(self) -> None:
+        self._bind()
+        self._step_count += 1
+        bias1 = 1.0 - BETA1**self._step_count
+        bias2 = 1.0 - BETA2**self._step_count
         grads = [param.grad for param in self.parameters]
         if all(grad is not None for grad in grads):
             np.concatenate([grad.reshape(-1) for grad in grads], out=self._grad)
-            self.apply()
+            self._update(self._data, self._m, self._v, self._grad, bias1, bias2)
             return
-        bias1, bias2 = self._advance()
         for k, grad in enumerate(grads):
             if grad is not None:
                 slot = self._slot(k)

@@ -292,13 +292,16 @@ class PredictionPipeline:
         Executions must be long enough to window
         (``n_timesteps > n_lags + 1``). ``branch_rows`` are the
         executions' rows from :meth:`branch_rows` under ``model``, when
-        the caller kept them; scoring then runs only the head half.
+        the caller kept them; scoring then runs only the head half. Rows
+        need the model they came from, so they need an injected ``model``.
         """
         executions = list(batch.executions)
         if not executions:
             return []
         if model is not None and model_version is None:
             raise ValueError("model_version must accompany an injected model")
+        if branch_rows is not None and model is None:
+            raise ValueError("branch_rows need the injected model that computed them")
         # One latency observation for the whole batch (a per-execution
         # observation would misrepresent the coalesced forwards).
         with _H_RUN.time(), _OBS.span("predict.execute"):

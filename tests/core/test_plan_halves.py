@@ -21,7 +21,7 @@ from repro.core import Env2VecRegressor
 from repro.core.model import PREDICTION_HEADS
 from repro.data import Environment
 from repro.nn import ops
-from repro.nn.inference import predict_in_chunks
+from repro.nn.inference import compile_plan, predict_in_chunks
 from tests.strategies import DERANDOMIZED, id_matrices
 
 N_FEATURES = 3
@@ -114,7 +114,7 @@ def test_a_lone_row_gets_its_batch_bytes_in_both_halves(head):
 
 def test_the_plan_is_its_two_halves():
     regressor = _regressor("mlp")
-    plan = regressor.ensure_compiled().plan
+    plan = compile_plan(regressor.model)
     env = regressor.vocabulary.encode(KNOWN * 5)
     cf, history = regressor._scale_inputs(*_windows(len(env), 4))
     assert plan(cf, history, env).tobytes() == plan.head(plan.branches(cf, history), env).tobytes()
@@ -137,5 +137,5 @@ def test_head_chunks_match_the_engine_chunks():
     env = regressor.vocabulary.encode(KNOWN * 350)
     cf, history = regressor._scale_inputs(*_windows(len(env), 5))
     inputs = {"cf": cf, "history": history, "env": env}
-    direct = predict_in_chunks(engine.plan, inputs, ops._CACHED_ROWS)
+    direct = predict_in_chunks(compile_plan(regressor.model), inputs, ops._CACHED_ROWS)
     assert direct.tobytes() == engine.predict(inputs, batch_size=ops._CACHED_ROWS).tobytes()

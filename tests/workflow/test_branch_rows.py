@@ -14,8 +14,10 @@ import pytest
 from repro.data import Environment, TelecomConfig, TestExecution, generate_telecom
 from repro.obs import get_observability
 from repro.workflow import (
+    AlarmStore,
     DriftMonitor,
     ModelStore,
+    PredictBatch,
     PredictionPipeline,
     TestingCampaign,
     TrainingPipeline,
@@ -137,6 +139,21 @@ def test_a_campaign_restored_before_its_warm_days_equals_an_uninterrupted_one(da
     assert tail == _outcome(reference)[2]
 
 
+def test_warm_days_time_their_forwards(days):
+    """Calibration and scoring over kept rows still run through the
+    engine, so every warm day adds its forwards to
+    ``repro_nn_predict_batch_seconds``, the campaign's self-metric."""
+    forwards = _OBS.registry.get("repro_nn_predict_batch_seconds")
+    runs = _OBS.counter("repro_training_runs_total", labels=("kind",))
+    campaign = _campaign()
+    for day, executions in enumerate(days):
+        before, warm_before = forwards.count, runs.labels(kind="warm").value
+        campaign.run_day(day, executions)
+        if day:
+            assert runs.labels(kind="warm").value == warm_before + 1
+            assert forwards.count - before >= len(executions)
+
+
 class _Days:
     """The ``TelecomDataset`` shape ``TestingCampaign.run`` replays."""
 
@@ -168,3 +185,17 @@ def test_a_warm_run_computes_only_the_rows_it_is_not_given(days, kept):
         return store.fetch_latest()[0]
 
     assert warm(given) == warm(None)
+
+
+def test_kept_rows_need_the_model_that_computed_them(days):
+    """Without an injected model, ``execute`` would score kept rows
+    under whatever version is latest, so it refuses them."""
+    store = ModelStore()
+    records = [(e.environment, e.features, e.cpu) for e in days[0]]
+    model = TrainingPipeline(store, model_params=dict(MODEL_PARAMS)).train(records).model
+    pipeline = PredictionPipeline(store, AlarmStore())
+    rows = PredictionPipeline.branch_rows(model, days[1])
+    with pytest.raises(ValueError, match="injected model"):
+        pipeline.execute(PredictBatch(days[1]), branch_rows=rows)
+    runs = pipeline.execute(PredictBatch(days[1]), model=model, model_version=1, branch_rows=rows)
+    assert len(runs) == len(days[1])
