@@ -1,127 +1,142 @@
-"""Benchmark — repro.analysis two-phase whole-program scan latency.
+"""Benchmark — repro.analysis scan latency, and each rule's share of it.
 
-The analyzer runs inside tier-1 (tests/analysis/test_repo_clean.py and
-tests/test_lint.py), so its cost is paid on every test session. Phase 1
-is one AST parse + walk per file; phase 2 links every file's summary and
-runs the cross-file rules (REP015, REP016) over the program model. The
-incremental cache must make warm scans (nothing changed) much cheaper
-than cold ones, or tier-1 pays the full price twice per session.
+The analyzer runs inside tier-1 (``tests/test_lint.py``), so its cost is
+paid on every test session. A scan parses each file once and walks it
+once, dispatching each node to the rules registered for its type; the
+inline-pragma check tokenizes the file once more.
 
-Acceptance: the cold full scan (src + tests + benchmarks, both phases)
-completes in under 8 seconds, and a warm incremental scan of the same
-tree in under 2 seconds. Timings go to
-``benchmarks/results/BENCH_analysis.json``.
+- **Cold scan**: src + tests + benchmarks, best of :data:`ROUNDS` scans.
+  Acceptance: under :data:`MAX_SCAN_SECONDS`.
+- **Per-rule visits**: in one scan of the same tree, each rule's
+  ``visit`` calls are timed inside the shared walk (the rule instance's
+  method is shadowed by a timer that drains the findings it yields), so
+  a rule's row is its own time, not a whole scan's. ``engine`` is the
+  rest of the scan: reading, parsing, tokenizing for pragmas, the walk
+  and the dispatch. Each row is the median over :data:`ROUNDS` scans;
+  the timer's own cost per call is reported beside them.
+
+Timings go to ``benchmarks/results/BENCH_analysis.json`` and the table to
+``benchmarks/results/analysis.txt``.
 """
 
-import ast
 import json
-import shutil
-import tempfile
+import os
+import statistics
 import time
 from pathlib import Path
 
-from repro.analysis import Analyzer, AnalysisCache, default_registry, iter_python_files
-from repro.analysis.program import ALL_CROSS_RULES, ProgramModel
-from repro.analysis.rules import RULESET_VERSION
-from repro.analysis.summaries import summarize_module
+from repro.analysis import Analyzer, default_registry
 
 RESULTS_DIR = Path(__file__).parent / "results"
 REPO = Path(__file__).resolve().parent.parent
 
-#: Cold whole-repo two-phase scan ceiling, in seconds.
+#: Cold whole-repo scan ceiling, in seconds.
 MAX_SCAN_SECONDS = 8.0
-#: Warm (cache-hit) incremental scan ceiling, in seconds.
-MAX_WARM_SCAN_SECONDS = 2.0
+ROUNDS = 3
 
 SCAN_ROOTS = ("src", "tests", "benchmarks")
 
 
-def run_analysis_bench(rounds: int = 3) -> dict:
+def _time_visits(registry) -> tuple[dict, dict]:
+    """Shadow each rule's ``visit`` with a timer; return the running
+    seconds and call counts it fills, keyed by rule id."""
+    seconds = {rule.id: 0.0 for rule in registry}
+    calls = {rule.id: 0 for rule in registry}
+    for rule in registry:
+        def visit(node, ctx, inner=rule.visit, rule_id=rule.id):
+            start = time.perf_counter()
+            found = list(inner(node, ctx))
+            seconds[rule_id] += time.perf_counter() - start
+            calls[rule_id] += 1
+            return found
+
+        rule.visit = visit
+    return seconds, calls
+
+
+def _timer_overhead_us(n: int = 200_000) -> float:
+    """Microseconds the visit timer adds to one call (around a no-op rule)."""
+
+    class _Null:
+        id = "REP999"
+
+        def visit(self, node, ctx):
+            return iter(())
+
+    null = _Null()
+    bare = null.visit
+    start = time.perf_counter()
+    for _ in range(n):
+        list(bare(None, None))
+    bare_s = time.perf_counter() - start
+    _time_visits([null])
+    start = time.perf_counter()
+    for _ in range(n):
+        null.visit(None, None)
+    return 1e6 * max(0.0, time.perf_counter() - start - bare_s) / n
+
+
+def run_analysis_bench(rounds: int = ROUNDS) -> dict:
     paths = [REPO / root for root in SCAN_ROOTS]
 
-    # -- cold scan: both phases, no cache ----------------------------------
-    best_s, result = float("inf"), None
+    cold = []
     for _ in range(rounds):
         analyzer = Analyzer(default_registry())
         start = time.perf_counter()
         result = analyzer.analyze_paths(paths, root=REPO)
-        best_s = min(best_s, time.perf_counter() - start)
+        cold.append(time.perf_counter() - start)
 
-    # -- warm scan: phase 1 replayed from the incremental cache ------------
-    cache_dir = Path(tempfile.mkdtemp(prefix="repro_analysis_bench_"))
-    try:
-        cache = AnalysisCache(cache_dir, ruleset_version=RULESET_VERSION)
-        Analyzer(default_registry()).analyze_paths(paths, root=REPO, cache=cache)
-        best_warm_s, warm = float("inf"), None
-        for _ in range(rounds):
-            analyzer = Analyzer(default_registry())
-            start = time.perf_counter()
-            warm = analyzer.analyze_paths(paths, root=REPO, cache=cache)
-            best_warm_s = min(best_warm_s, time.perf_counter() - start)
-    finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
-
-    # -- per-rule cost ------------------------------------------------------
-    # phase 1: scan src/ with one rule at a time (cross phase disabled), so
-    # the totals show where a future slow rule would hide
-    per_rule_ms = {}
-    for rule in default_registry():
-        registry = type(default_registry())()
-        registry.register(type(rule))
-        analyzer = Analyzer(registry, cross_rules=())
+    per_rule: dict[str, list] = {}
+    engine, calls = [], {}
+    for _ in range(rounds):
+        registry = default_registry()
+        seconds, calls = _time_visits(registry)
         start = time.perf_counter()
-        analyzer.analyze_paths([REPO / "src"], root=REPO)
-        per_rule_ms[rule.id] = 1e3 * (time.perf_counter() - start)
-
-    # phase 2: summarize + link src/ once, then time each cross rule's run
-    # over the shared program model
-    summaries = []
-    for file_path in iter_python_files([REPO / "src"]):
-        rel = file_path.resolve().relative_to(REPO).as_posix()
-        summaries.append(summarize_module(ast.parse(file_path.read_text()), rel))
-    start = time.perf_counter()
-    program = ProgramModel(summaries)
-    link_build_ms = 1e3 * (time.perf_counter() - start)
-    for rule_cls in ALL_CROSS_RULES:
-        rule = rule_cls()
-        start = time.perf_counter()
-        list(rule.run(program))
-        per_rule_ms[rule.id] = 1e3 * (time.perf_counter() - start)
+        Analyzer(registry).analyze_paths(paths, root=REPO)
+        wall = time.perf_counter() - start
+        for rule_id, value in seconds.items():
+            per_rule.setdefault(rule_id, []).append(1e3 * value)
+        engine.append(1e3 * (wall - sum(seconds.values())))
 
     return {
         "scan_roots": list(SCAN_ROOTS),
-        "files_scanned": result.n_files,
-        "scan_seconds_best_of": best_s,
-        "warm_scan_seconds_best_of": best_warm_s,
-        "warm_cache_hits": warm.n_cache_hits,
-        "link_seconds": result.link_seconds,
+        "cores": os.cpu_count(),
         "rounds": rounds,
-        "us_per_file": 1e6 * best_s / max(1, result.n_files),
-        "findings_pre_baseline": len(result.findings),
+        "files_scanned": result.n_files,
+        "cold_scan_seconds_best_of": min(cold),
+        "cold_scan_seconds_median": statistics.median(cold),
+        "us_per_file": 1e6 * min(cold) / max(1, result.n_files),
+        "findings": len(result.findings),
         "parse_errors": len(result.parse_errors),
-        "per_rule_src_scan_ms": per_rule_ms,
-        "link_build_src_ms": link_build_ms,
-        "ruleset_version": RULESET_VERSION,
+        "per_rule_visit_ms": {rule_id: statistics.median(v) for rule_id, v in per_rule.items()},
+        "per_rule_visit_calls": calls,
+        "engine_ms": statistics.median(engine),
+        "timer_overhead_us_per_call": _timer_overhead_us(),
     }
 
 
 def _render(results: dict) -> str:
     lines = [
-        "repro.analysis — two-phase whole-program scan (per-file + cross-file)",
-        f"  files scanned          {results['files_scanned']:6d}",
-        f"  cold scan wall time    {results['scan_seconds_best_of']:8.3f} s "
-        f"(best of {results['rounds']})",
-        f"  warm scan wall time    {results['warm_scan_seconds_best_of']:8.3f} s "
-        f"({results['warm_cache_hits']} cache hits)",
-        f"  phase-2 link time      {results['link_seconds']:8.3f} s",
+        "repro.analysis — one-phase scan of " + " + ".join(results["scan_roots"])
+        + f" ({results['cores']} cores)",
+        f"  files scanned          {results['files_scanned']:8d}",
+        f"  cold scan wall time    {results['cold_scan_seconds_best_of']:8.3f} s "
+        f"(best of {results['rounds']}; ceiling {MAX_SCAN_SECONDS:.0f} s)",
         f"  per file (cold)        {results['us_per_file']:8.0f} us",
-        f"  findings (pre-baseline){results['findings_pre_baseline']:6d}",
-        "  per-rule src/ scan (per-file rules: full pass; REP015-016: rule run only):",
+        f"  findings               {results['findings']:8d}",
+        f"  per-rule visit time inside one shared walk, median of {results['rounds']} scans "
+        f"(timer adds {results['timer_overhead_us_per_call']:.2f} us per call):",
+        f"    {'rule':<8}{'ms':>10}{'calls':>10}",
     ]
-    for rule_id, ms in sorted(results["per_rule_src_scan_ms"].items()):
-        lines.append(f"    {rule_id}  {ms:8.1f} ms")
-    lines.append(f"  program-model build    {results['link_build_src_ms']:8.1f} ms")
+    for rule_id, ms in results["per_rule_visit_ms"].items():
+        lines.append(f"    {rule_id:<8}{ms:10.1f}{results['per_rule_visit_calls'][rule_id]:10d}")
+    lines.append(f"    {'engine':<8}{results['engine_ms']:10.1f}    (read, parse, pragmas, walk, dispatch)")
     return "\n".join(lines)
+
+
+def _write(results: dict) -> None:
+    RESULTS_DIR.mkdir(exist_ok=True)
+    (RESULTS_DIR / "BENCH_analysis.json").write_text(json.dumps(results, indent=2) + "\n")
 
 
 def test_bench_analysis(benchmark):
@@ -129,19 +144,11 @@ def test_bench_analysis(benchmark):
 
     results = benchmark.pedantic(run_analysis_bench, rounds=1, iterations=1)
     emit("analysis", _render(results))
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_analysis.json").write_text(json.dumps(results, indent=2) + "\n")
+    _write(results)
 
-    assert results["scan_seconds_best_of"] < MAX_SCAN_SECONDS, (
-        f"cold full-repo scan took {results['scan_seconds_best_of']:.2f}s; "
+    assert results["cold_scan_seconds_best_of"] < MAX_SCAN_SECONDS, (
+        f"cold full-repo scan took {results['cold_scan_seconds_best_of']:.2f}s; "
         f"ceiling is {MAX_SCAN_SECONDS:.0f}s"
-    )
-    assert results["warm_scan_seconds_best_of"] < MAX_WARM_SCAN_SECONDS, (
-        f"warm incremental scan took {results['warm_scan_seconds_best_of']:.2f}s; "
-        f"ceiling is {MAX_WARM_SCAN_SECONDS:.0f}s"
-    )
-    assert results["warm_cache_hits"] == results["files_scanned"], (
-        "warm scan should replay every file from the cache"
     )
     assert results["parse_errors"] == 0
 
@@ -149,7 +156,4 @@ def test_bench_analysis(benchmark):
 if __name__ == "__main__":
     bench_results = run_analysis_bench()
     print(_render(bench_results))
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_analysis.json").write_text(
-        json.dumps(bench_results, indent=2) + "\n"
-    )
+    _write(bench_results)

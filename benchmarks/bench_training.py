@@ -46,9 +46,18 @@ each tree's medians and their ratio::
     PYTHONPATH=src:benchmarks python benchmarks/bench_training.py \\
         --baseline-src ../parent/src
 
+The comparison first gates the training step (:func:`step_gate`): over
+:data:`STEP_GATE_PAIRS` pairs of interleaved blocks of
+:data:`STEP_GATE_STEPS` uninstrumented steps per tree, each pair running
+the trees in both orders, the median ratio of this tree's time to the
+other's must stay under :data:`STEP_CEILING`. ``--inject-cost 0.03``
+busy-waits 3 % of a baseline step after every step of this tree, to
+show that the gate fails on such a cost; it runs the gate alone and
+writes no results.
+
 Results go to ``benchmarks/results/BENCH_training.json`` and the rendered
 table to ``benchmarks/results/training.txt``; the run exits non-zero when
-a speedup falls below its floor (:data:`FLOORS`).
+the step gate fails or the warm-day stages miss their coverage.
 """
 
 from __future__ import annotations
@@ -65,7 +74,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import alternate, import_tree
+from conftest import alternate, import_tree, spin
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -88,9 +97,13 @@ CORPUS = dict(
     n_focus=3, include_rare_testbed=False, seed=1,
 )
 
-#: Floors this change is held to (parent / change). The GRU encoder's
-#: forward + backward is reported as a diagnostic, without a floor.
-FLOORS = {"step": 1.12}
+#: The step gate: this tree's training step over the baseline tree's, as
+#: the median ratio of interleaved blocks, stays under this. The per-layer
+#: speedups and the GRU encoder's forward + backward are diagnostics.
+STEP_CEILING = 1.02
+#: Pairs of interleaved blocks of the step gate, and steps per block and tree.
+STEP_GATE_PAIRS = 201
+STEP_GATE_STEPS = 5
 
 #: Campaigns per tree for the warm-day stage table (days 1-4 of each).
 STAGE_CAMPAIGNS = 12
@@ -294,6 +307,69 @@ def step_breakdown(pkgs: dict[str, str], repeats: int = STEP_REPEATS) -> dict[st
     }
 
 
+def step_gate(pkgs: dict[str, str], pairs: int = STEP_GATE_PAIRS, inject_cost: float = 0.0) -> dict:
+    """The median ratio of this tree's (``change``) training step to the
+    baseline's over pairs of interleaved blocks, against :data:`STEP_CEILING`.
+
+    A pair runs the trees as A B B A, and its ratio is the sum of this
+    tree's two blocks over the baseline's. A block that follows one of
+    its own tree runs about 8 % faster than one that follows the other
+    tree, so a single block's ratio mostly measures the order; the pair
+    gives each tree one of each. With ``inject_cost`` every step of this
+    tree busy-waits that share of a baseline step, sized from warm-up
+    blocks.
+    """
+    sessions = {label: _StepSession(pkg) for label, pkg in pkgs.items()}
+
+    def block(label: str, extra_s: float = 0.0) -> float:
+        step = sessions[label]._step
+        start = time.perf_counter()
+        for _ in range(STEP_GATE_STEPS):
+            step()
+            if extra_s:
+                spin(extra_s)
+        return time.perf_counter() - start
+
+    baseline_s = statistics.median(block("baseline") for _ in range(11)) / STEP_GATE_STEPS
+    extra = {"baseline": 0.0, "change": inject_cost * baseline_s}
+    for label in sessions:
+        block(label, extra[label])  # warm-up
+    ratios, per_step = [], {label: [] for label in sessions}
+    for _ in range(pairs):
+        seconds = dict.fromkeys(sessions, 0.0)
+        for order in range(2):
+            for label in alternate(sessions, order):
+                seconds[label] += block(label, extra[label])
+        ratios.append(seconds["change"] / seconds["baseline"])
+        for label, value in seconds.items():
+            per_step[label].append(1e3 * value / (2 * STEP_GATE_STEPS))
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    return {
+        "ceiling": STEP_CEILING,
+        "pairs": pairs,
+        "steps_per_block": STEP_GATE_STEPS,
+        "inject_cost": inject_cost,
+        "injected_ms_per_step": 1e3 * extra["change"],
+        "baseline_ms_per_step": statistics.median(per_step["baseline"]),
+        "change_ms_per_step": statistics.median(per_step["change"]),
+        "ratio": median,
+        "ratio_q1": q1,
+        "ratio_q3": q3,
+        "pass": median < STEP_CEILING,
+    }
+
+
+def render_step_gate(gate: dict) -> str:
+    return (
+        f"  step gate: this tree over the baseline, median of {gate['pairs']} pairs of interleaved "
+        f"blocks of {gate['steps_per_block']} steps: baseline {gate['baseline_ms_per_step']:.3f} ms, "
+        f"change {gate['change_ms_per_step']:.3f} ms, ratio {gate['ratio']:.4f} "
+        f"[{gate['ratio_q1']:.4f}, {gate['ratio_q3']:.4f}] (ceiling {gate['ceiling']:.2f}) "
+        + ("pass" if gate["pass"] else "FAIL")
+        + (f" ({gate['injected_ms_per_step']:.3f} ms injected per step)" if gate["inject_cost"] else "")
+    )
+
+
 class _StageClock:
     """Each stage's own milliseconds: time in a nested stage is its, not
     its caller's."""
@@ -436,7 +512,10 @@ def measure(pkgs: dict[str, str]) -> dict:
 
 def compare(baseline_src: str) -> dict:
     """This tree (``change``) against another checkout (``baseline``)."""
-    result = measure({"baseline": import_tree(baseline_src), "change": "repro"})
+    pkgs = {"baseline": import_tree(baseline_src), "change": "repro"}
+    gate = step_gate(pkgs)
+    result = measure(pkgs)
+    result["step_gate"] = gate
     baseline, change = result["baseline"], result["change"]
     result["speedup"] = {
         "step": baseline["step"]["step_ms"] / change["step"]["step_ms"],
@@ -455,7 +534,6 @@ def compare(baseline_src: str) -> dict:
         "epochs": EPOCHS, "step_repeats": STEP_REPEATS, "corpus": CORPUS,
         "stage_campaigns": STAGE_CAMPAIGNS, "stage_coverage": STAGE_COVERAGE,
     }
-    result["floors"] = FLOORS
     return result
 
 
@@ -477,9 +555,10 @@ def render(result: dict) -> str:
     speed = result["speedup"]
     lines += [
         f"  {'step':<12}{base['step']['step_ms']:12.3f}{change['step']['step_ms']:12.3f}"
-        f"   speedup {speed['step']:.2f}x (floor {FLOORS['step']}x)",
+        f"   speedup {speed['step']:.2f}x (diagnostic)",
         f"  gru encoder forward+backward speedup {speed['gru_encoder_forward_backward']:.2f}x "
-        "(diagnostic, no floor)",
+        "(diagnostic)",
+        render_step_gate(result["step_gate"]),
         "",
         f"  seconds per epoch, campaign training set ({change['epochs']['gru']['n_train']} windows)",
         f"  {'encoder':<16}{'parent':>10}{'change':>10}{'speedup':>10}",
@@ -505,13 +584,12 @@ def render(result: dict) -> str:
     return "\n".join(lines)
 
 
-def below_floors(result: dict) -> list[str]:
-    """The floors a comparison misses, and a stage table that does not
-    cover its day, as readable lines (empty when all hold)."""
-    failures = [
-        f"{name} speedup {result['speedup'][name]:.2f}x is below its {floor}x floor"
-        for name, floor in FLOORS.items()
-        if result["speedup"][name] < floor
+def gate_failures(result: dict) -> list[str]:
+    """A failed step gate, and a stage table that does not cover its day,
+    as readable lines (empty when all hold)."""
+    gate = result["step_gate"]
+    failures = [] if gate["pass"] else [
+        f"step ratio {gate['ratio']:.4f} is over its {gate['ceiling']:.2f} ceiling"
     ]
     for label in ("baseline", "change"):
         coverage = stage_coverage(result[label]["warm_day"])
@@ -537,17 +615,27 @@ def test_warm_day_stage_table():
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--baseline-src", help="another checkout's src/ to compare against")
+    parser.add_argument(
+        "--inject-cost", type=float, default=0.0,
+        help="busy-wait this share of a baseline step after every step of this tree "
+        "and run only the step gate (needs --baseline-src)",
+    )
     args = parser.parse_args(argv)
     if not args.baseline_src:
         print(json.dumps(measure({"change": "repro"}), indent=2))
         return 0
+    if args.inject_cost:
+        pkgs = {"baseline": import_tree(args.baseline_src), "change": "repro"}
+        gate = step_gate(pkgs, inject_cost=args.inject_cost)
+        print(render_step_gate(gate))
+        return 0 if gate["pass"] else 1
     result = compare(args.baseline_src)
     text = render(result)
     print(text)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_training.json").write_text(json.dumps(result, indent=2) + "\n")
     (RESULTS_DIR / "training.txt").write_text(text + "\n")
-    failures = below_floors(result)
+    failures = gate_failures(result)
     for line in failures:
         print(line, file=sys.stderr)
     return 1 if failures else 0

@@ -33,9 +33,8 @@ Every rule here encodes an invariant this repo has already paid for once:
   write into preallocated buffers via ``out=`` or in-place operators).
 
 Rules are deliberately syntactic: no type inference, no cross-file
-analysis. Where syntax alone over-approximates, the escape hatches are an
-inline ``# repro: noqa[REP00x]`` (checked for staleness) or a baseline
-entry with a written justification.
+analysis. Where syntax alone over-approximates, the escape hatch is an
+inline ``# repro: noqa[REP00x]``, itself checked for staleness.
 """
 
 from __future__ import annotations
@@ -46,13 +45,7 @@ from typing import Iterator
 
 from .engine import FileContext, Rule, RuleRegistry
 
-__all__ = ["DEFAULT_REGISTRY", "default_registry", "ALL_RULES", "RULESET_VERSION"]
-
-#: Monotonic version of the full rule catalog (the per-file rules here
-#: plus the cross-file rules in :mod:`repro.analysis.program`). The
-#: incremental cache embeds it in every entry, so bumping it on any rule
-#: semantics change invalidates stale cached scans wholesale.
-RULESET_VERSION = 6
+__all__ = ["default_registry", "ALL_RULES"]
 
 #: Packages under src/repro/ that run on the simulated campaign clock.
 _SIM_CLOCK_PACKAGES = frozenset({"core", "workflow", "resilience"})
@@ -652,6 +645,3 @@ def default_registry() -> RuleRegistry:
     for rule_cls in ALL_RULES:
         registry.register(rule_cls)
     return registry
-
-
-DEFAULT_REGISTRY = default_registry()

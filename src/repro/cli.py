@@ -422,8 +422,8 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "analyze":
-        # The lint engine owns its own argparse surface (--format,
-        # --baseline, ...); dispatch before the experiment parser rejects it.
+        # The lint engine owns its own argparse surface (paths,
+        # --list-rules); dispatch before the experiment parser rejects it.
         from .analysis import main as analysis_main
 
         return analysis_main(argv[1:])

@@ -63,9 +63,5 @@ class Frame:
     def __iter__(self) -> Iterator[str]:
         return iter(self._columns)
 
-    # -- conversion -----------------------------------------------------------
-    def to_dict(self) -> dict[str, np.ndarray]:
-        return dict(self._columns)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Frame(rows={self._length}, columns={self.columns})"

@@ -90,7 +90,7 @@ def orthogonal(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
 
 # `rng` keeps the uniform initializer signature so registries can call any
 # initializer interchangeably; zeros is deterministic by construction.
-def zeros(shape: tuple[int, ...], rng: np.random.Generator | None = None) -> np.ndarray:  # repro: noqa[REP016]
+def zeros(shape: tuple[int, ...], rng: np.random.Generator | None = None) -> np.ndarray:
     return np.zeros(shape, dtype=np.float64)
 
 

@@ -1,6 +1,5 @@
-"""Engine mechanics: suppressions, baseline round-trips, reporters, CLI."""
+"""Engine mechanics: suppressions, the registry, the text report, CLI."""
 
-import json
 import textwrap
 
 import pytest
@@ -8,14 +7,9 @@ import pytest
 from repro.analysis import (
     UNUSED_SUPPRESSION_ID,
     Analyzer,
-    Baseline,
-    BaselineEntry,
-    JSON_SCHEMA_VERSION,
     Rule,
     RuleRegistry,
-    apply_baseline,
     default_registry,
-    render_json,
     render_text,
 )
 from repro.analysis.cli import main as analysis_main
@@ -100,46 +94,6 @@ def test_suppression_only_applies_to_its_own_line():
     assert UNUSED_SUPPRESSION_ID in rules  # and the stray pragma is reported
 
 
-# -- fingerprints and baselines ---------------------------------------------
-
-def test_fingerprint_ignores_line_numbers():
-    shifted = DIRTY.replace("import numpy as np", "import numpy as np\n\n\n")
-    (original,) = scan(DIRTY)
-    (moved,) = scan(shifted)
-    assert original.line != moved.line
-    assert original.fingerprint == moved.fingerprint
-
-
-def test_baseline_round_trip(tmp_path):
-    findings = scan(DIRTY)
-    baseline = Baseline.from_findings(findings, justification="legacy; PR-Next fixes")
-    path = tmp_path / "analysis_baseline.json"
-    baseline.save(path)
-
-    loaded = Baseline.load(path)
-    assert loaded.fingerprints() == baseline.fingerprints()
-    assert loaded.entries[0].justification == "legacy; PR-Next fixes"
-
-    new, grandfathered, expired = apply_baseline(findings, loaded)
-    assert new == [] and expired == []
-    assert [f.fingerprint for f in grandfathered] == [findings[0].fingerprint]
-
-
-def test_baseline_entry_expires_when_code_is_fixed():
-    baseline = Baseline.from_findings(scan(DIRTY))
-    new, grandfathered, expired = apply_baseline(scan(CLEAN), baseline)
-    assert new == [] and grandfathered == []
-    assert len(expired) == 1
-    assert isinstance(expired[0], BaselineEntry)
-
-
-def test_baseline_rejects_unknown_version(tmp_path):
-    path = tmp_path / "analysis_baseline.json"
-    path.write_text(json.dumps({"version": 99, "entries": []}))
-    with pytest.raises(ValueError, match="version"):
-        Baseline.load(path)
-
-
 # -- registry ----------------------------------------------------------------
 
 def test_registry_rejects_duplicate_and_malformed_ids():
@@ -167,29 +121,9 @@ def _scan_tree(tmp_path):
     return analyzer.analyze_paths([tmp_path / "src"], root=tmp_path)
 
 
-def test_json_report_schema(tmp_path):
-    result = _scan_tree(tmp_path)
-    payload = json.loads(render_json(result, result.findings, [], []))
-    assert payload["version"] == JSON_SCHEMA_VERSION
-    assert set(payload) == {
-        "version", "findings", "grandfathered", "expired_baseline", "summary",
-    }
-    (finding,) = payload["findings"]
-    assert set(finding) == {"rule", "path", "line", "message", "snippet", "related"}
-    assert finding["rule"] == "REP001"
-    assert finding["related"] == []
-    assert finding["path"] == "src/repro/nn/mod.py"
-    summary = payload["summary"]
-    assert summary["files_scanned"] == 1
-    assert summary["new_findings"] == 1
-    assert summary["by_rule"] == {"REP001": 1}
-    assert summary["parse_errors"] == []
-    assert summary["elapsed_seconds"] >= 0.0
-
-
 def test_text_report_mentions_finding_and_summary(tmp_path):
     result = _scan_tree(tmp_path)
-    text = render_text(result, result.findings, [], [])
+    text = render_text(result)
     assert "src/repro/nn/mod.py" in text
     assert "REP001" in text
     assert "1 files scanned" in text
@@ -214,28 +148,21 @@ def _write_tree(tmp_path, source):
     (target / "mod.py").write_text(source)
 
 
-def test_cli_exit_codes_and_baseline_lifecycle(tmp_path, monkeypatch, capsys):
+def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    _write_tree(tmp_path, DIRTY)
+    _write_tree(tmp_path, CLEAN)
 
     assert analysis_main(["missing-dir"]) == 2
-    assert analysis_main(["src"]) == 1  # finding, no baseline discovered
+    assert analysis_main(["src"]) == 0
 
-    baseline = str(tmp_path / "analysis_baseline.json")
-    assert analysis_main(["src", "--baseline", baseline, "--update-baseline"]) == 0
-    assert analysis_main(["src", "--baseline", baseline]) == 0  # grandfathered
-
-    _write_tree(tmp_path, CLEAN)
-    assert analysis_main(["src", "--baseline", baseline]) == 0  # expired tolerated
-    assert analysis_main(["src", "--baseline", baseline, "--strict-baseline"]) == 1
-
-    out = capsys.readouterr().out
-    assert "expired" in out
-
-
-def test_cli_json_format_is_machine_readable(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
     _write_tree(tmp_path, DIRTY)
-    assert analysis_main(["src", "--baseline", "none", "--format", "json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["summary"]["new_findings"] == 1
+    assert analysis_main(["src"]) == 1  # a finding fails the scan
+    assert "REP001" in capsys.readouterr().out
+
+    _write_tree(tmp_path, CLEAN.replace("(seed)\n", "(seed)  # repro: noqa[REP001]\n"))
+    assert analysis_main(["src"]) == 1  # and so does a dead pragma
+    assert UNUSED_SUPPRESSION_ID in capsys.readouterr().out
+
+    (tmp_path / "src" / "repro" / "nn" / "mod.py").write_text("def oops(:\n")
+    assert analysis_main(["src"]) == 1  # a parse error fails it too
+    assert "parse error" in capsys.readouterr().out
